@@ -81,19 +81,25 @@ def parse_problem(data) -> dict:
         raise SchemaError("options", "expected an object")
     for key, check, what in (
         ("seed", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-        ("tol", lambda v: isinstance(v, (int, float)) and v > 0, "a positive number"),
+        ("tol", _is_finite_positive, "a finite positive number"),
         ("N", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
          "a non-negative integer"),
-        ("degrees", _is_degree_list, "a strictly ascending list of >= 4 integers"),
+        ("degrees", _is_degree_list, "a strictly ascending list of >= 4 integers >= 1"),
     ):
         if key in options and not check(options[key]):
             raise SchemaError(f"options.{key}", f"expected {what}")
     return data
 
 
+def _is_finite_positive(v) -> bool:
+    # exact comparison, so integers past the float range fail too
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and 0 < v <= sys.float_info.max)
+
+
 def _is_degree_list(v) -> bool:
     return (isinstance(v, list) and len(v) >= 4
-            and all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in v)
+            and all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in v)
             and sorted(set(v)) == v)
 
 
@@ -252,6 +258,9 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         )
     elif kind == "oracle":
         ms, mt = _resolve_pair(problem, top_degree)
+        if ms.N < 1:
+            raise InputValidationError("systems[0].N: the oracle needs N >= 1 "
+                                       "(N=0 leaves no intertwining equation)")
         report.update(_run_oracle(ms, mt, seed, tol))
     elif kind == "diagnostic":
         degrees = degrees if degrees is not None else options.get(
@@ -497,9 +506,15 @@ def _parse_degrees(text) -> list:
         out = [int(x) for x in str(text).split(",") if x.strip()]
     except ValueError as ex:
         raise InputValidationError(f"cannot parse degrees {text!r}") from ex
-    if len(out) < 4 or sorted(set(out)) != out:
-        raise InputValidationError("degrees must be >= 4 strictly ascending integers")
+    if len(out) < 4 or sorted(set(out)) != out or out[0] < 1:
+        raise InputValidationError("degrees must be >= 4 strictly ascending integers >= 1")
     return out
+
+
+def _tol_arg(text: str) -> float:
+    if not _is_finite_positive(value := float(text)):
+        raise argparse.ArgumentTypeError("expected a finite positive number")
+    return value
 
 
 def _default_report_path(problem_path: str) -> str:
@@ -524,19 +539,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(ser.canonical_dumps(payload))
 
 
+def _load_problem(path: str):
+    """The JSON value of a problem file; SchemaError at $ when unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as ex:
+        raise SchemaError("$", f"cannot read {path}: {ex}") from ex
+    except json.JSONDecodeError as ex:
+        raise SchemaError("$", f"not valid JSON ({ex})") from ex
+
+
 def _cmd_run(args) -> int:
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as ex:
-        print(f"error: cannot read {args.problem}: {ex}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except json.JSONDecodeError as ex:
-        print(f"schema error at $: not valid JSON ({ex})", file=sys.stderr)
-        return EXIT_SCHEMA
-
-    started = time.perf_counter()
-    try:
+        raw = _load_problem(args.problem)
+        started = time.perf_counter()
         problem = parse_problem(raw)
         degrees = _parse_degrees(args.degrees) if args.degrees else None
         report = run_problem(
@@ -571,28 +588,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        problem = parse_problem(raw)
+        problem = parse_problem(_load_problem(args.problem))
         for i, spec in enumerate(problem["systems"]):
-            if spec.get("type") == "weights":
-                ws, _ = ser.weight_system_from_json(spec, f"systems[{i}]")
-                report = validate_weights(ws)
-                if not report.passes:
-                    print(f"input validation failed: systems[{i}]:\n{report}",
-                          file=sys.stderr)
-                    return EXIT_INVALID_INPUT
-            else:
-                resolve_system(spec, f"systems[{i}]", None)
+            resolve_system(spec, f"systems[{i}]", None)
     except SchemaError as ex:
         print(f"schema error at {ex.path}: {ex.message}", file=sys.stderr)
         return EXIT_SCHEMA
     except InputValidationError as ex:
         print(f"input validation failed: {ex}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except json.JSONDecodeError as ex:
-        print(f"schema error at $: not valid JSON ({ex})", file=sys.stderr)
-        return EXIT_SCHEMA
     if not args.quiet:
         print("ok: problem file parses and all systems resolve")
     return EXIT_OK
@@ -638,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="report path "
                      "(default: problem path with .report.json suffix)")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--tol", type=float, default=None)
+    run.add_argument("--tol", type=_tol_arg, default=None)
     run.add_argument("--degrees", default=None,
                      help="comma-separated truncation degrees (diagnostic kind)")
     run.add_argument("--threads", type=int, default=None,

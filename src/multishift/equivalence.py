@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Truncation, degree, shifted, simplex_size
+from .lattice import Truncation, simplex_size
 from .numerics import (
     LinAlgError,
     as_complex_matrix,
@@ -35,7 +35,7 @@ from .numerics import (
     sqrt_pd,
     symmetrize,
 )
-from .shiftcore import MomentSystem, _SqrtCache, build_mz
+from .shiftcore import MomentSystem, _SqrtCache, _staircase_products, build_mz
 
 RATIO_CAP = 1e3
 SLOPE_EPS = 0.1
@@ -138,13 +138,8 @@ def sandwich_ratio(ms: MomentSystem, mt: MomentSystem, c) -> tuple:
     eigenvalue, m2 the largest, log_ratio = log(m2) - log(m1) >= 0. These are
     the tightest constants for which the given C is a sandwich certificate.
     """
-    _require_same_shape(ms, mt)
-    c = as_complex_matrix(c, "C")
-    _check_invertible_c(c)
-    mats, logs = ms.stacked()
-    tmats, tlogs = mt.stacked()
-    log_m1, log_m2 = _sandwich_lograted(tmats, tlogs, _congruence_stack(mats, c), logs)
-    return math.exp(log_m1), math.exp(log_m2), log_m2 - log_m1
+    cert = sandwich_certificate(ms, mt, c)
+    return cert.m1, cert.m2, cert.log_ratio
 
 
 def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCertificate:
@@ -152,9 +147,9 @@ def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCer
     _require_same_shape(ms, mt)
     c = as_complex_matrix(c, "C")
     _check_invertible_c(c)
-    mats, logs = ms.stacked()
-    tmats, tlogs = mt.stacked()
-    log_m1, log_m2 = _sandwich_lograted(tmats, tlogs, _congruence_stack(mats, c), logs)
+    log_m1, log_m2 = _sandwich_lograted(
+        mt.mats, mt.logs, _congruence_stack(ms.mats, c), ms.logs
+    )
     return SimilarityCertificate(c, log_m1, log_m2)
 
 
@@ -171,9 +166,7 @@ def verify_certificate(ms: MomentSystem, mt: MomentSystem,
     c = as_complex_matrix(cert.C, "C")
     _check_invertible_c(c)
     indices = ms.truncation().indices
-    mats, logs = ms.stacked(indices)
-    tmats, tlogs = mt.stacked(indices)
-    bmats = _congruence_stack(mats, c)
+    bmats = _congruence_stack(ms.mats, c)
 
     def worst_margin(pos_mats, pos_logs, neg_mats, neg_logs):
         top = np.maximum(pos_logs, neg_logs)
@@ -190,8 +183,8 @@ def verify_certificate(ms: MomentSystem, mt: MomentSystem,
         k = int(np.argmin(margins))
         return float(margins[k]), indices[k]
 
-    lower, lower_alpha = worst_margin(tmats, tlogs, bmats, cert.log_m1 + logs)
-    upper, upper_alpha = worst_margin(bmats, cert.log_m2 + logs, tmats, tlogs)
+    lower, lower_alpha = worst_margin(mt.mats, mt.logs, bmats, cert.log_m1 + ms.logs)
+    upper, upper_alpha = worst_margin(bmats, cert.log_m2 + ms.logs, mt.mats, mt.logs)
     return VerificationReport(
         passes=bool(lower >= -tol and upper >= -tol),
         tol=tol,
@@ -276,14 +269,16 @@ def _descend(func, start: np.ndarray, retract, iterations: int,
     return point, value
 
 
+def _combination(weights, mats, logs) -> np.ndarray:
+    """sum_alpha weights[alpha] G_alpha, scaled by exp(-max logscale)."""
+    w = weights * np.exp(logs - logs.max())
+    return (w[:, None, None] * mats).sum(axis=0)
+
+
 def _alignment_unitary(mats, logs, tmats, tlogs, weights) -> np.ndarray:
     """Match the eigenframes of matching positive combinations of both families."""
-    w = weights * np.exp(logs - logs.max())
-    wt = weights * np.exp(tlogs - tlogs.max())
-    s = (w[:, None, None] * mats).sum(axis=0)
-    st = (wt[:, None, None] * tmats).sum(axis=0)
-    _, q = herm_eig(s)
-    _, qt = herm_eig(st)
+    _, q = herm_eig(_combination(weights, mats, logs))
+    _, qt = herm_eig(_combination(weights, tmats, tlogs))
     return q @ qt.conj().T
 
 
@@ -300,19 +295,14 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
     n = mats.shape[1]
     t1 = rng.uniform(0.5, 1.5, size=mats.shape[0])
     t2 = rng.uniform(0.5, 1.5, size=mats.shape[0])
-
-    def combo(weights, stack, logstack):
-        w = weights * np.exp(logstack - logstack.max())
-        return (w[:, None, None] * stack).sum(axis=0)
-
-    s1, st1 = combo(t1, mats, logs), combo(t1, tmats, tlogs)
+    s1, st1 = _combination(t1, mats, logs), _combination(t1, tmats, tlogs)
     eig1, q = herm_eig(s1)
     _, qt = herm_eig(st1)
     span = max(float(eig1[-1] - eig1[0]), 1e-300)
     min_gap = float(np.diff(eig1).min()) / span if n > 1 else 1.0
 
     if min_gap >= 1e-6:
-        s2, st2 = combo(t2, mats, logs), combo(t2, tmats, tlogs)
+        s2, st2 = _combination(t2, mats, logs), _combination(t2, tmats, tlogs)
         a = q.conj().T @ s2 @ q
         b = qt.conj().T @ st2 @ qt
         phases = np.ones(n, dtype=np.complex128)
@@ -356,8 +346,8 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     _require_same_shape(ms, mt)
     rng = np.random.default_rng(seed)
     n = ms.fiber_dim
-    mats, logs = ms.stacked()
-    tmats, tlogs = mt.stacked()
+    mats, logs = ms.mats, ms.logs
+    tmats, tlogs = mt.mats, mt.logs
     zero = (0,) * ms.d
     left = inv_sqrt_pd(ms.gram(zero))
     right = sqrt_pd(mt.gram(zero))
@@ -483,8 +473,8 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
     degrees = [int(x) for x in degrees]
     if len(degrees) < 4:
         raise ValueError("need at least 4 truncation degrees")
-    if sorted(degrees) != degrees or len(set(degrees)) != len(degrees):
-        raise ValueError("degrees must be strictly ascending")
+    if sorted(degrees) != degrees or len(set(degrees)) != len(degrees) or degrees[0] < 1:
+        raise ValueError("degrees must be strictly ascending positive integers")
 
     def run(top_degree: int) -> float:
         ms, mt = pair_generator(top_degree)
@@ -555,8 +545,8 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     """
     _require_same_shape(ms, mt)
     indices = ms.truncation().indices
-    mats, logs = ms.stacked(indices)
-    tmats, tlogs = mt.stacked(indices)
+    mats, logs = ms.mats, ms.logs
+    tmats, tlogs = mt.mats, mt.logs
     n = ms.fiber_dim
 
     eigs, _ = herm_eig_batch(mats, vectors=False)
@@ -731,16 +721,7 @@ def level0_annihilation_residual(x: IntertwinerMatrix) -> float:
 
 def _oc_path_products(ms: MomentSystem) -> dict:
     """Level-raising products P(alpha) = (Mz^alpha from level 0) per index."""
-    cache = _SqrtCache(ms)
-    products = {}
-    for alpha in ms.truncation():
-        if degree(alpha) == 0:
-            products[alpha] = np.eye(ms.fiber_dim, dtype=np.complex128)
-        else:
-            j = max(k for k in range(ms.d) if alpha[k] > 0)
-            below = shifted(alpha, j, -1)
-            products[alpha] = cache.raise_block(below, j) @ products[below]
-    return products
+    return _staircase_products(ms.truncation(), ms.fiber_dim, _SqrtCache(ms).raise_block)
 
 
 def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem,

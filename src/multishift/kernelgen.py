@@ -17,36 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import SimilarityCertificate
-from .lattice import Truncation, degree, shifted
-from .numerics import HermPD, hermpd, hermpd_from_log_diag, inv_pd, pencil_logeigs
-from .shiftcore import MomentSystem
+from .lattice import Truncation, degree, shifted, simplex_size
+from .numerics import (
+    HermPD,
+    hermpd_from_log_diag_batch,
+    inv_pd_batch,
+    pencil_logrange_batch,
+)
+from .shiftcore import GradedFamily, MomentSystem
 
 PROVENANCE_TAGS = ("pochhammer", "homogeneous", "perturbed", "explicit")
 
 
-@dataclass(frozen=True, eq=False)
-class KernelSpec:
-    """Diagonal reproducing kernel data: coefficients alpha -> C_alpha (PD)."""
+class KernelSpec(GradedFamily):
+    """Diagonal reproducing kernel data: coefficients alpha -> C_alpha (PD), stored
+    as graded stacks like MomentSystem; coeff(alpha) is a HermPD view of one row."""
 
-    d: int
-    N: int
-    fiber_dim: int
-    coeffs: dict
-    provenance: str = "explicit"
+    def __init__(self, d: int, N: int, fiber_dim: int, mats, logs,
+                 provenance: str = "explicit"):
+        if provenance not in PROVENANCE_TAGS:
+            raise ValueError(f"unknown provenance tag {provenance!r}")
+        super().__init__(d, N, fiber_dim, mats, logs)
+        self.provenance = provenance
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {self.provenance!r}")
-        for alpha in self.truncation():
-            c = self.coeffs.get(alpha)
-            if not isinstance(c, HermPD) or c.dim != self.fiber_dim:
-                raise ValueError(f"coefficient at {alpha} is not an n x n HermPD")
-
-    def truncation(self) -> Truncation:
-        return Truncation(self.d, self.N)
-
-    def coeff(self, alpha) -> HermPD:
-        return self.coeffs[tuple(alpha)]
+    coeff = GradedFamily.row
 
 
 @dataclass(frozen=True)
@@ -76,15 +70,18 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def log_multi_factorial(alpha) -> float:
-    """log(alpha!) for a multi-index."""
-    return sum(math.lgamma(a + 1) for a in alpha)
+def _graded_log_factorials(trunc: Truncation):
+    """|alpha| and log(alpha!) per row of the truncation, and log(m!) per degree m."""
+    idx = np.array(trunc.indices, dtype=np.int64).reshape(len(trunc), trunc.d)
+    lf = np.array([log_factorial(m) for m in range(trunc.N + 1)])
+    # cumsum adds strictly left to right, so each row is sum(lgamma(a + 1)) to the bit
+    return idx.sum(axis=1), np.cumsum(lf[idx], axis=1)[:, -1], lf
 
 
 def kernel_moments(spec: KernelSpec) -> MomentSystem:
-    """Moments G_alpha = C_alpha^{-1}, inverted per index in the log domain."""
-    grams = {alpha: inv_pd(spec.coeff(alpha)) for alpha in spec.truncation()}
-    return MomentSystem(spec.d, spec.N, spec.fiber_dim, grams)
+    """Moments G_alpha = C_alpha^{-1}, the whole stack inverted in the log domain."""
+    mats, logs = inv_pd_batch(spec.mats, spec.logs)
+    return MomentSystem.from_arrays(spec.d, spec.N, spec.fiber_dim, mats, logs)
 
 
 def pochhammer_kernel(pair: PochhammerPair, d: int, top_degree: int):
@@ -93,20 +90,13 @@ def pochhammer_kernel(pair: PochhammerPair, d: int, top_degree: int):
     C_alpha = diag((lam)_{|alpha|}, (mu)_{|alpha|}) / alpha!, and the moments
     are the inverse diagonal, both assembled in the log domain.
     """
-    trunc = Truncation(d, top_degree)
-    coeffs = {}
-    grams = {}
-    for alpha in trunc:
-        m = degree(alpha)
-        lfact = log_multi_factorial(alpha)
-        logs = np.array([
-            log_pochhammer(pair.lam, m) - lfact,
-            log_pochhammer(pair.mu, m) - lfact,
-        ])
-        coeffs[alpha] = hermpd_from_log_diag(logs)
-        grams[alpha] = hermpd_from_log_diag(-logs)
-    spec = KernelSpec(d, top_degree, 2, coeffs, provenance="pochhammer")
-    return spec, MomentSystem(d, top_degree, 2, grams)
+    deg, lfact, _ = _graded_log_factorials(Truncation(d, top_degree))
+    by_degree = np.array([[log_pochhammer(pair.lam, m), log_pochhammer(pair.mu, m)]
+                          for m in range(top_degree + 1)])
+    logs = by_degree[deg] - lfact[:, None]
+    return (KernelSpec(d, top_degree, 2, *hermpd_from_log_diag_batch(logs),
+                       provenance="pochhammer"),
+            MomentSystem.from_arrays(d, top_degree, 2, *hermpd_from_log_diag_batch(-logs)))
 
 
 def pochhammer_ground_truth(pair: PochhammerPair, other: PochhammerPair) -> bool:
@@ -131,16 +121,13 @@ def homogeneous_kernel(coeffs_by_degree, d: int) -> KernelSpec:
         if not isinstance(a, HermPD):
             raise ValueError(f"A_{m} is not a HermPD")
         if a.dim != n:
-            raise ValueError(
-                f"A_{m} has dimension {a.dim}, expected {n}"
-            )
+            raise ValueError(f"A_{m} has dimension {a.dim}, expected {n}")
     top = len(coeffs_by_degree) - 1
-    out = {}
-    for alpha in Truncation(d, top):
-        m = degree(alpha)
-        log_multinomial = log_factorial(m) - log_multi_factorial(alpha)
-        out[alpha] = coeffs_by_degree[m].logscaled(log_multinomial)
-    return KernelSpec(d, top, n, out, provenance="homogeneous")
+    deg, lfact, lf = _graded_log_factorials(Truncation(d, top))
+    mats = np.stack([a.matrix for a in coeffs_by_degree])
+    logs = np.array([a.logscale for a in coeffs_by_degree])
+    return KernelSpec(d, top, n, mats[deg], logs[deg] + (lf[deg] - lfact),
+                      provenance="homogeneous")
 
 
 def perturb_kernel(spec: KernelSpec, replacements: dict):
@@ -153,31 +140,27 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     extreme generalized eigenvalues of the pencils (D_a, C_a).
     """
     trunc = spec.truncation()
-    cleaned = {}
+    mats, logs = spec.mats.copy(), spec.logs.copy()
+    n0 = -1  # the largest replaced degree
     for alpha, dmat in replacements.items():
         alpha = tuple(alpha)
         if alpha not in trunc:
             raise IndexError(f"replacement index {alpha} outside the truncation")
         if not isinstance(dmat, HermPD) or dmat.dim != spec.fiber_dim:
             raise ValueError(f"replacement at {alpha} is not an n x n HermPD")
-        cleaned[alpha] = dmat
-    n0 = max((degree(a) for a in cleaned), default=-1)
-    coeffs = dict(spec.coeffs)
-    coeffs.update(cleaned)
-    perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, coeffs,
+        k = trunc.position(alpha)
+        mats[k], logs[k] = dmat.matrix, dmat.logscale
+        n0 = max(n0, degree(alpha))
+    perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, mats, logs,
                            provenance="perturbed")
-    log_c1 = 0.0
-    log_c2 = 0.0
-    for alpha in trunc:
-        if degree(alpha) > n0:
-            break
-        logeigs = pencil_logeigs(coeffs[alpha], spec.coeff(alpha))
-        log_c1 = min(log_c1, -float(logeigs[-1]))
-        log_c2 = max(log_c2, -float(logeigs[0]))
+    lo, hi = [0.0], [0.0]
+    if n0 >= 0:
+        k0 = simplex_size(spec.d, n0)
+        lo, hi = pencil_logrange_batch(mats[:k0], logs[:k0], spec.mats[:k0], spec.logs[:k0])
     cert = SimilarityCertificate(
         C=np.eye(spec.fiber_dim, dtype=np.complex128),
-        log_m1=min(0.0, log_c1),
-        log_m2=max(0.0, log_c2),
+        log_m1=min(0.0, -float(np.max(hi))),
+        log_m2=max(0.0, -float(np.min(lo))),
     )
     return perturbed, cert
 
@@ -191,12 +174,11 @@ def boundedness_estimate(spec: KernelSpec, j: int) -> float:
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"coordinate j={j} outside 0..{spec.d - 1}")
-    best = -math.inf
-    for alpha in spec.truncation():
-        if alpha[j] == 0:
-            continue
-        logeigs = pencil_logeigs(spec.coeff(shifted(alpha, j, -1)), spec.coeff(alpha))
-        best = max(best, float(logeigs[-1]))
-    if best == -math.inf:
+    trunc = spec.truncation()
+    rows = [k for k, alpha in enumerate(trunc) if alpha[j] > 0]
+    if not rows:
         return 0.0
-    return math.exp(0.5 * best)
+    below = [trunc.position(shifted(trunc.indices[k], j, -1)) for k in rows]
+    _, hi = pencil_logrange_batch(spec.mats[below], spec.logs[below],
+                                  spec.mats[rows], spec.logs[rows])
+    return math.exp(0.5 * float(hi.max()))

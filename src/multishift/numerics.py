@@ -77,14 +77,14 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_ASYMMETRY_TOL) -> None:
-    """Raise NonHermitian when the relative asymmetry exceeds tol."""
-    scale = frob_norm(a)
-    if scale == 0.0:
-        return
-    asym = frob_norm(a - a.conj().T)
-    if asym > tol * scale:
+    """Raise NonHermitian when the relative asymmetry of any stacked matrix exceeds tol."""
+    scale = np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1))).ravel()
+    asym = np.sqrt((np.abs(a - a.conj().swapaxes(-1, -2)) ** 2).sum(axis=(-2, -1))).ravel()
+    bad = np.nonzero(asym > tol * scale)[0]
+    if bad.size:
+        k = bad[0]
         raise NonHermitianError(
-            f"relative asymmetry {asym / scale:.3e} exceeds {tol:.1e}"
+            f"relative asymmetry {asym[k] / scale[k]:.3e} exceeds {tol:.1e}"
         )
 
 
@@ -203,14 +203,6 @@ def herm_eig(mat) -> tuple[np.ndarray, np.ndarray]:
     check_hermitian(a)
     eigs, v = herm_eig_batch(a[None], vectors=True)
     return eigs[0], v[0]
-
-
-def herm_eigvals(mat) -> np.ndarray:
-    a = as_complex_matrix(mat)
-    _require_square(a)
-    check_hermitian(a)
-    eigs, _ = herm_eig_batch(a[None], vectors=False)
-    return eigs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,28 +418,45 @@ class HermPD:
         return np.log(eigs[0]) + self.logscale
 
 
+def hermpd_batch(mats, logs) -> tuple[np.ndarray, np.ndarray]:
+    """hermpd on every row of a (m, n, n) stack with logscales (m,), in one pass.
+
+    Returns the read-only balanced stack and its logscales, each row
+    bit-identical to hermpd(mats[k], logs[k]); raises for the first bad row.
+    """
+    a = np.array(mats, dtype=np.complex128, order="C", copy=True)
+    out_logs = np.array(logs, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or out_logs.shape != a.shape[:1]:
+        raise ValueError(f"need (m, n, n) and (m,) stacks, got {a.shape}, {out_logs.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    check_hermitian(a)
+    a = symmetrize(a)
+    eigs, _ = herm_eig_batch(a, vectors=False)
+    lo = eigs[:, 0]
+    bad = np.nonzero(lo <= 0.0)[0]
+    if bad.size:
+        raise PositiveDefiniteError(f"smallest eigenvalue {lo[bad[0]]:.3e} is not positive")
+    snorm = np.maximum(np.abs(lo), np.abs(eigs[:, -1]))
+    # math.log2 per row: a vectorised log2 may differ in the last bit and move k
+    ks = np.array([round(math.log2(s)) for s in snorm.tolist()], dtype=np.int64)
+    rows = np.nonzero(ks)[0]
+    if rows.size:
+        scales = np.array([2.0 ** (-k) for k in ks[rows].tolist()])
+        a[rows] = a[rows] * scales[:, None, None]
+        out_logs[rows] = out_logs[rows] + ks[rows] * LOG2
+    a.flags.writeable = False
+    return a, out_logs
+
+
 def hermpd(matrix, logscale: float = 0.0) -> HermPD:
     """Validate, symmetrize, and balance a matrix into a HermPD.
 
     Balancing rescales by an exact power of two so the spectral norm lands in
     [2^-1/2, 2^1/2]; re-running it is a bit-identical no-op.
     """
-    a = as_complex_matrix(matrix)
-    _require_square(a)
-    check_hermitian(a)
-    a = symmetrize(a)
-    eigs, _ = herm_eig_batch(a[None], vectors=False)
-    lo, hi = float(eigs[0, 0]), float(eigs[0, -1])
-    if lo <= 0.0:
-        raise PositiveDefiniteError(f"smallest eigenvalue {lo:.3e} is not positive")
-    snorm = max(abs(lo), abs(hi))
-    k = round(math.log2(snorm))
-    out_log = float(logscale)
-    if k != 0:
-        a = a * 2.0 ** (-k)
-        out_log = out_log + k * LOG2
-    a.flags.writeable = False
-    return HermPD(a, out_log)
+    mats, logs = hermpd_batch(as_complex_matrix(matrix)[None], [logscale])
+    return HermPD(mats[0], float(logs[0]))
 
 
 def rebalance(h: HermPD) -> HermPD:
@@ -455,43 +464,58 @@ def rebalance(h: HermPD) -> HermPD:
     return hermpd(h.matrix, h.logscale)
 
 
-def hermpd_from_log_diag(log_entries) -> HermPD:
-    """HermPD with diagonal exp(log_entries); safe for widely spread scales.
+def hermpd_from_log_diag_batch(log_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced stack of diagonals exp(log_rows[k]), one shared logscale per row.
 
-    Raises PositiveDefiniteError when the spread exceeds what a shared
-    logscale can represent in double precision.
+    Raises PositiveDefiniteError when a row's spread exceeds what a shared
+    logscale can represent in double precision (690 nats).
     """
-    logs = np.asarray(log_entries, dtype=np.float64)
-    if logs.ndim != 1 or logs.size == 0 or not np.all(np.isfinite(logs)):
-        raise ValueError("log_entries must be a finite 1-D array")
-    top = float(logs.max())
-    if top - float(logs.min()) > 690.0:
+    logs = np.asarray(log_rows, dtype=np.float64)
+    if logs.ndim != 2 or logs.shape[1] == 0 or not np.all(np.isfinite(logs)):
+        raise ValueError("log_rows must be a finite (m, n) array")
+    top = logs.max(axis=1)
+    if np.any(top - logs.min(axis=1) > 690.0):
         raise PositiveDefiniteError(
             "diagonal spread exceeds double-precision range under one logscale"
         )
-    return hermpd(np.diag(np.exp(logs - top)).astype(np.complex128), top)
+    m, n = logs.shape
+    mats = np.zeros((m, n, n), dtype=np.complex128)
+    mats[:, range(n), range(n)] = np.exp(logs - top[:, None])
+    return hermpd_batch(mats, top)
 
 
-def _eig_transform(h: HermPD, fn, out_logscale: float) -> HermPD:
-    eigs, v = herm_eig_batch(h.matrix[None], vectors=True)
-    eigs, v = eigs[0], v[0]
-    if eigs[0] <= 0.0:
-        raise PositiveDefiniteError(f"smallest eigenvalue {eigs[0]:.3e} is not positive")
-    out = (v * fn(eigs)[None, :]) @ v.conj().T
-    return hermpd(out, out_logscale)
+def _eig_transform_batch(mats, logs, fn, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced stack of v fn(eigs) v* per row, logscales multiplied by power."""
+    eigs, v = herm_eig_batch(mats, vectors=True)
+    lo = eigs[:, 0]
+    bad = np.nonzero(lo <= 0.0)[0]
+    if bad.size:
+        raise PositiveDefiniteError(f"smallest eigenvalue {lo[bad[0]]:.3e} is not positive")
+    out = (v * fn(eigs)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return hermpd_batch(out, power * np.asarray(logs, dtype=np.float64))
+
+
+def inv_pd_batch(mats, logs) -> tuple[np.ndarray, np.ndarray]:
+    """inv_pd of every row of a HermPD stack, in one pass."""
+    return _eig_transform_batch(mats, logs, lambda e: 1.0 / e, -1.0)
+
+
+def _eig_transform(h: HermPD, fn, power: float) -> HermPD:
+    mats, logs = _eig_transform_batch(h.matrix[None], [h.logscale], fn, power)
+    return HermPD(mats[0], float(logs[0]))
 
 
 def sqrt_pd(h: HermPD) -> HermPD:
     """Positive square root; represented value squares back to h (logscale halved)."""
-    return _eig_transform(h, np.sqrt, h.logscale / 2.0)
+    return _eig_transform(h, np.sqrt, 0.5)
 
 
 def inv_sqrt_pd(h: HermPD) -> HermPD:
-    return _eig_transform(h, lambda e: 1.0 / np.sqrt(e), -h.logscale / 2.0)
+    return _eig_transform(h, lambda e: 1.0 / np.sqrt(e), -0.5)
 
 
 def inv_pd(h: HermPD) -> HermPD:
-    return _eig_transform(h, lambda e: 1.0 / e, -h.logscale)
+    return _eig_transform(h, lambda e: 1.0 / e, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import Truncation
-from .numerics import HermPD, hermpd, polar_unitary
+from .lattice import simplex_size
+from .numerics import HermPD, hermpd, hermpd_batch, polar_unitary
 from .shiftcore import MomentSystem, WeightSystem, canonical_weights
 
 
@@ -17,13 +17,16 @@ def rng_from(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def random_pd(n: int, seed, *, logscale_span: float = 0.0) -> HermPD:
-    """A moderately conditioned random PD matrix, optionally with a random logscale."""
-    rng = rng_from(seed)
+def _random_pd_raw(n: int, rng: np.random.Generator, logscale_span: float):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     mat = a @ a.conj().T + n * np.eye(n)
     logscale = float(rng.uniform(-logscale_span, logscale_span)) if logscale_span else 0.0
-    return hermpd(mat, logscale)
+    return mat, logscale
+
+
+def random_pd(n: int, seed, *, logscale_span: float = 0.0) -> HermPD:
+    """A moderately conditioned random PD matrix, optionally with a random logscale."""
+    return hermpd(*_random_pd_raw(n, rng_from(seed), logscale_span))
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -36,11 +39,9 @@ def random_moment_system(d: int, top_degree: int, n: int, seed, *,
                          logscale_span: float = 1.0) -> MomentSystem:
     """A valid random MomentSystem: independent PD Grams with spread logscales."""
     rng = rng_from(seed)
-    grams = {
-        alpha: random_pd(n, rng, logscale_span=logscale_span)
-        for alpha in Truncation(d, top_degree)
-    }
-    return MomentSystem(d, top_degree, n, grams)
+    raw = [_random_pd_raw(n, rng, logscale_span) for _ in range(simplex_size(d, top_degree))]
+    mats, logs = hermpd_batch(np.stack([m for m, _ in raw]), [lg for _, lg in raw])
+    return MomentSystem.from_arrays(d, top_degree, n, mats, logs)
 
 
 def random_weight_system(d: int, top_degree: int, n: int, seed) -> WeightSystem:
@@ -54,18 +55,10 @@ def random_weight_system(d: int, top_degree: int, n: int, seed) -> WeightSystem:
 
 def congruent_pair(ms: MomentSystem, transform: np.ndarray) -> MomentSystem:
     """Transport every Gram by G -> T* G T (unitary T gives a unitary twin)."""
-    grams = {}
-    for alpha in ms.truncation():
-        g = ms.gram(alpha)
-        grams[alpha] = hermpd(
-            transform.conj().T @ g.matrix @ transform, g.logscale
-        )
-    return MomentSystem(ms.d, ms.N, ms.fiber_dim, grams)
+    mats, logs = hermpd_batch(transform.conj().T @ ms.mats @ transform, ms.logs)
+    return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, mats, logs)
 
 
 def scaled_system(ms: MomentSystem, log_factor: float) -> MomentSystem:
     """Multiply every represented Gram by exp(log_factor)."""
-    grams = {
-        alpha: ms.gram(alpha).logscaled(log_factor) for alpha in ms.truncation()
-    }
-    return MomentSystem(ms.d, ms.N, ms.fiber_dim, grams)
+    return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, ms.mats, ms.logs + log_factor)

@@ -19,7 +19,8 @@ from .equivalence import (
     UnitaryEquivalenceResult,
     VerificationReport,
 )
-from .numerics import HermPD, hermpd
+from .lattice import Truncation
+from .numerics import HermPD, hermpd, hermpd_batch
 from .shiftcore import MomentSystem, ValidationReport, WeightSystem
 
 
@@ -66,7 +67,8 @@ def hermpd_to_json(h: HermPD) -> dict:
     return {"logscale": float(h.logscale), "matrix": matrix_to_json(h.matrix)}
 
 
-def hermpd_from_json(data, path: str) -> HermPD:
+def _hermpd_fields(data, path: str):
+    """(matrix, logscale) of a HermPD entry, parsed but not yet balanced."""
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object with 'logscale' and 'matrix'")
     if "matrix" not in data:
@@ -74,8 +76,11 @@ def hermpd_from_json(data, path: str) -> HermPD:
     logscale = data.get("logscale", 0.0)
     if not isinstance(logscale, (int, float)):
         raise SchemaError(f"{path}.logscale", "expected a real number")
-    mat = matrix_from_json(data["matrix"], f"{path}.matrix")
-    return hermpd(mat, float(logscale))
+    return matrix_from_json(data["matrix"], f"{path}.matrix"), float(logscale)
+
+
+def hermpd_from_json(data, path: str) -> HermPD:
+    return hermpd(*_hermpd_fields(data, path))
 
 
 def multiindex_to_json(alpha) -> list:
@@ -139,20 +144,25 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     grams_field = data.get("grams")
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
-    grams = {}
+    mats, logs, rows = [], [], {}
     for i, entry in enumerate(grams_field):
         epath = f"{path}.grams[{i}]"
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise SchemaError(epath, "expected an object with 'alpha'")
-        alpha = multiindex_from_json(entry["alpha"], f"{epath}.alpha", d)
-        h = hermpd_from_json(entry, epath)
-        if h.dim != n:
-            raise SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {h.dim}")
-        grams[alpha] = h
-    try:
-        return MomentSystem(d, top, n, grams)
-    except ValueError as ex:
-        raise SchemaError(f"{path}.grams", str(ex)) from ex
+        rows[multiindex_from_json(entry["alpha"], f"{epath}.alpha", d)] = i
+        mat, logscale = _hermpd_fields(entry, epath)
+        if mat.shape[0] != n:
+            raise SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {len(mat)}")
+        mats.append(mat)
+        logs.append(logscale)
+    trunc = Truncation(d, top)
+    missing = [alpha for alpha in trunc if alpha not in rows]
+    if missing:
+        raise SchemaError(f"{path}.grams", f"missing Gram matrix at alpha={missing[0]}")
+    # every entry is balanced, the unused ones too; the last entry for an index wins
+    mats, logs = hermpd_batch(np.stack(mats), logs)
+    take = [rows[alpha] for alpha in trunc]
+    return MomentSystem.from_arrays(d, top, n, mats[take], logs[take])
 
 
 def weight_system_from_json(data: dict, path: str):
@@ -196,22 +206,6 @@ def certificate_to_json(cert: SimilarityCertificate) -> dict:
         "log_m2": float(cert.log_m2),
         "log_ratio": float(cert.log_ratio),
     }
-
-
-def certificate_from_json(data, path: str) -> SimilarityCertificate:
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected a certificate object")
-    for key in ("C", "log_m1", "log_m2"):
-        if key not in data:
-            raise SchemaError(f"{path}.{key}", "missing")
-    for key in ("log_m1", "log_m2"):
-        if not isinstance(data[key], (int, float)):
-            raise SchemaError(f"{path}.{key}", "expected a real number")
-    return SimilarityCertificate(
-        C=matrix_from_json(data["C"], f"{path}.C"),
-        log_m1=float(data["log_m1"]),
-        log_m2=float(data["log_m2"]),
-    )
 
 
 def verification_to_json(report: VerificationReport) -> dict:

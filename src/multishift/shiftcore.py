@@ -21,7 +21,7 @@ from .lattice import Truncation, degree, shifted
 from .numerics import (
     HermPD,
     frob_norm,
-    hermpd,
+    hermpd_batch,
     inv_pd,
     inv_sqrt_pd,
     singular_range,
@@ -63,36 +63,58 @@ class WeightSystem:
         return self.weights[(tuple(alpha), j)]
 
 
-@dataclass(frozen=True, eq=False)
-class MomentSystem:
-    """Gram family alpha -> G_alpha on the full simplex |alpha| <= N."""
+class GradedFamily:
+    """A PD family alpha -> exp(logs[k]) mats[k] on |alpha| <= N, k the graded rank.
 
-    d: int
-    N: int
-    fiber_dim: int
-    grams: dict
+    mats (m, n, n) holds the balanced matrices and logs (m,) their logscales;
+    both are made read-only, and one row is read as a HermPD view.
+    """
 
-    def __post_init__(self):
-        for alpha in self.truncation():
-            g = self.grams.get(alpha)
-            if g is None:
-                raise ValueError(f"missing Gram matrix at alpha={alpha}")
-            if not isinstance(g, HermPD) or g.dim != self.fiber_dim:
-                raise ValueError(f"Gram at {alpha} is not an n x n HermPD")
+    def __init__(self, d: int, N: int, fiber_dim: int, mats, logs):
+        self.d, self.N, self.fiber_dim = d, N, fiber_dim
+        self._trunc = Truncation(d, N)
+        self.mats = np.ascontiguousarray(mats, dtype=np.complex128)
+        self.logs = np.ascontiguousarray(logs, dtype=np.float64)
+        m = len(self._trunc)
+        if self.mats.shape != (m, fiber_dim, fiber_dim) or self.logs.shape != (m,):
+            raise ValueError(f"expected ({m}, {fiber_dim}, {fiber_dim}) and ({m},) stacks, "
+                             f"got {self.mats.shape}, {self.logs.shape}")
+        self.mats.flags.writeable = self.logs.flags.writeable = False
 
     def truncation(self) -> Truncation:
-        return Truncation(self.d, self.N)
+        return self._trunc
 
-    def gram(self, alpha) -> HermPD:
-        return self.grams[tuple(alpha)]
+    def row(self, alpha) -> HermPD:
+        """The HermPD at alpha, a view of one row of the stacks."""
+        k = self._trunc.position(alpha)
+        return HermPD(self.mats[k], float(self.logs[k]))
 
-    def stacked(self, indices=None):
-        """(mats, logscales) stacked in graded order, for batched pencil work."""
-        if indices is None:
-            indices = self.truncation().indices
-        mats = np.stack([self.grams[a].matrix for a in indices])
-        logs = np.array([self.grams[a].logscale for a in indices])
-        return mats, logs
+
+class MomentSystem(GradedFamily):
+    """Gram family alpha -> G_alpha on the full simplex |alpha| <= N, stored as
+    graded stacks; gram(alpha) is a HermPD view of one row."""
+
+    def __init__(self, d: int, N: int, fiber_dim: int, grams):
+        """From a mapping alpha -> HermPD that covers the truncation."""
+        rows = []
+        for alpha in Truncation(d, N):
+            g = grams.get(alpha)
+            if g is None:
+                raise ValueError(f"missing Gram matrix at alpha={alpha}")
+            if not isinstance(g, HermPD) or g.dim != fiber_dim:
+                raise ValueError(f"Gram at {alpha} is not an n x n HermPD")
+            rows.append(g)
+        super().__init__(d, N, fiber_dim, np.stack([g.matrix for g in rows]),
+                         [g.logscale for g in rows])
+
+    @classmethod
+    def from_arrays(cls, d: int, N: int, fiber_dim: int, mats, logs) -> "MomentSystem":
+        """From balanced stacks in graded order (hermpd_batch output), kept uncopied."""
+        out = cls.__new__(cls)
+        GradedFamily.__init__(out, d, N, fiber_dim, mats, logs)
+        return out
+
+    gram = GradedFamily.row
 
     def same_shape(self, other: "MomentSystem") -> bool:
         return (self.d, self.N, self.fiber_dim) == (other.d, other.N, other.fiber_dim)
@@ -219,20 +241,24 @@ def moments_from_weights(ws: WeightSystem, g0: HermPD) -> MomentSystem:
         raise ValidationFailedError(str(report))
     if g0.dim != ws.fiber_dim:
         raise ValueError(f"G_0 has dimension {g0.dim}, expected {ws.fiber_dim}")
-    trunc = ws.truncation()
+    products = _staircase_products(ws.truncation(), ws.fiber_dim, ws.weight)
+    raw = [p.conj().T @ g0.matrix @ p for p in products.values()]
+    mats, logs = hermpd_batch(np.stack(raw), np.full(len(raw), g0.logscale))
+    return MomentSystem.from_arrays(ws.d, ws.N, ws.fiber_dim, mats, logs)
+
+
+def _staircase_products(trunc: Truncation, n: int, step) -> dict:
+    """P_0 = I and P_alpha = step(alpha - e_j, j) P_{alpha - e_j} in graded order,
+    j the trailing nonzero coordinate: products along the canonical staircase."""
     products = {}
-    grams = {}
     for alpha in trunc:
         if degree(alpha) == 0:
-            p = np.eye(ws.fiber_dim, dtype=np.complex128)
+            products[alpha] = np.eye(n, dtype=np.complex128)
         else:
-            # last canonical step raises the trailing nonzero coordinate
-            j = max(k for k in range(ws.d) if alpha[k] > 0)
+            j = max(k for k in range(trunc.d) if alpha[k] > 0)
             below = shifted(alpha, j, -1)
-            p = ws.weight(below, j) @ products[below]
-        products[alpha] = p
-        grams[alpha] = hermpd(p.conj().T @ g0.matrix @ p, g0.logscale)
-    return MomentSystem(ws.d, ws.N, ws.fiber_dim, grams)
+            products[alpha] = step(below, j) @ products[below]
+    return products
 
 
 class _SqrtCache:
@@ -331,9 +357,5 @@ def check_adjoint_formula(ms: MomentSystem, j: int) -> float:
 def normalized_to_identity(ms: MomentSystem) -> MomentSystem:
     """Congruence-transport every Gram by G_0^{-1/2}, making G_0 = I."""
     s = inv_sqrt_pd(ms.gram((0,) * ms.d))
-    grams = {}
-    for alpha in ms.truncation():
-        g = ms.gram(alpha)
-        mat = s.matrix @ g.matrix @ s.matrix
-        grams[alpha] = hermpd(mat, g.logscale + 2.0 * s.logscale)
-    return MomentSystem(ms.d, ms.N, ms.fiber_dim, grams)
+    mats, logs = hermpd_batch(s.matrix @ ms.mats @ s.matrix, ms.logs + 2.0 * s.logscale)
+    return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, mats, logs)

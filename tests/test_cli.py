@@ -259,6 +259,11 @@ class TestExitCodes:
         path.write_text(canonical_dumps(problem), encoding="utf-8")
         assert run_cli(["run", path, "--quiet"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_unreadable_file_is_schema_error(self, tmp_path, capsys, command):
+        assert run_cli([command, tmp_path / "missing.json", "--quiet"]) == 3
+        assert "schema error at $: cannot read" in capsys.readouterr().err
+
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "v2.json"
         path.write_text('{"version": 2, "kind": "unitary", "systems": []}',
@@ -270,6 +275,63 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1}', encoding="utf-8")
         assert run_cli(["validate", path, "--quiet"]) == 3
+
+
+    def test_oracle_at_degree_zero_names_the_field(self, tmp_path, capsys):
+        ms = sampling.random_moment_system(2, 0, 2, 41)
+        mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
+        problem = {
+            "version": 1,
+            "kind": "oracle",
+            "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(mt)],
+        }
+        path = tmp_path / "oracle0.json"
+        path.write_text(canonical_dumps(problem), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert "systems[0].N" in capsys.readouterr().err
+        assert not (tmp_path / "oracle0.report.json").exists()
+
+    @pytest.mark.parametrize("field,token", [
+        ("degrees", "[0, 4, 8, 12]"),
+        ("tol", "1e400"),
+        ("tol", "1" + "0" * 400),
+    ], ids=["degree-zero", "tol-float-overflow", "tol-int-overflow"])
+    def test_out_of_range_option_names_the_field(self, tmp_path, capsys, field, token):
+        problem = {
+            "version": 1,
+            "kind": "diagnostic",
+            "systems": [
+                {"type": "pochhammer", "lambda": 1, "mu": 2, "d": 1},
+                {"type": "pochhammer", "lambda": 1, "mu": 3, "d": 1},
+            ],
+            "options": {field: "TOKEN"},
+        }
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(problem).replace('"TOKEN"', token), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 3
+        assert f"options.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--degrees", "0,4,8,12"), ("--tol", "inf")])
+    def test_out_of_range_flag_rejected(self, swap_problem, flag, value):
+        try:
+            code = run_cli(["run", swap_problem, flag, value, "--quiet"])
+        except SystemExit as ex:  # argparse rejects the value
+            code = ex.code
+        assert code == 2
+
+    def test_pochhammer_past_single_logscale_range(self, tmp_path, capsys):
+        problem = {
+            "version": 1,
+            "kind": "similarity",
+            "systems": [
+                {"type": "pochhammer", "lambda": 1, "mu": 2000, "d": 2, "N": 400},
+                {"type": "pochhammer", "lambda": 1, "mu": 2000, "d": 2, "N": 400},
+            ],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(canonical_dumps(problem), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert "double-precision range" in capsys.readouterr().err
 
 
 class TestDeterminism:

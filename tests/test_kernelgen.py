@@ -7,8 +7,51 @@ from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
-from multishift.lattice import degree
-from multishift.numerics import hermpd
+from multishift.lattice import Truncation, degree
+from multishift.numerics import (
+    PositiveDefiniteError,
+    hermpd,
+    inv_pd,
+    pencil_logeigs,
+)
+
+
+def log_alpha_factorial(alpha):
+    return sum(math.lgamma(a + 1) for a in alpha)
+
+
+def per_index_pochhammer(pair, d, top):
+    """Coefficients and moments built one lattice index at a time."""
+    coeffs, grams = {}, {}
+    for alpha in Truncation(d, top):
+        m, lfact = degree(alpha), log_alpha_factorial(alpha)
+        logs = np.array([kg.log_pochhammer(pair.lam, m) - lfact,
+                         kg.log_pochhammer(pair.mu, m) - lfact])
+        coeffs[alpha] = log_diag(logs)
+        grams[alpha] = log_diag(-logs)
+    return coeffs, grams
+
+
+def log_diag(logs):
+    top = float(logs.max())
+    return hermpd(np.diag(np.exp(logs - top)).astype(np.complex128), top)
+
+
+def per_index_homogeneous(by_degree, d):
+    return {
+        alpha: by_degree[degree(alpha)].logscaled(
+            kg.log_factorial(degree(alpha)) - log_alpha_factorial(alpha))
+        for alpha in Truncation(d, len(by_degree) - 1)
+    }
+
+
+def assert_rows_equal(family, get, reference):
+    """Every row of an array-built family is bit-identical to the reference."""
+    assert list(reference) == list(family.truncation())
+    for alpha, want in reference.items():
+        got = get(alpha)
+        assert got.matrix.tobytes() == want.matrix.tobytes(), alpha
+        assert np.float64(got.logscale).tobytes() == np.float64(want.logscale).tobytes(), alpha
 
 
 class TestLogPochhammer:
@@ -77,6 +120,63 @@ class TestPochhammerKernel:
             assert np.array_equal(swap @ gt.matrix @ swap, g.matrix)
 
 
+class TestArrayBuiltFamilies:
+    """The stacked builders against the per-index construction, exactly."""
+
+    @pytest.mark.parametrize("lam,mu,d,top", [
+        (1.0, 2.0, 2, 8), (0.5, 4.5, 3, 5), (2.0, 1.0, 1, 40),
+    ])
+    def test_pochhammer(self, lam, mu, d, top):
+        pair = kg.PochhammerPair(lam, mu)
+        spec, ms = kg.pochhammer_kernel(pair, d, top)
+        coeffs, grams = per_index_pochhammer(pair, d, top)
+        assert_rows_equal(spec, spec.coeff, coeffs)
+        assert_rows_equal(ms, ms.gram, grams)
+        moments = kg.kernel_moments(spec)
+        assert_rows_equal(moments, moments.gram,
+                          {a: inv_pd(c) for a, c in coeffs.items()})
+
+    @pytest.mark.parametrize("d,top,n", [(2, 5, 2), (3, 3, 3), (1, 6, 4)])
+    def test_homogeneous(self, d, top, n):
+        rng = np.random.default_rng(40 + n)
+        by_degree = [sampling.random_pd(n, rng, logscale_span=3.0) for _ in range(top + 1)]
+        spec = kg.homogeneous_kernel(by_degree, d)
+        coeffs = per_index_homogeneous(by_degree, d)
+        assert_rows_equal(spec, spec.coeff, coeffs)
+        moments = kg.kernel_moments(spec)
+        assert_rows_equal(moments, moments.gram,
+                          {a: inv_pd(c) for a, c in coeffs.items()})
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_perturbed(self, seed):
+        pair = kg.PochhammerPair(1.0, 2.0)
+        spec, _ = kg.pochhammer_kernel(pair, 2, 6)
+        rng = np.random.default_rng(seed)
+        reps = {alpha: sampling.random_pd(2, rng)
+                for alpha in spec.truncation() if degree(alpha) <= 2}
+        perturbed, cert = kg.perturb_kernel(spec, reps)
+        coeffs, _ = per_index_pochhammer(pair, 2, 6)
+        coeffs.update(reps)
+        assert_rows_equal(perturbed, perturbed.coeff, coeffs)
+        moments = kg.kernel_moments(perturbed)
+        assert_rows_equal(moments, moments.gram,
+                          {a: inv_pd(c) for a, c in coeffs.items()})
+        pencils = [pencil_logeigs(d, spec.coeff(a)) for a, d in reps.items()]
+        assert cert.log_m1 == min(0.0, *(-float(p[-1]) for p in pencils))
+        assert cert.log_m2 == max(0.0, *(-float(p[0]) for p in pencils))
+
+    def test_stacks_are_read_only(self):
+        spec, ms = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 3)
+        for arr in (spec.mats, spec.logs, ms.mats, ms.logs):
+            assert not arr.flags.writeable
+
+    def test_wide_spread_exceeds_single_logscale(self):
+        # log((2000)_400 / (1)_400) is about 1077 nats, past the 690-nat
+        # range one shared logscale can carry in double precision
+        with pytest.raises(PositiveDefiniteError):
+            kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2000.0), 2, 400)
+
+
 class TestGroundTruth:
     def test_swapped_pair_similar(self):
         assert kg.pochhammer_ground_truth(
@@ -143,7 +243,9 @@ class TestPerturbKernel:
         perturbed, cert = kg.perturb_kernel(spec, {})
         assert cert.log_m1 == 0.0 and cert.log_m2 == 0.0
         for alpha in spec.truncation():
-            assert perturbed.coeff(alpha) is spec.coeff(alpha)
+            got, want = perturbed.coeff(alpha), spec.coeff(alpha)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.logscale == want.logscale
 
     def test_scaled_identity_replacement(self):
         spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)

@@ -104,13 +104,76 @@ class TestHermPD:
             nx.hermpd(np.diag([1.0, 0.0]))
 
     def test_from_log_diag_large_range(self):
-        h = nx.hermpd_from_log_diag([500.0, 400.0])
-        logeigs = h.log_eigvals()
+        mats, tops = nx.hermpd_from_log_diag_batch([[500.0, 400.0]])
+        logeigs = nx.HermPD(mats[0], tops[0]).log_eigvals()
         assert np.allclose(logeigs, [400.0, 500.0], atol=1e-9)
 
     def test_from_log_diag_overflow_guard(self):
         with pytest.raises(nx.PositiveDefiniteError):
-            nx.hermpd_from_log_diag([0.0, -800.0])
+            nx.hermpd_from_log_diag_batch([[0.0, -800.0]])
+
+
+def bits(a):
+    """Exact byte image of an array, so signed zeros count as different."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def random_balancing_stack(n, rng, m=40):
+    """PD matrices spread over 60 decades, every seventh one diagonal."""
+    mats = []
+    for k in range(m):
+        mat = random_pd_matrix(n, rng) * 10.0 ** rng.uniform(-30.0, 30.0)
+        if k % 7 == 0:
+            mat = np.diag(np.diag(mat).real).astype(np.complex128)
+        mats.append(mat)
+    logs = rng.uniform(-50.0, 50.0, m)
+    logs[::5] = 0.0
+    logs[1::9] = -0.0
+    return np.stack(mats), logs
+
+
+class TestBatchedBalancing:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_per_matrix_hermpd(self, n, seed):
+        raw, logs = random_balancing_stack(n, np.random.default_rng(seed))
+        mats, out_logs = nx.hermpd_batch(raw, logs)
+        assert not mats.flags.writeable
+        for k in range(len(raw)):
+            h = nx.hermpd(raw[k], logs[k])
+            assert bits(mats[k]) == bits(h.matrix), k
+            assert bits(out_logs[k]) == bits(np.float64(h.logscale)), k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inverse_rows_equal_per_matrix_inv_pd(self, n):
+        raw, logs = random_balancing_stack(n, np.random.default_rng(10 + n))
+        mats, logs = nx.hermpd_batch(raw, logs)
+        inv_mats, inv_logs = nx.inv_pd_batch(mats, logs)
+        for k in range(len(mats)):
+            h = nx.inv_pd(nx.HermPD(mats[k], float(logs[k])))
+            assert bits(inv_mats[k]) == bits(h.matrix), k
+            assert bits(inv_logs[k]) == bits(np.float64(h.logscale)), k
+
+    def test_log_diag_rows_equal_per_row(self):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(-300.0, 300.0, (200, 2))
+        rows = rows[rows.max(axis=1) - rows.min(axis=1) <= 690.0]
+        mats, tops = nx.hermpd_from_log_diag_batch(rows)
+        for k, row in enumerate(rows):
+            # the per-row construction hermpd_from_log_diag used before the stacks
+            h = nx.hermpd(np.diag(np.exp(row - row.max())).astype(np.complex128), row.max())
+            assert bits(mats[k]) == bits(h.matrix)
+            assert tops[k] == h.logscale
+
+    def test_first_failing_row_raises(self):
+        raw = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+        with pytest.raises(nx.PositiveDefiniteError):
+            nx.hermpd_batch(raw, np.zeros(3))
+        raw[1] = [[1.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(nx.NonHermitianError):
+            nx.hermpd_batch(raw, np.zeros(3))
+        with pytest.raises(ValueError):
+            nx.hermpd_batch(raw, np.zeros(2))
 
 
 class TestSqrt:

@@ -222,9 +222,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sc.MomentSystem(1, 1, 1, {(0,): hermpd(np.eye(1))})
 
+    def test_mis_sized_gram_rejected(self):
+        grams = {(0,): hermpd(np.eye(1)), (1,): hermpd(np.eye(2))}
+        with pytest.raises(ValueError):
+            sc.MomentSystem(1, 1, 1, grams)
+
+    def test_from_arrays_matches_mapping_constructor(self):
+        ms = sampling.random_moment_system(2, 2, 2, 15)
+        grams = {alpha: ms.gram(alpha) for alpha in ms.truncation()}
+        again = sc.MomentSystem(2, 2, 2, grams)
+        assert np.array_equal(again.mats, ms.mats)
+        assert np.array_equal(again.logs, ms.logs)
+        with pytest.raises(ValueError):
+            sc.MomentSystem.from_arrays(2, 2, 2, ms.mats[1:], ms.logs[1:])
+        with pytest.raises(ValueError):
+            sc.MomentSystem.from_arrays(2, 2, 3, ms.mats, ms.logs)
+
     def test_moment_stacking_order(self):
         ms = sampling.random_moment_system(2, 2, 2, 14)
-        mats, logs = ms.stacked()
+        mats, logs = ms.mats, ms.logs
         for k, alpha in enumerate(ms.truncation().indices):
             assert np.array_equal(mats[k], ms.gram(alpha).matrix)
             assert logs[k] == ms.gram(alpha).logscale
