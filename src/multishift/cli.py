@@ -92,9 +92,7 @@ def parse_problem(data) -> dict:
 
 
 def _is_finite_positive(v) -> bool:
-    # exact comparison, so integers past the float range fail too
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and 0 < v <= sys.float_info.max)
+    return ser._is_finite_real(v) and v > 0
 
 
 def _is_degree_list(v) -> bool:
@@ -110,8 +108,8 @@ def _kernel_from_spec(spec: dict, path: str, top_degree: int | None):
         for key in ("lambda", "mu"):
             if key not in spec:
                 raise SchemaError(f"{path}.{key}", "missing")
-            if not isinstance(spec[key], (int, float)) or spec[key] <= 0:
-                raise SchemaError(f"{path}.{key}", "expected a positive number")
+            if not _is_finite_positive(spec[key]):
+                raise SchemaError(f"{path}.{key}", "expected a finite positive number")
         d = spec.get("d", 2)
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise SchemaError(f"{path}.d", "expected a positive integer")
@@ -248,6 +246,7 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
             verdict=verdict,
             certificate=ser.certificate_to_json(cert),
             verification=ser.verification_to_json(verification),
+            diagnostics={"optimize": ser.search_to_json(cert.search)},
         )
     elif kind == "unitary":
         ms, mt = _resolve_pair(problem, top_degree)
@@ -415,6 +414,8 @@ def _parse_base(text: str):
         lam, mu = (float(x) for x in params.split(","))
     except ValueError as ex:
         raise InputValidationError(f"cannot parse base parameters in {text!r}") from ex
+    if not (_is_finite_positive(lam) and _is_finite_positive(mu)):
+        raise InputValidationError(f"base parameters in {text!r} must be finite and positive")
     return lam, mu
 
 
@@ -511,7 +512,7 @@ def _parse_degrees(text) -> list:
     return out
 
 
-def _tol_arg(text: str) -> float:
+def _finite_positive_arg(text: str) -> float:
     if not _is_finite_positive(value := float(text)):
         raise argparse.ArgumentTypeError("expected a finite positive number")
     return value
@@ -535,8 +536,13 @@ def _resolve_threads(value) -> int:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write strict JSON; a NaN or infinity is refused before the file is touched."""
+    try:
+        text = ser.canonical_dumps(payload)
+    except ValueError as ex:
+        raise InputValidationError(f"{path} would not be strict JSON: {ex}") from ex
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(ser.canonical_dumps(payload))
+        fh.write(text)
 
 
 def _load_problem(path: str):
@@ -551,6 +557,7 @@ def _load_problem(path: str):
 
 
 def _cmd_run(args) -> int:
+    out_path = args.out or _default_report_path(args.problem)
     try:
         raw = _load_problem(args.problem)
         started = time.perf_counter()
@@ -563,6 +570,8 @@ def _cmd_run(args) -> int:
             degrees=degrees,
             threads=_resolve_threads(args.threads),
         )
+        report["timing_seconds"] = time.perf_counter() - started
+        _write_json(out_path, report)
     except SchemaError as ex:
         print(f"schema error at {ex.path}: {ex.message}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -570,9 +579,6 @@ def _cmd_run(args) -> int:
         print(f"input validation failed: {ex}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    report["timing_seconds"] = time.perf_counter() - started
-    out_path = args.out or _default_report_path(args.problem)
-    _write_json(out_path, report)
     if not args.quiet:
         print(f"verdict: {report['verdict']}")
         if "certificate" in report:
@@ -615,16 +621,16 @@ def _cmd_gen(args) -> int:
         else:
             problem = gen_homogeneous(args)
             answer = None
+        _write_json(args.out, problem)
+        if answer is not None:
+            answer_path = _default_report_path(args.out).replace(".report.", ".answer.")
+            _write_json(answer_path, answer)
     except InputValidationError as ex:
         print(f"parameter error: {ex}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    _write_json(args.out, problem)
     if not args.quiet:
         print(f"problem written to {args.out}")
-    if answer is not None:
-        answer_path = _default_report_path(args.out).replace(".report.", ".answer.")
-        _write_json(answer_path, answer)
-        if not args.quiet:
+        if answer is not None:
             print(f"hidden answer written to {answer_path}")
     return EXIT_OK
 
@@ -642,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="report path "
                      "(default: problem path with .report.json suffix)")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--tol", type=_tol_arg, default=None)
+    run.add_argument("--tol", type=_finite_positive_arg, default=None)
     run.add_argument("--degrees", default=None,
                      help="comma-separated truncation degrees (diagnostic kind)")
     run.add_argument("--threads", type=int, default=None,
@@ -661,10 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="generator", required=True)
 
     poch = gensub.add_parser("pochhammer", help="a pair of Pochhammer kernels")
-    poch.add_argument("--lambda", dest="lam", type=float, required=True)
-    poch.add_argument("--mu", type=float, required=True)
-    poch.add_argument("--lambda2", dest="lam2", type=float, required=True)
-    poch.add_argument("--mu2", type=float, required=True)
+    poch.add_argument("--lambda", dest="lam", type=_finite_positive_arg, required=True)
+    poch.add_argument("--mu", type=_finite_positive_arg, required=True)
+    poch.add_argument("--lambda2", dest="lam2", type=_finite_positive_arg, required=True)
+    poch.add_argument("--mu2", type=_finite_positive_arg, required=True)
     poch.add_argument("--d", type=int, default=2)
     poch.add_argument("--N", type=int, default=24)
     poch.add_argument("--kind", choices=("similarity", "diagnostic", "unitary"),
@@ -688,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     pert.add_argument("--base", required=True, help="base kernel, e.g. pochhammer:1,2")
     pert.add_argument("--d", type=int, default=2)
     pert.add_argument("--N", type=int, default=20)
-    pert.add_argument("--replace0", type=float, default=None,
+    pert.add_argument("--replace0", type=_finite_positive_arg, default=None,
                       help="replace C_0 by this multiple of the identity")
     pert.add_argument("--max-degree", dest="max_degree", type=int, default=2,
                       help="replace all coefficients up to this degree (seeded)")

@@ -12,9 +12,11 @@ criteria stay meaningful at high truncation degrees.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +30,12 @@ from .numerics import (
     inv,
     inv_sqrt_pd,
     nullspace,
+    pencil_eig_batch,
     pencil_logrange_batch,
     polar_unitary,
     singular_range,
     spectral_norm,
+    solve,
     sqrt_pd,
     symmetrize,
 )
@@ -68,6 +72,7 @@ class SimilarityCertificate:
     C: np.ndarray
     log_m1: float
     log_m2: float
+    search: SearchSummary | None = None
 
     def __post_init__(self):
         if self.log_m1 > self.log_m2 + 1e-15:
@@ -121,9 +126,10 @@ def _check_invertible_c(c: np.ndarray) -> None:
         raise SingularCError("C is numerically singular")
 
 
-def _congruence_stack(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """C* G_alpha C across the stack."""
-    return np.einsum("ji,ajk,kl->ail", c.conj(), mats, c, optimize=True)
+def _congruence_stack(mats: np.ndarray, c: np.ndarray, path=True) -> np.ndarray:
+    """C* G_alpha C across the stack; path is a precomputed einsum path, or
+    True to search one."""
+    return np.einsum("ji,ajk,kl->ail", c.conj(), mats, c, optimize=path)
 
 
 def _sandwich_lograted(tmats, tlogs, bmats, blogs):
@@ -214,59 +220,319 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _central_diff_grad(func, mat: np.ndarray, h: float) -> tuple:
-    """Gradient of func at mat over the 2n^2 real coordinates, packed complex."""
-    n = mat.shape[0]
-    grad = np.zeros_like(mat)
-    for i in range(n):
-        for j in range(n):
-            for part, unit in ((0, 1.0), (1, 1.0j)):
-                bump = np.zeros_like(mat)
-                bump[i, j] = unit * h
-                df = func(mat + bump) - func(mat - bump)
-                if part == 0:
-                    grad[i, j] += df / (2.0 * h)
-                else:
-                    grad[i, j] += 1.0j * df / (2.0 * h)
-    return grad, float(np.sqrt((np.abs(grad) ** 2).sum()))
+# Eigenvalues within eps (nats) of an extreme count as active; the descent
+# tries the rungs in order and falls to the next when a direction fails.
+EPS_LADDER = (1e-3, 1e-6, 1e-9)
+MIN_NORM_ROUNDS = 30
+MIN_NORM_GAP = 1e-3
+BACKTRACKS = 30
 
 
-def _descend(func, start: np.ndarray, retract, iterations: int,
-             h: float = 1e-6, stop_value: float = 1e-13):
-    """Backtracking gradient descent with a retraction; returns (point, value).
+class SearchStage(NamedTuple):
+    """How one descent stage of optimize_C ended.
 
-    Deterministic; exits when the objective bottoms out, the gradient
-    vanishes, backtracking finds no strict decrease, or progress stalls
-    (three consecutive accepted steps with negligible improvement).
+    exit is one of: bottomed out (the log ratio reached 1e-13), flat (no
+    rung of the eps-ladder gives a nonzero descent direction), no decrease
+    (every rung's line search failed), stalled (three steps in a row with
+    negligible gain), iteration cap, non-finite (the start value).
     """
-    point = retract(start)
-    value = func(point)
-    stalled = 0
-    for _ in range(iterations):
-        if not math.isfinite(value) or value <= stop_value:
+
+    exit: str
+    steps: int
+    evaluations: int
+
+
+class SearchSummary(NamedTuple):
+    """Which start optimize_C descended from and how its two stages ended."""
+
+    start: str
+    start_evaluations: int
+    unitary: SearchStage
+    refine: SearchStage
+
+
+class _Eval(NamedTuple):
+    """f at C, with the per-index log ranges behind it."""
+
+    c: np.ndarray
+    value: float
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+
+
+class _Bundle(NamedTuple):
+    """Eigenpairs at the indices near either extreme of an evaluated point.
+
+    loge (r, n) are log pencil eigenvalues, x (r, n, n) B-orthonormal
+    eigenvectors (columns) and u = G_alpha C x, so that the gradient of
+    log lambda along an eigenvector column is -2 u x*.
+    """
+
+    loge: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    top: float
+    bottom: float
+
+
+class _Objective:
+    """f(C) = max_alpha log lambda_max - min_alpha log lambda_min over the
+    pencils (G~_alpha, C* G_alpha C); every call counts and the best C is kept."""
+
+    def __init__(self, mats, logs, tmats, tlogs):
+        self.mats, self.logs, self.tmats, self.tlogs = mats, logs, tmats, tlogs
+        eye = np.eye(mats.shape[1], dtype=np.complex128)
+        # one contraction path per stack shape instead of a search per call
+        self.path = np.einsum_path("ji,ajk,kl->ail", eye, mats, eye, optimize="greedy")[0]
+        self.evaluations = 0
+        self.best = _Eval(eye, math.inf)
+
+    def __call__(self, c: np.ndarray) -> _Eval:
+        self.evaluations += 1
+        bmats = _congruence_stack(self.mats, c, self.path)
+        try:
+            lo, hi = pencil_logrange_batch(self.tmats, self.tlogs, bmats, self.logs)
+        except LinAlgError:
+            return _Eval(c, math.inf)
+        ev = _Eval(c, float(hi.max()) - float(lo.min()), lo, hi)
+        if ev.value < self.best.value:
+            self.best = ev
+        return ev
+
+    def bundle(self, ev: _Eval, eps: float) -> _Bundle:
+        """Re-solve, with eigenvectors, the indices within eps of an extreme."""
+        top, bottom = ev.hi.max(), ev.lo.min()
+        rows = np.nonzero((ev.hi >= top - eps) | (ev.lo <= bottom + eps))[0]
+        if rows.size == ev.hi.size:
+            rows = slice(None)  # all tied: views, not copies of the stacks
+        mats = self.mats[rows]
+        eigs, x = pencil_eig_batch(self.tmats[rows], _congruence_stack(mats, ev.c, self.path))
+        loge = np.log(eigs) + (self.tlogs[rows] - self.logs[rows])[:, None]
+        return _Bundle(loge, x, mats @ ev.c @ x, float(loge[:, -1].max()),
+                       float(loge[:, 0].min()))
+
+
+def _extreme_gradients(b: _Bundle) -> tuple:
+    """grad_C of log lambda_max and of log lambda_min at their argmax and argmin."""
+    hi = int(np.argmax(b.loge[:, -1]))
+    lo = int(np.argmin(b.loge[:, 0]))
+    return (-2.0 * np.outer(b.u[hi, :, -1], b.x[hi, :, -1].conj()),
+            -2.0 * np.outer(b.u[lo, :, 0], b.x[lo, :, 0].conj()))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.vdot(a, b).real)
+
+
+class _Side:
+    """The eps-active clusters on one side (lambda_max or lambda_min) of a bundle.
+
+    A cluster of active eigenvalues at one index, with B-orthonormal
+    eigenvectors X, contributes the whole set {-2 G C X Y X* : Y >= 0,
+    tr Y = 1}, not only its basis vectors. The linear oracle over it is the
+    bottom eigenvector of a small Hermitian matrix, linear in the adjoint
+    image h of the current element. Single-eigenvalue clusters are rows of
+    one coefficient matrix, so the oracle over all of them is one product;
+    wider ones are padded so that no inactive column wins.
+    """
+
+    def __init__(self, b: _Bundle, mask: np.ndarray, sign: float):
+        n = mask.shape[1]
+        k = mask.sum(axis=1)
+        rows, cols = np.nonzero(mask & (k == 1)[:, None])
+        wide = np.nonzero(k > 1)[0]
+        self.n, self.sign = n, sign
+        self.u1, self.x1 = b.u[rows, :, cols], b.x[rows, :, cols]
+        # sign * v* M v at v = e_col is coef1 . vec(h); elementwise products,
+        # since threaded BLAS calls on these small operands cost more than they do
+        self.coef1 = (-2.0 * sign) * (
+            self.u1.conj()[:, :, None] * self.x1[:, None, :]).reshape(rows.size, n * n)
+        self.uw, self.xw, self.maskw = b.u[wide], b.x[wide], mask[wide]
+        # (U* h X)[w, i, j] is coefw . vec(h)
+        self.coefw = (self.uw.conj().swapaxes(1, 2)[:, :, None, :, None]
+                      * self.xw.swapaxes(1, 2)[:, None, :, None, :]).reshape(-1, n * n)
+
+    def vertex(self, h: np.ndarray) -> tuple:
+        """(u, x) of the atom minimising sign * Re<h, -2 u x*> over the side."""
+        hv = h.ravel()
+        best, u, x = math.inf, None, None
+        if self.u1.size:
+            vals = (self.coef1 * hv).sum(axis=1).real
+            i = int(np.argmin(vals))
+            best, u, x = float(vals[i]), self.u1[i], self.x1[i]
+        if self.uw.size:
+            n = self.n
+            p = (self.coefw * hv).sum(axis=1).reshape(-1, n, n)
+            m = -self.sign * (p + p.conj().swapaxes(1, 2))
+            pad = 1.0 + 2.0 * float(np.abs(m).max())
+            m = np.where(self.maskw[:, :, None] & self.maskw[:, None, :], m, 0.0)
+            m[:, range(n), range(n)] += np.where(self.maskw, 0.0, pad)
+            eigs, vecs = herm_eig_batch(m)
+            i = int(np.argmin(eigs[:, 0]))
+            if eigs[i, 0] < best:
+                v = vecs[i, :, 0]
+                u, x = self.uw[i] @ v, self.xw[i] @ v
+        return u, x
+
+
+def _active(b: _Bundle, eps: float) -> tuple:
+    """Masks (r, n) of the eigenvalues within eps of the top and of the bottom."""
+    return b.loge >= b.top - eps, b.loge <= b.bottom + eps
+
+
+def _min_norm_point(first: np.ndarray, vertex) -> np.ndarray:
+    """Wolfe's minimum-norm-point algorithm over a convex set given by its
+    linear oracle: vertex(x) minimises Re<x, s> over the set.
+
+    The corral of oracle points is kept affinely minimal; each round adds one
+    point and re-solves the small affine min-norm system, dropping points
+    whose weight would turn negative. Stops when x is optimal to
+    MIN_NORM_GAP relative (the Frank-Wolfe gap), after MIN_NORM_ROUNDS
+    rounds, or when the corral system is singular.
+    """
+    atoms, weights, x = [first], np.ones(1), first
+    for _ in range(MIN_NORM_ROUNDS):
+        s = vertex(x)
+        if _inner(x, x - s) <= MIN_NORM_GAP * _inner(x, x):
             break
-        grad, gnorm = _central_diff_grad(lambda m: func(retract(m)), point, h)
-        if gnorm <= 1e-12 * max(1.0, abs(value)):
-            break
-        step = 0.5 / gnorm
-        improved = False
-        for _ in range(30):
-            trial = retract(point - step * grad)
-            trial_value = func(trial)
-            if trial_value < value - 1e-4 * step * gnorm * gnorm:
-                improved = True
+        atoms.append(s)
+        weights = np.append(weights, 0.0)
+        gram = np.array([[_inner(a, b) for b in atoms] for a in atoms])
+        while True:
+            k = len(atoms)
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k], kkt[k, k] = gram, 0.0
+            try:
+                mu = solve(kkt, np.eye(k + 1)[k]).real[:k]
+            except LinAlgError:
+                return x
+            if np.all(mu > 0.0):
+                weights = mu
                 break
-            step *= 0.5
-        if not improved:
+            neg = mu <= 0.0
+            theta = float(np.min(weights[neg] / np.maximum(weights[neg] - mu[neg], 1e-300)))
+            weights = (1.0 - theta) * weights + theta * mu
+            keep = weights > 1e-15
+            atoms = [a for a, kept in zip(atoms, keep) if kept]
+            weights, gram = weights[keep], gram[keep][:, keep]
+        x = sum(w * a for w, a in zip(weights, atoms))
+    return x
+
+
+def _min_norm_element(b: _Bundle, masks: tuple, stage, point) -> np.ndarray:
+    """Min-norm element of conv(active lambda_max gradients) - conv(active
+    lambda_min gradients), in the stage's coordinates at point."""
+    top, bottom = _Side(b, masks[0], 1.0), _Side(b, masks[1], -1.0)
+
+    def atom(u, x):
+        return stage.tangent(point, -2.0 * np.outer(u, x.conj()))
+
+    def vertex(g):
+        h = stage.adjoint(point, g)
+        return atom(*top.vertex(h)) - atom(*bottom.vertex(h))
+
+    grad_max, grad_min = _extreme_gradients(b)
+    first = stage.tangent(point, grad_max) - stage.tangent(point, grad_min)
+    return _min_norm_point(first, vertex)
+
+
+class _UnitaryStage:
+    """Stage (b): C = left W right over unitary W, polar retraction."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        self.left, self.right = left, right
+
+    def c_of(self, w):
+        return self.left @ w @ self.right
+
+    def tangent(self, w, grad_c):
+        # W skew(W* grad_W) with grad_W = left* grad_C right*
+        z = self.left @ grad_c @ self.right
+        return 0.5 * (z - w @ z.conj().T @ w)
+
+    def adjoint(self, w, g):
+        return self.left @ g @ self.right
+
+    def move(self, w, direction, step):
+        return polar_unitary(w + step * direction)
+
+
+class _RefineStage:
+    """Stage (c): all invertible C, re-centred at every step, C exp(step D)."""
+
+    def c_of(self, c):
+        return c
+
+    def tangent(self, c, grad_c):
+        return c.conj().T @ grad_c
+
+    def adjoint(self, c, g):
+        return c @ g
+
+    def move(self, c, direction, step):
+        return c @ _expm(step * direction)
+
+
+def _line_search(objective: _Objective, stage, point, ev: _Eval, g: np.ndarray,
+                 gnorm: float, travel: float):
+    """Backtrack along -g from a first move of length travel; returns the
+    (point, evaluation, move length) of the first sufficient decrease, or None."""
+    step = travel / gnorm
+    for _ in range(BACKTRACKS):
+        moved = stage.move(point, -g, step)
+        moved_ev = objective(stage.c_of(moved))
+        if moved_ev.value < ev.value - 1e-4 * step * gnorm * gnorm:
+            return moved, moved_ev, step * gnorm
+        step *= 0.5
+    return None
+
+
+def _descend(objective: _Objective, stage, point, ev: _Eval, iterations: int,
+             stop_value: float = 1e-13) -> SearchStage:
+    """Bundle descent from point, whose evaluation is ev.
+
+    Each step re-solves the near-extreme indices once for eigenvectors and
+    walks down EPS_LADDER: a rung whose min-norm element is zero, or whose
+    line search finds no sufficient decrease, hands over to the next. The
+    first trial move doubles the previous accepted one. Deterministic.
+    """
+    first = objective.evaluations
+    travel, stalled, steps = 0.5, 0, 0
+    reason = "iteration cap"
+    for _ in range(iterations):
+        if not math.isfinite(ev.value):
+            reason = "non-finite"
             break
-        if value - trial_value <= 1e-9 * max(1.0, abs(value)):
-            stalled += 1
-        else:
-            stalled = 0
-        point, value = trial, trial_value
+        if ev.value <= stop_value:
+            reason = "bottomed out"
+            break
+        bundle = objective.bundle(ev, EPS_LADDER[0])
+        trial, flat, seen = None, True, None
+        for eps in EPS_LADDER:
+            masks = _active(bundle, min(eps, 0.25 * ev.value))
+            key = tuple(m.tobytes() for m in masks)
+            if key == seen:
+                continue
+            seen = key
+            g = _min_norm_element(bundle, masks, stage, point)
+            gnorm = math.sqrt(_inner(g, g))
+            if gnorm <= 1e-12 * max(1.0, ev.value):
+                continue
+            flat = False
+            trial = _line_search(objective, stage, point, ev, g, gnorm, travel)
+            if trial is not None:
+                break
+        if trial is None:
+            reason = "flat" if flat else "no decrease"
+            break
+        gain = ev.value - trial[1].value
+        point, ev, travel = trial[0], trial[1], 2.0 * trial[2]
+        steps += 1
+        stalled = stalled + 1 if gain <= 1e-9 * max(1.0, ev.value) else 0
         if stalled >= 3:
+            reason = "stalled"
             break
-    return point, value
+    return SearchStage(reason, steps, objective.evaluations - first)
 
 
 def _combination(weights, mats, logs) -> np.ndarray:
@@ -337,96 +603,71 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
 
     Stage (a) solves C* G_0 C = G~_0 exactly via C = G_0^{-1/2} W G~_0^{1/2}
     with unitary W, starting from the identity, an eigenframe-alignment
-    candidate, and seeded random unitaries. Stage (b) runs projected gradient
-    over W (polar retraction, central differences, backtracking). Stage (c)
-    refines over all invertible C with multiplicative updates C exp(eps H).
-    The best certificate seen anywhere is returned, so the result is never
-    worse than the stage (a) initialization; deterministic for a fixed seed.
+    candidate, and seeded random unitaries. Stage (b) descends over W with
+    Riemannian bundle subgradients and polar retraction. Stage (c) refines
+    over all invertible C with multiplicative updates C exp(-s C* grad_C),
+    re-centred at every step. Subgradients are exact: the gradient of
+    log lambda at a B-normalised extreme eigenvector x of index alpha is
+    -2 G_alpha C x x*, and near-ties are handled by min-norm elements of
+    eps-active bundles (see _descend). The best certificate seen anywhere is
+    returned, with a SearchSummary of the search; the result is never worse
+    than the stage (a) initialization; deterministic for a fixed seed.
     """
     _require_same_shape(ms, mt)
     rng = np.random.default_rng(seed)
     n = ms.fiber_dim
     mats, logs = ms.mats, ms.logs
     tmats, tlogs = mt.mats, mt.logs
+    objective = _Objective(mats, logs, tmats, tlogs)
     zero = (0,) * ms.d
     left = inv_sqrt_pd(ms.gram(zero))
     right = sqrt_pd(mt.gram(zero))
     right_inv = inv_sqrt_pd(mt.gram(zero))
-
-    def c_of(w: np.ndarray) -> np.ndarray:
-        # the exp(left+right logscale) gauge scalar is dropped: the log ratio
-        # is invariant under scalar rescaling of C and the certificate
-        # constants absorb it, while exp() here could overflow
-        return left.matrix @ w @ right.matrix
-
-    def log_ratio_of(c: np.ndarray) -> float:
-        try:
-            lo, hi = _sandwich_lograted(tmats, tlogs, _congruence_stack(mats, c), logs)
-        except LinAlgError:
-            return math.inf
-        return hi - lo
-
-    best_c = None
-    best_value = math.inf
-
-    def consider(c: np.ndarray) -> float:
-        nonlocal best_c, best_value
-        value = log_ratio_of(c)
-        if value < best_value:
-            best_value = value
-            best_c = c.copy()
-        return value
+    # the exp(left+right logscale) gauge scalar is dropped from C: the log
+    # ratio is invariant under scalar rescaling of C and the certificate
+    # constants absorb it, while exp() here could overflow
+    unitary = _UnitaryStage(left.matrix, right.matrix)
 
     # Whitening both families by their level-zero inverse square roots turns
     # any exact congruence into a unitary one, so the unitary-recovery
     # machinery hands the optimizer an (often exactly optimal) start.
-    wh_mats = symmetrize(_congruence_stack(mats, left.matrix))
+    wh_mats = symmetrize(_congruence_stack(mats, left.matrix, objective.path))
     wh_logs = logs + 2.0 * left.logscale
-    wh_tmats = symmetrize(_congruence_stack(tmats, right_inv.matrix))
+    wh_tmats = symmetrize(_congruence_stack(tmats, right_inv.matrix, objective.path))
     wh_tlogs = tlogs + 2.0 * right_inv.logscale
 
-    candidates = [np.eye(n, dtype=np.complex128)]
+    candidates = [("identity", np.eye(n, dtype=np.complex128))]
     align_weights = rng.uniform(0.5, 1.5, size=mats.shape[0])
     try:
-        candidates.append(
-            _alignment_unitary(wh_mats, wh_logs, wh_tmats, wh_tlogs, align_weights)
-        )
+        candidates.append(("alignment", _alignment_unitary(
+            wh_mats, wh_logs, wh_tmats, wh_tlogs, align_weights,
+        )))
     except LinAlgError:
         pass
     try:
-        candidates.append(_recover_congruence_unitary(
+        candidates.append(("recovery", _recover_congruence_unitary(
             wh_mats, wh_logs, wh_tmats, wh_tlogs, rng, polish_iterations=300,
-        ))
+        )))
     except LinAlgError:
         pass
-    for _ in range(random_starts):
+    for i in range(random_starts):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        candidates.append(polar_unitary(z))
+        candidates.append((f"random{i}", polar_unitary(z)))
 
-    start = candidates[0]
-    start_value = math.inf
-    for w in candidates:
-        value = consider(c_of(w))
-        if value < start_value:
-            start, start_value = w, value
+    label, start, start_ev = None, None, None
+    for name, w in candidates:
+        ev = objective(unitary.c_of(w))
+        if start_ev is None or ev.value < start_ev.value:
+            label, start, start_ev = name, w, ev
+    starts = objective.evaluations
 
-    _descend(
-        lambda w: consider(c_of(w)), start, polar_unitary, unitary_iterations
+    unitary_stage = _descend(objective, unitary, start, start_ev, unitary_iterations)
+    best = objective.best
+    refine_stage = _descend(objective, _RefineStage(), best.c, best, refine_iterations)
+    return dataclasses.replace(
+        sandwich_certificate(ms, mt, objective.best.c),
+        search=SearchSummary(label, starts, unitary_stage, refine_stage),
     )
-
-    c_start = best_c
-
-    def c_update(h: np.ndarray) -> np.ndarray:
-        return c_start @ _expm(h)
-
-    _descend(
-        lambda h: consider(c_update(h)),
-        np.zeros((n, n), dtype=np.complex128),
-        lambda h: h,
-        refine_iterations,
-    )
-
-    return sandwich_certificate(ms, mt, best_c)
 
 
 # ---------------------------------------------------------------------------

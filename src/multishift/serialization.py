@@ -10,11 +10,15 @@ already balanced input, and floats go through repr-exact JSON.
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import numpy as np
 
 from .equivalence import (
     GrowthDiagnostic,
+    SearchStage,
+    SearchSummary,
     SimilarityCertificate,
     UnitaryEquivalenceResult,
     VerificationReport,
@@ -31,6 +35,13 @@ class SchemaError(Exception):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+def _is_finite_real(v) -> bool:
+    # exact comparison, so NaN, the infinities and integers past the float
+    # range all fail
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
 def matrix_to_json(mat) -> list:
@@ -53,8 +64,9 @@ def matrix_from_json(data, path: str, expect_square: bool = True) -> np.ndarray:
         out_row = []
         for k, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
-                raise SchemaError(f"{path}[{i}][{k}]", "expected an [re, im] pair")
+                    or not all(_is_finite_real(v) for v in entry)):
+                raise SchemaError(f"{path}[{i}][{k}]",
+                                  "expected an [re, im] pair of finite numbers")
             out_row.append(complex(entry[0], entry[1]))
         rows.append(out_row)
     arr = np.array(rows, dtype=np.complex128)
@@ -74,8 +86,8 @@ def _hermpd_fields(data, path: str):
     if "matrix" not in data:
         raise SchemaError(f"{path}.matrix", "missing")
     logscale = data.get("logscale", 0.0)
-    if not isinstance(logscale, (int, float)):
-        raise SchemaError(f"{path}.logscale", "expected a real number")
+    if not _is_finite_real(logscale):
+        raise SchemaError(f"{path}.logscale", "expected a finite real number")
     return matrix_from_json(data["matrix"], f"{path}.matrix"), float(logscale)
 
 
@@ -245,6 +257,18 @@ def growth_to_json(diag: GrowthDiagnostic) -> dict:
     }
 
 
+def search_to_json(summary: SearchSummary) -> dict:
+    def stage(s: SearchStage) -> dict:
+        return {"exit": s.exit, "steps": s.steps, "evaluations": s.evaluations}
+
+    return {
+        "start": summary.start,
+        "start_evaluations": summary.start_evaluations,
+        "unitary": stage(summary.unitary),
+        "refine": stage(summary.refine),
+    }
+
+
 def validation_to_json(report: ValidationReport) -> dict:
     return {
         "passes": report.passes,
@@ -255,6 +279,27 @@ def validation_to_json(report: ValidationReport) -> dict:
     }
 
 
+def _nonfinite_path(obj, path: str):
+    """Path of the first NaN or infinity inside obj, in sorted-key order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path or "$"
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return None
+    return next((hit for p, v in items if (hit := _nonfinite_path(v, p))), None)
+
+
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, repr-exact floats."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic strict JSON text: sorted keys, two-space indent,
+    repr-exact floats. A NaN or infinity raises ValueError naming its path."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+                          allow_nan=False) + "\n"
+    except ValueError as ex:
+        where = _nonfinite_path(obj, "")
+        if where is None:
+            raise
+        raise ValueError(f"non-finite number at {where}") from ex

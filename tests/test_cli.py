@@ -103,6 +103,17 @@ class TestRun:
         assert abs(c[0, 0]) <= 1e-6 * scale and abs(c[1, 1]) <= 1e-6 * scale
         assert "timing_seconds" in report
 
+    def test_similarity_report_explains_the_search(self, swap_problem, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli(["run", swap_problem, "--out", out, "--quiet"]) == 0
+        search = read_report(out)["diagnostics"]["optimize"]
+        assert search["start"] in ("identity", "alignment", "recovery", "random0", "random1")
+        assert search["start_evaluations"] == 5
+        for stage in ("unitary", "refine"):
+            assert set(search[stage]) == {"exit", "steps", "evaluations"}
+        # the swap is solved exactly by a start
+        assert search["unitary"] == {"exit": "bottomed out", "steps": 0, "evaluations": 0}
+
     def test_default_report_path(self, swap_problem):
         assert run_cli(["run", swap_problem, "--quiet"]) == 0
         expected = swap_problem.with_name("swap.report.json")
@@ -332,6 +343,88 @@ class TestExitCodes:
         path.write_text(canonical_dumps(problem), encoding="utf-8")
         assert run_cli(["run", path, "--quiet"]) == 2
         assert "double-precision range" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("field", ["gram-entry", "logscale", "lambda"])
+    def test_non_finite_number_names_the_field(self, tmp_path, capsys, field):
+        # JSON reads 1e400 as inf
+        moments = ser.moment_system_to_json(sampling.random_moment_system(1, 2, 2, 42))
+        generated = {"type": "pochhammer", "lambda": 1, "mu": 2, "d": 1, "N": 2}
+        if field == "gram-entry":
+            moments["grams"][1]["matrix"][0][1][0] = "TOKEN"
+            where = "systems[0].grams[1].matrix[0][1]"
+        elif field == "logscale":
+            moments["grams"][1]["logscale"] = "TOKEN"
+            where = "systems[0].grams[1].logscale"
+        else:
+            generated["lambda"] = "TOKEN"
+            where = "systems[1].lambda"
+        problem = {"version": 1, "kind": "similarity", "systems": [moments, generated]}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(problem).replace('"TOKEN"', "1e400"), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 3
+        assert f"schema error at {where}:" in capsys.readouterr().err
+        assert not (tmp_path / "inf.report.json").exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+class TestStrictJSON:
+    def test_reports_of_every_kind_parse_strictly(self, swap_problem, tmp_path):
+        problems = {"similarity": swap_problem}
+        run_cli(["gen", "unitary-congruence", "--d", 2, "--N", 2, "--n", 2, "--seed", 3,
+                 "--out", tmp_path / "unitary.json", "--quiet"])
+        problems["unitary"] = tmp_path / "unitary.json"
+        run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 1,
+                 "--mu2", 3, "--kind", "diagnostic", "--degrees", "4,6,8,10",
+                 "--out", tmp_path / "diagnostic.json", "--quiet"])
+        problems["diagnostic"] = tmp_path / "diagnostic.json"
+        ms = sampling.random_moment_system(2, 2, 2, 40)
+        mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
+        for kind, systems in (("oracle", [ms, mt]), ("validate", [ms])):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(canonical_dumps({
+                "version": 1, "kind": kind,
+                "systems": [ser.moment_system_to_json(m) for m in systems],
+            }), encoding="utf-8")
+            problems[kind] = path
+        for kind, path in problems.items():
+            out = tmp_path / f"{kind}.out.json"
+            assert run_cli(["run", path, "--out", out, "--quiet"]) == 0
+            report = json.loads(out.read_text(encoding="utf-8"),
+                                parse_constant=reject_constant)
+            assert report["kind"] == kind
+
+    def test_canonical_dumps_names_the_non_finite_number(self):
+        with pytest.raises(ValueError, match=r"non-finite number at growth\.table\[1\]"):
+            canonical_dumps({"growth": {"table": [1.0, float("nan")]}, "slope": 0.5})
+
+    def test_non_finite_report_value_is_a_clean_exit(self, swap_problem, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_problem",
+                            lambda problem, **kw: {"verdict": "X", "slope": float("inf")})
+        out = tmp_path / "r.json"
+        assert run_cli(["run", swap_problem, "--out", out, "--quiet"]) == 2
+        assert "non-finite number at slope" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["pochhammer", "--lambda", "inf", "--mu", 2, "--lambda2", 2, "--mu2", 1],
+        ["pochhammer", "--lambda", "nan", "--mu", 2, "--lambda2", 2, "--mu2", 1],
+        ["perturb", "--base", "pochhammer:1,2", "--replace0", "inf"],
+    ], ids=["lambda-inf", "lambda-nan", "replace0-inf"])
+    def test_gen_rejects_non_finite_parameters(self, tmp_path, args):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["gen", *args, "--out", tmp_path / "g.json", "--quiet"])
+        assert info.value.code == 2
+        assert not (tmp_path / "g.json").exists()
+
+    def test_gen_rejects_non_finite_base(self, tmp_path, capsys):
+        assert run_cli(["gen", "perturb", "--base", "pochhammer:1,inf",
+                        "--out", tmp_path / "g.json", "--quiet"]) == 2
+        assert "finite and positive" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -7,7 +7,15 @@ from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
-from multishift.numerics import frob_norm, hermpd, inv, singular_range
+from multishift.numerics import (
+    frob_norm,
+    hermpd,
+    inv,
+    inv_sqrt_pd,
+    pencil_logrange_batch,
+    singular_range,
+    sqrt_pd,
+)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -174,6 +182,124 @@ class TestOptimizeC:
         # and the optimizer itself does at least as well
         redo = eq.optimize_C(transported, mt, seed=0)
         assert redo.log_ratio <= cert.log_ratio + 1e-8
+
+
+def central_diff(func, mat, h=1e-6):
+    """Gradient of a real function of a complex matrix, packed d/dRe + i d/dIm."""
+    grad = np.zeros_like(mat)
+    for idx in np.ndindex(mat.shape):
+        for unit in (1.0, 1.0j):
+            bump = np.zeros_like(mat)
+            bump[idx] = unit * h
+            grad[idx] += unit * (func(mat + bump) - func(mat - bump)) / (2.0 * h)
+    return grad
+
+
+def log_range(ms, mt, c):
+    return pencil_logrange_batch(mt.mats, mt.logs, eq._congruence_stack(ms.mats, c), ms.logs)
+
+
+# Log ratios the central-difference descent reached on the benchmark's fixed
+# certify-random draws (default_rng([2401, i]), optimizer seed i) and on its
+# N=30 swapped and perturbed Pochhammer pairs (seed 1).
+CENTRAL_DIFFERENCE_LOG_RATIOS = {
+    "random0": 3.102843933828464,
+    "random1": 4.011888199898138,
+    "random2": 2.8059236383421347,
+    "random3": 3.0418400975397217,
+    "random4": 1.6609678026864725,
+    "swap": 4.440892098500626e-16,
+    "perturb": 0.11755584653932837,
+}
+
+
+def certify_random_pair(name):
+    if name.startswith("random"):
+        i = int(name[-1])
+        d, top, n = (1, 2, 3) if i == 4 else (2, 3, 2)
+        rng = np.random.default_rng([2401, i])
+        ms = sampling.random_moment_system(d, top, n, rng)
+        return ms, sampling.random_moment_system(d, top, n, rng), i
+    base, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 30)
+    if name == "swap":
+        other, _ = kg.pochhammer_kernel(kg.PochhammerPair(2, 1), 2, 30)
+    else:
+        factor = float(np.random.default_rng([2401, 1]).uniform(0.25, 4.0))
+        other, _ = kg.perturb_kernel(base, {(0, 0): hermpd(factor * np.eye(2))})
+    return kg.kernel_moments(base), kg.kernel_moments(other), 1
+
+
+class TestCertificateSearch:
+    @pytest.mark.parametrize("shape", [(10, 2, 2), (3, 3, 3), (496, 2, 2), (28, 6, 6)])
+    def test_precomputed_einsum_path_is_bit_identical(self, shape):
+        rng = np.random.default_rng(shape)
+        mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
+        path = eq._Objective(mats, np.zeros(shape[0]), mats, np.zeros(shape[0])).path
+        assert np.array_equal(eq._congruence_stack(mats, c, path),
+                              eq._congruence_stack(mats, c))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (1, 2, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extreme_gradients_match_central_differences(self, shape, seed):
+        d, top, n = shape
+        rng = np.random.default_rng([77, seed])
+        ms = sampling.random_moment_system(d, top, n, rng)
+        mt = sampling.random_moment_system(d, top, n, rng)
+        c = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        objective = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+        ev = objective(c)
+        # away from ties: unique extreme indices with simple extreme eigenvalues
+        assert np.diff(np.sort(ev.hi))[-1] >= 1e-2 and np.diff(np.sort(ev.lo))[0] >= 1e-2
+        bundle = objective.bundle(ev, 0.0)
+        assert np.diff(bundle.loge, axis=1).min() >= 1e-2
+        grad_max, grad_min = eq._extreme_gradients(bundle)
+        for grad, func in ((grad_max, lambda m: log_range(ms, mt, m)[1].max()),
+                           (grad_min, lambda m: log_range(ms, mt, m)[0].min())):
+            fd = central_diff(func, c)
+            assert frob_norm(grad - fd) <= 1e-6 * frob_norm(fd)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_direction_from_stage_a_cluster_decreases_f(self, n):
+        # G~ = G at alpha = 0 and G~ > G elsewhere, so at the stage (a) start
+        # the minimum is the n-fold eigenvalue 1 at alpha = 0
+        rng = np.random.default_rng([78, n])
+        ms = sampling.random_moment_system(2, 2, n, rng)
+        grams = {}
+        for alpha in ms.truncation():
+            g = ms.gram(alpha).value()
+            if sum(alpha):
+                p = sampling.random_pd(n, rng).value()
+                g = g + 0.5 * p / np.abs(p).max() * np.abs(g).max()
+            grams[alpha] = hermpd(g)
+        mt = sc.MomentSystem(2, 2, n, grams)
+        c0 = inv_sqrt_pd(ms.gram((0, 0))).matrix @ sqrt_pd(mt.gram((0, 0))).matrix
+        objective = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+        ev = objective(c0)
+        bundle = objective.bundle(ev, 1e-6)
+        masks = eq._active(bundle, 1e-6)
+        assert masks[1].sum() == n and masks[1].sum(axis=1).max() == n
+        stage = eq._RefineStage()
+        g = eq._min_norm_element(bundle, masks, stage, c0)
+        gnorm = frob_norm(g)
+        assert gnorm > 1e-3
+        for travel in (1e-3, 1e-4):
+            step = travel / gnorm
+            moved = objective(stage.move(c0, -g, step))
+            assert moved.value < ev.value - 0.5 * step * gnorm ** 2
+
+    @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
+    def test_certificates_no_worse_than_central_differences(self, name):
+        ms, mt, seed = certify_random_pair(name)
+        cert = eq.optimize_C(ms, mt, seed=seed)
+        assert cert.log_ratio <= CENTRAL_DIFFERENCE_LOG_RATIOS[name] + 1e-9
+        assert eq.verify_certificate(ms, mt, cert).passes
+        search = cert.search
+        assert search.start_evaluations == 5
+        for stage in (search.unitary, search.refine):
+            assert stage.exit in ("bottomed out", "flat", "no decrease", "stalled",
+                                  "iteration cap")
+            assert stage.evaluations >= stage.steps >= 0
 
 
 class TestGrowthDiagnostic:
