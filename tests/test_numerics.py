@@ -53,6 +53,48 @@ class TestHermEig:
         assert np.allclose(eigs, [1.0, 3.0], atol=1e-9)
 
 
+def random_two_by_two_stack(rng, m=60):
+    """Hermitian 2x2 stack with diagonal rows and rows of equal eigenvalues."""
+    a = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+    a = 0.5 * (a + a.conj().swapaxes(1, 2))
+    a *= 10.0 ** rng.uniform(-20.0, 20.0, m)[:, None, None]
+    a[::5, 0, 1] = a[::5, 1, 0] = 0.0
+    a[1::7] = rng.uniform(-3.0, 3.0, (len(a[1::7]), 1, 1)) * np.eye(2)
+    a[2::11, 0, 0] = a[2::11, 1, 1]
+    a[2::11, 0, 1] = a[2::11, 1, 0] = 0.0
+    return a
+
+
+class TestTwoByTwoRotation:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eigenvalues_match_lapack(self, seed):
+        a = random_two_by_two_stack(np.random.default_rng(seed))
+        eigs, _ = nx.herm_eig_batch(a, vectors=False)
+        want = np.linalg.eigh(a)[0]
+        scale = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
+        assert np.all(np.abs(eigs - want).max(axis=1) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vectors_reconstruct_and_are_unitary(self, seed):
+        a = random_two_by_two_stack(np.random.default_rng(seed))
+        eigs, v = nx.herm_eig_batch(a, vectors=True)
+        scale = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
+        rebuilt = (v * eigs[:, None, :]) @ v.conj().swapaxes(1, 2)
+        assert np.all(np.abs(rebuilt - a).max(axis=(1, 2)) <= 1e-14 * scale)
+        gram = v.conj().swapaxes(1, 2) @ v
+        assert np.abs(gram - np.eye(2)).max() <= 1e-15
+
+    def test_rows_equal_single_matrix_result(self):
+        a = random_two_by_two_stack(np.random.default_rng(3))
+        for vectors in (False, True):
+            eigs, v = nx.herm_eig_batch(a, vectors=vectors)
+            for k in range(len(a)):
+                one, one_v = nx.herm_eig_batch(a[k:k + 1], vectors=vectors)
+                assert bits(eigs[k]) == bits(one[0]), k
+                if vectors:
+                    assert bits(v[k]) == bits(one_v[0]), k
+
+
 class TestCholeskyAndSolve:
     def test_cholesky_reconstruction(self):
         rng = np.random.default_rng(3)
