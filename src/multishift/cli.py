@@ -296,6 +296,7 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
         basis = eq.brute_force_intertwiner(ms, mt)
     except eq.DimensionCapError as ex:
         raise InputValidationError(str(ex)) from ex
+    shifts = basis.shifts
     rng = np.random.default_rng(seed)
     invertible = 0
     worst_level0 = 0.0
@@ -314,9 +315,9 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
             continue
         invertible += 1
         worst_level0 = max(worst_level0, eq.level0_annihilation_residual(x))
-        worst_recursion = max(worst_recursion, eq.recursion_residual(x, ms, mt))
+        worst_recursion = max(worst_recursion, eq.recursion_residual(x, ms, mt, shifts))
         worst_intertwining = max(
-            worst_intertwining, eq.intertwining_residual(x, ms, mt)
+            worst_intertwining, eq.intertwining_residual(x, ms, mt, shifts)
         )
         cert = eq.certificate_from_intertwiner(x, ms, mt)
         certs_pass = certs_pass and eq.verify_certificate(ms, mt, cert, tol).passes
@@ -335,6 +336,8 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
         "oracle": {
             "dimension": basis.dim,
             "solution_count": basis.solution_count,
+            "rank_threshold": basis.rank_threshold,
+            "max_null_singular_value": basis.null_singular_value,
             "samples": ORACLE_SAMPLES,
             "invertible_samples": invertible,
             "max_level0_residual": worst_level0,

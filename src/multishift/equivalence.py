@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Truncation, simplex_size
+from .lattice import Truncation, degree, shifted, simplex_size
 from .numerics import (
     LinAlgError,
     as_complex_matrix,
@@ -46,7 +46,9 @@ SLOPE_EPS = 0.1
 SLOPE_FLOOR = 0.3
 R2_MIN = 0.9
 DEFAULT_TOL = 1e-8
-INTERTWINER_DIM_CAP = 512
+INTERTWINER_DIM_CAP = 640
+INTERTWINER_FIBRE_CAP = 24
+INTERTWINER_RANK_RTOL = 1e-10
 
 VERDICT_SIMILAR = "SIMILAR_EVIDENCE"
 VERDICT_NOT_SIMILAR = "NOT_SIMILAR_EVIDENCE"
@@ -886,13 +888,62 @@ def diagonal_intertwiner(ms: MomentSystem, mt: MomentSystem, c) -> IntertwinerMa
 
 
 @dataclass(frozen=True, eq=False)
+class ShiftPair:
+    """A pair's truncated shifts and level-raising path products, built once.
+
+    mz[j] and tmz[j] are build_mz of the source and the target, full[j] their
+    dense matrices (source, target). tproducts and inv_products stack, in
+    graded order, the target's staircase products P~_alpha and the inverses
+    P_alpha^{-1} of the source's (shiftcore._staircase_products order).
+    """
+
+    mz: tuple
+    tmz: tuple
+    full: tuple
+    tproducts: np.ndarray
+    inv_products: np.ndarray
+
+
+def shift_pair(ms: MomentSystem, mt: MomentSystem) -> ShiftPair:
+    """Build the shifts and path products of (ms, mt) once, for the oracle and its checks."""
+    _require_same_shape(ms, mt)
+    mz = tuple(build_mz(ms, j) for j in range(ms.d))
+    tmz = tuple(build_mz(mt, j) for j in range(mt.d))
+    trunc, n = ms.truncation(), ms.fiber_dim
+    products = _staircase_products(trunc, n, lambda alpha, j: mz[j].blocks[alpha])
+    tproducts = _staircase_products(trunc, n, lambda alpha, j: tmz[j].blocks[alpha])
+    return ShiftPair(
+        mz=mz,
+        tmz=tmz,
+        full=tuple((a.full_matrix(), b.full_matrix()) for a, b in zip(mz, tmz)),
+        tproducts=np.stack(list(tproducts.values())),
+        inv_products=np.stack([inv(p) for p in products.values()]),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class IntertwinerBasis:
-    """Orthonormal basis of the truncated intertwining equations' solutions."""
+    """Orthonormal basis of the truncated intertwining equations' solutions.
+
+    Every solution X is the transport of its level-zero column block X[:, 0]
+    (see brute_force_intertwiner), and the equations on X[:, 0] split by row
+    level g, so the basis is kept per row level: vectors[g] (n^2, n^2) holds
+    orthonormal row-major vec(X[g, 0]) columns, and the columns marked in
+    null[g] span that level's solutions; the solution span is their direct
+    sum, basis elements ordered by level, then by column. steps[b], for the
+    column level of graded rank b, holds the graded ranks of the row levels
+    it fills, the target products along them and P_b^{-1}.
+    """
 
     d: int
     N: int
     fiber_dim: int
-    basis: np.ndarray  # (dim^2, k), columns orthonormal in vec (Fortran) order
+    vectors: np.ndarray
+    null: np.ndarray
+    steps: tuple
+    shifts: ShiftPair
+    rank_threshold: float
+    null_singular_value: float  # the largest singular value counted as zero
 
     @property
     def dim(self) -> int:
@@ -900,53 +951,117 @@ class IntertwinerBasis:
 
     @property
     def solution_count(self) -> int:
-        return self.basis.shape[1]
+        return int(np.count_nonzero(self.null))
+
+    def transport(self, x0) -> IntertwinerMatrix:
+        """The operator with level-zero column block x0 (row-major, dim * n entries)
+        and every other column block transported from it."""
+        n, m = self.fiber_dim, len(self.steps)
+        x0 = np.asarray(x0, dtype=np.complex128).reshape(m, n, n)
+        out = np.zeros((m, n, m, n), dtype=np.complex128)
+        for b, (rows, q, r) in enumerate(self.steps):
+            out[rows, :, b, :] = q @ x0[:len(rows)] @ r
+        return IntertwinerMatrix(self.d, self.N, n, out.reshape(m * n, m * n))
 
     def element(self, k: int) -> IntertwinerMatrix:
-        x = self.basis[:, k].reshape(self.dim, self.dim, order="F")
-        return IntertwinerMatrix(self.d, self.N, self.fiber_dim, x)
+        unit = np.zeros(self.solution_count, dtype=np.complex128)
+        unit[k] = 1.0
+        return self.combine(unit)
 
     def combine(self, coeffs) -> IntertwinerMatrix:
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        x = (self.basis @ coeffs).reshape(self.dim, self.dim, order="F")
-        return IntertwinerMatrix(self.d, self.N, self.fiber_dim, x)
+        full = np.zeros(self.null.shape, dtype=np.complex128)
+        full[self.null] = coeffs
+        return self.transport(np.einsum("gij,gj->gi", self.vectors, full))
 
     def membership_residual(self, x: IntertwinerMatrix) -> float:
-        """Distance of X from the solution span, relative to ||X||_F."""
-        v = x.matrix.flatten(order="F")
-        proj = self.basis @ (self.basis.conj().T @ v)
-        return float(
-            math.sqrt(float(np.vdot(v - proj, v - proj).real))
-            / max(math.sqrt(float(np.vdot(v, v).real)), 1e-300)
-        )
+        """||X - T(P X[:, 0])||_F / ||X||_F, with P the projection onto the span
+        and T the transport: zero exactly when X lies in the solution span."""
+        v = x.matrix[:, :self.fiber_dim].reshape(self.null.shape)
+        coeffs = np.einsum("gji,gj->gi", self.vectors.conj(), v) * self.null
+        proj = self.transport(np.einsum("gij,gj->gi", self.vectors, coeffs)).matrix
+        return frob_norm(x.matrix - proj) / max(frob_norm(x.matrix), 1e-300)
+
+
+def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Matrices of x -> L_g x R on row-major vec(x), one per L_g of the stack."""
+    k, n, _ = left.shape
+    return np.einsum("gab,dc->gacbd", left, right).reshape(k, n * n, n * n)
 
 
 def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBasis:
-    """Solve X Mz_j = M~z_j X for all j directly on the truncated space.
+    """Solve X Mz_j = M~z_j X for all j on the truncated space, through X[:, 0].
 
     Only equations whose blocks are fully interior to the truncation are
     imposed (column levels of degree < N); boundary equations are dropped,
-    not zero-padded. Desk-scale oracle: total dimension is capped at 512.
+    not zero-padded. The equation at column level b and coordinate j reads
+    X[:, b+e_j] B_j(b) = M~z_j X[:, b], with B_j(b) the source's invertible
+    raise block. Along the canonical staircase these give every column block
+    as the transport X[:, b] = M~z^b X[:, 0] P_b^{-1} of the level-zero
+    block; the other interior equations become linear constraints on X[:, 0].
+    Row level g of X[:, 0] reaches only the row levels g + b, so the
+    constraints split into one system in n^2 unknowns per row level, solved
+    by one batched economy SVD per degree of g (a single stack would pad
+    every level to the most constrained one). A singular value counts as zero
+    at or below INTERTWINER_RANK_RTOL times the largest constraint term (a
+    transport then a shift block), not times the largest singular value:
+    for moment-derived pairs every constraint vanishes up to rounding.
+    Desk-scale oracle: the sample checks cost dim^3 and each level's solve
+    n^6, so the total and the fibre dimension are capped.
     """
     _require_same_shape(ms, mt)
     trunc = ms.truncation()
-    n = ms.fiber_dim
-    dim = n * len(trunc)
-    if dim > INTERTWINER_DIM_CAP:
-        raise DimensionCapError(f"total dimension {dim} exceeds {INTERTWINER_DIM_CAP}")
-    keep = n * simplex_size(ms.d, ms.N - 1) if ms.N > 0 else 0
-    eye = np.eye(dim, dtype=np.complex128)
-    rows = []
-    for j in range(ms.d):
-        mz = build_mz(ms, j).full_matrix()
-        mzt = build_mz(mt, j).full_matrix()
-        # vec(X M S) - vec(M~ X S) = ((M S)^T kron I - S^T kron M~) vec(X)
-        ms_sel = mz[:, :keep]
-        s_sel = eye[:, :keep]
-        rows.append(np.kron(ms_sel.T, eye) - np.kron(s_sel.T, mzt))
-    system = np.vstack(rows) if rows else np.zeros((0, dim * dim), dtype=np.complex128)
-    basis = nullspace(system)
-    return IntertwinerBasis(ms.d, ms.N, ms.fiber_dim, basis)
+    d, n, m = ms.d, ms.fiber_dim, len(trunc)
+    if n * m > INTERTWINER_DIM_CAP:
+        raise DimensionCapError(f"total dimension {n * m} exceeds {INTERTWINER_DIM_CAP}")
+    if n > INTERTWINER_FIBRE_CAP:
+        raise DimensionCapError(f"fibre dimension {n} exceeds {INTERTWINER_FIBRE_CAP}")
+    shifts = shift_pair(ms, mt)
+    interior = list(trunc.interior())
+    up = [np.array([trunc.position(shifted(a, j)) for a in interior], dtype=np.intp)
+          for j in range(d)]
+    tblocks = [np.array(list(t.blocks.values()), dtype=np.complex128).reshape(-1, n, n)
+               for t in shifts.tmz]
+    # rows[b]: graded ranks of the levels g + beta, |g| <= N - |beta|, in the
+    # order of g; qs[b]: the target's products from level g to g + beta.
+    rows = [np.arange(m)]
+    qs = [np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n))]
+    for beta in trunc.indices[1:]:
+        j = max(k for k in range(d) if beta[k])
+        below = trunc.position(shifted(beta, j, -1))
+        src = rows[below][:simplex_size(d, ms.N - degree(beta))]
+        rows.append(up[j][src])
+        qs.append(tblocks[j][src] @ qs[below][:len(src)])
+
+    # Each equation off the staircase, at row level g + alpha + e_j, reads
+    # L1 X[g, 0] R1 = L2 X[g, 0] R2 for |g| < N - |alpha|; degree-sorted.
+    inv_p = shifts.inv_products
+    terms = []
+    scale = 0.0
+    for alpha in interior:
+        for j in range(d):
+            if not any(alpha[j + 1:]):
+                continue
+            a, b = trunc.position(alpha), trunc.position(shifted(alpha, j))
+            term = (qs[b], inv_p[b] @ shifts.mz[j].blocks[alpha],
+                    tblocks[j][rows[a][:len(rows[b])]] @ qs[a][:len(rows[b])], inv_p[a])
+            terms.append((degree(alpha), term))
+            for left, right in (term[:2], term[2:]):  # ||L x R||_F <= ||L||_F ||R||_F ||x||
+                scale = max(scale, float(np.linalg.norm(left, axis=(1, 2)).max())
+                            * frob_norm(right))
+    threshold = INTERTWINER_RANK_RTOL * scale
+    vectors, null, largest = [], [], 0.0
+    for g in range(ms.N + 1):
+        lo, hi = simplex_size(d, g - 1) if g else 0, simplex_size(d, g)
+        live = [t for deg, t in terms if deg < ms.N - g]
+        system = np.zeros((hi - lo, len(live), n * n, n * n), dtype=np.complex128)
+        for e, (l1, r1, l2, r2) in enumerate(live):
+            system[:, e] = _kron_rows(l1[lo:hi], r1) - _kron_rows(l2[lo:hi], r2)
+        v, z, sv = nullspace(system.reshape(hi - lo, -1, n * n), atol=threshold)
+        vectors.append(v)
+        null.append(z)
+        largest = max(largest, sv)
+    return IntertwinerBasis(d, ms.N, n, np.concatenate(vectors), np.concatenate(null),
+                            tuple(zip(rows, qs, inv_p)), shifts, threshold, largest)
 
 
 def level0_annihilation_residual(x: IntertwinerMatrix) -> float:
@@ -960,30 +1075,24 @@ def level0_annihilation_residual(x: IntertwinerMatrix) -> float:
     return frob_norm(off) / max(frob_norm(x.matrix), 1e-300)
 
 
-def _oc_path_products(ms: MomentSystem) -> dict:
-    """Level-raising products P(alpha) = (Mz^alpha from level 0) per index."""
-    return _staircase_products(ms.truncation(), ms.fiber_dim, _SqrtCache(ms).raise_block)
-
-
-def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem,
-                       mt: MomentSystem) -> float:
+def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
+                       shifts: ShiftPair | None = None) -> float:
     """Deviation of the diagonal blocks from the shift-transport recursion.
 
     Every intertwiner's diagonal block at alpha equals the level-raising
     product of the target shift times the level-zero block times the inverse
-    product of the source shift.
+    product of the source shift. shifts, when given, is shift_pair(ms, mt).
     """
     _require_same_shape(ms, mt)
-    products = _oc_path_products(ms)
-    tproducts = _oc_path_products(mt)
-    x00 = x.diag_block((0,) * ms.d)
-    worst = 0.0
-    for alpha in ms.truncation():
-        expected = tproducts[alpha] @ x00 @ inv(products[alpha])
-        got = x.diag_block(alpha)
-        scale = max(frob_norm(expected), frob_norm(got), 1e-300)
-        worst = max(worst, frob_norm(got - expected) / scale)
-    return worst
+    shifts = shifts if shifts is not None else shift_pair(ms, mt)
+    n = x.fiber_dim
+    m = len(shifts.inv_products)
+    diag = x.matrix.reshape(m, n, m, n)[range(m), :, range(m), :]
+    expected = shifts.tproducts @ diag[0] @ shifts.inv_products
+    err = np.linalg.norm(diag - expected, axis=(1, 2))
+    scale = np.maximum(np.maximum(np.linalg.norm(expected, axis=(1, 2)),
+                                  np.linalg.norm(diag, axis=(1, 2))), 1e-300)
+    return float((err / scale).max())
 
 
 def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,
@@ -1010,17 +1119,20 @@ def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,
     )
 
 
-def intertwining_residual(x: IntertwinerMatrix, ms: MomentSystem,
-                          mt: MomentSystem) -> float:
-    """max_j ||X Mz_j - M~z_j X|| over interior columns, scaled by ||X|| and shift norms."""
+def intertwining_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
+                          shifts: ShiftPair | None = None) -> float:
+    """max_j ||X Mz_j - M~z_j X|| over interior columns, scaled by ||X|| and shift norms.
+
+    shifts, when given, is shift_pair(ms, mt).
+    """
     _require_same_shape(ms, mt)
+    shifts = shifts if shifts is not None else shift_pair(ms, mt)
     keep = x.fiber_dim * simplex_size(ms.d, ms.N - 1) if ms.N > 0 else 0
+    norm_x = x.norm()
     worst = 0.0
-    for j in range(ms.d):
-        mz = build_mz(ms, j)
-        mzt = build_mz(mt, j)
-        lhs = (x.matrix @ mz.full_matrix())[:, :keep]
-        rhs = (mzt.full_matrix() @ x.matrix)[:, :keep]
-        scale = max(x.norm() * max(mz.norm_estimate, mzt.norm_estimate), 1e-300)
+    for mz, mzt, (full, tfull) in zip(shifts.mz, shifts.tmz, shifts.full):
+        lhs = x.matrix @ full[:, :keep]
+        rhs = tfull @ x.matrix[:, :keep]
+        scale = max(norm_x * max(mz.norm_estimate, mzt.norm_estimate), 1e-300)
         worst = max(worst, spectral_norm(lhs - rhs) / scale)
     return worst

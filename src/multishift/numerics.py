@@ -3,9 +3,9 @@
 Eigendecompositions, general solves, singular values and the polar factor
 run on the LAPACK that numpy ships (`numpy.linalg`); a LAPACK failure is
 re-raised as this module's ConvergenceError or SingularMatrixError, so
-callers catch one family of errors. Three pieces stay hand-written because
-they measured faster or leaner than LAPACK on this package's workloads
-(2-vCPU Xeon, OpenBLAS 0.3.31):
+callers catch one family of errors. Two pieces stay hand-written because
+they measured faster than LAPACK on this package's workloads (2-vCPU Xeon,
+OpenBLAS 0.3.31):
 
 - 2x2 stacks take one closed-form Jacobi rotation, exact at n = 2: over an
   (8385, 2, 2) stack it takes 3.2 ms for values and 4.7 ms with vectors,
@@ -13,9 +13,6 @@ they measured faster or leaner than LAPACK on this package's workloads
 - Cholesky, forward substitution and whitening are vectorised over the
   stack: whitening that stack costs 2.5 ms, against 8.8 ms through a
   LAPACK inverse of the Cholesky factor.
-- The null space is Gauss-Jordan with full pivoting: on a 480x400 system
-  like the oracle's it raises peak memory by 10 MB, a LAPACK SVD by 22 MB;
-  the transport-reduced oracle, which shrinks that system, would retire it.
 
 Scalars are complex128 throughout, even for real inputs: the similarity and
 unitary-equivalence criteria downstream need complex phases.
@@ -220,13 +217,6 @@ def cholesky_batch(stack: np.ndarray) -> np.ndarray:
     return low
 
 
-def cholesky(mat) -> np.ndarray:
-    a = as_complex_matrix(mat)
-    _require_square(a)
-    check_hermitian(a)
-    return cholesky_batch(symmetrize(a)[None])[0]
-
-
 def solve_lower_batch(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L X = B by forward substitution for a (m, n, n) stack."""
     n = low.shape[1]
@@ -267,7 +257,7 @@ def inv(mat) -> np.ndarray:
 
 def _svd(a: np.ndarray, compute_uv: bool):
     try:
-        return np.linalg.svd(a, compute_uv=compute_uv)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as ex:
         raise ConvergenceError(f"singular value decomposition failed: {ex}") from ex
 
@@ -282,52 +272,28 @@ def spectral_norm(mat) -> float:
     return singular_range(mat)[1]
 
 
-def nullspace(mat, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) for the null space of a complex matrix.
+def nullspace(blocks, atol: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Null spaces of a stack of matrices, from one economy SVD of the stack.
 
-    Gauss-Jordan elimination with full pivoting; columns whose pivot falls
-    below rtol times the largest initial entry are treated as free.
+    blocks: a (m, r, c) stack, or one (r, c) matrix read as a stack of one.
+    Returns (vectors, null, largest_zero): vectors (m, c, c) holds each
+    matrix's right singular vectors as orthonormal columns; null (m, c) marks
+    the columns whose singular value is at or below the absolute threshold
+    atol, which span that matrix's null space; largest_zero is the largest
+    such singular value (0.0 when there is none).
     """
-    a = as_complex_matrix(mat)
-    m, n = a.shape
-    if a.size == 0:
-        return np.eye(n, dtype=np.complex128)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    col_perm = list(range(n))
-    rank = 0
-    for k in range(min(m, n)):
-        sub = np.abs(a[k:, k:])
-        flat = int(np.argmax(sub))
-        pi, pj = divmod(flat, n - k)
-        if sub[pi, pj] <= rtol * scale:
-            break
-        pi += k
-        pj += k
-        if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-        if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-            col_perm[k], col_perm[pj] = col_perm[pj], col_perm[k]
-        a[k, :] /= a[k, k]
-        others = np.concatenate([np.arange(k), np.arange(k + 1, m)]).astype(int)
-        if others.size:
-            a[others, :] -= np.outer(a[others, k], a[k, :])
-        rank += 1
-    free = n - rank
-    basis = np.zeros((n, free), dtype=np.complex128)
-    for f in range(free):
-        basis[col_perm[rank + f], f] = 1.0
-        for i in range(rank):
-            basis[col_perm[i], f] = -a[i, rank + f]
-    # modified Gram-Schmidt, deterministic order
-    for j in range(free):
-        for i in range(j):
-            basis[:, j] -= np.vdot(basis[:, i], basis[:, j]) * basis[:, i]
-        nrm = math.sqrt(float(np.vdot(basis[:, j], basis[:, j]).real))
-        basis[:, j] /= nrm
-    return basis
+    a = np.asarray(blocks, dtype=np.complex128)
+    if a.ndim == 2:
+        a = a[None]
+    m, r, c = a.shape
+    if r == 0:  # no equation: every vector is null
+        eye = np.broadcast_to(np.eye(c, dtype=np.complex128), (m, c, c))
+        return eye, np.ones((m, c), dtype=bool), 0.0
+    if r < c:  # an economy SVD returns only r right singular vectors
+        a = np.concatenate([a, np.zeros((m, c - r, c), dtype=np.complex128)], axis=1)
+    _, s, vh = _svd(a, compute_uv=True)
+    null = s <= atol
+    return vh.conj().swapaxes(1, 2), null, float(s[null].max()) if null.any() else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +388,6 @@ def hermpd(matrix, logscale: float = 0.0) -> HermPD:
     """
     mats, logs = hermpd_batch(as_complex_matrix(matrix)[None], [logscale])
     return HermPD(mats[0], float(logs[0]))
-
-
-def rebalance(h: HermPD) -> HermPD:
-    """Re-run the balancing convention; idempotent bit-for-bit."""
-    return hermpd(h.matrix, h.logscale)
 
 
 def hermpd_from_log_diag_batch(log_rows) -> tuple[np.ndarray, np.ndarray]:

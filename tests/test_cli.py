@@ -172,6 +172,19 @@ class TestRun:
         assert report["oracle"]["invertible_samples"] > 0
         assert report["oracle"]["max_recursion_residual"] <= 1e-9
 
+    def test_oracle_report_carries_rank_threshold(self, tmp_path):
+        ms = sampling.random_moment_system(2, 3, 2, 41)
+        mt = sampling.random_moment_system(2, 3, 2, 42)
+        path = tmp_path / "oracle.json"
+        path.write_text(canonical_dumps({
+            "version": 1, "kind": "oracle",
+            "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(mt)],
+        }), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        oracle = read_report(tmp_path / "oracle.report.json")["oracle"]
+        assert oracle["solution_count"] == oracle["dimension"] * 2 == 40
+        assert 0.0 <= oracle["max_null_singular_value"] <= oracle["rank_threshold"] < 1e-6
+
     def test_explicit_weights_system_in_pairwise_run(self, tmp_path):
         from multishift.numerics import hermpd
         from multishift import shiftcore as sc

@@ -7,6 +7,7 @@ from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
+from multishift.lattice import simplex_size
 from multishift.numerics import (
     frob_norm,
     hermpd,
@@ -434,6 +435,21 @@ class TestDiagonalIntertwiner:
             assert hi <= math.sqrt(m2) * (1 + 1e-9)
 
 
+def kronecker_null_space(ms, mt):
+    """Reference: the interior intertwining equations as one Kronecker system in
+    vec(X) (column-major), and its null space from a dense SVD."""
+    n, keep = ms.fiber_dim, ms.fiber_dim * simplex_size(ms.d, ms.N - 1) if ms.N else 0
+    dim = n * simplex_size(ms.d, ms.N)
+    eye = np.eye(dim)
+    rows = [np.zeros((0, dim * dim))]
+    for j in range(ms.d):
+        mz, mzt = sc.build_mz(ms, j).full_matrix(), sc.build_mz(mt, j).full_matrix()
+        rows.append(np.kron(mz[:, :keep].T, eye) - np.kron(eye[:, :keep].T, mzt))
+    _, s, vh = np.linalg.svd(np.vstack(rows))  # full vh: every right vector
+    rank = int(np.count_nonzero(s > 1e-10 * max(s.max(initial=0.0), 1.0)))
+    return vh[rank:].conj().T
+
+
 class TestBruteForceIntertwiner:
     def test_commutant_of_scalar_unweighted_shift(self):
         grams = {(0,): hermpd(np.eye(1)), (1,): hermpd(np.eye(1))}
@@ -461,8 +477,13 @@ class TestBruteForceIntertwiner:
             assert abs(x[1, 1] - 2.0 * x[0, 0]) <= 1e-12
 
     def test_dimension_cap(self):
-        ms = sampling.random_moment_system(3, 9, 3, 27)  # 3 * 220 = 660 > 512
+        ms = sampling.random_moment_system(3, 9, 3, 27)  # 3 * 220 = 660 > 640
         with pytest.raises(eq.DimensionCapError):
+            eq.brute_force_intertwiner(ms, ms)
+
+    def test_fibre_cap(self):
+        ms = sampling.random_moment_system(1, 1, 25, 28)  # dimension 50, fibre 25 > 24
+        with pytest.raises(eq.DimensionCapError, match="fibre dimension 25"):
             eq.brute_force_intertwiner(ms, ms)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -489,6 +510,45 @@ class TestBruteForceIntertwiner:
             cert = eq.certificate_from_intertwiner(x, ms, mt)
             assert eq.verify_certificate(ms, mt, cert, 1e-9).passes
         assert checked > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    def test_span_equals_kronecker_span(self, d, n, top):
+        rng = np.random.default_rng([6000, d, n, top])
+        ms = sampling.random_moment_system(d, top, n, rng)
+        mt = sampling.random_moment_system(d, top, n, rng)
+        basis = eq.brute_force_intertwiner(ms, mt)
+        reference = kronecker_null_space(ms, mt)
+        # N = 0 imposes no equation, so every operator intertwines
+        assert basis.solution_count == reference.shape[1] == basis.dim * n
+        dense = np.stack([basis.element(k).matrix.ravel(order="F")
+                          for k in range(basis.solution_count)], axis=1)
+        q, _ = np.linalg.qr(dense)
+        assert frob_norm(reference - q @ (q.conj().T @ reference)) <= 1e-9
+        assert frob_norm(q - reference @ (reference.conj().T @ q)) <= 1e-9
+
+    def test_full_solution_count_on_criterion_5_shapes(self):
+        for seed in range(10):
+            rng = np.random.default_rng(5000 + seed)
+            ms = sampling.random_moment_system(2, 3, 2, rng)
+            c0 = np.eye(2) + 0.3 * (rng.standard_normal((2, 2))
+                                    + 1j * rng.standard_normal((2, 2)))
+            basis = eq.brute_force_intertwiner(ms, sampling.congruent_pair(ms, c0))
+            assert basis.solution_count == basis.dim * ms.fiber_dim == 40
+            assert 0.0 <= basis.null_singular_value <= basis.rank_threshold
+            assert math.isfinite(basis.rank_threshold)
+
+    def test_membership_residual_rejects_non_intertwiners(self):
+        rng = np.random.default_rng(3200)
+        ms = sampling.random_moment_system(2, 2, 2, rng)
+        mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
+        basis = eq.brute_force_intertwiner(ms, mt)
+        x = basis.combine(rng.standard_normal(basis.solution_count))
+        assert basis.membership_residual(x) <= 1e-12
+        bumped = x.matrix.copy()
+        bumped[-1, -1] += frob_norm(x.matrix)
+        assert basis.membership_residual(eq.IntertwinerMatrix(2, 2, 2, bumped)) >= 0.1
 
     def test_solution_space_contains_diagonal_intertwiner(self):
         rng = np.random.default_rng(3000)

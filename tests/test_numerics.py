@@ -99,12 +99,12 @@ class TestCholeskyAndSolve:
     def test_cholesky_reconstruction(self):
         rng = np.random.default_rng(3)
         g = random_pd_matrix(4, rng)
-        low = nx.cholesky(g)
+        low = nx.cholesky_batch(g[None])[0]
         assert nx.frob_norm(low @ low.conj().T - g) <= 1e-12 * nx.frob_norm(g)
 
     def test_cholesky_indefinite(self):
         with pytest.raises(nx.CholeskyError):
-            nx.cholesky(np.diag([1.0, -1.0]))
+            nx.cholesky_batch(np.diag([1.0, -1.0])[None])
 
     def test_solve_and_inv(self):
         rng = np.random.default_rng(4)
@@ -118,11 +118,31 @@ class TestCholeskyAndSolve:
 
     def test_nullspace(self):
         a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], dtype=complex)
-        basis = nx.nullspace(a)
+        vectors, null, largest_zero = nx.nullspace(a, atol=1e-12)
+        basis = vectors[0][:, null[0]]
+        assert largest_zero <= 1e-12
         assert basis.shape == (3, 2)
         assert nx.frob_norm(a @ basis) <= 1e-12
         gram = basis.conj().T @ basis
         assert nx.frob_norm(gram - np.eye(2)) <= 1e-12
+
+    def test_nullspace_of_stack(self):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((2, 4, 1)) + 1j * rng.standard_normal((2, 4, 1))
+        blocks = u @ u.conj().swapaxes(1, 2)  # rank one: three null directions
+        blocks[1] = 0.0  # rank zero: four
+        vectors, null, largest_zero = nx.nullspace(blocks, atol=1e-12)
+        assert vectors.shape == (2, 4, 4)
+        assert null.sum(axis=1).tolist() == [3, 4]
+        assert largest_zero <= 1e-12
+        for k in range(2):
+            basis = vectors[k][:, null[k]]
+            assert nx.frob_norm(blocks[k] @ basis) <= 1e-12
+            assert nx.frob_norm(vectors[k].conj().T @ vectors[k] - np.eye(4)) <= 1e-12
+        # the threshold is absolute: zero singular values count at atol = 0
+        assert nx.nullspace(np.zeros((2, 2)), atol=0.0)[1].all()
+        with pytest.raises(nx.ConvergenceError):
+            nx.nullspace(np.full((2, 2), np.nan), atol=1e-12)
 
 
 class TestHermPD:
@@ -134,10 +154,10 @@ class TestHermPD:
 
     def test_rebalance_idempotent(self):
         h = nx.hermpd(np.diag([7.25e8, 3.5e8, 1.0e8]), logscale=2.5)
-        again = nx.rebalance(h)
+        again = nx.hermpd(h.matrix, h.logscale)
         assert again.logscale == h.logscale
         assert np.array_equal(again.matrix, h.matrix)
-        third = nx.rebalance(again)
+        third = nx.hermpd(again.matrix, again.logscale)
         assert third.logscale == again.logscale
         assert np.array_equal(third.matrix, again.matrix)
 
