@@ -255,6 +255,8 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
             verdict="YES" if result.equivalent else "NO",
             unitary=ser.unitary_result_to_json(result),
         )
+        if result.polish is not None:
+            report["diagnostics"] = {"polish": ser.polish_to_json(result.polish)}
     elif kind == "oracle":
         ms, mt = _resolve_pair(problem, top_degree)
         if ms.N < 1:
@@ -310,16 +312,17 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
             basis.solution_count
         )
         x = basis.combine(coeffs)
-        lo, hi = singular_range(x.matrix)
+        x_range = singular_range(x.matrix)  # the one SVD of X per sample
+        lo, hi = x_range
         if hi == 0.0 or lo <= 1e-8 * hi:
             continue
         invertible += 1
         worst_level0 = max(worst_level0, eq.level0_annihilation_residual(x))
         worst_recursion = max(worst_recursion, eq.recursion_residual(x, ms, mt, shifts))
         worst_intertwining = max(
-            worst_intertwining, eq.intertwining_residual(x, ms, mt, shifts)
+            worst_intertwining, eq.intertwining_residual(x, ms, mt, shifts, x_range)
         )
-        cert = eq.certificate_from_intertwiner(x, ms, mt)
+        cert = eq.certificate_from_intertwiner(x, ms, mt, x_range)
         certs_pass = certs_pass and eq.verify_certificate(ms, mt, cert, tol).passes
     checks_pass = (
         invertible > 0

@@ -128,10 +128,11 @@ def _check_invertible_c(c: np.ndarray) -> None:
         raise SingularCError("C is numerically singular")
 
 
-def _congruence_stack(mats: np.ndarray, c: np.ndarray, path=True) -> np.ndarray:
-    """C* G_alpha C across the stack; path is a precomputed einsum path, or
-    True to search one."""
-    return np.einsum("ji,ajk,kl->ail", c.conj(), mats, c, optimize=path)
+def _congruence_stack(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """C* G_alpha C across the stack, as two pairwise contractions
+    (ajk,ji->aki, then aki,kl->ail), each one BLAS product over the whole
+    stack, with no contraction path to search or check per call."""
+    return np.tensordot(np.tensordot(mats, c.conj(), axes=(1, 0)), c, axes=(1, 0))
 
 
 def _sandwich_lograted(tmats, tlogs, bmats, blogs):
@@ -283,15 +284,12 @@ class _Objective:
 
     def __init__(self, mats, logs, tmats, tlogs):
         self.mats, self.logs, self.tmats, self.tlogs = mats, logs, tmats, tlogs
-        eye = np.eye(mats.shape[1], dtype=np.complex128)
-        # one contraction path per stack shape instead of a search per call
-        self.path = np.einsum_path("ji,ajk,kl->ail", eye, mats, eye, optimize="greedy")[0]
         self.evaluations = 0
-        self.best = _Eval(eye, math.inf)
+        self.best = _Eval(np.eye(mats.shape[1], dtype=np.complex128), math.inf)
 
     def __call__(self, c: np.ndarray) -> _Eval:
         self.evaluations += 1
-        bmats = _congruence_stack(self.mats, c, self.path)
+        bmats = _congruence_stack(self.mats, c)
         try:
             lo, hi = pencil_logrange_batch(self.tmats, self.tlogs, bmats, self.logs)
         except LinAlgError:
@@ -308,7 +306,7 @@ class _Objective:
         if rows.size == ev.hi.size:
             rows = slice(None)  # all tied: views, not copies of the stacks
         mats = self.mats[rows]
-        eigs, x = pencil_eig_batch(self.tmats[rows], _congruence_stack(mats, ev.c, self.path))
+        eigs, x = pencil_eig_batch(self.tmats[rows], _congruence_stack(mats, ev.c))
         loge = np.log(eigs) + (self.tlogs[rows] - self.logs[rows])[:, None]
         return _Bundle(loge, x, mats @ ev.c @ x, float(loge[:, -1].max()),
                        float(loge[:, 0].min()))
@@ -550,15 +548,40 @@ def _alignment_unitary(mats, logs, tmats, tlogs, weights) -> np.ndarray:
     return q @ qt.conj().T
 
 
+class PolishSummary(NamedTuple):
+    """How the polish of a unitary recovery ended.
+
+    exit is one of: converged (two iterates within 1e-14 sqrt(n) in the
+    Frobenius norm), iteration cap, rank-deficient coupling (the coupling
+    sum has no polar factor; the last iterate is kept). iterations counts the
+    couplings formed, one polar factor each.
+    """
+
+    exit: str
+    iterations: int
+
+
+def _polish_operator(w, mats, tmats) -> np.ndarray:
+    """The map V -> sum_alpha w_alpha G_alpha V G~_alpha as an (n^2, n^2)
+    matrix on row-major vec(V); it holds n^4 complex entries."""
+    n = mats.shape[1]
+    # tensordot gives (i, k, l, j); the operator is indexed (i, j), (k, l)
+    op = np.tensordot(w[:, None, None] * mats, tmats, axes=(0, 0))
+    return op.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+
+
 def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
-                                polish_iterations: int) -> np.ndarray:
-    """Best unitary V with G~_alpha ~= V* G_alpha V across the stacks.
+                                polish_iterations: int) -> tuple:
+    """Best unitary V with G~_alpha ~= V* G_alpha V across the stacks, and
+    the PolishSummary of its polish.
 
     Eigenframes of a seeded positive combination are aligned when its
     spectrum has gaps, column phases are fixed against a second combination,
     and alternating polar iterations on the positive coupling sum polish the
     result (a monotone ascent whose fixed points include every exact V).
-    Degenerate combinations fall back to polishing from the identity.
+    The coupling is linear in V, so its operator is built once and each
+    iteration is one product and one polar factor. Degenerate combinations
+    fall back to polishing from the identity.
     """
     n = mats.shape[1]
     t1 = rng.uniform(0.5, 1.5, size=mats.shape[0])
@@ -584,17 +607,19 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
         v = np.eye(n, dtype=np.complex128)
 
     w = t1 * np.exp((logs - logs.max()) + (tlogs - tlogs.max()))
-    for _ in range(polish_iterations):
-        coupling = np.einsum("a,aik,kl,alj->ij", w, mats, v, tmats, optimize=True)
+    op = _polish_operator(w, mats, tmats)
+    reason, iterations = "iteration cap", 0
+    for iterations in range(1, polish_iterations + 1):
         try:
-            v_next = polar_unitary(coupling)
+            v_next = polar_unitary((op @ v.ravel()).reshape(n, n))
         except LinAlgError:
+            reason = "rank-deficient coupling"
             break
         if frob_norm(v_next - v) <= 1e-14 * math.sqrt(n):
-            v = v_next
+            v, reason = v_next, "converged"
             break
         v = v_next
-    return v
+    return v, PolishSummary(reason, iterations)
 
 
 def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
@@ -633,9 +658,9 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     # Whitening both families by their level-zero inverse square roots turns
     # any exact congruence into a unitary one, so the unitary-recovery
     # machinery hands the optimizer an (often exactly optimal) start.
-    wh_mats = symmetrize(_congruence_stack(mats, left.matrix, objective.path))
+    wh_mats = symmetrize(_congruence_stack(mats, left.matrix))
     wh_logs = logs + 2.0 * left.logscale
-    wh_tmats = symmetrize(_congruence_stack(tmats, right_inv.matrix, objective.path))
+    wh_tmats = symmetrize(_congruence_stack(tmats, right_inv.matrix))
     wh_tlogs = tlogs + 2.0 * right_inv.logscale
 
     candidates = [("identity", np.eye(n, dtype=np.complex128))]
@@ -649,7 +674,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     try:
         candidates.append(("recovery", _recover_congruence_unitary(
             wh_mats, wh_logs, wh_tmats, wh_tlogs, rng, polish_iterations=300,
-        )))
+        )[0]))
     except LinAlgError:
         pass
     for i in range(random_starts):
@@ -759,6 +784,7 @@ class UnitaryEquivalenceResult:
     residual: float
     witness: tuple | None
     message: str
+    polish: PolishSummary | None = None  # None when a spectral witness decides
 
 
 def _congruence_residual(mats, logs, tmats, tlogs, v) -> float:
@@ -784,7 +810,8 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     eigenframes of a seeded positive combination of each family — phases fixed
     against a second combination when the spectrum has gaps — and polished by
     alternating polar iterations on the coupling sum; YES requires the final
-    congruence residual to meet tol.
+    congruence residual to meet tol. The result carries the PolishSummary
+    whenever the polish ran.
     """
     _require_same_shape(ms, mt)
     indices = ms.truncation().indices
@@ -811,12 +838,14 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
         )
 
     rng = np.random.default_rng(seed)
-    v = _recover_congruence_unitary(mats, logs, tmats, tlogs, rng, polish_iterations)
+    v, polish = _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
+                                            polish_iterations)
     residual = _congruence_residual(mats, logs, tmats, tlogs, v)
     if residual <= tol:
         return UnitaryEquivalenceResult(
             equivalent=True, V=v, residual=residual, witness=None,
             message=f"recovered unitary with congruence residual {residual:.3e}",
+            polish=polish,
         )
     return UnitaryEquivalenceResult(
         equivalent=False, V=None, residual=residual, witness=None,
@@ -824,6 +853,7 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
             "eigenvalue lists match but unitary recovery stalled at "
             f"residual {residual:.3e} (optimization floor)"
         ),
+        polish=polish,
     )
 
 
@@ -1096,12 +1126,14 @@ def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
 
 
 def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,
-                                 mt: MomentSystem) -> SimilarityCertificate:
+                                 mt: MomentSystem,
+                                 x_range: tuple | None = None) -> SimilarityCertificate:
     """The proof's certificate: C from the level-0 block of X^{-1}, m from norms.
 
     C (in coefficient coordinates) is G_0^{-1/2} [X^{-1}]_{00} G~_0^{1/2};
-    the constants are m1 = 1/||X^{-1}||^2 and m2 = ||X||^2, using operator
-    norms of the full truncated matrices.
+    the constants are m1 = 1/||X^{-1}||^2 = sigma_min(X)^2 and
+    m2 = ||X||^2 = sigma_max(X)^2, using operator norms of the full truncated
+    matrices. x_range, when given, is singular_range(x.matrix).
     """
     _require_same_shape(ms, mt)
     n = ms.fiber_dim
@@ -1112,23 +1144,22 @@ def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,
     c = math.exp(left.logscale + right.logscale) * (
         left.matrix @ x_inv[:n, :n] @ right.matrix
     )
-    norm_x = spectral_norm(x.matrix)
-    norm_x_inv = spectral_norm(x_inv)
-    return SimilarityCertificate(
-        C=c, log_m1=-2.0 * math.log(norm_x_inv), log_m2=2.0 * math.log(norm_x)
-    )
+    lo, hi = x_range if x_range is not None else singular_range(x.matrix)
+    return SimilarityCertificate(C=c, log_m1=2.0 * math.log(lo), log_m2=2.0 * math.log(hi))
 
 
 def intertwining_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
-                          shifts: ShiftPair | None = None) -> float:
+                          shifts: ShiftPair | None = None,
+                          x_range: tuple | None = None) -> float:
     """max_j ||X Mz_j - M~z_j X|| over interior columns, scaled by ||X|| and shift norms.
 
-    shifts, when given, is shift_pair(ms, mt).
+    shifts, when given, is shift_pair(ms, mt); x_range, when given, is
+    singular_range(x.matrix).
     """
     _require_same_shape(ms, mt)
     shifts = shifts if shifts is not None else shift_pair(ms, mt)
     keep = x.fiber_dim * simplex_size(ms.d, ms.N - 1) if ms.N > 0 else 0
-    norm_x = x.norm()
+    norm_x = x_range[1] if x_range is not None else x.norm()
     worst = 0.0
     for mz, mzt, (full, tfull) in zip(shifts.mz, shifts.tmz, shifts.full):
         lhs = x.matrix @ full[:, :keep]

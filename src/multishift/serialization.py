@@ -17,6 +17,7 @@ import numpy as np
 
 from .equivalence import (
     GrowthDiagnostic,
+    PolishSummary,
     SearchStage,
     SearchSummary,
     SimilarityCertificate,
@@ -267,6 +268,10 @@ def search_to_json(summary: SearchSummary) -> dict:
         "unitary": stage(summary.unitary),
         "refine": stage(summary.refine),
     }
+
+
+def polish_to_json(summary: PolishSummary) -> dict:
+    return {"exit": summary.exit, "iterations": summary.iterations}
 
 
 def validation_to_json(report: ValidationReport) -> dict:

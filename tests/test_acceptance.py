@@ -158,8 +158,9 @@ def test_criterion_5_intertwiner_oracle():
         mt = sampling.congruent_pair(ms, c0)
         assert ms.fiber_dim * len(ms.truncation()) <= 40
         basis = eq.brute_force_intertwiner(ms, mt)
-        sampled = 0
-        while sampled < 4:
+        sampled = draws = 0
+        while sampled < 4 and draws < 64:  # a wrong span fails here, not by timeout
+            draws += 1
             coeffs = rng.standard_normal(basis.solution_count) \
                 + 1j * rng.standard_normal(basis.solution_count)
             x = basis.combine(coeffs)
@@ -172,6 +173,7 @@ def test_criterion_5_intertwiner_oracle():
             worst_recur = max(worst_recur, eq.recursion_residual(x, ms, mt))
             cert = eq.certificate_from_intertwiner(x, ms, mt)
             certs_ok = certs_ok and eq.verify_certificate(ms, mt, cert, 1e-9).passes
+        assert sampled == 4, f"seed {seed}: {sampled} invertible samples in {draws} draws"
     ok = worst_annih <= 1e-9 and worst_recur <= 1e-9 and certs_ok
     record_acceptance(
         5, ok,

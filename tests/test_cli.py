@@ -8,6 +8,7 @@ import pytest
 from multishift import cli
 from multishift import sampling
 from multishift import serialization as ser
+from multishift.lattice import simplex_size
 from multishift.serialization import canonical_dumps
 
 
@@ -143,6 +144,25 @@ class TestRun:
         report = read_report(tmp_path / "uc.report.json")
         assert report["verdict"] == "YES"
         assert report["unitary"]["residual"] <= 1e-8
+        polish = report["diagnostics"]["polish"]
+        assert polish["exit"] == "converged"
+        assert 1 <= polish["iterations"] < 500
+
+    def test_spectral_witness_report_has_no_polish(self, tmp_path):
+        ms = sampling.random_moment_system(2, 2, 2, 6)
+        problem = {
+            "version": 1,
+            "kind": "unitary",
+            "systems": [ser.moment_system_to_json(ms),
+                        ser.moment_system_to_json(sampling.scaled_system(ms, 1.0))],
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(canonical_dumps(problem), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        report = read_report(tmp_path / "scaled.report.json")
+        assert report["verdict"] == "NO"
+        assert report["unitary"]["witness_alpha"] == [0, 0]
+        assert "diagnostics" not in report
 
     def test_diagnostic_kind(self, tmp_path):
         out = tmp_path / "diag.json"
@@ -171,6 +191,33 @@ class TestRun:
         assert report["verdict"] == "PASS"
         assert report["oracle"]["invertible_samples"] > 0
         assert report["oracle"]["max_recursion_residual"] <= 1e-9
+
+    def test_oracle_takes_one_svd_of_x_per_sample(self, tmp_path, monkeypatch):
+        d, top, n = 2, 2, 2
+        ms = sampling.random_moment_system(d, top, n, 40)
+        mt = sampling.congruent_pair(ms, np.eye(n) + 0.2j * np.eye(n))
+        dim, keep = n * simplex_size(d, top), n * simplex_size(d, top - 1)
+        path = tmp_path / "oracle.json"
+        path.write_text(canonical_dumps({
+            "version": 1, "kind": "oracle",
+            "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(mt)],
+        }), encoding="utf-8")
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert run_cli(["run", path, "--quiet"]) == 0
+        oracle = read_report(tmp_path / "oracle.report.json")["oracle"]
+        assert oracle["invertible_samples"] == oracle["samples"] > 0
+        # X itself once per sample; X Mz_j - M~z_j X on the interior columns
+        # once per coordinate and invertible sample; nothing else of size dim
+        assert shapes.count((dim, dim)) == oracle["samples"]
+        assert shapes.count((dim, keep)) == d * oracle["invertible_samples"]
+        assert sum(len(s) == 2 and dim in s for s in shapes) == (d + 1) * oracle["samples"]
 
     def test_oracle_report_carries_rank_threshold(self, tmp_path):
         ms = sampling.random_moment_system(2, 3, 2, 41)

@@ -232,13 +232,14 @@ def certify_random_pair(name):
 
 class TestCertificateSearch:
     @pytest.mark.parametrize("shape", [(10, 2, 2), (3, 3, 3), (496, 2, 2), (28, 6, 6)])
-    def test_precomputed_einsum_path_is_bit_identical(self, shape):
+    def test_congruence_stack_matches_per_row_products(self, shape):
         rng = np.random.default_rng(shape)
         mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         c = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
-        path = eq._Objective(mats, np.zeros(shape[0]), mats, np.zeros(shape[0])).path
-        assert np.array_equal(eq._congruence_stack(mats, c, path),
-                              eq._congruence_stack(mats, c))
+        expected = np.stack([c.conj().T @ g @ c for g in mats])
+        got = eq._congruence_stack(mats, c)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("shape", [(2, 3, 2), (1, 2, 3)])
     @pytest.mark.parametrize("seed", range(4))
@@ -369,6 +370,46 @@ class TestUnitaryEquivalence:
         assert result.residual <= 1e-8
         v = result.V
         assert frob_norm(v.conj().T @ v - np.eye(3)) <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(28, 2), (36, 4), (66, 4), (496, 2), (28, 24)])
+    def test_polish_operator_matches_the_coupling_sum(self, shape):
+        m, n = shape
+        rng = np.random.default_rng([71, m, n])
+        w = rng.uniform(0.5, 1.5, size=m)
+        mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        tmats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        v = sampling.random_unitary(n, rng)
+        expected = np.einsum("a,aik,kl,alj->ij", w, mats, v, tmats, optimize=True)
+        got = (eq._polish_operator(w, mats, tmats) @ v.ravel()).reshape(n, n)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    def test_polish_reports_why_it_stopped(self):
+        rng = np.random.default_rng(1000)
+        ms = sampling.random_moment_system(2, 4, 3, rng)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(3, rng))
+        polish = eq.test_unitary_equivalence(ms, mt, 1e-8).polish
+        assert polish.exit == "converged" and 1 <= polish.iterations < 500
+        # each index moved by its own unitary: spectra match, no common V
+        grams = {}
+        for alpha in ms.truncation():
+            g = ms.gram(alpha)
+            u = sampling.random_unitary(3, rng)
+            grams[alpha] = hermpd(u.conj().T @ g.matrix @ u, g.logscale)
+        control = sc.MomentSystem(2, 4, 3, grams)
+        result = eq.test_unitary_equivalence(ms, control, 1e-8, polish_iterations=5)
+        assert not result.equivalent
+        assert result.polish == eq.PolishSummary("iteration cap", 5)
+        witnessed = eq.test_unitary_equivalence(ms, sampling.scaled_system(ms, 1.0), 1e-8)
+        assert witnessed.witness is not None and witnessed.polish is None
+
+    def test_polish_stops_on_a_rank_deficient_coupling(self):
+        mats = np.zeros((3, 2, 2), dtype=np.complex128)
+        mats[:, 0, 0] = [1.0, 2.0, 3.0]
+        logs = np.zeros(3)
+        v, polish = eq._recover_congruence_unitary(mats, logs, mats, logs,
+                                                   np.random.default_rng(0), 10)
+        assert polish == eq.PolishSummary("rank-deficient coupling", 1)
+        assert frob_norm(v.conj().T @ v - np.eye(2)) <= 1e-12
 
     def test_unitary_implies_similarity(self):
         rng = np.random.default_rng(31)
