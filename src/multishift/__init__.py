@@ -36,7 +36,6 @@ from .numerics import (
     hermpd,
     inv_pd,
     inv_sqrt_pd,
-    pencil_eigs,
     pencil_logeigs,
     polar_unitary,
     sqrt_pd,

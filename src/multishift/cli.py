@@ -26,7 +26,7 @@ from . import equivalence as eq
 from . import kernelgen as kg
 from . import sampling
 from . import serialization as ser
-from .lattice import Truncation, degree
+from .lattice import _truncation, degree
 from .numerics import LinAlgError, hermpd, singular_range
 from .serialization import SchemaError
 from .shiftcore import (
@@ -118,8 +118,7 @@ def _kernel_from_spec(spec: dict, path: str, top_degree: int | None):
         if not isinstance(n_res, int) or isinstance(n_res, bool) or n_res < 0:
             raise SchemaError(f"{path}.N", "expected a non-negative integer")
         pair = kg.PochhammerPair(float(spec["lambda"]), float(spec["mu"]))
-        kspec, _ = kg.pochhammer_kernel(pair, d, n_res)
-        return kspec
+        return kg.pochhammer_kernel(pair, d, n_res)
     if stype == "homogeneous":
         d = spec.get("d", 2)
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
@@ -444,7 +443,7 @@ def gen_perturb(args) -> dict:
         )
     else:
         rng = np.random.default_rng(args.seed)
-        for alpha in Truncation(args.d, args.N):
+        for alpha in _truncation(args.d, args.N):
             if degree(alpha) <= args.max_degree:
                 replacements[alpha] = sampling.random_pd(kernel.fiber_dim, rng)
     _, cert = kg.perturb_kernel(kernel, replacements)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Truncation, degree, shifted, simplex_size
+from .lattice import Truncation, _truncation, degree, shifted, simplex_size
 from .numerics import (
     LinAlgError,
     as_complex_matrix,
@@ -246,12 +246,14 @@ class SearchStage(NamedTuple):
 
 
 class SearchSummary(NamedTuple):
-    """Which start optimize_C descended from and how its two stages ended."""
+    """Which start optimize_C descended from, how its two stages ended, and
+    how many joint classes (rows of the reduced pair) it searched over."""
 
     start: str
     start_evaluations: int
     unitary: SearchStage
     refine: SearchStage
+    classes: int
 
 
 class _Eval(NamedTuple):
@@ -535,9 +537,24 @@ def _descend(objective: _Objective, stage, point, ev: _Eval, iterations: int,
     return SearchStage(reason, steps, objective.evaluations - first)
 
 
+_EXP_FLOOR = -746.0  # exp() of this or less is 0 in double precision
+
+
+def _log_offsets(logs: np.ndarray) -> np.ndarray:
+    """logs - max(logs), clamped at _EXP_FLOOR where exp() already gives 0.
+
+    The subtraction runs only above the floor, so logscales that span past
+    the float range cannot overflow it; every exp() of the result is the
+    exp() of the plain difference.
+    """
+    top = logs.max()
+    return np.subtract(logs, top, out=np.full_like(logs, _EXP_FLOOR),
+                       where=logs >= top + _EXP_FLOOR)
+
+
 def _combination(weights, mats, logs) -> np.ndarray:
     """sum_alpha weights[alpha] G_alpha, scaled by exp(-max logscale)."""
-    w = weights * np.exp(logs - logs.max())
+    w = weights * np.exp(_log_offsets(logs))
     return (w[:, None, None] * mats).sum(axis=0)
 
 
@@ -606,7 +623,8 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
     else:
         v = np.eye(n, dtype=np.complex128)
 
-    w = t1 * np.exp((logs - logs.max()) + (tlogs - tlogs.max()))
+    # both offsets are clamped, so their sum cannot overflow either
+    w = t1 * np.exp(_log_offsets(logs) + _log_offsets(tlogs))
     op = _polish_operator(w, mats, tmats)
     reason, iterations = "iteration cap", 0
     for iterations in range(1, polish_iterations + 1):
@@ -620,6 +638,13 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
             break
         v = v_next
     return v, PolishSummary(reason, iterations)
+
+
+def _joint_rows(classes: np.ndarray, tclasses: np.ndarray) -> np.ndarray:
+    """The first row, in graded order, of each joint class of a pair: each
+    distinct (class, target class) of the two class maps."""
+    key = classes.astype(np.int64) * (int(tclasses.max()) + 1) + tclasses
+    return np.sort(np.unique(key, return_index=True)[1])
 
 
 def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
@@ -639,12 +664,18 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     eps-active bundles (see _descend). The best certificate seen anywhere is
     returned, with a SearchSummary of the search; the result is never worse
     than the stage (a) initialization; deterministic for a fixed seed.
+
+    Every stage runs on one row per joint class of the pair (_joint_rows):
+    the rows of a joint class share both matrices and, up to rounding, the
+    logscale difference (see GradedFamily), so their pencils coincide. The
+    returned constants come from the full lattice (sandwich_certificate).
     """
     _require_same_shape(ms, mt)
     rng = np.random.default_rng(seed)
     n = ms.fiber_dim
-    mats, logs = ms.mats, ms.logs
-    tmats, tlogs = mt.mats, mt.logs
+    rows = _joint_rows(ms.classes, mt.classes)
+    mats, logs = ms.mats[rows], ms.logs[rows]
+    tmats, tlogs = mt.mats[rows], mt.logs[rows]
     objective = _Objective(mats, logs, tmats, tlogs)
     zero = (0,) * ms.d
     left = inv_sqrt_pd(ms.gram(zero))
@@ -693,7 +724,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     refine_stage = _descend(objective, _RefineStage(), best.c, best, refine_iterations)
     return dataclasses.replace(
         sandwich_certificate(ms, mt, objective.best.c),
-        search=SearchSummary(label, starts, unitary_stage, refine_stage),
+        search=SearchSummary(label, starts, unitary_stage, refine_stage, len(logs)),
     )
 
 
@@ -703,7 +734,11 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
 
 @dataclass(frozen=True)
 class GrowthDiagnostic:
-    """Optimal sandwich ratios per degree and their log-log growth slope."""
+    """Optimal sandwich ratios per degree and their log-log growth slope.
+
+    classes holds, per degree, the joint class count the search ran on, and
+    residuals each log ratio minus the fitted line at its degree.
+    """
 
     degrees: tuple
     log_ratios: tuple
@@ -711,6 +746,8 @@ class GrowthDiagnostic:
     intercept: float
     r_squared: float
     verdict: str
+    classes: tuple
+    residuals: tuple
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -744,18 +781,18 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
     if sorted(degrees) != degrees or len(set(degrees)) != len(degrees) or degrees[0] < 1:
         raise ValueError("degrees must be strictly ascending positive integers")
 
-    def run(top_degree: int) -> float:
+    def run(top_degree: int) -> SimilarityCertificate:
         ms, mt = pair_generator(top_degree)
-        return optimize_C(ms, mt, seed=seed).log_ratio
+        return optimize_C(ms, mt, seed=seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            ratios = list(pool.map(run, degrees))
+            certs = list(pool.map(run, degrees))
     else:
-        ratios = [run(x) for x in degrees]
+        certs = [run(x) for x in degrees]
 
     x = np.log(np.array(degrees, dtype=np.float64))
-    y = np.array(ratios, dtype=np.float64)
+    y = np.array([c.log_ratio for c in certs], dtype=np.float64)
     slope, intercept, r2 = _fit_line(x, y)
     if abs(slope) <= slope_eps and y.max() <= math.log(ratio_cap):
         verdict = VERDICT_SIMILAR
@@ -770,6 +807,8 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
         intercept=intercept,
         r_squared=r2,
         verdict=verdict,
+        classes=tuple(c.search.classes for c in certs),
+        residuals=tuple(float(v) for v in y - (intercept + slope * x)),
     )
 
 
@@ -875,7 +914,7 @@ class IntertwinerMatrix:
     matrix: np.ndarray
 
     def truncation(self) -> Truncation:
-        return Truncation(self.d, self.N)
+        return _truncation(self.d, self.N)
 
     def block(self, row_alpha, col_alpha) -> np.ndarray:
         trunc = self.truncation()

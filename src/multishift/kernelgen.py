@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import SimilarityCertificate
-from .lattice import Truncation, degree, shifted, simplex_size
+from .lattice import _truncation, degree, shifted, simplex_size
 from .numerics import (
     HermPD,
     hermpd_from_log_diag_batch,
@@ -31,13 +31,14 @@ PROVENANCE_TAGS = ("pochhammer", "homogeneous", "perturbed", "explicit")
 
 class KernelSpec(GradedFamily):
     """Diagonal reproducing kernel data: coefficients alpha -> C_alpha (PD), stored
-    as graded stacks like MomentSystem; coeff(alpha) is a HermPD view of one row."""
+    as graded stacks like MomentSystem; coeff(alpha) is a HermPD view of one row.
+    The generators below build one class per degree (see GradedFamily)."""
 
     def __init__(self, d: int, N: int, fiber_dim: int, mats, logs,
-                 provenance: str = "explicit"):
+                 provenance: str = "explicit", classes=None):
         if provenance not in PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {provenance!r}")
-        super().__init__(d, N, fiber_dim, mats, logs)
+        super().__init__(d, N, fiber_dim, mats, logs, classes)
         self.provenance = provenance
 
     coeff = GradedFamily.row
@@ -70,33 +71,38 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def _graded_log_factorials(trunc: Truncation):
+def _graded_log_factorials(d: int, top_degree: int):
     """|alpha| and log(alpha!) per row of the truncation, and log(m!) per degree m."""
-    idx = np.array(trunc.indices, dtype=np.int64).reshape(len(trunc), trunc.d)
-    lf = np.array([log_factorial(m) for m in range(trunc.N + 1)])
+    idx = _truncation(d, top_degree).array
+    lf = np.array([log_factorial(m) for m in range(top_degree + 1)])
     # cumsum adds strictly left to right, so each row is sum(lgamma(a + 1)) to the bit
     return idx.sum(axis=1), np.cumsum(lf[idx], axis=1)[:, -1], lf
 
 
 def kernel_moments(spec: KernelSpec) -> MomentSystem:
-    """Moments G_alpha = C_alpha^{-1}, the whole stack inverted in the log domain."""
-    mats, logs = inv_pd_batch(spec.mats, spec.logs)
-    return MomentSystem.from_arrays(spec.d, spec.N, spec.fiber_dim, mats, logs)
+    """Moments G_alpha = C_alpha^{-1}, inverted in the log domain once per class.
 
-
-def pochhammer_kernel(pair: PochhammerPair, d: int, top_degree: int):
-    """KernelSpec and MomentSystem of the diagonal Pochhammer kernel.
-
-    C_alpha = diag((lam)_{|alpha|}, (mu)_{|alpha|}) / alpha!, and the moments
-    are the inverse diagonal, both assembled in the log domain.
+    A row's moment logscale is minus its coefficient logscale plus its class's
+    balancing shift, the same sum inverting the row on its own would give.
     """
-    deg, lfact, _ = _graded_log_factorials(Truncation(d, top_degree))
+    mats, shift = inv_pd_batch(spec.class_mats, np.zeros(len(spec.class_mats)))
+    return MomentSystem.from_arrays(spec.d, spec.N, spec.fiber_dim, mats,
+                                    shift[spec.classes] - spec.logs, spec.classes)
+
+
+def pochhammer_kernel(pair: PochhammerPair, d: int, top_degree: int) -> KernelSpec:
+    """KernelSpec of the diagonal Pochhammer kernel, one class per degree.
+
+    C_alpha = diag((lam)_{|alpha|}, (mu)_{|alpha|}) / alpha!, assembled in the
+    log domain: degree m's class holds the balanced diag((lam)_m, (mu)_m), and
+    each row's logscale subtracts log(alpha!) from its class's.
+    """
     by_degree = np.array([[log_pochhammer(pair.lam, m), log_pochhammer(pair.mu, m)]
                           for m in range(top_degree + 1)])
-    logs = by_degree[deg] - lfact[:, None]
-    return (KernelSpec(d, top_degree, 2, *hermpd_from_log_diag_batch(logs),
-                       provenance="pochhammer"),
-            MomentSystem.from_arrays(d, top_degree, 2, *hermpd_from_log_diag_batch(-logs)))
+    mats, logs = hermpd_from_log_diag_batch(by_degree)
+    deg, lfact, _ = _graded_log_factorials(d, top_degree)
+    return KernelSpec(d, top_degree, 2, mats, logs[deg] - lfact,
+                      provenance="pochhammer", classes=deg)
 
 
 def pochhammer_ground_truth(pair: PochhammerPair, other: PochhammerPair) -> bool:
@@ -110,8 +116,9 @@ def pochhammer_ground_truth(pair: PochhammerPair, other: PochhammerPair) -> bool
 def homogeneous_kernel(coeffs_by_degree, d: int) -> KernelSpec:
     """Unitary-group homogeneous kernel: C_alpha = (|alpha|!/alpha!) A_{|alpha|}.
 
-    coeffs_by_degree lists A_0..A_N as HermPDs of one shared dimension; the
-    multinomial factor rides in the logscale.
+    coeffs_by_degree lists A_0..A_N as HermPDs of one shared dimension, one
+    class per degree; the multinomial factor rides in the logscale: degree m's
+    class is m! A_m, and each row subtracts log(alpha!) from it.
     """
     coeffs_by_degree = list(coeffs_by_degree)
     if not coeffs_by_degree:
@@ -123,11 +130,11 @@ def homogeneous_kernel(coeffs_by_degree, d: int) -> KernelSpec:
         if a.dim != n:
             raise ValueError(f"A_{m} has dimension {a.dim}, expected {n}")
     top = len(coeffs_by_degree) - 1
-    deg, lfact, lf = _graded_log_factorials(Truncation(d, top))
+    deg, lfact, lf = _graded_log_factorials(d, top)
     mats = np.stack([a.matrix for a in coeffs_by_degree])
-    logs = np.array([a.logscale for a in coeffs_by_degree])
-    return KernelSpec(d, top, n, mats[deg], logs[deg] + (lf[deg] - lfact),
-                      provenance="homogeneous")
+    logs = np.array([a.logscale for a in coeffs_by_degree]) + lf
+    return KernelSpec(d, top, n, mats, logs[deg] - lfact,
+                      provenance="homogeneous", classes=deg)
 
 
 def perturb_kernel(spec: KernelSpec, replacements: dict):
@@ -137,10 +144,12 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     largest replaced degree). The certificate is (C = I, m1 = min{1, c1},
     m2 = max{1, c2}) with c1 = min 1/||C_a^{-1/2} D_a C_a^{-1/2}|| and
     c2 = max ||C_a^{1/2} D_a^{-1} C_a^{1/2}|| over |alpha| <= n0, evaluated as
-    extreme generalized eigenvalues of the pencils (D_a, C_a).
+    extreme generalized eigenvalues of the pencils (D_a, C_a). Each replaced
+    index becomes a class of its own.
     """
     trunc = spec.truncation()
-    mats, logs = spec.mats.copy(), spec.logs.copy()
+    logs, classes = spec.logs.copy(), spec.classes.copy()
+    extra = []
     n0 = -1  # the largest replaced degree
     for alpha, dmat in replacements.items():
         alpha = tuple(alpha)
@@ -149,14 +158,18 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
         if not isinstance(dmat, HermPD) or dmat.dim != spec.fiber_dim:
             raise ValueError(f"replacement at {alpha} is not an n x n HermPD")
         k = trunc.position(alpha)
-        mats[k], logs[k] = dmat.matrix, dmat.logscale
+        classes[k], logs[k] = len(spec.class_mats) + len(extra), dmat.logscale
+        extra.append(dmat.matrix)
         n0 = max(n0, degree(alpha))
-    perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, mats, logs,
-                           provenance="perturbed")
+    class_mats = np.concatenate([spec.class_mats, np.reshape(
+        extra, (len(extra), spec.fiber_dim, spec.fiber_dim))])
+    perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, class_mats, logs,
+                           provenance="perturbed", classes=classes)
     lo, hi = [0.0], [0.0]
     if n0 >= 0:
         k0 = simplex_size(spec.d, n0)
-        lo, hi = pencil_logrange_batch(mats[:k0], logs[:k0], spec.mats[:k0], spec.logs[:k0])
+        lo, hi = pencil_logrange_batch(perturbed.mats[:k0], logs[:k0],
+                                       spec.mats[:k0], spec.logs[:k0])
     cert = SimilarityCertificate(
         C=np.eye(spec.fiber_dim, dtype=np.complex128),
         log_m1=min(0.0, -float(np.max(hi))),

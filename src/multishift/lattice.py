@@ -9,9 +9,12 @@ downward closed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 MultiIndex = tuple
 
@@ -34,26 +37,23 @@ def enumerate_indices(d: int, top_degree: int) -> list[MultiIndex]:
     """All alpha in N^d with |alpha| <= top_degree, graded-lexicographic.
 
     Ascending total degree, ties broken lexicographically ascending; length
-    is binomial(top_degree + d, d).
+    is binomial(top_degree + d, d). Built without recursion: the simplex is
+    grown one coordinate at a time in lexicographic order (every prefix in
+    turn, followed by each value its remaining degree allows), then stably
+    sorted by degree.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if top_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {top_degree}")
-    out = []
-    for deg in range(top_degree + 1):
-        out.extend(_compositions(d, deg))
-    return out
-
-
-def _compositions(d: int, deg: int):
-    """All d-tuples summing to deg, lexicographically ascending."""
-    if d == 1:
-        yield (deg,)
-        return
-    for first in range(deg + 1):
-        for rest in _compositions(d - 1, deg - first):
-            yield (first,) + rest
+    idx = np.arange(top_degree + 1)[:, None]
+    for _ in range(d - 1):
+        room = top_degree + 1 - idx.sum(axis=1)  # values the next coordinate may take
+        starts = np.cumsum(room) - room
+        idx = np.column_stack((np.repeat(idx, room, axis=0),
+                               np.arange(room.sum()) - np.repeat(starts, room)))
+    idx = idx[np.argsort(idx.sum(axis=1), kind="stable")]
+    return list(zip(*idx.T.tolist()))
 
 
 def monotone_path(alpha: MultiIndex) -> list[tuple[MultiIndex, int]]:
@@ -118,3 +118,17 @@ class Truncation:
         return itertools.takewhile(
             lambda a: degree(a) <= self.N - margin, self.indices
         )
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The indices as a read-only (m, d) integer array, in graded order."""
+        out = np.array(self.indices, dtype=np.int64).reshape(len(self), self.d)
+        out.flags.writeable = False
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def _truncation(d: int, top_degree: int) -> Truncation:
+    """The Truncation of (d, top_degree), built once: families, weight systems
+    and operators of one shape share it (it is never mutated)."""
+    return Truncation(d, top_degree)

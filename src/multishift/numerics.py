@@ -465,11 +465,6 @@ def pencil_logeigs(a: HermPD, b: HermPD) -> np.ndarray:
     return np.log(eigs) + (a.logscale - b.logscale)
 
 
-def pencil_eigs(a: HermPD, b: HermPD) -> np.ndarray:
-    """Generalized eigenvalues of the definite pencil (A, B), ascending, all > 0."""
-    return np.exp(pencil_logeigs(a, b))
-
-
 def pencil_eig_batch(a_mats, b_mats) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the stacked definite pencils A x = lambda B x.
 

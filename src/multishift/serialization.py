@@ -24,7 +24,7 @@ from .equivalence import (
     UnitaryEquivalenceResult,
     VerificationReport,
 )
-from .lattice import Truncation
+from .lattice import _truncation
 from .numerics import HermPD, hermpd, hermpd_batch
 from .shiftcore import MomentSystem, ValidationReport, WeightSystem
 
@@ -168,7 +168,7 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
             raise SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {len(mat)}")
         mats.append(mat)
         logs.append(logscale)
-    trunc = Truncation(d, top)
+    trunc = _truncation(d, top)
     missing = [alpha for alpha in trunc if alpha not in rows]
     if missing:
         raise SchemaError(f"{path}.grams", f"missing Gram matrix at alpha={missing[0]}")
@@ -252,8 +252,10 @@ def growth_to_json(diag: GrowthDiagnostic) -> dict:
         "intercept": diag.intercept,
         "r_squared": diag.r_squared,
         "table": [
-            {"degree": int(n), "log_ratio": float(r)}
-            for n, r in zip(diag.degrees, diag.log_ratios)
+            {"degree": int(n), "log_ratio": float(r), "classes": int(k),
+             "residual": float(e)}
+            for n, r, k, e in zip(diag.degrees, diag.log_ratios, diag.classes,
+                                  diag.residuals)
         ],
     }
 

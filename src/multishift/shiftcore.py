@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import Truncation, degree, shifted
+from .lattice import Truncation, _truncation, degree, shifted
 from .numerics import (
     HermPD,
     frob_norm,
@@ -57,7 +57,7 @@ class WeightSystem:
                     raise ValueError(f"weight at {key} has shape {w.shape}")
 
     def truncation(self) -> Truncation:
-        return Truncation(self.d, self.N)
+        return _truncation(self.d, self.N)
 
     def weight(self, alpha, j) -> np.ndarray:
         return self.weights[(tuple(alpha), j)]
@@ -66,20 +66,37 @@ class WeightSystem:
 class GradedFamily:
     """A PD family alpha -> exp(logs[k]) mats[k] on |alpha| <= N, k the graded rank.
 
-    mats (m, n, n) holds the balanced matrices and logs (m,) their logscales;
-    both are made read-only, and one row is read as a HermPD view.
+    The rows fall into classes: classes (m,) maps each row to a row of the
+    class stack class_mats (c, n, n), and mats (m, n, n) is that stack
+    gathered, so the rows of one class share one balanced matrix bit for bit;
+    logs (m,) holds every row's logscale. The kernel generators number the
+    degrees as classes: there a row's logscale differs from its class's by
+    -log alpha! (kernel coefficients) or +log alpha! (moments), so the
+    pencils of a pair of such families depend on the degree alone. A family
+    given row by row has the identity map. The stacks are made read-only,
+    and one row is read as a HermPD view.
     """
 
-    def __init__(self, d: int, N: int, fiber_dim: int, mats, logs):
+    def __init__(self, d: int, N: int, fiber_dim: int, mats, logs, classes=None):
+        """mats holds one balanced matrix per row, or per class when classes is given."""
         self.d, self.N, self.fiber_dim = d, N, fiber_dim
-        self._trunc = Truncation(d, N)
-        self.mats = np.ascontiguousarray(mats, dtype=np.complex128)
-        self.logs = np.ascontiguousarray(logs, dtype=np.float64)
+        self._trunc = _truncation(d, N)
         m = len(self._trunc)
-        if self.mats.shape != (m, fiber_dim, fiber_dim) or self.logs.shape != (m,):
-            raise ValueError(f"expected ({m}, {fiber_dim}, {fiber_dim}) and ({m},) stacks, "
-                             f"got {self.mats.shape}, {self.logs.shape}")
-        self.mats.flags.writeable = self.logs.flags.writeable = False
+        self.class_mats = np.ascontiguousarray(mats, dtype=np.complex128)
+        self.logs = np.ascontiguousarray(logs, dtype=np.float64)
+        c = len(self.class_mats)
+        identity = classes is None
+        self.classes = np.arange(c) if identity else np.ascontiguousarray(classes, dtype=np.intp)
+        if (self.class_mats.shape[1:] != (fiber_dim, fiber_dim) or self.logs.shape != (m,)
+                or self.classes.shape != (m,)):
+            raise ValueError(f"expected ({m}, {fiber_dim}, {fiber_dim}) or class stacks and "
+                             f"({m},) logscales and classes, got {self.class_mats.shape}, "
+                             f"{self.logs.shape}, {self.classes.shape}")
+        if m and (self.classes.min() < 0 or self.classes.max() >= c):
+            raise ValueError(f"class map points outside the {c} classes")
+        self.mats = self.class_mats if identity else self.class_mats[self.classes]
+        for arr in (self.class_mats, self.mats, self.logs, self.classes):
+            arr.flags.writeable = False
 
     def truncation(self) -> Truncation:
         return self._trunc
@@ -97,7 +114,7 @@ class MomentSystem(GradedFamily):
     def __init__(self, d: int, N: int, fiber_dim: int, grams):
         """From a mapping alpha -> HermPD that covers the truncation."""
         rows = []
-        for alpha in Truncation(d, N):
+        for alpha in _truncation(d, N):
             g = grams.get(alpha)
             if g is None:
                 raise ValueError(f"missing Gram matrix at alpha={alpha}")
@@ -108,10 +125,12 @@ class MomentSystem(GradedFamily):
                          [g.logscale for g in rows])
 
     @classmethod
-    def from_arrays(cls, d: int, N: int, fiber_dim: int, mats, logs) -> "MomentSystem":
-        """From balanced stacks in graded order (hermpd_batch output), kept uncopied."""
+    def from_arrays(cls, d: int, N: int, fiber_dim: int, mats, logs,
+                    classes=None) -> "MomentSystem":
+        """From balanced stacks in graded order (hermpd_batch output), kept uncopied;
+        mats is the class stack when classes is given (see GradedFamily)."""
         out = cls.__new__(cls)
-        GradedFamily.__init__(out, d, N, fiber_dim, mats, logs)
+        GradedFamily.__init__(out, d, N, fiber_dim, mats, logs, classes)
         return out
 
     gram = GradedFamily.row
@@ -139,7 +158,7 @@ class TruncatedMz:
     min_singular_value: float
 
     def full_matrix(self) -> np.ndarray:
-        trunc = Truncation(self.d, self.N)
+        trunc = _truncation(self.d, self.N)
         n = self.fiber_dim
         dim = n * len(trunc)
         out = np.zeros((dim, dim), dtype=np.complex128)

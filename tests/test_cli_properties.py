@@ -8,9 +8,11 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -126,3 +128,28 @@ def test_run_is_total_on_mutated_problems(problem):
         assert "Traceback" not in err.getvalue()
         if code == 0:
             json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+def _both_systems(problem, grams_index, logscale):
+    for k in (0, 1):
+        problem = _replace(problem, ("systems", k, "grams", grams_index, "logscale"), logscale)
+    return problem
+
+
+# found by the test above: equal extreme logscales in both families reach the
+# unitary polish, whose weights overflowed; the second spans past the float range
+@pytest.mark.parametrize("problem", [
+    _both_systems(BASES[1], 0, 1e308),
+    _both_systems(BASES[1], 0, -1e308),
+    _both_systems(_both_systems(BASES[1], 0, 1e308), 1, -1e308),
+])
+def test_extreme_logscales_raise_no_numpy_warning(problem):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path, out = Path(tmp) / "p.json", Path(tmp) / "r.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
+        assert code == 0, err.getvalue()
+        json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)

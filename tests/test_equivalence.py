@@ -22,8 +22,7 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 def pochhammer_moments(lam, mu, d=2, top=10):
-    _, ms = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), d, top)
-    return ms
+    return kg.kernel_moments(kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), d, top))
 
 
 def pochhammer_pair_generator(lam, mu, lam2, mu2, d=2):
@@ -89,7 +88,8 @@ class TestVerifyCertificate:
         assert report.worst_upper_margin >= -1e-14
 
     def test_perturbation_certificate(self):
-        spec, base = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 10)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 10)
+        base = kg.kernel_moments(spec)
         rng = np.random.default_rng(7)
         reps = {(0, 0): sampling.random_pd(2, rng), (0, 1): sampling.random_pd(2, rng)}
         perturbed, cert = kg.perturb_kernel(spec, reps)
@@ -221,9 +221,9 @@ def certify_random_pair(name):
         rng = np.random.default_rng([2401, i])
         ms = sampling.random_moment_system(d, top, n, rng)
         return ms, sampling.random_moment_system(d, top, n, rng), i
-    base, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 30)
+    base = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 30)
     if name == "swap":
-        other, _ = kg.pochhammer_kernel(kg.PochhammerPair(2, 1), 2, 30)
+        other = kg.pochhammer_kernel(kg.PochhammerPair(2, 1), 2, 30)
     else:
         factor = float(np.random.default_rng([2401, 1]).uniform(0.25, 4.0))
         other, _ = kg.perturb_kernel(base, {(0, 0): hermpd(factor * np.eye(2))})
@@ -342,6 +342,96 @@ class TestGrowthDiagnostic:
         threaded = eq.growth_diagnostic(gen, [6, 8, 10, 12], seed=0, threads=4)
         assert serial.log_ratios == threaded.log_ratios
         assert serial.slope == threaded.slope
+
+
+def degree_class_pair(kind, d, top):
+    """A moment pair whose families carry degree classes, fibre 2."""
+    rng = np.random.default_rng([d, top, len(kind)])
+
+    def homogeneous():
+        return kg.homogeneous_kernel([sampling.random_pd(2, rng) for _ in range(top + 1)], d)
+
+    poch = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), d, top)
+    if kind == "pochhammer/pochhammer":
+        pair = (poch, kg.pochhammer_kernel(kg.PochhammerPair(1, 3), d, top))
+    elif kind == "homogeneous/homogeneous":
+        pair = (homogeneous(), homogeneous())
+    elif kind == "pochhammer/homogeneous":
+        pair = (poch, homogeneous())
+    else:  # perturbed/pochhammer
+        reps = {alpha: sampling.random_pd(2, rng)
+                for alpha in poch.truncation() if sum(alpha) <= 2}
+        pair = (kg.perturb_kernel(poch, reps)[0], poch)
+    return kg.kernel_moments(pair[0]), kg.kernel_moments(pair[1])
+
+
+def objective_gap(ms, mt, cs, classes=None, tclasses=None):
+    """max over cs of |class-reduced objective - full-lattice objective|; the
+    reduction takes the pair's class maps unless others are given."""
+    rows = eq._joint_rows(ms.classes if classes is None else classes,
+                          mt.classes if tclasses is None else tclasses)
+    full = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+    reduced = eq._Objective(ms.mats[rows], ms.logs[rows], mt.mats[rows], mt.logs[rows])
+    return max(abs(reduced(c).value - full(c).value) for c in cs)
+
+
+def random_cs(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(count)]
+
+
+PAIR_KINDS = ["pochhammer/pochhammer", "homogeneous/homogeneous",
+              "pochhammer/homogeneous", "perturbed/pochhammer"]
+
+
+class TestDegreeClasses:
+    @pytest.mark.parametrize("d,top", [(2, 10), (3, 6)])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_reduced_objective_equals_full_lattice(self, kind, d, top):
+        ms, mt = degree_class_pair(kind, d, top)
+        rows = eq._joint_rows(ms.classes, mt.classes)
+        # perturbed: every index of degree <= 2 is a class of its own
+        extra = simplex_size(d, 2) - 3 if kind.startswith("perturbed") else 0
+        assert len(rows) == top + 1 + extra < simplex_size(d, top)
+        assert objective_gap(ms, mt, random_cs(2, 8, d)) <= 1e-12
+
+    def test_merged_degrees_fail_the_equality(self):
+        # mutation check: a map that folds the degree holding the objective's
+        # extreme into the degree below it drops that degree's pencil
+        ms, mt = degree_class_pair("homogeneous/homogeneous", 2, 10)
+        cs = random_cs(2, 8, 2)
+        lo, hi = pencil_logrange_batch(mt.mats, mt.logs, eq._congruence_stack(ms.mats, cs[0]),
+                                       ms.logs)
+        extreme = [int(ms.classes[np.argmax(hi)]), int(ms.classes[np.argmin(lo)])]
+        drop = max(extreme)
+        assert drop > 0
+        merged = np.where(ms.classes == drop, drop - 1, ms.classes)
+        assert objective_gap(ms, mt, cs, merged, merged) > 1e-12
+
+    @pytest.mark.parametrize("name", ["random0", "random4", "swap", "perturb"])
+    def test_reduced_search_matches_full_lattice_search(self, name, monkeypatch):
+        ms, mt, seed = certify_random_pair(name)
+        reduced = eq.optimize_C(ms, mt, seed=seed)
+        monkeypatch.setattr(eq, "_joint_rows", lambda a, b: slice(None))
+        full = eq.optimize_C(ms, mt, seed=seed)
+        if name.startswith("random"):
+            # explicit pairs carry the identity map: the reduction changes no bit
+            assert reduced.search.classes == len(ms.truncation())
+            assert reduced.C.tobytes() == full.C.tobytes()
+            assert (reduced.log_m1, reduced.log_m2) == (full.log_m1, full.log_m2)
+        else:
+            # perturb replaces only the zero index, already a class of its own
+            assert reduced.search.classes == ms.N + 1
+            assert abs(reduced.log_ratio - full.log_ratio) <= 1e-12
+
+    def test_growth_table_counts_classes_and_residuals(self):
+        degrees = [6, 8, 10, 12]
+        diag = eq.growth_diagnostic(pochhammer_pair_generator(1, 2, 1, 3), degrees, seed=0)
+        assert diag.classes == tuple(x + 1 for x in degrees)
+        fit = diag.intercept + diag.slope * np.log(np.array(degrees, dtype=np.float64))
+        assert np.allclose(diag.residuals, np.array(diag.log_ratios) - fit, rtol=0, atol=1e-15)
+        assert abs(sum(diag.residuals)) <= 1e-12
 
 
 class TestUnitaryEquivalence:

@@ -21,15 +21,25 @@ def log_alpha_factorial(alpha):
 
 
 def per_index_pochhammer(pair, d, top):
-    """Coefficients and moments built one lattice index at a time."""
-    coeffs, grams = {}, {}
+    """Coefficients built one lattice index at a time: the balanced diagonal of
+    degree |alpha|, with log(alpha!) taken off its logscale."""
+    return {
+        alpha: log_diag(np.array([kg.log_pochhammer(pair.lam, degree(alpha)),
+                                  kg.log_pochhammer(pair.mu, degree(alpha))])
+                        ).logscaled(-log_alpha_factorial(alpha))
+        for alpha in Truncation(d, top)
+    }
+
+
+def per_row_pochhammer(pair, d, top):
+    """The earlier per-row formula: log(alpha!) is subtracted from both diagonal
+    logs before the row is balanced."""
+    coeffs = {}
     for alpha in Truncation(d, top):
         m, lfact = degree(alpha), log_alpha_factorial(alpha)
-        logs = np.array([kg.log_pochhammer(pair.lam, m) - lfact,
-                         kg.log_pochhammer(pair.mu, m) - lfact])
-        coeffs[alpha] = log_diag(logs)
-        grams[alpha] = log_diag(-logs)
-    return coeffs, grams
+        coeffs[alpha] = log_diag(np.array([kg.log_pochhammer(pair.lam, m) - lfact,
+                                           kg.log_pochhammer(pair.mu, m) - lfact]))
+    return coeffs
 
 
 def log_diag(logs):
@@ -38,6 +48,16 @@ def log_diag(logs):
 
 
 def per_index_homogeneous(by_degree, d):
+    """m! A_m at degree m, with log(alpha!) taken off its logscale."""
+    return {
+        alpha: by_degree[degree(alpha)].logscaled(kg.log_factorial(degree(alpha)))
+        .logscaled(-log_alpha_factorial(alpha))
+        for alpha in Truncation(d, len(by_degree) - 1)
+    }
+
+
+def per_row_homogeneous(by_degree, d):
+    """The earlier per-row formula: the multinomial factor added as one log."""
     return {
         alpha: by_degree[degree(alpha)].logscaled(
             kg.log_factorial(degree(alpha)) - log_alpha_factorial(alpha))
@@ -52,6 +72,22 @@ def assert_rows_equal(family, get, reference):
         got = get(alpha)
         assert got.matrix.tobytes() == want.matrix.tobytes(), alpha
         assert np.float64(got.logscale).tobytes() == np.float64(want.logscale).tobytes(), alpha
+
+
+def assert_rows_close(family, get, reference, rtol=1e-14):
+    """Every represented row agrees with the reference to rtol, relative."""
+    assert list(reference) == list(family.truncation())
+    for alpha, want in reference.items():
+        got = get(alpha)
+        diff = math.exp(got.logscale - want.logscale) * got.matrix - want.matrix
+        assert np.abs(diff).max() <= rtol * np.abs(want.matrix).max(), alpha
+
+
+def assert_degree_classes(family):
+    """Rows of one degree share one class, and the class is that degree."""
+    degrees = [degree(alpha) for alpha in family.truncation()]
+    assert family.classes.tolist() == degrees
+    assert len(family.class_mats) == family.N + 1
 
 
 class TestLogPochhammer:
@@ -81,29 +117,32 @@ class TestLogPochhammer:
 
 class TestPochhammerKernel:
     def test_hardy_case(self):
-        spec, ms = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 1.0), 1, 5)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 1.0), 1, 5)
+        ms = kg.kernel_moments(spec)
         for k in range(6):
             assert np.allclose(spec.coeff((k,)).value(), np.eye(2), atol=1e-14)
             assert np.allclose(ms.gram((k,)).value(), np.eye(2), atol=1e-14)
 
     def test_bergman_first_entry(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(2.0, 1.0), 1, 6)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(2.0, 1.0), 1, 6)
         for k in range(7):
             assert spec.coeff((k,)).value()[0, 0].real == pytest.approx(k + 1.0, rel=1e-13)
 
     def test_two_dim_entry(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 4.0), 2, 3)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 4.0), 2, 3)
         # (1)_2 / (1! 1!) = 2
         assert spec.coeff((1, 1)).value()[0, 0].real == pytest.approx(2.0, rel=1e-13)
 
     def test_moments_invert_coefficients(self):
-        spec, ms = kg.pochhammer_kernel(kg.PochhammerPair(1.5, 2.5), 2, 6)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1.5, 2.5), 2, 6)
+        ms = kg.kernel_moments(spec)
         for alpha in spec.truncation():
             prod = spec.coeff(alpha).value() @ ms.gram(alpha).value()
             assert np.allclose(prod, np.eye(2), atol=1e-12)
 
     def test_high_degree_log_domain(self):
-        spec, ms = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 1, 200)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 1, 200)
+        ms = kg.kernel_moments(spec)
         g = ms.gram((200,))
         assert np.all(np.isfinite(g.matrix))
         # G_k second entry over first entry is k!/(2)_k = 1/(k+1)
@@ -112,8 +151,8 @@ class TestPochhammerKernel:
 
     def test_swap_symmetry_bit_equal(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        _, ms = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 3.0), 2, 5)
-        _, mt = kg.pochhammer_kernel(kg.PochhammerPair(3.0, 1.0), 2, 5)
+        ms = kg.kernel_moments(kg.pochhammer_kernel(kg.PochhammerPair(1.0, 3.0), 2, 5))
+        mt = kg.kernel_moments(kg.pochhammer_kernel(kg.PochhammerPair(3.0, 1.0), 2, 5))
         for alpha in ms.truncation():
             g, gt = ms.gram(alpha), mt.gram(alpha)
             assert g.logscale == gt.logscale
@@ -128,11 +167,13 @@ class TestArrayBuiltFamilies:
     ])
     def test_pochhammer(self, lam, mu, d, top):
         pair = kg.PochhammerPair(lam, mu)
-        spec, ms = kg.pochhammer_kernel(pair, d, top)
-        coeffs, grams = per_index_pochhammer(pair, d, top)
+        spec = kg.pochhammer_kernel(pair, d, top)
+        coeffs = per_index_pochhammer(pair, d, top)
+        assert_degree_classes(spec)
         assert_rows_equal(spec, spec.coeff, coeffs)
-        assert_rows_equal(ms, ms.gram, grams)
+        assert_rows_close(spec, spec.coeff, per_row_pochhammer(pair, d, top))
         moments = kg.kernel_moments(spec)
+        assert_degree_classes(moments)
         assert_rows_equal(moments, moments.gram,
                           {a: inv_pd(c) for a, c in coeffs.items()})
 
@@ -142,7 +183,9 @@ class TestArrayBuiltFamilies:
         by_degree = [sampling.random_pd(n, rng, logscale_span=3.0) for _ in range(top + 1)]
         spec = kg.homogeneous_kernel(by_degree, d)
         coeffs = per_index_homogeneous(by_degree, d)
+        assert_degree_classes(spec)
         assert_rows_equal(spec, spec.coeff, coeffs)
+        assert_rows_close(spec, spec.coeff, per_row_homogeneous(by_degree, d))
         moments = kg.kernel_moments(spec)
         assert_rows_equal(moments, moments.gram,
                           {a: inv_pd(c) for a, c in coeffs.items()})
@@ -150,14 +193,21 @@ class TestArrayBuiltFamilies:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_perturbed(self, seed):
         pair = kg.PochhammerPair(1.0, 2.0)
-        spec, _ = kg.pochhammer_kernel(pair, 2, 6)
+        spec = kg.pochhammer_kernel(pair, 2, 6)
         rng = np.random.default_rng(seed)
         reps = {alpha: sampling.random_pd(2, rng)
                 for alpha in spec.truncation() if degree(alpha) <= 2}
         perturbed, cert = kg.perturb_kernel(spec, reps)
-        coeffs, _ = per_index_pochhammer(pair, 2, 6)
+        coeffs = per_index_pochhammer(pair, 2, 6)
         coeffs.update(reps)
         assert_rows_equal(perturbed, perturbed.coeff, coeffs)
+        # each replaced index is a class of its own; the other rows keep theirs
+        trunc = spec.truncation()
+        replaced = [trunc.position(a) for a in reps]
+        own = perturbed.classes[replaced]
+        assert len(set(own.tolist())) == len(reps) and own.min() > spec.classes.max()
+        kept = np.setdiff1d(np.arange(len(trunc)), replaced)
+        assert np.array_equal(perturbed.classes[kept], spec.classes[kept])
         moments = kg.kernel_moments(perturbed)
         assert_rows_equal(moments, moments.gram,
                           {a: inv_pd(c) for a, c in coeffs.items()})
@@ -166,8 +216,10 @@ class TestArrayBuiltFamilies:
         assert cert.log_m2 == max(0.0, *(-float(p[0]) for p in pencils))
 
     def test_stacks_are_read_only(self):
-        spec, ms = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 3)
-        for arr in (spec.mats, spec.logs, ms.mats, ms.logs):
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 3)
+        ms = kg.kernel_moments(spec)
+        for arr in (spec.mats, spec.logs, spec.classes, spec.class_mats,
+                    ms.mats, ms.logs, ms.classes, ms.class_mats):
             assert not arr.flags.writeable
 
     def test_wide_spread_exceeds_single_logscale(self):
@@ -211,7 +263,7 @@ class TestHomogeneousKernel:
             for m in range(top + 1)
         ]
         spec = kg.homogeneous_kernel(by_degree, 2)
-        want, _ = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), 2, top)
+        want = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), 2, top)
         for alpha in spec.truncation():
             a, b = spec.coeff(alpha), want.coeff(alpha)
             diff = math.exp(a.logscale - b.logscale) * a.matrix - b.matrix
@@ -239,7 +291,7 @@ class TestHomogeneousKernel:
 
 class TestPerturbKernel:
     def test_no_replacement(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
         perturbed, cert = kg.perturb_kernel(spec, {})
         assert cert.log_m1 == 0.0 and cert.log_m2 == 0.0
         for alpha in spec.truncation():
@@ -248,7 +300,7 @@ class TestPerturbKernel:
             assert got.logscale == want.logscale
 
     def test_scaled_identity_replacement(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
         zero = (0, 0)
         _, cert = kg.perturb_kernel(
             spec, {zero: hermpd(4.0 * np.eye(2, dtype=np.complex128))}
@@ -258,7 +310,8 @@ class TestPerturbKernel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_replacement_certificate_verifies(self, seed):
-        spec, base_moments = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 8)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 8)
+        base_moments = kg.kernel_moments(spec)
         rng = np.random.default_rng(seed)
         reps = {
             alpha: sampling.random_pd(2, rng)
@@ -271,25 +324,25 @@ class TestPerturbKernel:
         assert report.passes
 
     def test_out_of_range_index(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 3)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 3)
         with pytest.raises(IndexError):
             kg.perturb_kernel(spec, {(4, 0): hermpd(np.eye(2))})
 
 
 class TestBoundednessEstimate:
     def test_hardy_shift_norm(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 1), 1, 12)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 1), 1, 12)
         assert kg.boundedness_estimate(spec, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_bergman_type_below_one(self):
         top = 9
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(2, 2), 1, top)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(2, 2), 1, top)
         got = kg.boundedness_estimate(spec, 0)
         assert got == pytest.approx(math.sqrt(top / (top + 1.0)), rel=1e-12)
         assert got < 1.0
 
     def test_degree_zero_convention(self):
-        spec, _ = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 0)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 0)
         assert kg.boundedness_estimate(spec, 0) == 0.0
         assert kg.boundedness_estimate(spec, 1) == 0.0
 
@@ -297,7 +350,8 @@ class TestBoundednessEstimate:
         (1.0, 2.0, 2, 6), (0.5, 3.0, 1, 8), (2.0, 2.0, 3, 4),
     ])
     def test_matches_build_mz_norm(self, lam, mu, d, top):
-        spec, ms = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), d, top)
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), d, top)
+        ms = kg.kernel_moments(spec)
         for j in range(d):
             be = kg.boundedness_estimate(spec, j)
             mz = sc.build_mz(ms, j)
@@ -317,8 +371,8 @@ class TestGrowthSlopeTracksExponentGap:
     @staticmethod
     def _generator(pair_a, pair_b):
         def gen(top):
-            _, a = kg.pochhammer_kernel(pair_a, 2, top)
-            _, b = kg.pochhammer_kernel(pair_b, 2, top)
+            a = kg.kernel_moments(kg.pochhammer_kernel(pair_a, 2, top))
+            b = kg.kernel_moments(kg.pochhammer_kernel(pair_b, 2, top))
             return a, b
         return gen
 

@@ -72,3 +72,12 @@ def test_truncation_membership_and_position():
     assert (1, 2) in trunc and (2, 2) not in trunc
     assert trunc.position((0, 0)) == 0
     assert list(trunc.interior()) == lattice.enumerate_indices(2, 2)
+
+
+def test_truncations_are_built_once_per_shape():
+    trunc = lattice._truncation(3, 4)
+    assert lattice._truncation(3, 4) is trunc
+    assert lattice._truncation(2, 4) is not trunc
+    assert trunc == lattice.Truncation(3, 4)
+    assert trunc.array.tolist() == [list(a) for a in trunc.indices]
+    assert not trunc.array.flags.writeable

@@ -244,3 +244,34 @@ class TestConstruction:
         for k, alpha in enumerate(ms.truncation().indices):
             assert np.array_equal(mats[k], ms.gram(alpha).matrix)
             assert logs[k] == ms.gram(alpha).logscale
+
+
+class TestClassMaps:
+    def test_row_built_families_have_the_identity_map(self):
+        ms = sampling.random_moment_system(2, 3, 2, 16)
+        grams = {alpha: ms.gram(alpha) for alpha in ms.truncation()}
+        weighted = sc.moments_from_weights(identity_weights(2, 3, 2), hermpd(np.eye(2)))
+        for family in (ms, sc.MomentSystem(2, 3, 2, grams), weighted,
+                       sampling.congruent_pair(ms, 2.0 * np.eye(2))):
+            assert family.classes.tolist() == list(range(10))
+            assert family.mats is family.class_mats
+
+    def test_class_stack_is_gathered_bit_for_bit(self):
+        ms = sampling.random_moment_system(1, 2, 2, 17)  # three class matrices
+        logs = np.array([0.0, 0.5, -1.0, 2.0, 0.25, 3.0])
+        classes = np.array([0, 1, 1, 2, 0, 2])
+        family = sc.GradedFamily(2, 2, 2, ms.mats, logs, classes)
+        for k, c in enumerate(classes):
+            assert family.mats[k].tobytes() == ms.mats[c].tobytes()
+        row = family.row((1, 1))  # graded rank 4
+        assert row.logscale == 0.25 and row.matrix.tobytes() == ms.mats[0].tobytes()
+
+    def test_bad_class_maps_rejected(self):
+        ms = sampling.random_moment_system(1, 2, 2, 18)
+        logs = np.zeros(6)
+        with pytest.raises(ValueError):
+            sc.GradedFamily(2, 2, 2, ms.mats, logs, [0, 1, 2, 3, 0, 0])  # no class 3
+        with pytest.raises(ValueError):
+            sc.GradedFamily(2, 2, 2, ms.mats, logs, [0, 1, 2])  # one per row
+        with pytest.raises(ValueError):
+            sc.GradedFamily(2, 2, 2, ms.mats, logs)  # three rows for six indices
