@@ -14,6 +14,7 @@ Exit codes: 0 verdict produced, 2 input validation failure, 3 schema error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -50,6 +51,18 @@ EXIT_SCHEMA = 3
 
 class InputValidationError(Exception):
     """Input parses but fails a semantic requirement (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _systems_failure(what: str, errors=(LinAlgError,)):
+    """Turn a numeric failure inside the block into exit 2 naming systems."""
+    try:
+        yield
+    except errors as ex:
+        raise InputValidationError(f"systems: {what} ({ex})") from ex
+
+
+NO_CERTIFICATE = "no certificate can be computed for this pair"
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +247,9 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
 
     if kind == "similarity":
         ms, mt = _resolve_pair(problem, top_degree)
-        cert = eq.optimize_C(ms, mt, seed=seed)
-        verification = eq.verify_certificate(ms, mt, cert, tol)
+        with _systems_failure(NO_CERTIFICATE):
+            cert = eq.optimize_C(ms, mt, seed=seed)
+            verification = eq.verify_certificate(ms, mt, cert, tol)
         verdict = (
             eq.VERDICT_SIMILAR
             if cert.log_ratio <= math.log(eq.RATIO_CAP)
@@ -261,13 +275,10 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         if ms.N < 1:
             raise InputValidationError("systems[0].N: the oracle needs N >= 1 "
                                        "(N=0 leaves no intertwining equation)")
-        try:
+        # the oracle works on represented values, not log-scaled ones
+        with _systems_failure("the dense oracle cannot represent this pair",
+                              (LinAlgError, OverflowError, eq.SingularCError)):
             report.update(_run_oracle(ms, mt, seed, tol))
-        except (LinAlgError, OverflowError, eq.SingularCError) as ex:
-            # the oracle works on represented values, not log-scaled ones
-            raise InputValidationError(
-                f"systems: the dense oracle cannot represent this pair ({ex})"
-            ) from ex
     elif kind == "diagnostic":
         degrees = degrees if degrees is not None else options.get(
             "degrees", list(DEFAULT_DEGREES)
@@ -282,7 +293,8 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         def pair_at(n_deg):
             return _resolve_pair(problem, n_deg)
 
-        diag = eq.growth_diagnostic(pair_at, degrees, seed=seed, threads=threads)
+        with _systems_failure(NO_CERTIFICATE):
+            diag = eq.growth_diagnostic(pair_at, degrees, seed=seed, threads=threads)
         report["options"]["degrees"] = [int(x) for x in degrees]
         report.update(verdict=diag.verdict, growth=ser.growth_to_json(diag))
     elif kind == "validate":

@@ -23,6 +23,7 @@ import numpy as np
 from .lattice import Truncation, _truncation, degree, shifted, simplex_size
 from .numerics import (
     LinAlgError,
+    _svd,
     as_complex_matrix,
     frob_norm,
     herm_eig,
@@ -30,7 +31,6 @@ from .numerics import (
     inv,
     inv_sqrt_pd,
     nullspace,
-    pencil_eig_batch,
     pencil_logrange_batch,
     polar_unitary,
     singular_range,
@@ -122,9 +122,13 @@ def _require_same_shape(ms: MomentSystem, mt: MomentSystem) -> None:
         )
 
 
+def _numerically_singular(lo: float, hi: float) -> bool:
+    """Whether C with extreme singular values (lo, hi) counts as singular."""
+    return not lo > 1e-12 * hi
+
+
 def _check_invertible_c(c: np.ndarray) -> None:
-    lo, hi = singular_range(c)
-    if hi == 0.0 or lo <= 1e-12 * hi:
+    if _numerically_singular(*singular_range(c)):
         raise SingularCError("C is numerically singular")
 
 
@@ -156,9 +160,17 @@ def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCer
     _require_same_shape(ms, mt)
     c = as_complex_matrix(c, "C")
     _check_invertible_c(c)
-    log_m1, log_m2 = _sandwich_lograted(
-        mt.mats, mt.logs, _congruence_stack(ms.mats, c), ms.logs
-    )
+    try:
+        log_m1, log_m2 = _sandwich_lograted(
+            mt.mats, mt.logs, _congruence_stack(ms.mats, c), ms.logs
+        )
+    except LinAlgError:
+        # a near-singular Gram that hermpd accepts can make the Cholesky of
+        # C* G_alpha C fail; the search's eigenpair factors still apply
+        ev = _Objective(ms.mats, ms.logs, mt.mats, mt.logs)(c)
+        if ev.lo is None:
+            raise
+        log_m1, log_m2 = float(ev.lo.min()), float(ev.hi.max())
     return SimilarityCertificate(c, log_m1, log_m2)
 
 
@@ -245,12 +257,23 @@ class SearchStage(NamedTuple):
     evaluations: int
 
 
+class SearchStart(NamedTuple):
+    """One stage (a) candidate: its objective value, or, when building it
+    raised a LinAlgError, the error's class name (value None)."""
+
+    name: str
+    value: float | None
+    error: str | None = None
+
+
 class SearchSummary(NamedTuple):
     """Which start optimize_C descended from, how its two stages ended, and
-    how many joint classes (rows of the reduced pair) it searched over."""
+    how many joint classes (rows of the reduced pair) it searched over;
+    starts holds a SearchStart per candidate, in the order tried."""
 
     start: str
     start_evaluations: int
+    starts: tuple
     unitary: SearchStage
     refine: SearchStage
     classes: int
@@ -282,35 +305,59 @@ class _Bundle(NamedTuple):
 
 class _Objective:
     """f(C) = max_alpha log lambda_max - min_alpha log lambda_min over the
-    pencils (G~_alpha, C* G_alpha C); every call counts and the best C is kept."""
+    pencils (G~_alpha, C* G_alpha C); every call counts and the best C is kept.
+
+    Both stacks are fixed for the whole search, so they are factored once,
+    from their eigenpairs: G_alpha = F* F with F = diag(sqrt e) V*, and
+    G~_alpha^{-1} = H H* with H = V~ diag(e~^{-1/2}). The pencil at alpha
+    then has the eigenvalues 1/sigma^2 over the singular values sigma of
+    K = F C H, and an evaluation is two batched products and one batched
+    SVD. (A Cholesky factor would reject near-singular Grams that hermpd
+    accepts.) f is +inf where C is numerically singular, by the test
+    sandwich_certificate applies to C.
+    """
 
     def __init__(self, mats, logs, tmats, tlogs):
-        self.mats, self.logs, self.tmats, self.tlogs = mats, logs, tmats, tlogs
+        e, v = herm_eig_batch(mats)
+        te, tv = herm_eig_batch(tmats)
+        self.f = np.sqrt(e)[:, :, None] * v.conj().swapaxes(1, 2)
+        self.h = tv / np.sqrt(te)[:, None, :]
+        self.off = tlogs - logs
         self.evaluations = 0
         self.best = _Eval(np.eye(mats.shape[1], dtype=np.complex128), math.inf)
 
     def __call__(self, c: np.ndarray) -> _Eval:
         self.evaluations += 1
-        bmats = _congruence_stack(self.mats, c)
+        # C rides along as the last matrix of the stack: one LAPACK call
+        # gives its singular values for the invertibility test as well
         try:
-            lo, hi = pencil_logrange_batch(self.tmats, self.tlogs, bmats, self.logs)
+            s = _svd(np.concatenate([self.f @ c @ self.h, c[None]]), compute_uv=False)
         except LinAlgError:
             return _Eval(c, math.inf)
+        if _numerically_singular(s[-1, -1], s[-1, 0]):
+            return _Eval(c, math.inf)
+        lo = self.off - 2.0 * np.log(s[:-1, 0])
+        hi = self.off - 2.0 * np.log(s[:-1, -1])
         ev = _Eval(c, float(hi.max()) - float(lo.min()), lo, hi)
         if ev.value < self.best.value:
             self.best = ev
         return ev
 
     def bundle(self, ev: _Eval, eps: float) -> _Bundle:
-        """Re-solve, with eigenvectors, the indices within eps of an extreme."""
+        """Re-solve, with eigenvectors, the indices within eps of an extreme.
+
+        With K = P S Q*, x = H Q S^{-1} is B-orthonormal and G C x = F* P;
+        singular values descend, so the eigenvalues come out ascending.
+        """
         top, bottom = ev.hi.max(), ev.lo.min()
         rows = np.nonzero((ev.hi >= top - eps) | (ev.lo <= bottom + eps))[0]
         if rows.size == ev.hi.size:
             rows = slice(None)  # all tied: views, not copies of the stacks
-        mats = self.mats[rows]
-        eigs, x = pencil_eig_batch(self.tmats[rows], _congruence_stack(mats, ev.c))
-        loge = np.log(eigs) + (self.tlogs[rows] - self.logs[rows])[:, None]
-        return _Bundle(loge, x, mats @ ev.c @ x, float(loge[:, -1].max()),
+        f, h = self.f[rows], self.h[rows]
+        p, s, qh = _svd(f @ ev.c @ h, compute_uv=True)
+        loge = self.off[rows][:, None] - 2.0 * np.log(s)
+        x = (h @ qh.conj().swapaxes(1, 2)) / s[:, None, :]
+        return _Bundle(loge, x, f.conj().swapaxes(1, 2) @ p, float(loge[:, -1].max()),
                        float(loge[:, 0].min()))
 
 
@@ -694,37 +741,43 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     wh_tmats = symmetrize(_congruence_stack(tmats, right_inv.matrix))
     wh_tlogs = tlogs + 2.0 * right_inv.logscale
 
-    candidates = [("identity", np.eye(n, dtype=np.complex128))]
+    # (name, unitary W or None, class of the LinAlgError that stopped it)
+    candidates = [("identity", np.eye(n, dtype=np.complex128), None)]
     align_weights = rng.uniform(0.5, 1.5, size=mats.shape[0])
     try:
         candidates.append(("alignment", _alignment_unitary(
             wh_mats, wh_logs, wh_tmats, wh_tlogs, align_weights,
-        )))
-    except LinAlgError:
-        pass
+        ), None))
+    except LinAlgError as ex:
+        candidates.append(("alignment", None, type(ex).__name__))
     try:
         candidates.append(("recovery", _recover_congruence_unitary(
             wh_mats, wh_logs, wh_tmats, wh_tlogs, rng, polish_iterations=300,
-        )[0]))
-    except LinAlgError:
-        pass
+        )[0], None))
+    except LinAlgError as ex:
+        candidates.append(("recovery", None, type(ex).__name__))
     for i in range(random_starts):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        candidates.append((f"random{i}", polar_unitary(z)))
+        candidates.append((f"random{i}", polar_unitary(z), None))
 
-    label, start, start_ev = None, None, None
-    for name, w in candidates:
+    label, start, start_ev, tried = None, None, None, []
+    for name, w, error in candidates:
+        if w is None:
+            tried.append(SearchStart(name, None, error))
+            continue
         ev = objective(unitary.c_of(w))
+        tried.append(SearchStart(name, ev.value))
         if start_ev is None or ev.value < start_ev.value:
             label, start, start_ev = name, w, ev
-    starts = objective.evaluations
+    start_evaluations = objective.evaluations
 
     unitary_stage = _descend(objective, unitary, start, start_ev, unitary_iterations)
     best = objective.best
     refine_stage = _descend(objective, _RefineStage(), best.c, best, refine_iterations)
     return dataclasses.replace(
         sandwich_certificate(ms, mt, objective.best.c),
-        search=SearchSummary(label, starts, unitary_stage, refine_stage, len(logs)),
+        search=SearchSummary(label, start_evaluations, tuple(tried), unitary_stage,
+                             refine_stage, len(logs)),
     )
 
 

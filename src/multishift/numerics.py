@@ -465,19 +465,6 @@ def pencil_logeigs(a: HermPD, b: HermPD) -> np.ndarray:
     return np.log(eigs) + (a.logscale - b.logscale)
 
 
-def pencil_eig_batch(a_mats, b_mats) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the stacked definite pencils A x = lambda B x.
-
-    Returns eigenvalues (m, n) ascending and eigenvectors (m, n, n) whose
-    columns are B-orthonormal: x = L^{-*} y for the eigenvectors y of the
-    whitened L^{-1} A L^{-*}, with B = L L*.
-    """
-    low = cholesky_batch(b_mats)
-    eigs, y = herm_eig_batch(whiten_batch(low, a_mats), vectors=True)
-    low_inv = solve_lower_batch(low, np.broadcast_to(np.eye(low.shape[1]), low.shape))
-    return eigs, low_inv.conj().swapaxes(1, 2) @ y
-
-
 def pencil_logrange_batch(a_mats, a_logs, b_mats, b_logs):
     """Per-matrix (min, max) log generalized eigenvalues for stacked pencils.
 

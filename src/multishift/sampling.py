@@ -10,7 +10,7 @@ import numpy as np
 
 from .lattice import simplex_size
 from .numerics import HermPD, hermpd, hermpd_batch, polar_unitary
-from .shiftcore import MomentSystem, WeightSystem, canonical_weights
+from .shiftcore import MomentSystem
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -44,21 +44,7 @@ def random_moment_system(d: int, top_degree: int, n: int, seed, *,
     return MomentSystem.from_arrays(d, top_degree, n, mats, logs)
 
 
-def random_weight_system(d: int, top_degree: int, n: int, seed) -> WeightSystem:
-    """A random weight system satisfying the commutation condition.
-
-    Built as the canonical weights of a random moment system; arbitrary
-    independent weights would not commute.
-    """
-    return canonical_weights(random_moment_system(d, top_degree, n, seed))
-
-
 def congruent_pair(ms: MomentSystem, transform: np.ndarray) -> MomentSystem:
     """Transport every Gram by G -> T* G T (unitary T gives a unitary twin)."""
     mats, logs = hermpd_batch(transform.conj().T @ ms.mats @ transform, ms.logs)
     return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, mats, logs)
-
-
-def scaled_system(ms: MomentSystem, log_factor: float) -> MomentSystem:
-    """Multiply every represented Gram by exp(log_factor)."""
-    return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, ms.mats, ms.logs + log_factor)

@@ -19,6 +19,7 @@ from .equivalence import (
     GrowthDiagnostic,
     PolishSummary,
     SearchStage,
+    SearchStart,
     SearchSummary,
     SimilarityCertificate,
     UnitaryEquivalenceResult,
@@ -264,9 +265,15 @@ def search_to_json(summary: SearchSummary) -> dict:
     def stage(s: SearchStage) -> dict:
         return {"exit": s.exit, "steps": s.steps, "evaluations": s.evaluations}
 
+    def start(s: SearchStart) -> dict:
+        if s.error is not None:
+            return {"name": s.name, "error": s.error}
+        return {"name": s.name, "value": s.value if math.isfinite(s.value) else None}
+
     return {
         "start": summary.start,
         "start_evaluations": summary.start_evaluations,
+        "starts": [start(s) for s in summary.starts],
         "unitary": stage(summary.unitary),
         "refine": stage(summary.refine),
     }

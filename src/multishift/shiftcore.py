@@ -371,10 +371,3 @@ def check_adjoint_formula(ms: MomentSystem, j: int) -> float:
         scale = max(frob_norm(route_one), frob_norm(route_two), 1e-300)
         worst = max(worst, frob_norm(route_one - route_two) / scale)
     return worst
-
-
-def normalized_to_identity(ms: MomentSystem) -> MomentSystem:
-    """Congruence-transport every Gram by G_0^{-1/2}, making G_0 = I."""
-    s = inv_sqrt_pd(ms.gram((0,) * ms.d))
-    mats, logs = hermpd_batch(s.matrix @ ms.mats @ s.matrix, ms.logs + 2.0 * s.logscale)
-    return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, mats, logs)

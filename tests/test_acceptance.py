@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 
+import helpers
 from conftest import record_acceptance
 from multishift import cli
 from multishift import equivalence as eq
@@ -126,7 +127,7 @@ def test_criterion_4_unitary_recovery():
 
     base = sampling.random_moment_system(2, 4, 3, 4100)
     scaled = eq.test_unitary_equivalence(
-        base, sampling.scaled_system(base, math.log(2.0)), 1e-8
+        base, helpers.scaled_system(base, math.log(2.0)), 1e-8
     )
     independent = eq.test_unitary_equivalence(
         base, sampling.random_moment_system(2, 4, 3, 4101), 1e-8

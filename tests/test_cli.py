@@ -1,14 +1,18 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import helpers
 from multishift import cli
+from multishift import equivalence as eq
 from multishift import sampling
 from multishift import serialization as ser
 from multishift.lattice import simplex_size
+from multishift.numerics import CholeskyError
 from multishift.serialization import canonical_dumps
 
 
@@ -114,6 +118,11 @@ class TestRun:
             assert set(search[stage]) == {"exit", "steps", "evaluations"}
         # the swap is solved exactly by a start
         assert search["unitary"] == {"exit": "bottomed out", "steps": 0, "evaluations": 0}
+        starts = search["starts"]
+        assert [s["name"] for s in starts] == [
+            "identity", "alignment", "recovery", "random0", "random1"]
+        assert min(s["value"] for s in starts) == next(
+            s["value"] for s in starts if s["name"] == search["start"])
 
     def test_default_report_path(self, swap_problem):
         assert run_cli(["run", swap_problem, "--quiet"]) == 0
@@ -154,7 +163,7 @@ class TestRun:
             "version": 1,
             "kind": "unitary",
             "systems": [ser.moment_system_to_json(ms),
-                        ser.moment_system_to_json(sampling.scaled_system(ms, 1.0))],
+                        ser.moment_system_to_json(helpers.scaled_system(ms, 1.0))],
         }
         path = tmp_path / "scaled.json"
         path.write_text(canonical_dumps(problem), encoding="utf-8")
@@ -235,7 +244,7 @@ class TestRun:
     def test_explicit_weights_system_in_pairwise_run(self, tmp_path):
         from multishift.numerics import hermpd
         from multishift import shiftcore as sc
-        ws = sampling.random_weight_system(2, 3, 2, 30)
+        ws = helpers.random_weight_system(2, 3, 2, 30)
         g0 = hermpd(np.eye(2))
         ms = sc.moments_from_weights(ws, g0)
         problem = {
@@ -256,7 +265,7 @@ class TestRun:
         assert report["certificate"]["log_ratio"] <= 1e-9
 
     def test_validate_kind_weights(self, tmp_path):
-        ws = sampling.random_weight_system(2, 3, 2, 6)
+        ws = helpers.random_weight_system(2, 3, 2, 6)
         from multishift.numerics import hermpd
         problem = {
             "version": 1,
@@ -427,6 +436,47 @@ class TestExitCodes:
         assert not (tmp_path / "inf.report.json").exists()
 
 
+    @pytest.mark.parametrize("kind,target", [
+        ("similarity", "optimize_C"),
+        ("similarity", "verify_certificate"),
+        ("diagnostic", "growth_diagnostic"),
+    ])
+    def test_numeric_failure_names_systems(self, tmp_path, capsys, monkeypatch,
+                                           kind, target):
+        def fail(*args, **kwargs):
+            raise CholeskyError("matrix is numerically indefinite")
+
+        path = tmp_path / "problem.json"
+        assert run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 1,
+                        "--mu2", 3, "--N", 4, "--kind", kind, "--degrees", "4,6,8,10",
+                        "--out", path, "--quiet"]) == 0
+        monkeypatch.setattr(eq, target, fail)
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert "systems: " in capsys.readouterr().err
+
+
+class TestNearSingularGrams:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_similarity_run_is_total(self, tmp_path, side, alpha, seed):
+        ms, mt = systems = helpers.near_singular_pair(side, alpha, seed)
+        # the search factors the Grams from their eigenpairs, so it has a
+        # finite objective where a Cholesky factor of the Gram would fail
+        objective = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+        assert math.isfinite(objective(np.eye(2, dtype=np.complex128)).value)
+
+        path, out = tmp_path / "problem.json", tmp_path / "report.json"
+        path.write_text(canonical_dumps({
+            "version": 1, "kind": "similarity",
+            "systems": [ser.moment_system_to_json(m) for m in systems],
+        }), encoding="utf-8")
+        assert run_cli(["run", path, "--out", out, "--quiet"]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject_constant)
+        assert all(s["value"] is not None for s in report["diagnostics"]["optimize"]["starts"])
+        assert math.isfinite(report["certificate"]["log_ratio"])
+
+
 def reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
@@ -456,6 +506,20 @@ class TestStrictJSON:
             report = json.loads(out.read_text(encoding="utf-8"),
                                 parse_constant=reject_constant)
             assert report["kind"] == kind
+
+    def test_failed_and_non_finite_starts_are_strict_json(self):
+        summary = eq.SearchSummary(
+            "random0", 2,
+            (eq.SearchStart("identity", math.inf),
+             eq.SearchStart("alignment", None, "ConvergenceError"),
+             eq.SearchStart("random0", 1.5)),
+            eq.SearchStage("flat", 0, 0), eq.SearchStage("flat", 0, 0), 3,
+        )
+        data = json.loads(canonical_dumps(ser.search_to_json(summary)),
+                          parse_constant=reject_constant)
+        assert data["starts"] == [{"name": "identity", "value": None},
+                                  {"name": "alignment", "error": "ConvergenceError"},
+                                  {"name": "random0", "value": 1.5}]
 
     def test_canonical_dumps_names_the_non_finite_number(self):
         with pytest.raises(ValueError, match=r"non-finite number at growth\.table\[1\]"):

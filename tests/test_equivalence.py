@@ -3,19 +3,25 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
 from multishift.lattice import simplex_size
 from multishift.numerics import (
+    LinAlgError,
+    cholesky_batch,
     frob_norm,
+    herm_eig_batch,
     hermpd,
     inv,
     inv_sqrt_pd,
     pencil_logrange_batch,
     singular_range,
+    solve_lower_batch,
     sqrt_pd,
+    whiten_batch,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -44,7 +50,7 @@ class TestSandwichRatio:
 
     def test_global_scaling(self):
         ms = sampling.random_moment_system(2, 3, 2, 1)
-        mt = sampling.scaled_system(ms, math.log(2.0))
+        mt = helpers.scaled_system(ms, math.log(2.0))
         m1, m2, log_ratio = eq.sandwich_ratio(ms, mt, np.eye(2))
         assert m1 == pytest.approx(2.0, rel=1e-12)
         assert m2 == pytest.approx(2.0, rel=1e-12)
@@ -298,10 +304,160 @@ class TestCertificateSearch:
         assert eq.verify_certificate(ms, mt, cert).passes
         search = cert.search
         assert search.start_evaluations == 5
+        assert [s.name for s in search.starts] == [
+            "identity", "alignment", "recovery", "random0", "random1"]
+        assert min(s.value for s in search.starts) == next(
+            s.value for s in search.starts if s.name == search.start)
         for stage in (search.unitary, search.refine):
             assert stage.exit in ("bottomed out", "flat", "no decrease", "stalled",
                                   "iteration cap")
             assert stage.evaluations >= stage.steps >= 0
+        if name in SEARCH_PATHS:
+            # hardware-independent counters: a change here is a new search path
+            assert (search.start, tuple(search.unitary), tuple(search.refine)) \
+                == SEARCH_PATHS[name]
+
+
+# (start, unitary stage, refine stage) of the certify-random pairs whose search
+# ends before a step cap; random2 and random3 end at the refinement cap, where
+# rounding-level changes move the path (see ROADMAP item 8).
+SEARCH_PATHS = {
+    "random0": ("alignment", ("stalled", 43, 102), ("stalled", 49, 117)),
+    "random1": ("alignment", ("stalled", 114, 241), ("stalled", 138, 288)),
+    "random4": ("recovery", ("stalled", 9, 33), ("no decrease", 0, 30)),
+    "swap": ("alignment", ("bottomed out", 0, 0), ("bottomed out", 0, 0)),
+    "perturb": ("identity", ("flat", 0, 0), ("flat", 0, 0)),
+}
+
+
+def cholesky_pencil_eig(a_mats, b_mats):
+    """Reference eigenpairs of the stacked pencils A x = lambda B x, by
+    Cholesky and whitening: x = L^{-*} y for the eigenvectors y of
+    L^{-1} A L^{-*}, with B = L L*. Eigenvalues ascending."""
+    low = cholesky_batch(b_mats)
+    eigs, y = herm_eig_batch(whiten_batch(low, a_mats))
+    low_inv = solve_lower_batch(low, np.broadcast_to(np.eye(low.shape[1]), low.shape))
+    return eigs, low_inv.conj().swapaxes(1, 2) @ y
+
+
+def factored_kernel_pair(case):
+    """(mats, logs, tmats, tlogs) of one search's stacks."""
+    if case == "pochhammer128":
+        ms, mt = pochhammer_moments(1, 2, top=128), pochhammer_moments(1, 3, top=128)
+        rows = eq._joint_rows(ms.classes, mt.classes)
+        assert len(rows) == 129
+    else:
+        kind, n = case.split("-")
+        rng = np.random.default_rng([79, int(n)])
+        span = 300.0 if kind == "spread" else 1.0
+        ms, mt = (sampling.random_moment_system(2, 3, int(n), rng, logscale_span=span)
+                  for _ in range(2))
+        rows = slice(None)
+    return ms.mats[rows], ms.logs[rows], mt.mats[rows], mt.logs[rows]
+
+
+def diagonal_pencil_logrange(mats, tmats, c):
+    """Log extremes of the pencils (A, C* G C) for diagonal 2x2 stacks G, A,
+    from the roots of det(A - lambda B) in extended precision: the stable
+    quadratic formula on exact products of the double inputs."""
+    ld = np.longdouble
+    g = np.diagonal(mats, axis1=1, axis2=2).real.astype(ld)
+    a = np.diagonal(tmats, axis1=1, axis2=2).real.astype(ld)
+    re, im = c.real.astype(ld), c.imag.astype(ld)
+    b00 = g @ (re[:, 0] ** 2 + im[:, 0] ** 2)
+    b11 = g @ (re[:, 1] ** 2 + im[:, 1] ** 2)
+    b01_re = g @ (re[:, 0] * re[:, 1] + im[:, 0] * im[:, 1])
+    b01_im = g @ (re[:, 0] * im[:, 1] - im[:, 0] * re[:, 1])
+    quad = b00 * b11 - b01_re ** 2 - b01_im ** 2
+    lin = a[:, 0] * b11 + a[:, 1] * b00
+    const = a[:, 0] * a[:, 1]
+    q = (lin + np.sqrt(lin * lin - 4 * quad * const)) / 2
+    return (np.log(const / q).astype(np.float64),
+            np.log(q / quad).astype(np.float64))
+
+
+FACTORED_CASES = ["random-1", "random-2", "random-3", "random-6", "spread-2", "pochhammer128"]
+
+
+class TestFactoredObjective:
+    """The search kernel, K = F C H from the eigenpairs of both stacks, against
+    the Cholesky/whitening path that certificates and verification use."""
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_log_ranges_match_the_cholesky_path(self, case):
+        mats, logs, tmats, tlogs = factored_kernel_pair(case)
+        n = mats.shape[1]
+        objective = eq._Objective(mats, logs, tmats, tlogs)
+        if case.startswith("spread"):
+            assert np.ptp(tlogs - logs) >= 300.0
+        cs = [np.eye(n)] + random_cs(n, 4, [80, n])
+        if case == "pochhammer128":
+            # the Grams are diagonal with condition up to 8,400, and the
+            # Cholesky path loses up to 2.3e-10 nats at a general C (see
+            # test_pochhammer_rows_match_extended_precision); it is exact at
+            # diagonal and anti-diagonal C
+            cs = [np.eye(n), SWAP, np.diag([2.0, 0.5j])]
+        for c in cs:
+            ev = objective(c)
+            lo, hi = pencil_logrange_batch(tmats, tlogs, eq._congruence_stack(mats, c), logs)
+            assert np.abs(ev.lo - lo).max() <= 1e-12
+            assert np.abs(ev.hi - hi).max() <= 1e-12
+            assert ev.value == float(ev.hi.max()) - float(ev.lo.min())
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_bundle_matches_the_cholesky_eigenpairs(self, case):
+        mats, logs, tmats, tlogs = factored_kernel_pair(case)
+        n = mats.shape[1]
+        objective = eq._Objective(mats, logs, tmats, tlogs)
+        c = random_cs(n, 1, [81, n])[0]
+        bundle = objective.bundle(objective(c), math.inf)  # every row
+        eigs, x = cholesky_pencil_eig(tmats, eq._congruence_stack(mats, c))
+        loge = np.log(eigs)
+        if case == "pochhammer128":  # where the Cholesky path loses digits
+            loge = np.stack(diagonal_pencil_logrange(mats, tmats, c), axis=1)
+        assert np.abs(bundle.loge - loge - (tlogs - logs)[:, None]).max() <= 1e-12
+        # u x* per column is free of the eigenvectors' phases
+        got = np.einsum("rik,rjk->rkij", bundle.u, bundle.x.conj())
+        want = np.einsum("rik,rjk->rkij", mats @ c @ x, x.conj())
+        scale = np.linalg.norm(want, axis=(2, 3), keepdims=True)
+        assert (np.linalg.norm(got - want, axis=(2, 3), keepdims=True) / scale).max() <= 1e-9
+        # x is B-orthonormal
+        gram = x.conj().swapaxes(1, 2) @ eq._congruence_stack(mats, c) @ x
+        assert np.abs(gram - np.eye(n)).max() <= 1e-9
+
+    def test_pochhammer_rows_match_extended_precision(self):
+        mats, logs, tmats, tlogs = factored_kernel_pair("pochhammer128")
+        objective = eq._Objective(mats, logs, tmats, tlogs)
+        for c in random_cs(2, 4, [80, 2]):
+            ev = objective(c)
+            lo, hi = diagonal_pencil_logrange(mats, tmats, c)
+            assert np.abs(ev.lo - (lo + tlogs - logs)).max() <= 1e-13
+            assert np.abs(ev.hi - (hi + tlogs - logs)).max() <= 1e-13
+
+    @pytest.mark.parametrize("c", [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.ones((2, 2))],
+                             ids=["diagonal", "zero", "rank-one"])
+    def test_singular_c_is_infinite(self, c):
+        mats, logs, tmats, tlogs = factored_kernel_pair("random-2")
+        objective = eq._Objective(mats, logs, tmats, tlogs)
+        assert objective(c.astype(np.complex128)).value == math.inf
+        assert objective.evaluations == 1 and objective.best.value == math.inf
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_certificate_where_the_cholesky_path_fails(self, side):
+        # seeds whose near-singular Gram makes pencil_logrange_batch raise at
+        # the identity: the certificate takes the factored kernel's constants
+        for seed in range(20):
+            ms, mt = helpers.near_singular_pair(side, (0, 0), seed)
+            c = np.eye(2, dtype=np.complex128)
+            try:
+                pencil_logrange_batch(mt.mats, mt.logs, eq._congruence_stack(ms.mats, c), ms.logs)
+            except LinAlgError:
+                break
+        else:
+            pytest.fail("no seed makes the Cholesky path fail")
+        ev = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)(c)
+        cert = eq.sandwich_certificate(ms, mt, c)
+        assert (cert.log_m1, cert.log_m2) == (ev.lo.min(), ev.hi.max())
 
 
 class TestGrowthDiagnostic:
@@ -444,7 +600,7 @@ class TestUnitaryEquivalence:
     def test_scaled_system_witness_at_zero(self):
         ms = sampling.random_moment_system(2, 3, 2, 21)
         result = eq.test_unitary_equivalence(
-            ms, sampling.scaled_system(ms, math.log(2.0)), 1e-8
+            ms, helpers.scaled_system(ms, math.log(2.0)), 1e-8
         )
         assert not result.equivalent
         assert result.witness == (0, 0)
@@ -489,7 +645,7 @@ class TestUnitaryEquivalence:
         result = eq.test_unitary_equivalence(ms, control, 1e-8, polish_iterations=5)
         assert not result.equivalent
         assert result.polish == eq.PolishSummary("iteration cap", 5)
-        witnessed = eq.test_unitary_equivalence(ms, sampling.scaled_system(ms, 1.0), 1e-8)
+        witnessed = eq.test_unitary_equivalence(ms, helpers.scaled_system(ms, 1.0), 1e-8)
         assert witnessed.witness is not None and witnessed.polish is None
 
     def test_polish_stops_on_a_rank_deficient_coupling(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from multishift import lattice
 from multishift import sampling
 from multishift import shiftcore as sc
@@ -133,7 +134,7 @@ class TestCanonicalWeights:
         ms = sampling.random_moment_system(2, 3, 2, seed)
         ws = sc.canonical_weights(ms)
         rebuilt = sc.moments_from_weights(ws, hermpd(np.eye(2)))
-        target = sc.normalized_to_identity(ms)
+        target = helpers.normalized_to_identity(ms)
         for alpha in ms.truncation():
             got, want = rebuilt.gram(alpha), target.gram(alpha)
             diff = math.exp(got.logscale - want.logscale) * got.matrix - want.matrix
