@@ -12,7 +12,6 @@ criteria stay meaningful at high truncation degrees.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ import numpy as np
 
 from .lattice import Truncation, _truncation, degree, shifted, simplex_size
 from .numerics import (
+    ConvergenceError,
     LinAlgError,
     _svd,
     as_complex_matrix,
@@ -31,6 +31,7 @@ from .numerics import (
     inv,
     inv_sqrt_pd,
     nullspace,
+    pencil_factors,
     pencil_logrange_batch,
     polar_unitary,
     singular_range,
@@ -122,13 +123,10 @@ def _require_same_shape(ms: MomentSystem, mt: MomentSystem) -> None:
         )
 
 
-def _numerically_singular(lo: float, hi: float) -> bool:
-    """Whether C with extreme singular values (lo, hi) counts as singular."""
-    return not lo > 1e-12 * hi
-
-
 def _check_invertible_c(c: np.ndarray) -> None:
-    if _numerically_singular(*singular_range(c)):
+    """The invertibility test pencil_logrange_batch applies to C."""
+    lo, hi = singular_range(c)
+    if not lo > 1e-12 * hi:
         raise SingularCError("C is numerically singular")
 
 
@@ -137,11 +135,6 @@ def _congruence_stack(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
     (ajk,ji->aki, then aki,kl->ail), each one BLAS product over the whole
     stack, with no contraction path to search or check per call."""
     return np.tensordot(np.tensordot(mats, c.conj(), axes=(1, 0)), c, axes=(1, 0))
-
-
-def _sandwich_lograted(tmats, tlogs, bmats, blogs):
-    lo, hi = pencil_logrange_batch(tmats, tlogs, bmats, blogs)
-    return float(lo.min()), float(hi.max())
 
 
 def sandwich_ratio(ms: MomentSystem, mt: MomentSystem, c) -> tuple:
@@ -156,22 +149,12 @@ def sandwich_ratio(ms: MomentSystem, mt: MomentSystem, c) -> tuple:
 
 
 def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCertificate:
-    """The certificate with the tightest constants for a given C."""
-    _require_same_shape(ms, mt)
+    """The certificate with the tightest constants for a given C, from one
+    evaluation of the search's objective (_Objective)."""
     c = as_complex_matrix(c, "C")
     _check_invertible_c(c)
-    try:
-        log_m1, log_m2 = _sandwich_lograted(
-            mt.mats, mt.logs, _congruence_stack(ms.mats, c), ms.logs
-        )
-    except LinAlgError:
-        # a near-singular Gram that hermpd accepts can make the Cholesky of
-        # C* G_alpha C fail; the search's eigenpair factors still apply
-        ev = _Objective(ms.mats, ms.logs, mt.mats, mt.logs)(c)
-        if ev.lo is None:
-            raise
-        log_m1, log_m2 = float(ev.lo.min()), float(ev.hi.max())
-    return SimilarityCertificate(c, log_m1, log_m2)
+    lo, hi = _Objective(ms, mt).log_ranges(c)
+    return SimilarityCertificate(c, float(lo.min()), float(hi.max()))
 
 
 def verify_certificate(ms: MomentSystem, mt: MomentSystem,
@@ -239,6 +222,8 @@ def _expm(m: np.ndarray) -> np.ndarray:
 # tries the rungs in order and falls to the next when a direction fails.
 EPS_LADDER = (1e-3, 1e-6, 1e-9)
 MIN_NORM_ROUNDS = 30
+DESCENT_STEPS = 200  # the step cap of each descent stage
+RANDOM_STARTS = 2
 MIN_NORM_GAP = 1e-3
 BACKTRACKS = 30
 
@@ -280,7 +265,7 @@ class SearchSummary(NamedTuple):
 
 
 class _Eval(NamedTuple):
-    """f at C, with the per-index log ranges behind it."""
+    """f at C, with the per-class log ranges behind it."""
 
     c: np.ndarray
     value: float
@@ -289,82 +274,102 @@ class _Eval(NamedTuple):
 
 
 class _Bundle(NamedTuple):
-    """Eigenpairs at the indices near either extreme of an evaluated point.
+    """Eigenpairs at the joint classes near either extreme of an evaluated point.
 
-    loge (r, n) are log pencil eigenvalues, x (r, n, n) B-orthonormal
-    eigenvectors (columns) and u = G_alpha C x, so that the gradient of
-    log lambda along an eigenvector column is -2 u x*.
+    lo and hi (r, n) are log pencil eigenvalues under the class's smallest
+    and largest logscale difference, x (r, n, n) B-orthonormal eigenvectors
+    (columns) and u = G_alpha C x, so that the gradient of log lambda along
+    an eigenvector column is -2 u x*.
     """
 
-    loge: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     x: np.ndarray
     u: np.ndarray
     top: float
     bottom: float
 
 
+def _joint_classes(classes: np.ndarray, tclasses: np.ndarray) -> tuple:
+    """(rows, joint) for the joint classes of a pair, each distinct (class,
+    target class) of the two class maps: rows holds the first row of each
+    class in graded order, joint each row's class, numbered in that order."""
+    key = classes.astype(np.int64) * (int(tclasses.max()) + 1) + tclasses
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 class _Objective:
     """f(C) = max_alpha log lambda_max - min_alpha log lambda_min over the
     pencils (G~_alpha, C* G_alpha C); every call counts and the best C is kept.
 
-    Both stacks are fixed for the whole search, so they are factored once,
-    from their eigenpairs: G_alpha = F* F with F = diag(sqrt e) V*, and
-    G~_alpha^{-1} = H H* with H = V~ diag(e~^{-1/2}). The pencil at alpha
-    then has the eigenvalues 1/sigma^2 over the singular values sigma of
-    K = F C H, and an evaluation is two batched products and one batched
-    SVD. (A Cholesky factor would reject near-singular Grams that hermpd
-    accepts.) f is +inf where C is numerically singular, by the test
-    sandwich_certificate applies to C.
+    The rows of a joint class (_joint_classes) share both matrices bit for
+    bit, so their pencils differ only by the logscale difference; each class
+    keeps its smallest (lo_off) and largest (hi_off) one and is solved once
+    at its first row (rows). As fl(a + x) is monotone in a, lo.min() and
+    hi.max() over the classes equal the full lattice's bit for bit. Both
+    stacks are fixed for the whole search, so they are factored once
+    (pencil_factors) and an evaluation is one pencil_logrange_batch call.
+    f is +inf where that call raises, as at a numerically singular C.
     """
 
-    def __init__(self, mats, logs, tmats, tlogs):
-        e, v = herm_eig_batch(mats)
-        te, tv = herm_eig_batch(tmats)
-        self.f = np.sqrt(e)[:, :, None] * v.conj().swapaxes(1, 2)
-        self.h = tv / np.sqrt(te)[:, None, :]
-        self.off = tlogs - logs
+    def __init__(self, ms: MomentSystem, mt: MomentSystem):
+        _require_same_shape(ms, mt)
+        self.rows, joint = _joint_classes(ms.classes, mt.classes)
+        off = mt.logs - ms.logs
+        self.lo_off = np.full(len(self.rows), math.inf)
+        self.hi_off = np.full(len(self.rows), -math.inf)
+        np.minimum.at(self.lo_off, joint, off)
+        np.maximum.at(self.hi_off, joint, off)
+        self.f, self.h = pencil_factors(mt.mats[self.rows], ms.mats[self.rows])
         self.evaluations = 0
-        self.best = _Eval(np.eye(mats.shape[1], dtype=np.complex128), math.inf)
+        self.best = _Eval(np.eye(ms.fiber_dim, dtype=np.complex128), math.inf)
+
+    def log_ranges(self, c: np.ndarray) -> tuple:
+        """Per-class (lo, hi) log pencil eigenvalue extremes at C; raises
+        what pencil_logrange_batch raises."""
+        lo, hi = pencil_logrange_batch(self.f, self.h, c)
+        return self.lo_off + lo, self.hi_off + hi
 
     def __call__(self, c: np.ndarray) -> _Eval:
         self.evaluations += 1
-        # C rides along as the last matrix of the stack: one LAPACK call
-        # gives its singular values for the invertibility test as well
         try:
-            s = _svd(np.concatenate([self.f @ c @ self.h, c[None]]), compute_uv=False)
+            lo, hi = self.log_ranges(c)
         except LinAlgError:
             return _Eval(c, math.inf)
-        if _numerically_singular(s[-1, -1], s[-1, 0]):
-            return _Eval(c, math.inf)
-        lo = self.off - 2.0 * np.log(s[:-1, 0])
-        hi = self.off - 2.0 * np.log(s[:-1, -1])
         ev = _Eval(c, float(hi.max()) - float(lo.min()), lo, hi)
         if ev.value < self.best.value:
             self.best = ev
         return ev
 
     def bundle(self, ev: _Eval, eps: float) -> _Bundle:
-        """Re-solve, with eigenvectors, the indices within eps of an extreme.
+        """Re-solve, with eigenvectors, the classes within eps of an extreme.
 
-        With K = P S Q*, x = H Q S^{-1} is B-orthonormal and G C x = F* P;
-        singular values descend, so the eigenvalues come out ascending.
+        With K = F C H = P S Q*, x = H Q S^{-1} is B-orthonormal and
+        G C x = F* P; singular values descend, so the eigenvalues come out
+        ascending.
         """
         top, bottom = ev.hi.max(), ev.lo.min()
-        rows = np.nonzero((ev.hi >= top - eps) | (ev.lo <= bottom + eps))[0]
-        if rows.size == ev.hi.size:
-            rows = slice(None)  # all tied: views, not copies of the stacks
-        f, h = self.f[rows], self.h[rows]
+        near = np.nonzero((ev.hi >= top - eps) | (ev.lo <= bottom + eps))[0]
+        if near.size == ev.hi.size:
+            near = slice(None)  # all tied: views, not copies of the stacks
+        f, h = self.f[near], self.h[near]
         p, s, qh = _svd(f @ ev.c @ h, compute_uv=True)
-        loge = self.off[rows][:, None] - 2.0 * np.log(s)
+        loge = -2.0 * np.log(s)
+        lo = self.lo_off[near][:, None] + loge
+        hi = self.hi_off[near][:, None] + loge
         x = (h @ qh.conj().swapaxes(1, 2)) / s[:, None, :]
-        return _Bundle(loge, x, f.conj().swapaxes(1, 2) @ p, float(loge[:, -1].max()),
-                       float(loge[:, 0].min()))
+        return _Bundle(lo, hi, x, f.conj().swapaxes(1, 2) @ p, float(hi[:, -1].max()),
+                       float(lo[:, 0].min()))
 
 
 def _extreme_gradients(b: _Bundle) -> tuple:
     """grad_C of log lambda_max and of log lambda_min at their argmax and argmin."""
-    hi = int(np.argmax(b.loge[:, -1]))
-    lo = int(np.argmin(b.loge[:, 0]))
+    hi = int(np.argmax(b.hi[:, -1]))
+    lo = int(np.argmin(b.lo[:, 0]))
     return (-2.0 * np.outer(b.u[hi, :, -1], b.x[hi, :, -1].conj()),
             -2.0 * np.outer(b.u[lo, :, 0], b.x[lo, :, 0].conj()))
 
@@ -426,7 +431,7 @@ class _Side:
 
 def _active(b: _Bundle, eps: float) -> tuple:
     """Masks (r, n) of the eigenvalues within eps of the top and of the bottom."""
-    return b.loge >= b.top - eps, b.loge <= b.bottom + eps
+    return b.hi >= b.top - eps, b.lo <= b.bottom + eps
 
 
 def _min_norm_point(first: np.ndarray, vertex) -> np.ndarray:
@@ -536,7 +541,7 @@ def _line_search(objective: _Objective, stage, point, ev: _Eval, g: np.ndarray,
     return None
 
 
-def _descend(objective: _Objective, stage, point, ev: _Eval, iterations: int,
+def _descend(objective: _Objective, stage, point, ev: _Eval,
              stop_value: float = 1e-13) -> SearchStage:
     """Bundle descent from point, whose evaluation is ev.
 
@@ -548,7 +553,7 @@ def _descend(objective: _Objective, stage, point, ev: _Eval, iterations: int,
     first = objective.evaluations
     travel, stalled, steps = 0.5, 0, 0
     reason = "iteration cap"
-    for _ in range(iterations):
+    for _ in range(DESCENT_STEPS):
         if not math.isfinite(ev.value):
             reason = "non-finite"
             break
@@ -687,17 +692,7 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
     return v, PolishSummary(reason, iterations)
 
 
-def _joint_rows(classes: np.ndarray, tclasses: np.ndarray) -> np.ndarray:
-    """The first row, in graded order, of each joint class of a pair: each
-    distinct (class, target class) of the two class maps."""
-    key = classes.astype(np.int64) * (int(tclasses.max()) + 1) + tclasses
-    return np.sort(np.unique(key, return_index=True)[1])
-
-
-def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
-               unitary_iterations: int = 200,
-               refine_iterations: int = 200,
-               random_starts: int = 2) -> SimilarityCertificate:
+def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> SimilarityCertificate:
     """Search for a certificate with a small log ratio.
 
     Stage (a) solves C* G_0 C = G~_0 exactly via C = G_0^{-1/2} W G~_0^{1/2}
@@ -712,18 +707,16 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     returned, with a SearchSummary of the search; the result is never worse
     than the stage (a) initialization; deterministic for a fixed seed.
 
-    Every stage runs on one row per joint class of the pair (_joint_rows):
-    the rows of a joint class share both matrices and, up to rounding, the
-    logscale difference (see GradedFamily), so their pencils coincide. The
-    returned constants come from the full lattice (sandwich_certificate).
+    Every stage runs on one row per joint class of the pair (see
+    _Objective), whose evaluations give the full lattice's constants, so the
+    certificate is the best evaluation itself.
     """
-    _require_same_shape(ms, mt)
+    objective = _Objective(ms, mt)
     rng = np.random.default_rng(seed)
     n = ms.fiber_dim
-    rows = _joint_rows(ms.classes, mt.classes)
+    rows = objective.rows
     mats, logs = ms.mats[rows], ms.logs[rows]
     tmats, tlogs = mt.mats[rows], mt.logs[rows]
-    objective = _Objective(mats, logs, tmats, tlogs)
     zero = (0,) * ms.d
     left = inv_sqrt_pd(ms.gram(zero))
     right = sqrt_pd(mt.gram(zero))
@@ -733,8 +726,8 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
     # constants absorb it, while exp() here could overflow
     unitary = _UnitaryStage(left.matrix, right.matrix)
 
-    # Whitening both families by their level-zero inverse square roots turns
-    # any exact congruence into a unitary one, so the unitary-recovery
+    # Transporting both families by their level-zero inverse square roots
+    # turns any exact congruence into a unitary one, so the unitary-recovery
     # machinery hands the optimizer an (often exactly optimal) start.
     wh_mats = symmetrize(_congruence_stack(mats, left.matrix))
     wh_logs = logs + 2.0 * left.logscale
@@ -756,7 +749,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
         )[0], None))
     except LinAlgError as ex:
         candidates.append(("recovery", None, type(ex).__name__))
-    for i in range(random_starts):
+    for i in range(RANDOM_STARTS):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         candidates.append((f"random{i}", polar_unitary(z), None))
 
@@ -771,13 +764,16 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0,
             label, start, start_ev = name, w, ev
     start_evaluations = objective.evaluations
 
-    unitary_stage = _descend(objective, unitary, start, start_ev, unitary_iterations)
+    unitary_stage = _descend(objective, unitary, start, start_ev)
     best = objective.best
-    refine_stage = _descend(objective, _RefineStage(), best.c, best, refine_iterations)
-    return dataclasses.replace(
-        sandwich_certificate(ms, mt, objective.best.c),
+    refine_stage = _descend(objective, _RefineStage(), best.c, best)
+    best = objective.best
+    if best.lo is None:
+        raise ConvergenceError("no start gives a finite log ratio")
+    return SimilarityCertificate(
+        best.c, float(best.lo.min()), float(best.hi.max()),
         search=SearchSummary(label, start_evaluations, tuple(tried), unitary_stage,
-                             refine_stage, len(logs)),
+                             refine_stage, len(rows)),
     )
 
 
@@ -816,10 +812,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
-                      threads: int = 1,
-                      ratio_cap: float = RATIO_CAP,
-                      slope_eps: float = SLOPE_EPS,
-                      slope_floor: float = SLOPE_FLOOR) -> GrowthDiagnostic:
+                      threads: int = 1) -> GrowthDiagnostic:
     """Optimize a certificate at each truncation degree and fit the growth.
 
     pair_generator(N) must return the (M, M~) pair truncated at degree N.
@@ -847,9 +840,9 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
     x = np.log(np.array(degrees, dtype=np.float64))
     y = np.array([c.log_ratio for c in certs], dtype=np.float64)
     slope, intercept, r2 = _fit_line(x, y)
-    if abs(slope) <= slope_eps and y.max() <= math.log(ratio_cap):
+    if abs(slope) <= SLOPE_EPS and y.max() <= math.log(RATIO_CAP):
         verdict = VERDICT_SIMILAR
-    elif slope >= slope_floor and r2 >= R2_MIN:
+    elif slope >= SLOPE_FLOOR and r2 >= R2_MIN:
         verdict = VERDICT_NOT_SIMILAR
     else:
         verdict = VERDICT_INCONCLUSIVE

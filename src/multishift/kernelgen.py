@@ -22,6 +22,7 @@ from .numerics import (
     HermPD,
     hermpd_from_log_diag_batch,
     inv_pd_batch,
+    pencil_factors,
     pencil_logrange_batch,
 )
 from .shiftcore import GradedFamily, MomentSystem
@@ -168,8 +169,10 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     lo, hi = [0.0], [0.0]
     if n0 >= 0:
         k0 = simplex_size(spec.d, n0)
-        lo, hi = pencil_logrange_batch(perturbed.mats[:k0], logs[:k0],
-                                       spec.mats[:k0], spec.logs[:k0])
+        lo, hi = pencil_logrange_batch(*pencil_factors(perturbed.mats[:k0], spec.mats[:k0]),
+                                       np.eye(spec.fiber_dim, dtype=np.complex128))
+        off = logs[:k0] - spec.logs[:k0]
+        lo, hi = off + lo, off + hi
     cert = SimilarityCertificate(
         C=np.eye(spec.fiber_dim, dtype=np.complex128),
         log_m1=min(0.0, -float(np.max(hi))),
@@ -192,6 +195,6 @@ def boundedness_estimate(spec: KernelSpec, j: int) -> float:
     if not rows:
         return 0.0
     below = [trunc.position(shifted(trunc.indices[k], j, -1)) for k in rows]
-    _, hi = pencil_logrange_batch(spec.mats[below], spec.logs[below],
-                                  spec.mats[rows], spec.logs[rows])
-    return math.exp(0.5 * float(hi.max()))
+    _, hi = pencil_logrange_batch(*pencil_factors(spec.mats[below], spec.mats[rows]),
+                                  np.eye(spec.fiber_dim, dtype=np.complex128))
+    return math.exp(0.5 * float((spec.logs[below] - spec.logs[rows] + hi).max()))

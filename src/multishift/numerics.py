@@ -3,16 +3,11 @@
 Eigendecompositions, general solves, singular values and the polar factor
 run on the LAPACK that numpy ships (`numpy.linalg`); a LAPACK failure is
 re-raised as this module's ConvergenceError or SingularMatrixError, so
-callers catch one family of errors. Two pieces stay hand-written because
-they measured faster than LAPACK on this package's workloads (2-vCPU Xeon,
-OpenBLAS 0.3.31):
-
-- 2x2 stacks take one closed-form Jacobi rotation, exact at n = 2: over an
-  (8385, 2, 2) stack it takes 3.2 ms for values and 4.7 ms with vectors,
-  against 7.6 ms for `eigvalsh` and 10.8 ms for `eigh`.
-- Cholesky, forward substitution and whitening are vectorised over the
-  stack: whitening that stack costs 2.5 ms, against 8.8 ms through a
-  LAPACK inverse of the Cholesky factor.
+callers catch one family of errors. One piece stays hand-written because
+it measured faster than LAPACK on this package's workloads (2-vCPU Xeon,
+OpenBLAS 0.3.31): 2x2 stacks take one closed-form Jacobi rotation, exact at
+n = 2; over an (8385, 2, 2) stack it takes 3.2 ms for values and 4.7 ms with
+vectors, against 7.6 ms for `eigvalsh` and 10.8 ms for `eigh`.
 
 Scalars are complex128 throughout, even for real inputs: the similarity and
 unitary-equivalence criteria downstream need complex phases.
@@ -41,10 +36,6 @@ class NonHermitianError(LinAlgError):
 
 class ConvergenceError(LinAlgError):
     """An eigenvalue or singular value solve failed to converge."""
-
-
-class CholeskyError(LinAlgError):
-    """Matrix is numerically indefinite."""
 
 
 class PositiveDefiniteError(LinAlgError):
@@ -192,47 +183,6 @@ def herm_eig(mat) -> tuple[np.ndarray, np.ndarray]:
     check_hermitian(a)
     eigs, v = herm_eig_batch(a[None], vectors=True)
     return eigs[0], v[0]
-
-
-# ---------------------------------------------------------------------------
-# Cholesky and triangular solves, batched.
-# ---------------------------------------------------------------------------
-
-def cholesky_batch(stack: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (m, n, n) Hermitian PD stack; L @ L* = A."""
-    a = np.asarray(stack, dtype=np.complex128)
-    m, n, _ = a.shape
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[:, j, j].real - (np.abs(low[:, j, :j]) ** 2).sum(axis=1)
-        if np.any(d <= 0.0) or np.any(~np.isfinite(d)):
-            raise CholeskyError("matrix is numerically indefinite")
-        low[:, j, j] = np.sqrt(d)
-        if j + 1 < n:
-            # column j below the diagonal, vectorized over the batch
-            s = a[:, j + 1:, j] - np.einsum(
-                "mik,mk->mi", low[:, j + 1:, :j], low[:, j, :j].conj()
-            )
-            low[:, j + 1:, j] = s / low[:, j, j][:, None]
-    return low
-
-
-def solve_lower_batch(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L X = B by forward substitution for a (m, n, n) stack."""
-    n = low.shape[1]
-    x = np.array(rhs, dtype=np.complex128, copy=True)
-    for i in range(n):
-        if i:
-            x[:, i, :] -= np.einsum("mk,mkj->mj", low[:, i, :i], x[:, :i, :])
-        x[:, i, :] /= low[:, i, i][:, None]
-    return x
-
-
-def whiten_batch(low: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Congruence L^{-1} A L^{-*} for stacks, via two forward substitutions."""
-    y = solve_lower_batch(low, a)
-    w = solve_lower_batch(low, y.conj().swapaxes(1, 2))
-    return symmetrize(w.conj().swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,35 +398,46 @@ def inv_pd(h: HermPD) -> HermPD:
 # Definite pencils.
 # ---------------------------------------------------------------------------
 
+def pencil_factors(a_mats, b_mats) -> tuple[np.ndarray, np.ndarray]:
+    """Factors F and H of the pencils (A_k, B_k) of two (m, n, n) Hermitian
+    PD stacks, from their eigenpairs: B = F* F with F = diag(sqrt e) V*, and
+    A^{-1} = H H* with H = V~ diag(e~^{-1/2}).
+
+    Eigenpairs factor every matrix that hermpd accepts, near-singular ones
+    included. Raises PositiveDefiniteError when a matrix of either stack has
+    a non-positive eigenvalue.
+    """
+    e, v = herm_eig_batch(b_mats)
+    te, tv = herm_eig_batch(a_mats)
+    if np.any(e[:, 0] <= 0.0) or np.any(te[:, 0] <= 0.0):
+        raise PositiveDefiniteError("pencil matrix is not positive definite")
+    return np.sqrt(e)[:, :, None] * v.conj().swapaxes(1, 2), tv / np.sqrt(te)[:, None, :]
+
+
+def pencil_logrange_batch(f, h, c):
+    """Per-matrix (min, max) log eigenvalues of the pencils (A_k, C* B_k C).
+
+    f, h: pencil_factors(A, B) of the stacks; c: an n x n matrix. The pencil
+    at k has the eigenvalues 1/sigma^2 over the singular values sigma of
+    F_k C H_k, so both (m,) arrays come from one batched SVD; logscales are
+    not included. C rides along as the last matrix of that SVD for the
+    invertibility test: RankDeficientError when its smallest singular value
+    is not above 1e-12 times its largest, ConvergenceError when the SVD fails.
+    """
+    s = _svd(np.concatenate([f @ c @ h, c[None]]), compute_uv=False)
+    if not s[-1, -1] > 1e-12 * s[-1, 0]:
+        raise RankDeficientError("C is numerically singular")
+    return -2.0 * np.log(s[:-1, 0]), -2.0 * np.log(s[:-1, -1])
+
+
 def pencil_logeigs(a: HermPD, b: HermPD) -> np.ndarray:
     """log of the generalized eigenvalues of A x = lambda B x, ascending.
 
-    Solved as the ordinary spectrum of L^{-1} A L^{-*} with B = L L*; the
-    logscale difference is applied additively in the log domain.
+    Every eigenvalue, not only the extremes: -2 log of the singular values
+    of F H from pencil_factors, plus the logscale difference.
     """
     if a.dim != b.dim:
         raise ValueError(f"pencil dimension mismatch: {a.dim} vs {b.dim}")
-    low = cholesky_batch(b.matrix[None])
-    w = whiten_batch(low, a.matrix[None])
-    eigs, _ = herm_eig_batch(w, vectors=False)
-    eigs = eigs[0]
-    if eigs[0] <= 0.0:
-        raise PositiveDefiniteError("pencil numerator is not positive definite")
-    return np.log(eigs) + (a.logscale - b.logscale)
-
-
-def pencil_logrange_batch(a_mats, a_logs, b_mats, b_logs):
-    """Per-matrix (min, max) log generalized eigenvalues for stacked pencils.
-
-    a_mats, b_mats: (m, n, n) Hermitian PD stacks; a_logs, b_logs: (m,) logscales.
-    Returns (lo, hi) arrays of shape (m,). Raises CholeskyError if any B is
-    indefinite, PositiveDefiniteError if any whitened A has a non-positive
-    eigenvalue.
-    """
-    low = cholesky_batch(b_mats)
-    w = whiten_batch(low, a_mats)
-    eigs, _ = herm_eig_batch(w, vectors=False)
-    if np.any(eigs[:, 0] <= 0.0):
-        raise PositiveDefiniteError("pencil numerator is not positive definite")
-    off = np.asarray(a_logs, dtype=np.float64) - np.asarray(b_logs, dtype=np.float64)
-    return np.log(eigs[:, 0]) + off, np.log(eigs[:, -1]) + off
+    f, h = pencil_factors(a.matrix[None], b.matrix[None])
+    s = _svd(f[0] @ h[0], compute_uv=False)
+    return (a.logscale - b.logscale) - 2.0 * np.log(s)

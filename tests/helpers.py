@@ -1,17 +1,77 @@
-"""Test-only constructions derived from the package's seeded systems."""
+"""Test-only constructions derived from the package's seeded systems, and a
+Cholesky/whitening pencil path kept as an independent reference for the
+package's eigenpair-factored pencil kernel."""
 
 import numpy as np
 
 from multishift import sampling
 from multishift.numerics import (
-    CholeskyError,
+    LinAlgError,
     PositiveDefiniteError,
-    cholesky_batch,
+    herm_eig_batch,
     hermpd,
     hermpd_batch,
     inv_sqrt_pd,
+    symmetrize,
 )
 from multishift.shiftcore import MomentSystem, WeightSystem, canonical_weights
+
+
+class CholeskyError(LinAlgError):
+    """Matrix is numerically indefinite."""
+
+
+def cholesky_batch(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (m, n, n) Hermitian PD stack; L @ L* = A."""
+    a = np.asarray(stack, dtype=np.complex128)
+    m, n, _ = a.shape
+    low = np.zeros_like(a)
+    for j in range(n):
+        d = a[:, j, j].real - (np.abs(low[:, j, :j]) ** 2).sum(axis=1)
+        if np.any(d <= 0.0) or np.any(~np.isfinite(d)):
+            raise CholeskyError("matrix is numerically indefinite")
+        low[:, j, j] = np.sqrt(d)
+        if j + 1 < n:
+            # column j below the diagonal, vectorized over the batch
+            s = a[:, j + 1:, j] - np.einsum(
+                "mik,mk->mi", low[:, j + 1:, :j], low[:, j, :j].conj()
+            )
+            low[:, j + 1:, j] = s / low[:, j, j][:, None]
+    return low
+
+
+def solve_lower_batch(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L X = B by forward substitution for a (m, n, n) stack."""
+    n = low.shape[1]
+    x = np.array(rhs, dtype=np.complex128, copy=True)
+    for i in range(n):
+        if i:
+            x[:, i, :] -= np.einsum("mk,mkj->mj", low[:, i, :i], x[:, :i, :])
+        x[:, i, :] /= low[:, i, i][:, None]
+    return x
+
+
+def whiten_batch(low: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Congruence L^{-1} A L^{-*} for stacks, via two forward substitutions."""
+    y = solve_lower_batch(low, a)
+    w = solve_lower_batch(low, y.conj().swapaxes(1, 2))
+    return symmetrize(w.conj().swapaxes(1, 2))
+
+
+def cholesky_pencil_logrange(a_mats, a_logs, b_mats, b_logs):
+    """Per-matrix (min, max) log generalized eigenvalues of the stacked
+    pencils (A, B), through the Cholesky factor of B and the spectrum of
+    L^{-1} A L^{-*}, logscales included."""
+    eigs, _ = herm_eig_batch(whiten_batch(cholesky_batch(b_mats), a_mats), vectors=False)
+    if np.any(eigs[:, 0] <= 0.0):
+        raise PositiveDefiniteError("pencil numerator is not positive definite")
+    off = np.asarray(a_logs, dtype=np.float64) - np.asarray(b_logs, dtype=np.float64)
+    return np.log(eigs[:, 0]) + off, np.log(eigs[:, -1]) + off
+
+
+def identity_classes(ms: MomentSystem) -> MomentSystem:
+    """The same family with the identity class map: every row its own class."""
+    return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, ms.mats, ms.logs)
 
 
 def scaled_system(ms: MomentSystem, log_factor: float) -> MomentSystem:

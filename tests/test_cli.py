@@ -12,7 +12,7 @@ from multishift import equivalence as eq
 from multishift import sampling
 from multishift import serialization as ser
 from multishift.lattice import simplex_size
-from multishift.numerics import CholeskyError
+from multishift.numerics import PositiveDefiniteError
 from multishift.serialization import canonical_dumps
 
 
@@ -444,7 +444,7 @@ class TestExitCodes:
     def test_numeric_failure_names_systems(self, tmp_path, capsys, monkeypatch,
                                            kind, target):
         def fail(*args, **kwargs):
-            raise CholeskyError("matrix is numerically indefinite")
+            raise PositiveDefiniteError("pencil matrix is not positive definite")
 
         path = tmp_path / "problem.json"
         assert run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 1,
@@ -461,9 +461,9 @@ class TestNearSingularGrams:
     @pytest.mark.parametrize("side", [0, 1])
     def test_similarity_run_is_total(self, tmp_path, side, alpha, seed):
         ms, mt = systems = helpers.near_singular_pair(side, alpha, seed)
-        # the search factors the Grams from their eigenpairs, so it has a
-        # finite objective where a Cholesky factor of the Gram would fail
-        objective = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+        # the pencil kernel factors the Grams from their eigenpairs, so it has
+        # a finite objective where a Cholesky factor of the Gram would fail
+        objective = eq._Objective(ms, mt)
         assert math.isfinite(objective(np.eye(2, dtype=np.complex128)).value)
 
         path, out = tmp_path / "problem.json", tmp_path / "report.json"

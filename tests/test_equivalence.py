@@ -11,17 +11,13 @@ from multishift import shiftcore as sc
 from multishift.lattice import simplex_size
 from multishift.numerics import (
     LinAlgError,
-    cholesky_batch,
     frob_norm,
     herm_eig_batch,
     hermpd,
     inv,
     inv_sqrt_pd,
-    pencil_logrange_batch,
     singular_range,
-    solve_lower_batch,
     sqrt_pd,
-    whiten_batch,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -203,7 +199,8 @@ def central_diff(func, mat, h=1e-6):
 
 
 def log_range(ms, mt, c):
-    return pencil_logrange_batch(mt.mats, mt.logs, eq._congruence_stack(ms.mats, c), ms.logs)
+    return helpers.cholesky_pencil_logrange(mt.mats, mt.logs, eq._congruence_stack(ms.mats, c),
+                                            ms.logs)
 
 
 # Log ratios the central-difference descent reached on the benchmark's fixed
@@ -255,12 +252,12 @@ class TestCertificateSearch:
         ms = sampling.random_moment_system(d, top, n, rng)
         mt = sampling.random_moment_system(d, top, n, rng)
         c = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        objective = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+        objective = eq._Objective(ms, mt)
         ev = objective(c)
         # away from ties: unique extreme indices with simple extreme eigenvalues
         assert np.diff(np.sort(ev.hi))[-1] >= 1e-2 and np.diff(np.sort(ev.lo))[0] >= 1e-2
         bundle = objective.bundle(ev, 0.0)
-        assert np.diff(bundle.loge, axis=1).min() >= 1e-2
+        assert np.diff(bundle.hi, axis=1).min() >= 1e-2
         grad_max, grad_min = eq._extreme_gradients(bundle)
         for grad, func in ((grad_max, lambda m: log_range(ms, mt, m)[1].max()),
                            (grad_min, lambda m: log_range(ms, mt, m)[0].min())):
@@ -282,7 +279,7 @@ class TestCertificateSearch:
             grams[alpha] = hermpd(g)
         mt = sc.MomentSystem(2, 2, n, grams)
         c0 = inv_sqrt_pd(ms.gram((0, 0))).matrix @ sqrt_pd(mt.gram((0, 0))).matrix
-        objective = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
+        objective = eq._Objective(ms, mt)
         ev = objective(c0)
         bundle = objective.bundle(ev, 1e-6)
         masks = eq._active(bundle, 1e-6)
@@ -297,12 +294,27 @@ class TestCertificateSearch:
             assert moved.value < ev.value - 0.5 * step * gnorm ** 2
 
     @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
-    def test_certificates_no_worse_than_central_differences(self, name):
+    def test_certificates_no_worse_than_central_differences(self, name, monkeypatch):
         ms, mt, seed = certify_random_pair(name)
+        # the benchmark tracer counts objective evaluations as calls of
+        # equivalence.pencil_logrange_batch inside optimize_C: one per
+        # evaluation, and no second pass for the certificate
+        offsets, kernel, values = eq._Objective(ms, mt), eq.pencil_logrange_batch, []
+
+        def counted(f, h, c):
+            values.append(None)
+            lo, hi = kernel(f, h, c)
+            values[-1] = float((offsets.hi_off + hi).max()) - float((offsets.lo_off + lo).min())
+            return lo, hi
+
+        monkeypatch.setattr(eq, "pencil_logrange_batch", counted)
         cert = eq.optimize_C(ms, mt, seed=seed)
+        search = cert.search
+        assert len(values) == (search.start_evaluations + search.unitary.evaluations
+                               + search.refine.evaluations)
+        assert cert.log_ratio == min(v for v in values if v is not None)
         assert cert.log_ratio <= CENTRAL_DIFFERENCE_LOG_RATIOS[name] + 1e-9
         assert eq.verify_certificate(ms, mt, cert).passes
-        search = cert.search
         assert search.start_evaluations == 5
         assert [s.name for s in search.starts] == [
             "identity", "alignment", "recovery", "random0", "random1"]
@@ -334,26 +346,26 @@ def cholesky_pencil_eig(a_mats, b_mats):
     """Reference eigenpairs of the stacked pencils A x = lambda B x, by
     Cholesky and whitening: x = L^{-*} y for the eigenvectors y of
     L^{-1} A L^{-*}, with B = L L*. Eigenvalues ascending."""
-    low = cholesky_batch(b_mats)
-    eigs, y = herm_eig_batch(whiten_batch(low, a_mats))
-    low_inv = solve_lower_batch(low, np.broadcast_to(np.eye(low.shape[1]), low.shape))
+    low = helpers.cholesky_batch(b_mats)
+    eigs, y = herm_eig_batch(helpers.whiten_batch(low, a_mats))
+    low_inv = helpers.solve_lower_batch(low, np.broadcast_to(np.eye(low.shape[1]), low.shape))
     return eigs, low_inv.conj().swapaxes(1, 2) @ y
 
 
 def factored_kernel_pair(case):
-    """(mats, logs, tmats, tlogs) of one search's stacks."""
+    """One search's objective and (mats, logs, tmats, tlogs) at its rows."""
     if case == "pochhammer128":
         ms, mt = pochhammer_moments(1, 2, top=128), pochhammer_moments(1, 3, top=128)
-        rows = eq._joint_rows(ms.classes, mt.classes)
-        assert len(rows) == 129
     else:
         kind, n = case.split("-")
         rng = np.random.default_rng([79, int(n)])
         span = 300.0 if kind == "spread" else 1.0
         ms, mt = (sampling.random_moment_system(2, 3, int(n), rng, logscale_span=span)
                   for _ in range(2))
-        rows = slice(None)
-    return ms.mats[rows], ms.logs[rows], mt.mats[rows], mt.logs[rows]
+    objective = eq._Objective(ms, mt)
+    rows = objective.rows
+    assert len(rows) == (129 if case == "pochhammer128" else len(ms.truncation()))
+    return objective, ms.mats[rows], ms.logs[rows], mt.mats[rows], mt.logs[rows]
 
 
 def diagonal_pencil_logrange(mats, tmats, c):
@@ -380,14 +392,13 @@ FACTORED_CASES = ["random-1", "random-2", "random-3", "random-6", "spread-2", "p
 
 
 class TestFactoredObjective:
-    """The search kernel, K = F C H from the eigenpairs of both stacks, against
-    the Cholesky/whitening path that certificates and verification use."""
+    """The pencil kernel, K = F C H from the eigenpairs of both stacks, against
+    the Cholesky/whitening reference path (tests/helpers.py)."""
 
     @pytest.mark.parametrize("case", FACTORED_CASES)
     def test_log_ranges_match_the_cholesky_path(self, case):
-        mats, logs, tmats, tlogs = factored_kernel_pair(case)
+        objective, mats, logs, tmats, tlogs = factored_kernel_pair(case)
         n = mats.shape[1]
-        objective = eq._Objective(mats, logs, tmats, tlogs)
         if case.startswith("spread"):
             assert np.ptp(tlogs - logs) >= 300.0
         cs = [np.eye(n)] + random_cs(n, 4, [80, n])
@@ -399,23 +410,24 @@ class TestFactoredObjective:
             cs = [np.eye(n), SWAP, np.diag([2.0, 0.5j])]
         for c in cs:
             ev = objective(c)
-            lo, hi = pencil_logrange_batch(tmats, tlogs, eq._congruence_stack(mats, c), logs)
+            lo, hi = helpers.cholesky_pencil_logrange(tmats, tlogs,
+                                                      eq._congruence_stack(mats, c), logs)
             assert np.abs(ev.lo - lo).max() <= 1e-12
             assert np.abs(ev.hi - hi).max() <= 1e-12
             assert ev.value == float(ev.hi.max()) - float(ev.lo.min())
 
     @pytest.mark.parametrize("case", FACTORED_CASES)
     def test_bundle_matches_the_cholesky_eigenpairs(self, case):
-        mats, logs, tmats, tlogs = factored_kernel_pair(case)
+        objective, mats, logs, tmats, tlogs = factored_kernel_pair(case)
         n = mats.shape[1]
-        objective = eq._Objective(mats, logs, tmats, tlogs)
         c = random_cs(n, 1, [81, n])[0]
         bundle = objective.bundle(objective(c), math.inf)  # every row
         eigs, x = cholesky_pencil_eig(tmats, eq._congruence_stack(mats, c))
         loge = np.log(eigs)
         if case == "pochhammer128":  # where the Cholesky path loses digits
             loge = np.stack(diagonal_pencil_logrange(mats, tmats, c), axis=1)
-        assert np.abs(bundle.loge - loge - (tlogs - logs)[:, None]).max() <= 1e-12
+        for got in (bundle.lo, bundle.hi):
+            assert np.abs(got - loge - (tlogs - logs)[:, None]).max() <= 1e-12
         # u x* per column is free of the eigenvectors' phases
         got = np.einsum("rik,rjk->rkij", bundle.u, bundle.x.conj())
         want = np.einsum("rik,rjk->rkij", mats @ c @ x, x.conj())
@@ -426,8 +438,7 @@ class TestFactoredObjective:
         assert np.abs(gram - np.eye(n)).max() <= 1e-9
 
     def test_pochhammer_rows_match_extended_precision(self):
-        mats, logs, tmats, tlogs = factored_kernel_pair("pochhammer128")
-        objective = eq._Objective(mats, logs, tmats, tlogs)
+        objective, mats, logs, tmats, tlogs = factored_kernel_pair("pochhammer128")
         for c in random_cs(2, 4, [80, 2]):
             ev = objective(c)
             lo, hi = diagonal_pencil_logrange(mats, tmats, c)
@@ -437,25 +448,24 @@ class TestFactoredObjective:
     @pytest.mark.parametrize("c", [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.ones((2, 2))],
                              ids=["diagonal", "zero", "rank-one"])
     def test_singular_c_is_infinite(self, c):
-        mats, logs, tmats, tlogs = factored_kernel_pair("random-2")
-        objective = eq._Objective(mats, logs, tmats, tlogs)
+        objective = factored_kernel_pair("random-2")[0]
         assert objective(c.astype(np.complex128)).value == math.inf
         assert objective.evaluations == 1 and objective.best.value == math.inf
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_certificate_where_the_cholesky_path_fails(self, side):
-        # seeds whose near-singular Gram makes pencil_logrange_batch raise at
-        # the identity: the certificate takes the factored kernel's constants
+        # seeds whose near-singular Gram makes the Cholesky path raise at the
+        # identity: the certificate still has the factored kernel's constants
         for seed in range(20):
             ms, mt = helpers.near_singular_pair(side, (0, 0), seed)
             c = np.eye(2, dtype=np.complex128)
             try:
-                pencil_logrange_batch(mt.mats, mt.logs, eq._congruence_stack(ms.mats, c), ms.logs)
+                log_range(ms, mt, c)
             except LinAlgError:
                 break
         else:
             pytest.fail("no seed makes the Cholesky path fail")
-        ev = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)(c)
+        ev = eq._Objective(ms, mt)(c)
         cert = eq.sandwich_certificate(ms, mt, c)
         assert (cert.log_m1, cert.log_m2) == (ev.lo.min(), ev.hi.max())
 
@@ -521,14 +531,18 @@ def degree_class_pair(kind, d, top):
     return kg.kernel_moments(pair[0]), kg.kernel_moments(pair[1])
 
 
-def objective_gap(ms, mt, cs, classes=None, tclasses=None):
-    """max over cs of |class-reduced objective - full-lattice objective|; the
-    reduction takes the pair's class maps unless others are given."""
-    rows = eq._joint_rows(ms.classes if classes is None else classes,
-                          mt.classes if tclasses is None else tclasses)
-    full = eq._Objective(ms.mats, ms.logs, mt.mats, mt.logs)
-    reduced = eq._Objective(ms.mats[rows], ms.logs[rows], mt.mats[rows], mt.logs[rows])
-    return max(abs(reduced(c).value - full(c).value) for c in cs)
+def full_lattice_objective(ms, mt):
+    """The objective of the same pair rebuilt with identity class maps."""
+    return eq._Objective(helpers.identity_classes(ms), helpers.identity_classes(mt))
+
+
+def objective_gap(reduced, full, cs):
+    """max over cs of the gaps between two objectives' lo.min() and hi.max()."""
+    gaps = []
+    for c in cs:
+        r, f = reduced(c), full(c)
+        gaps += [abs(r.lo.min() - f.lo.min()), abs(r.hi.max() - f.hi.max())]
+    return max(gaps)
 
 
 def random_cs(n, count, seed):
@@ -546,31 +560,34 @@ class TestDegreeClasses:
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_reduced_objective_equals_full_lattice(self, kind, d, top):
         ms, mt = degree_class_pair(kind, d, top)
-        rows = eq._joint_rows(ms.classes, mt.classes)
+        reduced = eq._Objective(ms, mt)
         # perturbed: every index of degree <= 2 is a class of its own
         extra = simplex_size(d, 2) - 3 if kind.startswith("perturbed") else 0
-        assert len(rows) == top + 1 + extra < simplex_size(d, top)
-        assert objective_gap(ms, mt, random_cs(2, 8, d)) <= 1e-12
+        assert len(reduced.rows) == top + 1 + extra < simplex_size(d, top)
+        # bit for bit: the rows of a joint class share both matrices
+        assert objective_gap(reduced, full_lattice_objective(ms, mt), random_cs(2, 8, d)) == 0.0
 
-    def test_merged_degrees_fail_the_equality(self):
+    def test_merged_degrees_fail_the_equality(self, monkeypatch):
         # mutation check: a map that folds the degree holding the objective's
         # extreme into the degree below it drops that degree's pencil
         ms, mt = degree_class_pair("homogeneous/homogeneous", 2, 10)
         cs = random_cs(2, 8, 2)
-        lo, hi = pencil_logrange_batch(mt.mats, mt.logs, eq._congruence_stack(ms.mats, cs[0]),
-                                       ms.logs)
+        full = full_lattice_objective(ms, mt)
+        lo, hi = full.log_ranges(cs[0])
         extreme = [int(ms.classes[np.argmax(hi)]), int(ms.classes[np.argmin(lo)])]
         drop = max(extreme)
         assert drop > 0
         merged = np.where(ms.classes == drop, drop - 1, ms.classes)
-        assert objective_gap(ms, mt, cs, merged, merged) > 1e-12
+        joint_classes = eq._joint_classes
+        monkeypatch.setattr(eq, "_joint_classes", lambda a, b: joint_classes(merged, merged))
+        assert objective_gap(eq._Objective(ms, mt), full, cs) > 1e-12
 
     @pytest.mark.parametrize("name", ["random0", "random4", "swap", "perturb"])
-    def test_reduced_search_matches_full_lattice_search(self, name, monkeypatch):
+    def test_reduced_search_matches_full_lattice_search(self, name):
         ms, mt, seed = certify_random_pair(name)
         reduced = eq.optimize_C(ms, mt, seed=seed)
-        monkeypatch.setattr(eq, "_joint_rows", lambda a, b: slice(None))
-        full = eq.optimize_C(ms, mt, seed=seed)
+        full = eq.optimize_C(helpers.identity_classes(ms), helpers.identity_classes(mt),
+                             seed=seed)
         if name.startswith("random"):
             # explicit pairs carry the identity map: the reduction changes no bit
             assert reduced.search.classes == len(ms.truncation())

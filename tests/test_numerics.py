@@ -95,17 +95,7 @@ class TestTwoByTwoRotation:
                     assert bits(v[k]) == bits(one_v[0]), k
 
 
-class TestCholeskyAndSolve:
-    def test_cholesky_reconstruction(self):
-        rng = np.random.default_rng(3)
-        g = random_pd_matrix(4, rng)
-        low = nx.cholesky_batch(g[None])[0]
-        assert nx.frob_norm(low @ low.conj().T - g) <= 1e-12 * nx.frob_norm(g)
-
-    def test_cholesky_indefinite(self):
-        with pytest.raises(nx.CholeskyError):
-            nx.cholesky_batch(np.diag([1.0, -1.0])[None])
-
+class TestSolve:
     def test_solve_and_inv(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -300,10 +290,10 @@ class TestPencil:
         shifted = nx.pencil_logeigs(a.logscaled(math.log(c)), b)
         assert np.allclose(shifted, base + math.log(c), rtol=0, atol=1e-13)
 
-    def test_cholesky_failure_propagates(self):
+    def test_indefinite_denominator_raises(self):
         a = nx.hermpd(np.eye(2))
         bad = nx.HermPD(np.diag([1.0, -1.0]).astype(complex), 0.0)
-        with pytest.raises(nx.CholeskyError):
+        with pytest.raises(nx.PositiveDefiniteError):
             nx.pencil_logeigs(a, bad)
 
 
