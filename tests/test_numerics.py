@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import helpers
 import pytest
 
 from multishift import numerics as nx
@@ -95,7 +96,18 @@ class TestTwoByTwoRotation:
                     assert bits(v[k]) == bits(one_v[0]), k
 
 
-class TestSolve:
+class TestCholeskyAndSolve:
+    def test_cholesky_reconstruction(self):
+        # the Cholesky factor of the tests' reference pencil path
+        rng = np.random.default_rng(3)
+        g = random_pd_matrix(4, rng)
+        low = helpers.cholesky_batch(g[None])[0]
+        assert nx.frob_norm(low @ low.conj().T - g) <= 1e-12 * nx.frob_norm(g)
+
+    def test_cholesky_indefinite(self):
+        with pytest.raises(helpers.CholeskyError):
+            helpers.cholesky_batch(np.diag([1.0, -1.0])[None])
+
     def test_solve_and_inv(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
