@@ -223,6 +223,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
 EPS_LADDER = (1e-3, 1e-6, 1e-9)
 MIN_NORM_ROUNDS = 30
 DESCENT_STEPS = 200  # the step cap of each descent stage
+BOTTOM_VALUE = 1e-13  # a stage whose log ratio reaches this has bottomed out
 RANDOM_STARTS = 2
 MIN_NORM_GAP = 1e-3
 BACKTRACKS = 30
@@ -231,10 +232,10 @@ BACKTRACKS = 30
 class SearchStage(NamedTuple):
     """How one descent stage of optimize_C ended.
 
-    exit is one of: bottomed out (the log ratio reached 1e-13), flat (no
-    rung of the eps-ladder gives a nonzero descent direction), no decrease
-    (every rung's line search failed), stalled (three steps in a row with
-    negligible gain), iteration cap, non-finite (the start value).
+    exit is one of: bottomed out (the log ratio reached BOTTOM_VALUE), flat
+    (no rung of the eps-ladder gives a nonzero descent direction), no
+    decrease (every rung's line search failed), stalled (three steps in a row
+    with negligible gain), iteration cap, non-finite (the start value).
     """
 
     exit: str
@@ -541,8 +542,7 @@ def _line_search(objective: _Objective, stage, point, ev: _Eval, g: np.ndarray,
     return None
 
 
-def _descend(objective: _Objective, stage, point, ev: _Eval,
-             stop_value: float = 1e-13) -> SearchStage:
+def _descend(objective: _Objective, stage, point, ev: _Eval) -> SearchStage:
     """Bundle descent from point, whose evaluation is ev.
 
     Each step re-solves the near-extreme indices once for eigenvectors and
@@ -557,7 +557,7 @@ def _descend(objective: _Objective, stage, point, ev: _Eval,
         if not math.isfinite(ev.value):
             reason = "non-finite"
             break
-        if ev.value <= stop_value:
+        if ev.value <= BOTTOM_VALUE:
             reason = "bottomed out"
             break
         bundle = objective.bundle(ev, EPS_LADDER[0])
@@ -869,7 +869,9 @@ class UnitaryEquivalenceResult:
     residual: float
     witness: tuple | None
     message: str
-    polish: PolishSummary | None = None  # None when a spectral witness decides
+    polish: PolishSummary | None = None  # None when an invariant decides
+    # the congruence invariant behind the witness: "spectrum" or "trace"
+    witness_invariant: str | None = None
 
 
 def _congruence_residual(mats, logs, tmats, tlogs, v) -> float:
@@ -884,16 +886,41 @@ def _congruence_residual(mats, logs, tmats, tlogs, v) -> float:
     return float((num / den).max())
 
 
+def _level_zero_log_traces(mats) -> np.ndarray:
+    """log tr(A_0 A_beta) for every beta of a balanced stack; NaN where the
+    rounded trace is not positive, so that index decides nothing."""
+    traces = np.einsum("ij,bji->b", mats[0], mats).real
+    return np.log(traces, out=np.full(traces.shape, np.nan), where=traces > 0)
+
+
+def _invariant_witness(gaps, tol, indices, invariant: str,
+                       what: str) -> UnitaryEquivalenceResult | None:
+    """The NO whose witness is the first index in graded order with a
+    log-domain gap above tol, or None when every gap is within it."""
+    mismatched = np.nonzero(gaps > tol)[0]
+    if not mismatched.size:
+        return None
+    k = int(mismatched[0])
+    return UnitaryEquivalenceResult(
+        equivalent=False, V=None, residual=float(gaps[k]), witness=indices[k],
+        message=f"{what} differ at alpha={indices[k]} (log-domain gap {gaps[k]:.3e})",
+        witness_invariant=invariant,
+    )
+
+
 def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
                              tol: float = DEFAULT_TOL, *,
                              seed: int = 0,
                              polish_iterations: int = 500) -> UnitaryEquivalenceResult:
     """Decide simultaneous unitary congruence of the two Gram families.
 
-    Eigenvalue lists (log domain, so scales count) are congruence invariants
-    and give quick NO witnesses. Otherwise V is recovered by aligning the
-    eigenframes of a seeded positive combination of each family — phases fixed
-    against a second combination when the spectrum has gaps — and polished by
+    Two congruence invariants give quick NO witnesses, both in the log
+    domain so scales count: the eigenvalue list of each G_alpha, then the
+    level-zero traces tr(G_0 G_beta) (tr(V* G_0 V V* G_beta V) = tr(G_0 G_beta)
+    for unitary V). The witness is the first index in graded order whose gap
+    exceeds tol. When both match, V is recovered by aligning the eigenframes
+    of a seeded positive combination of each family — phases fixed against a
+    second combination when the spectrum has gaps — and polished by
     alternating polar iterations on the coupling sum; YES requires the final
     congruence residual to meet tol. The result carries the PolishSummary
     whenever the polish ran.
@@ -902,25 +929,23 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     indices = ms.truncation().indices
     mats, logs = ms.mats, ms.logs
     tmats, tlogs = mt.mats, mt.logs
-    n = ms.fiber_dim
 
     eigs, _ = herm_eig_batch(mats, vectors=False)
     teigs, _ = herm_eig_batch(tmats, vectors=False)
     log_spec = np.log(eigs) + logs[:, None]
     log_tspec = np.log(teigs) + tlogs[:, None]
-    gaps = np.abs(log_spec - log_tspec).max(axis=1)
-    mismatched = np.nonzero(gaps > tol)[0]
-    if mismatched.size:
-        # first witness in graded order
-        k = int(mismatched[0])
-        return UnitaryEquivalenceResult(
-            equivalent=False, V=None, residual=float(gaps[k]),
-            witness=indices[k],
-            message=(
-                f"eigenvalue lists differ at alpha={indices[k]} "
-                f"(log-domain gap {gaps[k]:.3e})"
-            ),
-        )
+    witness = _invariant_witness(np.abs(log_spec - log_tspec).max(axis=1), tol,
+                                 indices, "spectrum", "eigenvalue lists")
+    if witness is not None:
+        return witness
+    # a sum of differences: the logscales themselves may reach +-1e308, but
+    # matching spectra bound each l_alpha - l~_alpha
+    gaps = np.abs(_level_zero_log_traces(mats) - _level_zero_log_traces(tmats)
+                  + (logs[0] - tlogs[0]) + (logs - tlogs))
+    witness = _invariant_witness(gaps, tol, indices, "trace",
+                                 "level-zero traces tr(G_0 G_alpha)")
+    if witness is not None:
+        return witness
 
     rng = np.random.default_rng(seed)
     v, polish = _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,

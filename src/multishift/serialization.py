@@ -9,6 +9,7 @@ already balanced input, and floats go through repr-exact JSON.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -81,16 +82,21 @@ def hermpd_to_json(h: HermPD) -> dict:
     return {"logscale": float(h.logscale), "matrix": matrix_to_json(h.matrix)}
 
 
+def _logscale_field(data: dict, path: str) -> float:
+    logscale = data.get("logscale", 0.0)
+    if not _is_finite_real(logscale):
+        raise SchemaError(f"{path}.logscale", "expected a finite real number")
+    return float(logscale)
+
+
 def _hermpd_fields(data, path: str):
     """(matrix, logscale) of a HermPD entry, parsed but not yet balanced."""
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object with 'logscale' and 'matrix'")
     if "matrix" not in data:
         raise SchemaError(f"{path}.matrix", "missing")
-    logscale = data.get("logscale", 0.0)
-    if not _is_finite_real(logscale):
-        raise SchemaError(f"{path}.logscale", "expected a finite real number")
-    return matrix_from_json(data["matrix"], f"{path}.matrix"), float(logscale)
+    logscale = _logscale_field(data, path)
+    return matrix_from_json(data["matrix"], f"{path}.matrix"), logscale
 
 
 def hermpd_from_json(data, path: str) -> HermPD:
@@ -151,6 +157,25 @@ def _require_int(data: dict, key: str, path: str, minimum: int) -> int:
     return v
 
 
+def _gram_stack(grams_field: list, n: int) -> np.ndarray | None:
+    """Every grams[*].matrix as one (m, n, n) complex stack, read in one
+    array pass, or None when any entry is not an (n, n) matrix of [re, im]
+    pairs of finite floats and ints; matrix_from_json then names the field."""
+    try:
+        raw = [entry["matrix"] for entry in grams_field]
+        arr = np.array(raw)
+    except (TypeError, KeyError, ValueError):
+        return None
+    if arr.dtype != np.float64 or arr.shape != (len(raw), n, n, 2):
+        return None
+    # np.array reads True as 1.0; the walk refuses bools
+    scalars = itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(raw)))
+    if not set(map(type, scalars)) <= {float, int} or not np.isfinite(arr).all():
+        return None
+    return arr.view(np.complex128)[..., 0]
+
+
 def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     d = _require_int(data, "d", path, 1)
     top = _require_int(data, "N", path, 0)
@@ -158,12 +183,17 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     grams_field = data.get("grams")
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
+    stack = _gram_stack(grams_field, n)
     mats, logs, rows = [], [], {}
     for i, entry in enumerate(grams_field):
         epath = f"{path}.grams[{i}]"
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise SchemaError(epath, "expected an object with 'alpha'")
         rows[multiindex_from_json(entry["alpha"], f"{epath}.alpha", d)] = i
+        if stack is not None:
+            # every matrix already passed; the walk's other checks run in order
+            logs.append(_logscale_field(entry, epath))
+            continue
         mat, logscale = _hermpd_fields(entry, epath)
         if mat.shape[0] != n:
             raise SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {len(mat)}")
@@ -174,7 +204,7 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     if missing:
         raise SchemaError(f"{path}.grams", f"missing Gram matrix at alpha={missing[0]}")
     # every entry is balanced, the unused ones too; the last entry for an index wins
-    mats, logs = hermpd_batch(np.stack(mats), logs)
+    mats, logs = hermpd_batch(np.stack(mats) if stack is None else stack, logs)
     take = [rows[alpha] for alpha in trunc]
     return MomentSystem.from_arrays(d, top, n, mats[take], logs[take])
 
@@ -243,6 +273,7 @@ def unitary_result_to_json(result: UnitaryEquivalenceResult) -> dict:
         out["V"] = matrix_to_json(result.V)
     if result.witness is not None:
         out["witness_alpha"] = multiindex_to_json(result.witness)
+        out["witness_invariant"] = result.witness_invariant
     return out
 
 

@@ -79,6 +79,17 @@ def scaled_system(ms: MomentSystem, log_factor: float) -> MomentSystem:
     return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, ms.mats, ms.logs + log_factor)
 
 
+def per_index_unitary(ms: MomentSystem, rng) -> MomentSystem:
+    """Every Gram moved by its own random unitary: the eigenvalue lists match
+    ms's, but no one unitary carries the whole family over."""
+    grams = {}
+    for alpha in ms.truncation():
+        g = ms.gram(alpha)
+        u = sampling.random_unitary(ms.fiber_dim, rng)
+        grams[alpha] = hermpd(u.conj().T @ g.matrix @ u, g.logscale)
+    return MomentSystem(ms.d, ms.N, ms.fiber_dim, grams)
+
+
 def random_weight_system(d: int, top_degree: int, n: int, seed) -> WeightSystem:
     """A random weight system satisfying the commutation condition.
 

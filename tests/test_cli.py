@@ -171,6 +171,25 @@ class TestRun:
         report = read_report(tmp_path / "scaled.report.json")
         assert report["verdict"] == "NO"
         assert report["unitary"]["witness_alpha"] == [0, 0]
+        assert report["unitary"]["witness_invariant"] == "spectrum"
+        assert "diagnostics" not in report
+
+    def test_trace_witness_report_has_no_polish(self, tmp_path):
+        ms = sampling.random_moment_system(2, 3, 3, 7)
+        control = helpers.per_index_unitary(ms, np.random.default_rng(7))
+        problem = {
+            "version": 1,
+            "kind": "unitary",
+            "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(control)],
+        }
+        path = tmp_path / "control.json"
+        path.write_text(canonical_dumps(problem), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        report = read_report(tmp_path / "control.report.json")
+        assert report["verdict"] == "NO"
+        assert report["unitary"]["witness_invariant"] == "trace"
+        assert len(report["unitary"]["witness_alpha"]) == 2
+        assert report["unitary"]["message"].startswith("level-zero traces")
         assert "diagnostics" not in report
 
     def test_diagnostic_kind(self, tmp_path):

@@ -153,3 +153,89 @@ def test_extreme_logscales_raise_no_numpy_warning(problem):
             code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
         assert code == 0, err.getvalue()
         json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+# Moment files are read in one array pass and walked entry by entry only when
+# that pass refuses them; each bad scalar sits at grams[1].matrix[0][1][0] and
+# must give the walk's error line byte for byte.
+PAIR_ERROR = ("schema error at systems[0].grams[1].matrix[0][1]: "
+              "expected an [re, im] pair of finite numbers\n")
+
+
+def _set_scalar(value):
+    def mutate(matrix):
+        matrix[0][1][0] = value
+    return mutate
+
+
+def _set_pair(matrix):
+    matrix[0][1] = [0.5, 0.0, 0.0]
+
+
+def _drop_last_entry(matrix):
+    matrix[1].pop()
+
+
+def _widen(matrix):
+    for row in matrix:
+        row.append([0.0, 0.0])
+
+
+def _fibre_three(matrix):
+    matrix[:] = _pairs(np.eye(3))
+
+
+@pytest.mark.parametrize("mutate,expected", [
+    (_set_scalar(True), PAIR_ERROR),
+    (_set_scalar("1.5"), PAIR_ERROR),
+    (_set_scalar(None), PAIR_ERROR),
+    (_set_scalar(10**400), PAIR_ERROR),
+    (_set_scalar(float("nan")), PAIR_ERROR),
+    (_set_pair, PAIR_ERROR),
+    (_drop_last_entry, "schema error at systems[0].grams[1].matrix[1]: ragged matrix rows\n"),
+    (_fibre_three, "schema error at systems[0].grams[1].matrix: "
+                   "expected dimension 2, got 3\n"),
+    (_widen, "schema error at systems[0].grams[1].matrix: "
+             "expected a square matrix, got (2, 3)\n"),
+], ids=["bool", "string", "null", "int-past-float-range", "nan", "three-element-pair",
+        "ragged-row", "wrong-fibre-size", "non-square"])
+def test_bad_matrix_scalar_names_the_entry(mutate, expected):
+    moments = ser.moment_system_to_json(sampling.random_moment_system(1, 2, 2, 42))
+    mutate(moments["grams"][1]["matrix"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps({"version": 1, "kind": "validate", "systems": [moments]}),
+                        encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "r.json"), "--quiet"])
+    assert code == 3
+    assert err.getvalue() == expected
+
+
+def test_entry_errors_keep_their_order_when_every_matrix_is_valid():
+    moments = ser.moment_system_to_json(sampling.random_moment_system(1, 2, 2, 42))
+    moments["grams"][2]["alpha"] = [-1]
+    with pytest.raises(ser.SchemaError, match=r"^s\.grams\[2\]\.alpha: "):
+        ser.moment_system_from_json(moments, "s")
+    moments["grams"][1]["logscale"] = True
+    with pytest.raises(ser.SchemaError, match=r"^s\.grams\[1\]\.logscale: "):
+        ser.moment_system_from_json(moments, "s")
+
+
+@pytest.mark.parametrize("integer_rows", [(0, 1, 2), (1,)])
+def test_integer_matrices_parse_like_their_float_twins(integer_rows):
+    mats = [[[2, 1], [1, 3]], [[5, 0], [0, 1]], [[4, -1], [-1, 4]]]
+
+    def system(number_types):
+        grams = [{"alpha": [k], "logscale": 0.5 * k,
+                  "matrix": [[[number_types[k](x), number_types[k](0)] for x in row]
+                             for row in mats[k]]}
+                 for k in range(3)]
+        return {"type": "moments", "d": 1, "N": 2, "fiber_dim": 2, "grams": grams}
+
+    ms = ser.moment_system_from_json(
+        system([int if k in integer_rows else float for k in range(3)]), "s")
+    twin = ser.moment_system_from_json(system([float] * 3), "s")
+    assert ms.mats.tobytes() == twin.mats.tobytes()
+    assert ms.logs.tobytes() == twin.logs.tobytes()

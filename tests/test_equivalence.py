@@ -652,18 +652,62 @@ class TestUnitaryEquivalence:
         mt = sampling.congruent_pair(ms, sampling.random_unitary(3, rng))
         polish = eq.test_unitary_equivalence(ms, mt, 1e-8).polish
         assert polish.exit == "converged" and 1 <= polish.iterations < 500
-        # each index moved by its own unitary: spectra match, no common V
-        grams = {}
-        for alpha in ms.truncation():
-            g = ms.gram(alpha)
-            u = sampling.random_unitary(3, rng)
-            grams[alpha] = hermpd(u.conj().T @ g.matrix @ u, g.logscale)
-        control = sc.MomentSystem(2, 4, 3, grams)
+        # spectra match but no common V: the polish, run directly, hits its cap
+        control = helpers.per_index_unitary(ms, rng)
+        _, polish = eq._recover_congruence_unitary(
+            ms.mats, ms.logs, control.mats, control.logs, np.random.default_rng(0), 5)
+        assert polish == eq.PolishSummary("iteration cap", 5)
+        # the public call decides it by the level-zero traces, without a polish
         result = eq.test_unitary_equivalence(ms, control, 1e-8, polish_iterations=5)
         assert not result.equivalent
-        assert result.polish == eq.PolishSummary("iteration cap", 5)
+        assert result.witness_invariant == "trace" and result.polish is None
         witnessed = eq.test_unitary_equivalence(ms, helpers.scaled_system(ms, 1.0), 1e-8)
         assert witnessed.witness is not None and witnessed.polish is None
+        assert witnessed.witness_invariant == "spectrum"
+
+    # the shapes of the congruence-oracle benchmark's per-index-unitary controls
+    @pytest.mark.parametrize("seed", range(1, 5))
+    @pytest.mark.parametrize("shape", [(2, 6, 2), (2, 8, 2), (2, 6, 3), (2, 8, 3),
+                                       (2, 6, 4), (2, 7, 4)])
+    def test_per_index_unitary_control_has_a_trace_witness(self, seed, shape):
+        d, top, n = shape
+        rng = np.random.default_rng([seed, *shape])
+        ms = sampling.random_moment_system(d, top, n, rng)
+        result = eq.test_unitary_equivalence(ms, helpers.per_index_unitary(ms, rng),
+                                             1e-8, seed=seed)
+        assert not result.equivalent
+        assert result.witness_invariant == "trace" and result.polish is None
+        assert result.witness is not None and result.witness != (0,) * d
+        assert result.residual > 1e-8
+        assert result.message.startswith("level-zero traces")
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("condition", [1.0, 1e2, 1e4, 1e6])
+    def test_hidden_unitary_positive_gets_no_trace_witness(self, seed, condition):
+        # condition is that of G_0; the eigenvalue lists still match up to 1e6
+        rng = np.random.default_rng([1100, seed])
+        n = 3
+        base = sampling.random_moment_system(2, 5, n, rng)
+        u = sampling.random_unitary(n, rng)
+        mats, logs = np.array(base.mats), np.array(base.logs)
+        mats[0] = u @ np.diag(np.geomspace(1.0, 1.0 / condition, n)) @ u.conj().T
+        ms = sc.MomentSystem.from_arrays(2, 5, n, mats, logs)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(n, rng))
+        result = eq.test_unitary_equivalence(ms, mt, 1e-8)
+        assert result.witness is None and result.witness_invariant is None
+        assert result.equivalent and result.polish is not None
+
+    def test_trace_gap_is_a_sum_of_differences(self):
+        # logscales near +-1e308 on both sides: l_0 + l_beta would overflow
+        ms = sampling.random_moment_system(2, 3, 2, 27)
+        logs = np.array(ms.logs)
+        logs[0], logs[1] = 1e308, -1e308
+        ms = sc.MomentSystem.from_arrays(2, 3, 2, ms.mats, logs)
+        control = helpers.per_index_unitary(ms, np.random.default_rng(27))
+        with np.errstate(all="raise"):
+            result = eq.test_unitary_equivalence(ms, control, 1e-8)
+        assert result.witness_invariant == "trace"
+        assert math.isfinite(result.residual)
 
     def test_polish_stops_on_a_rank_deficient_coupling(self):
         mats = np.zeros((3, 2, 2), dtype=np.complex128)
