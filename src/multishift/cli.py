@@ -94,10 +94,9 @@ def parse_problem(data) -> dict:
     if not isinstance(options, dict):
         raise SchemaError("options", "expected an object")
     for key, check, what in (
-        ("seed", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+        ("seed", _is_natural, "a non-negative integer"),
         ("tol", _is_finite_positive, "a finite positive number"),
-        ("N", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-         "a non-negative integer"),
+        ("N", _is_natural, "a non-negative integer"),
         ("degrees", _is_degree_list, "a strictly ascending list of >= 4 integers >= 1"),
     ):
         if key in options and not check(options[key]):
@@ -107,6 +106,10 @@ def parse_problem(data) -> dict:
 
 def _is_finite_positive(v) -> bool:
     return ser._is_finite_real(v) and v > 0
+
+
+def _is_natural(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _is_degree_list(v) -> bool:
@@ -541,6 +544,18 @@ def _finite_positive_arg(text: str) -> float:
     return value
 
 
+def _natural_arg(text: str) -> int:
+    if not _is_natural(value := int(text)):
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
+    return value
+
+
+def _positive_int_arg(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer")
+    return value
+
+
 def _default_report_path(problem_path: str) -> str:
     base = problem_path[:-5] if problem_path.endswith(".json") else problem_path
     return base + ".report.json"
@@ -670,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("problem")
     run.add_argument("--out", default=None, help="report path "
                      "(default: problem path with .report.json suffix)")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_natural_arg, default=None)
     run.add_argument("--tol", type=_finite_positive_arg, default=None)
     run.add_argument("--degrees", default=None,
                      help="comma-separated truncation degrees (diagnostic kind)")
@@ -694,43 +709,43 @@ def build_parser() -> argparse.ArgumentParser:
     poch.add_argument("--mu", type=_finite_positive_arg, required=True)
     poch.add_argument("--lambda2", dest="lam2", type=_finite_positive_arg, required=True)
     poch.add_argument("--mu2", type=_finite_positive_arg, required=True)
-    poch.add_argument("--d", type=int, default=2)
-    poch.add_argument("--N", type=int, default=24)
+    poch.add_argument("--d", type=_positive_int_arg, default=2)
+    poch.add_argument("--N", type=_natural_arg, default=24)
     poch.add_argument("--kind", choices=("similarity", "diagnostic", "unitary"),
                       default="similarity")
     poch.add_argument("--degrees", default="8,16,24,32")
-    poch.add_argument("--seed", type=int, default=0)
+    poch.add_argument("--seed", type=_natural_arg, default=0)
     poch.add_argument("--out", default="pochhammer_problem.json")
     poch.add_argument("--quiet", action="store_true")
 
     uc = gensub.add_parser("unitary-congruence",
                            help="a hidden-unitary congruent pair plus answer file")
-    uc.add_argument("--d", type=int, default=2)
-    uc.add_argument("--N", type=int, default=4)
-    uc.add_argument("--n", type=int, default=3)
-    uc.add_argument("--seed", type=int, default=0)
+    uc.add_argument("--d", type=_positive_int_arg, default=2)
+    uc.add_argument("--N", type=_natural_arg, default=4)
+    uc.add_argument("--n", type=_positive_int_arg, default=3)
+    uc.add_argument("--seed", type=_natural_arg, default=0)
     uc.add_argument("--out", default="unitary_problem.json")
     uc.add_argument("--quiet", action="store_true")
 
     pert = gensub.add_parser("perturb",
                              help="finite perturbation with closed-form certificate")
     pert.add_argument("--base", required=True, help="base kernel, e.g. pochhammer:1,2")
-    pert.add_argument("--d", type=int, default=2)
-    pert.add_argument("--N", type=int, default=20)
+    pert.add_argument("--d", type=_positive_int_arg, default=2)
+    pert.add_argument("--N", type=_natural_arg, default=20)
     pert.add_argument("--replace0", type=_finite_positive_arg, default=None,
                       help="replace C_0 by this multiple of the identity")
-    pert.add_argument("--max-degree", dest="max_degree", type=int, default=2,
+    pert.add_argument("--max-degree", dest="max_degree", type=_natural_arg, default=2,
                       help="replace all coefficients up to this degree (seeded)")
-    pert.add_argument("--seed", type=int, default=0)
+    pert.add_argument("--seed", type=_natural_arg, default=0)
     pert.add_argument("--out", default="perturb_problem.json")
     pert.add_argument("--quiet", action="store_true")
 
     hom = gensub.add_parser("homogeneous",
                             help="a pair of unitary-group homogeneous kernels")
-    hom.add_argument("--d", type=int, default=2)
-    hom.add_argument("--N", type=int, default=12)
-    hom.add_argument("--n", type=int, default=2)
-    hom.add_argument("--seed", type=int, default=0)
+    hom.add_argument("--d", type=_positive_int_arg, default=2)
+    hom.add_argument("--N", type=_natural_arg, default=12)
+    hom.add_argument("--n", type=_positive_int_arg, default=2)
+    hom.add_argument("--seed", type=_natural_arg, default=0)
     hom.add_argument("--independent", action="store_true",
                      help="independent second family instead of a congruent one")
     hom.add_argument("--kind", choices=("similarity", "diagnostic"),

@@ -22,6 +22,7 @@ import numpy as np
 from .lattice import Truncation, _truncation, degree, shifted, simplex_size
 from .numerics import (
     ConvergenceError,
+    HermPD,
     LinAlgError,
     _svd,
     as_complex_matrix,
@@ -36,7 +37,6 @@ from .numerics import (
     polar_unitary,
     singular_range,
     spectral_norm,
-    solve,
     sqrt_pd,
     symmetrize,
 )
@@ -50,6 +50,7 @@ DEFAULT_TOL = 1e-8
 INTERTWINER_DIM_CAP = 640
 INTERTWINER_FIBRE_CAP = 24
 INTERTWINER_RANK_RTOL = 1e-10
+SPECTRUM_ROUNDING = 4.0  # c in the eigenvalue-list allowance c n eps lambda_max / lambda_j
 
 VERDICT_SIMILAR = "SIMILAR_EVIDENCE"
 VERDICT_NOT_SIMILAR = "NOT_SIMILAR_EVIDENCE"
@@ -203,39 +204,25 @@ def verify_certificate(ms: MomentSystem, mt: MomentSystem,
 # Certificate search.
 # ---------------------------------------------------------------------------
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor core."""
-    nrm = frob_norm(m)
-    k = 0 if nrm <= 0.25 else max(0, math.ceil(math.log2(nrm / 0.25)))
-    a = m / (2.0 ** k)
-    out = np.eye(m.shape[0], dtype=np.complex128)
-    term = np.eye(m.shape[0], dtype=np.complex128)
-    for i in range(1, 18):
-        term = term @ a / i
-        out = out + term
-    for _ in range(k):
-        out = out @ out
-    return out
-
-
-# Eigenvalues within eps (nats) of an extreme count as active; the descent
-# tries the rungs in order and falls to the next when a direction fails.
-EPS_LADDER = (1e-3, 1e-6, 1e-9)
-MIN_NORM_ROUNDS = 30
-DESCENT_STEPS = 200  # the step cap of each descent stage
-BOTTOM_VALUE = 1e-13  # a stage whose log ratio reaches this has bottomed out
+DESCENT_STEPS = 400  # the step cap of the descent
+BOTTOM_VALUE = 1e-13  # a search whose log ratio reaches this has bottomed out
+PROVEN_RTOL = 1e-12  # f - bound <= PROVEN_RTOL max(1, f) proves f optimal
 RANDOM_STARTS = 2
-MIN_NORM_GAP = 1e-3
-BACKTRACKS = 30
+START_PERTURBATION = 1e-4  # Frobenius norm of the seeded move off the unit start
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+LINE_SEARCH_TRIALS = 30
+STATIONARY_WINDOW = 5  # the last gradients whose convex hull is tested
+STATIONARY_TOL = 1e-8
 
 
 class SearchStage(NamedTuple):
-    """How one descent stage of optimize_C ended.
+    """How the descent of optimize_C ended.
 
-    exit is one of: bottomed out (the log ratio reached BOTTOM_VALUE), flat
-    (no rung of the eps-ladder gives a nonzero descent direction), no
-    decrease (every rung's line search failed), stalled (three steps in a row
-    with negligible gain), iteration cap, non-finite (the start value).
+    exit is one of: bottomed out (the log ratio reached BOTTOM_VALUE), proven
+    optimal (it is within PROVEN_RTOL of the level-zero lower bound),
+    stationary (the convex hull of the last STATIONARY_WINDOW gradients comes
+    within STATIONARY_TOL of zero), no bracket (the line search found no weak
+    Wolfe step), iteration cap, non-finite (the perturbed start).
     """
 
     exit: str
@@ -253,15 +240,17 @@ class SearchStart(NamedTuple):
 
 
 class SearchSummary(NamedTuple):
-    """Which start optimize_C descended from, how its two stages ended, and
-    how many joint classes (rows of the reduced pair) it searched over;
-    starts holds a SearchStart per candidate, in the order tried."""
+    """Which start optimize_C descended from, how the descent ended, the
+    level-zero lower bound on the log ratio (None when the start bottomed
+    out and it was not computed), and how many joint classes (rows of the
+    reduced pair) it searched over; starts holds a SearchStart per
+    candidate, in the order tried."""
 
     start: str
     start_evaluations: int
     starts: tuple
-    unitary: SearchStage
-    refine: SearchStage
+    descent: SearchStage
+    bound: float | None
     classes: int
 
 
@@ -287,8 +276,6 @@ class _Bundle(NamedTuple):
     hi: np.ndarray
     x: np.ndarray
     u: np.ndarray
-    top: float
-    bottom: float
 
 
 def _joint_classes(classes: np.ndarray, tclasses: np.ndarray) -> tuple:
@@ -355,16 +342,30 @@ class _Objective:
         """
         top, bottom = ev.hi.max(), ev.lo.min()
         near = np.nonzero((ev.hi >= top - eps) | (ev.lo <= bottom + eps))[0]
-        if near.size == ev.hi.size:
-            near = slice(None)  # all tied: views, not copies of the stacks
         f, h = self.f[near], self.h[near]
         p, s, qh = _svd(f @ ev.c @ h, compute_uv=True)
         loge = -2.0 * np.log(s)
         lo = self.lo_off[near][:, None] + loge
         hi = self.hi_off[near][:, None] + loge
         x = (h @ qh.conj().swapaxes(1, 2)) / s[:, None, :]
-        return _Bundle(lo, hi, x, f.conj().swapaxes(1, 2) @ p, float(hi[:, -1].max()),
-                       float(lo[:, 0].min()))
+        return _Bundle(lo, hi, x, f.conj().swapaxes(1, 2) @ p)
+
+    def level_zero_bound(self, left: HermPD, right: HermPD) -> float:
+        """A lower bound on f over every C: any sandwich puts the extreme
+        eigenvalues of (G~_beta, G~_0) and (G_beta, G_0) within m2/m1 of each
+        other, so f >= max_beta |log lambda_max(G~_beta, G~_0) - log
+        lambda_max(G_beta, G_0)|, and the same with lambda_min. With left =
+        G_0^{-1/2} and right = G~_0^{1/2}, the singular values of F_beta left
+        and right H_beta give those eigenvalues and their reciprocals up to
+        logscales; each class's extreme offsets (lo_off, hi_off) give its
+        largest gap."""
+        s = _svd(self.f @ left.matrix, compute_uv=False)
+        t = _svd(right.matrix @ self.h, compute_uv=False)
+        shift = -2.0 * (left.logscale + right.logscale)
+        top = shift - 2.0 * (np.log(t[:, -1]) + np.log(s[:, 0]))
+        bottom = shift - 2.0 * (np.log(t[:, 0]) + np.log(s[:, -1]))
+        return float(max(np.abs(gap + off).max()
+                         for gap in (top, bottom) for off in (self.lo_off, self.hi_off)))
 
 
 def _extreme_gradients(b: _Bundle) -> tuple:
@@ -375,217 +376,106 @@ def _extreme_gradients(b: _Bundle) -> tuple:
             -2.0 * np.outer(b.u[lo, :, 0], b.x[lo, :, 0].conj()))
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.vdot(a, b).real)
+def _gradient(objective: _Objective, ev: _Eval) -> np.ndarray:
+    """grad f at an evaluated C, in the 2n^2 real coordinates of C
+    (interleaved real and imaginary parts, packed d/dRe + i d/dIm)."""
+    grad_max, grad_min = _extreme_gradients(objective.bundle(ev, 0.0))
+    return (grad_max - grad_min).ravel().view(np.float64)
 
 
-class _Side:
-    """The eps-active clusters on one side (lambda_max or lambda_min) of a bundle.
+def _stationary(grads: np.ndarray) -> bool:
+    """Whether the convex hull of the rows of grads comes within
+    STATIONARY_TOL of zero.
 
-    A cluster of active eigenvalues at one index, with B-orthonormal
-    eigenvectors X, contributes the whole set {-2 G C X Y X* : Y >= 0,
-    tr Y = 1}, not only its basis vectors. The linear oracle over it is the
-    bottom eigenvector of a small Hermitian matrix, linear in the adjoint
-    image h of the current element. Single-eigenvalue clusters are rows of
-    one coefficient matrix, so the oracle over all of them is one product;
-    wider ones are padded so that no inactive column wins.
+    An exact QP on these few points: the hull's min-norm point is the affine
+    min-norm point of some set of rows, with nonnegative weights, so the
+    KKT system of every nonempty set is solved in one batch (rows outside a
+    set get weight 0) and the smallest feasible point is the answer. A
+    singular system, from affinely dependent rows, answers NO.
     """
-
-    def __init__(self, b: _Bundle, mask: np.ndarray, sign: float):
-        n = mask.shape[1]
-        k = mask.sum(axis=1)
-        rows, cols = np.nonzero(mask & (k == 1)[:, None])
-        wide = np.nonzero(k > 1)[0]
-        self.n, self.sign = n, sign
-        self.u1, self.x1 = b.u[rows, :, cols], b.x[rows, :, cols]
-        # sign * v* M v at v = e_col is coef1 . vec(h); elementwise products,
-        # since threaded BLAS calls on these small operands cost more than they do
-        self.coef1 = (-2.0 * sign) * (
-            self.u1.conj()[:, :, None] * self.x1[:, None, :]).reshape(rows.size, n * n)
-        self.uw, self.xw, self.maskw = b.u[wide], b.x[wide], mask[wide]
-        # (U* h X)[w, i, j] is coefw . vec(h)
-        self.coefw = (self.uw.conj().swapaxes(1, 2)[:, :, None, :, None]
-                      * self.xw.swapaxes(1, 2)[:, None, :, None, :]).reshape(-1, n * n)
-
-    def vertex(self, h: np.ndarray) -> tuple:
-        """(u, x) of the atom minimising sign * Re<h, -2 u x*> over the side."""
-        hv = h.ravel()
-        best, u, x = math.inf, None, None
-        if self.u1.size:
-            vals = (self.coef1 * hv).sum(axis=1).real
-            i = int(np.argmin(vals))
-            best, u, x = float(vals[i]), self.u1[i], self.x1[i]
-        if self.uw.size:
-            n = self.n
-            p = (self.coefw * hv).sum(axis=1).reshape(-1, n, n)
-            m = -self.sign * (p + p.conj().swapaxes(1, 2))
-            pad = 1.0 + 2.0 * float(np.abs(m).max())
-            m = np.where(self.maskw[:, :, None] & self.maskw[:, None, :], m, 0.0)
-            m[:, range(n), range(n)] += np.where(self.maskw, 0.0, pad)
-            eigs, vecs = herm_eig_batch(m)
-            i = int(np.argmin(eigs[:, 0]))
-            if eigs[i, 0] < best:
-                v = vecs[i, :, 0]
-                u, x = self.uw[i] @ v, self.xw[i] @ v
-        return u, x
+    k = len(grads)
+    sets = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1 == 1
+    kkt = np.zeros((len(sets), k + 1, k + 1))
+    kkt[:, :k, :k] = np.where(sets[:, :, None] & sets[:, None, :], grads @ grads.T, np.eye(k))
+    kkt[:, :k, k] = kkt[:, k, :k] = sets
+    try:
+        weights = np.linalg.solve(kkt, np.eye(k + 1)[:, k:])[:, :k, 0]
+    except np.linalg.LinAlgError:
+        return False
+    x = weights[(weights >= 0.0).all(axis=1)] @ grads
+    return bool((x * x).sum(axis=1).min() <= STATIONARY_TOL ** 2)
 
 
-def _active(b: _Bundle, eps: float) -> tuple:
-    """Masks (r, n) of the eigenvalues within eps of the top and of the bottom."""
-    return b.hi >= b.top - eps, b.lo <= b.bottom + eps
-
-
-def _min_norm_point(first: np.ndarray, vertex) -> np.ndarray:
-    """Wolfe's minimum-norm-point algorithm over a convex set given by its
-    linear oracle: vertex(x) minimises Re<x, s> over the set.
-
-    The corral of oracle points is kept affinely minimal; each round adds one
-    point and re-solves the small affine min-norm system, dropping points
-    whose weight would turn negative. Stops when x is optimal to
-    MIN_NORM_GAP relative (the Frank-Wolfe gap), after MIN_NORM_ROUNDS
-    rounds, or when the corral system is singular.
-    """
-    atoms, weights, x = [first], np.ones(1), first
-    for _ in range(MIN_NORM_ROUNDS):
-        s = vertex(x)
-        if _inner(x, x - s) <= MIN_NORM_GAP * _inner(x, x):
-            break
-        atoms.append(s)
-        weights = np.append(weights, 0.0)
-        gram = np.array([[_inner(a, b) for b in atoms] for a in atoms])
-        while True:
-            k = len(atoms)
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k], kkt[k, k] = gram, 0.0
-            try:
-                mu = solve(kkt, np.eye(k + 1)[k]).real[:k]
-            except LinAlgError:
-                return x
-            if np.all(mu > 0.0):
-                weights = mu
-                break
-            neg = mu <= 0.0
-            theta = float(np.min(weights[neg] / np.maximum(weights[neg] - mu[neg], 1e-300)))
-            weights = (1.0 - theta) * weights + theta * mu
-            keep = weights > 1e-15
-            atoms = [a for a, kept in zip(atoms, keep) if kept]
-            weights, gram = weights[keep], gram[keep][:, keep]
-        x = sum(w * a for w, a in zip(weights, atoms))
-    return x
-
-
-def _min_norm_element(b: _Bundle, masks: tuple, stage, point) -> np.ndarray:
-    """Min-norm element of conv(active lambda_max gradients) - conv(active
-    lambda_min gradients), in the stage's coordinates at point."""
-    top, bottom = _Side(b, masks[0], 1.0), _Side(b, masks[1], -1.0)
-
-    def atom(u, x):
-        return stage.tangent(point, -2.0 * np.outer(u, x.conj()))
-
-    def vertex(g):
-        h = stage.adjoint(point, g)
-        return atom(*top.vertex(h)) - atom(*bottom.vertex(h))
-
-    grad_max, grad_min = _extreme_gradients(b)
-    first = stage.tangent(point, grad_max) - stage.tangent(point, grad_min)
-    return _min_norm_point(first, vertex)
-
-
-class _UnitaryStage:
-    """Stage (b): C = left W right over unitary W, polar retraction."""
-
-    def __init__(self, left: np.ndarray, right: np.ndarray):
-        self.left, self.right = left, right
-
-    def c_of(self, w):
-        return self.left @ w @ self.right
-
-    def tangent(self, w, grad_c):
-        # W skew(W* grad_W) with grad_W = left* grad_C right*
-        z = self.left @ grad_c @ self.right
-        return 0.5 * (z - w @ z.conj().T @ w)
-
-    def adjoint(self, w, g):
-        return self.left @ g @ self.right
-
-    def move(self, w, direction, step):
-        return polar_unitary(w + step * direction)
-
-
-class _RefineStage:
-    """Stage (c): all invertible C, re-centred at every step, C exp(step D)."""
-
-    def c_of(self, c):
-        return c
-
-    def tangent(self, c, grad_c):
-        return c.conj().T @ grad_c
-
-    def adjoint(self, c, g):
-        return c @ g
-
-    def move(self, c, direction, step):
-        return c @ _expm(step * direction)
-
-
-def _line_search(objective: _Objective, stage, point, ev: _Eval, g: np.ndarray,
-                 gnorm: float, travel: float):
-    """Backtrack along -g from a first move of length travel; returns the
-    (point, evaluation, move length) of the first sufficient decrease, or None."""
-    step = travel / gnorm
-    for _ in range(BACKTRACKS):
-        moved = stage.move(point, -g, step)
-        moved_ev = objective(stage.c_of(moved))
-        if moved_ev.value < ev.value - 1e-4 * step * gnorm * gnorm:
-            return moved, moved_ev, step * gnorm
-        step *= 0.5
+def _line_search(objective: _Objective, ev: _Eval, grad: np.ndarray,
+                 direction: np.ndarray):
+    """Weak Wolfe step along direction from ev, by bracketing: doubling
+    until a trial fails the sufficient decrease, then bisection. Returns
+    (evaluation, gradient) of the step found, or None."""
+    x = ev.c.ravel().view(np.float64)
+    slope = float(grad @ direction)
+    lo, hi, t = 0.0, math.inf, 1.0
+    for _ in range(LINE_SEARCH_TRIALS):
+        trial = objective((x + t * direction).view(np.complex128).reshape(ev.c.shape))
+        if not trial.value <= ev.value + WOLFE_C1 * t * slope:
+            hi = t
+        else:
+            trial_grad = _gradient(objective, trial)
+            if float(trial_grad @ direction) >= WOLFE_C2 * slope:
+                return trial, trial_grad
+            lo = t
+        t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
     return None
 
 
-def _descend(objective: _Objective, stage, point, ev: _Eval) -> SearchStage:
-    """Bundle descent from point, whose evaluation is ev.
+def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStage:
+    """BFGS over the 2n^2 real coordinates of C from the start c, normalised
+    to unit Frobenius norm and moved by a seeded START_PERTURBATION (without
+    that move the n-fold kink stage (a) leaves at alpha = 0 stalls BFGS).
 
-    Each step re-solves the near-extreme indices once for eigenvectors and
-    walks down EPS_LADDER: a rung whose min-norm element is zero, or whose
-    line search finds no sufficient decrease, hands over to the next. The
-    first trial move doubles the previous accepted one. Deterministic.
+    f is a max-eigenvalue function, nonsmooth where extremes tie; BFGS with
+    a weak Wolfe line search still converges on it (Lewis and Overton 2013).
+    The inverse Hessian starts as s'y / y'y times the identity at the first
+    update; an update with s'y <= 0 is skipped. Stops in the order of
+    SearchStage's exits, checked after every step; deterministic.
     """
     first = objective.evaluations
-    travel, stalled, steps = 0.5, 0, 0
-    reason = "iteration cap"
-    for _ in range(DESCENT_STEPS):
-        if not math.isfinite(ev.value):
-            reason = "non-finite"
-            break
+    z = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
+    ev = objective(c / frob_norm(c) + START_PERTURBATION * z / frob_norm(z))
+    if not math.isfinite(ev.value):
+        return SearchStage("non-finite", 0, objective.evaluations - first)
+    grad = _gradient(objective, ev)
+    grads = [grad]
+    hess = None
+    reason, steps = "iteration cap", 0
+    for steps in range(DESCENT_STEPS + 1):
         if ev.value <= BOTTOM_VALUE:
             reason = "bottomed out"
             break
-        bundle = objective.bundle(ev, EPS_LADDER[0])
-        trial, flat, seen = None, True, None
-        for eps in EPS_LADDER:
-            masks = _active(bundle, min(eps, 0.25 * ev.value))
-            key = tuple(m.tobytes() for m in masks)
-            if key == seen:
-                continue
-            seen = key
-            g = _min_norm_element(bundle, masks, stage, point)
-            gnorm = math.sqrt(_inner(g, g))
-            if gnorm <= 1e-12 * max(1.0, ev.value):
-                continue
-            flat = False
-            trial = _line_search(objective, stage, point, ev, g, gnorm, travel)
-            if trial is not None:
-                break
-        if trial is None:
-            reason = "flat" if flat else "no decrease"
+        if objective.best.value - bound <= PROVEN_RTOL * max(1.0, objective.best.value):
+            reason = "proven optimal"
             break
-        gain = ev.value - trial[1].value
-        point, ev, travel = trial[0], trial[1], 2.0 * trial[2]
-        steps += 1
-        stalled = stalled + 1 if gain <= 1e-9 * max(1.0, ev.value) else 0
-        if stalled >= 3:
-            reason = "stalled"
+        if _stationary(np.array(grads[-STATIONARY_WINDOW:])):
+            reason = "stationary"
             break
+        if steps == DESCENT_STEPS:
+            break
+        direction = -(grad if hess is None else hess @ grad)
+        found = _line_search(objective, ev, grad, direction)
+        if found is None:
+            reason = "no bracket"
+            break
+        moved, moved_grad = found
+        s = moved.c.ravel().view(np.float64) - ev.c.ravel().view(np.float64)
+        y = moved_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if hess is None:
+                hess = (sy / float(y @ y)) * np.eye(s.size)
+            hy = hess @ y
+            hess = (hess + ((sy + float(y @ hy)) / sy ** 2) * np.outer(s, s)
+                    - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        ev, grad = moved, moved_grad
+        grads.append(grad)
     return SearchStage(reason, steps, objective.evaluations - first)
 
 
@@ -697,17 +587,18 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
 
     Stage (a) solves C* G_0 C = G~_0 exactly via C = G_0^{-1/2} W G~_0^{1/2}
     with unitary W, starting from the identity, an eigenframe-alignment
-    candidate, and seeded random unitaries. Stage (b) descends over W with
-    Riemannian bundle subgradients and polar retraction. Stage (c) refines
-    over all invertible C with multiplicative updates C exp(-s C* grad_C),
-    re-centred at every step. Subgradients are exact: the gradient of
-    log lambda at a B-normalised extreme eigenvector x of index alpha is
-    -2 G_alpha C x x*, and near-ties are handled by min-norm elements of
-    eps-active bundles (see _descend). The best certificate seen anywhere is
-    returned, with a SearchSummary of the search; the result is never worse
-    than the stage (a) initialization; deterministic for a fixed seed.
+    candidate, a unitary recovery and seeded random unitaries. Unless the
+    best start has bottomed out, the level-zero lower bound of the pair
+    (_Objective.level_zero_bound) is computed once, and a start within
+    PROVEN_RTOL of it is returned as proven optimal. Otherwise one BFGS
+    descent (_bfgs) runs over all invertible C from the best start, on
+    exact gradients: the gradient of log lambda at a B-normalised extreme
+    eigenvector x of index alpha is -2 G_alpha C x x*. The best certificate
+    seen anywhere is returned, with a SearchSummary of the search; the result
+    is never worse than the stage (a) initialization; deterministic for a
+    fixed seed.
 
-    Every stage runs on one row per joint class of the pair (see
+    The search runs on one row per joint class of the pair (see
     _Objective), whose evaluations give the full lattice's constants, so the
     certificate is the best evaluation itself.
     """
@@ -721,10 +612,6 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     left = inv_sqrt_pd(ms.gram(zero))
     right = sqrt_pd(mt.gram(zero))
     right_inv = inv_sqrt_pd(mt.gram(zero))
-    # the exp(left+right logscale) gauge scalar is dropped from C: the log
-    # ratio is invariant under scalar rescaling of C and the certificate
-    # constants absorb it, while exp() here could overflow
-    unitary = _UnitaryStage(left.matrix, right.matrix)
 
     # Transporting both families by their level-zero inverse square roots
     # turns any exact congruence into a unitary one, so the unitary-recovery
@@ -753,27 +640,36 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         candidates.append((f"random{i}", polar_unitary(z), None))
 
-    label, start, start_ev, tried = None, None, None, []
+    # the exp(left+right logscale) gauge scalar is dropped from C: the log
+    # ratio is invariant under scalar rescaling of C and the certificate
+    # constants absorb it, while exp() here could overflow
+    label, start_ev, tried = None, None, []
     for name, w, error in candidates:
         if w is None:
             tried.append(SearchStart(name, None, error))
             continue
-        ev = objective(unitary.c_of(w))
+        ev = objective(left.matrix @ w @ right.matrix)
         tried.append(SearchStart(name, ev.value))
         if start_ev is None or ev.value < start_ev.value:
-            label, start, start_ev = name, w, ev
+            label, start_ev = name, ev
     start_evaluations = objective.evaluations
-
-    unitary_stage = _descend(objective, unitary, start, start_ev)
-    best = objective.best
-    refine_stage = _descend(objective, _RefineStage(), best.c, best)
-    best = objective.best
-    if best.lo is None:
+    if not math.isfinite(start_ev.value):
         raise ConvergenceError("no start gives a finite log ratio")
+
+    bound = None
+    if start_ev.value <= BOTTOM_VALUE:
+        descent = SearchStage("bottomed out", 0, 0)
+    else:
+        bound = objective.level_zero_bound(left, right)
+        if start_ev.value - bound <= PROVEN_RTOL * max(1.0, start_ev.value):
+            descent = SearchStage("proven optimal", 0, 0)
+        else:
+            descent = _bfgs(objective, start_ev.c, bound, rng)
+    best = objective.best
     return SimilarityCertificate(
         best.c, float(best.lo.min()), float(best.hi.max()),
-        search=SearchSummary(label, start_evaluations, tuple(tried), unitary_stage,
-                             refine_stage, len(rows)),
+        search=SearchSummary(label, start_evaluations, tuple(tried), descent, bound,
+                             len(rows)),
     )
 
 
@@ -893,11 +789,11 @@ def _level_zero_log_traces(mats) -> np.ndarray:
     return np.log(traces, out=np.full(traces.shape, np.nan), where=traces > 0)
 
 
-def _invariant_witness(gaps, tol, indices, invariant: str,
+def _invariant_witness(gaps, mismatched, indices, invariant: str,
                        what: str) -> UnitaryEquivalenceResult | None:
-    """The NO whose witness is the first index in graded order with a
-    log-domain gap above tol, or None when every gap is within it."""
-    mismatched = np.nonzero(gaps > tol)[0]
+    """The NO whose witness is the first index in graded order marked in
+    mismatched, reporting its log-domain gap, or None when none is marked."""
+    mismatched = np.nonzero(mismatched)[0]
     if not mismatched.size:
         return None
     k = int(mismatched[0])
@@ -918,7 +814,10 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     domain so scales count: the eigenvalue list of each G_alpha, then the
     level-zero traces tr(G_0 G_beta) (tr(V* G_0 V V* G_beta V) = tr(G_0 G_beta)
     for unitary V). The witness is the first index in graded order whose gap
-    exceeds tol. When both match, V is recovered by aligning the eigenframes
+    exceeds tol; each log eigenvalue's allowance is widened by its rounding
+    term, SPECTRUM_ROUNDING n eps lambda_max / lambda_j on each side, since
+    a computed eigenvalue of an n x n matrix is off by about n eps lambda_max.
+    When both match, V is recovered by aligning the eigenframes
     of a seeded positive combination of each family — phases fixed against a
     second combination when the spectrum has gaps — and polished by
     alternating polar iterations on the coupling sum; YES requires the final
@@ -932,9 +831,10 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
 
     eigs, _ = herm_eig_batch(mats, vectors=False)
     teigs, _ = herm_eig_batch(tmats, vectors=False)
-    log_spec = np.log(eigs) + logs[:, None]
-    log_tspec = np.log(teigs) + tlogs[:, None]
-    witness = _invariant_witness(np.abs(log_spec - log_tspec).max(axis=1), tol,
+    gaps = np.abs((np.log(eigs) + logs[:, None]) - (np.log(teigs) + tlogs[:, None]))
+    allowance = tol + SPECTRUM_ROUNDING * ms.fiber_dim * np.finfo(np.float64).eps * (
+        eigs[:, -1:] / eigs + teigs[:, -1:] / teigs)
+    witness = _invariant_witness(gaps.max(axis=1), (gaps > allowance).any(axis=1),
                                  indices, "spectrum", "eigenvalue lists")
     if witness is not None:
         return witness
@@ -942,7 +842,7 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     # matching spectra bound each l_alpha - l~_alpha
     gaps = np.abs(_level_zero_log_traces(mats) - _level_zero_log_traces(tmats)
                   + (logs[0] - tlogs[0]) + (logs - tlogs))
-    witness = _invariant_witness(gaps, tol, indices, "trace",
+    witness = _invariant_witness(gaps, gaps > tol, indices, "trace",
                                  "level-zero traces tr(G_0 G_alpha)")
     if witness is not None:
         return witness

@@ -19,7 +19,6 @@ import numpy as np
 from .equivalence import (
     GrowthDiagnostic,
     PolishSummary,
-    SearchStage,
     SearchStart,
     SearchSummary,
     SimilarityCertificate,
@@ -293,20 +292,22 @@ def growth_to_json(diag: GrowthDiagnostic) -> dict:
 
 
 def search_to_json(summary: SearchSummary) -> dict:
-    def stage(s: SearchStage) -> dict:
-        return {"exit": s.exit, "steps": s.steps, "evaluations": s.evaluations}
+    def finite(v: float | None) -> float | None:
+        return v if v is not None and math.isfinite(v) else None
 
     def start(s: SearchStart) -> dict:
         if s.error is not None:
             return {"name": s.name, "error": s.error}
-        return {"name": s.name, "value": s.value if math.isfinite(s.value) else None}
+        return {"name": s.name, "value": finite(s.value)}
 
+    descent = summary.descent
     return {
         "start": summary.start,
         "start_evaluations": summary.start_evaluations,
         "starts": [start(s) for s in summary.starts],
-        "unitary": stage(summary.unitary),
-        "refine": stage(summary.refine),
+        "descent": {"exit": descent.exit, "steps": descent.steps,
+                    "evaluations": descent.evaluations},
+        "bound": finite(summary.bound),
     }
 
 

@@ -114,15 +114,27 @@ class TestRun:
         search = read_report(out)["diagnostics"]["optimize"]
         assert search["start"] in ("identity", "alignment", "recovery", "random0", "random1")
         assert search["start_evaluations"] == 5
-        for stage in ("unitary", "refine"):
-            assert set(search[stage]) == {"exit", "steps", "evaluations"}
-        # the swap is solved exactly by a start
-        assert search["unitary"] == {"exit": "bottomed out", "steps": 0, "evaluations": 0}
+        assert set(search) == {"start", "start_evaluations", "starts", "descent", "bound"}
+        # the swap is solved exactly by a start, so no bound is computed
+        assert search["descent"] == {"exit": "bottomed out", "steps": 0, "evaluations": 0}
+        assert search["bound"] is None
         starts = search["starts"]
         assert [s["name"] for s in starts] == [
             "identity", "alignment", "recovery", "random0", "random1"]
         assert min(s["value"] for s in starts) == next(
             s["value"] for s in starts if s["name"] == search["start"])
+
+    def test_similarity_report_gives_the_level_zero_bound(self, tmp_path):
+        path, out = tmp_path / "perturb.json", tmp_path / "report.json"
+        assert run_cli(["gen", "perturb", "--base", "pochhammer:1,2", "--N", 12,
+                        "--replace0", "2.5", "--out", path, "--quiet"]) == 0
+        assert run_cli(["run", path, "--out", out, "--quiet"]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject_constant)
+        search = report["diagnostics"]["optimize"]
+        # a level-zero perturbation: the identity start meets the bound
+        assert search["descent"] == {"exit": "proven optimal", "steps": 0, "evaluations": 0}
+        log_ratio = report["certificate"]["log_ratio"]
+        assert search["bound"] > 0.0 and abs(log_ratio - search["bound"]) <= 1e-12
 
     def test_default_report_path(self, swap_problem):
         assert run_cli(["run", swap_problem, "--quiet"]) == 0
@@ -532,13 +544,19 @@ class TestStrictJSON:
             (eq.SearchStart("identity", math.inf),
              eq.SearchStart("alignment", None, "ConvergenceError"),
              eq.SearchStart("random0", 1.5)),
-            eq.SearchStage("flat", 0, 0), eq.SearchStage("flat", 0, 0), 3,
+            eq.SearchStage("stationary", 4, 9), 0.25, 3,
         )
         data = json.loads(canonical_dumps(ser.search_to_json(summary)),
                           parse_constant=reject_constant)
         assert data["starts"] == [{"name": "identity", "value": None},
                                   {"name": "alignment", "error": "ConvergenceError"},
                                   {"name": "random0", "value": 1.5}]
+        assert data["descent"] == {"exit": "stationary", "steps": 4, "evaluations": 9}
+        assert data["bound"] == 0.25
+        for bound in (None, math.inf, math.nan):
+            data = json.loads(canonical_dumps(ser.search_to_json(summary._replace(bound=bound))),
+                              parse_constant=reject_constant)
+            assert data["bound"] is None
 
     def test_canonical_dumps_names_the_non_finite_number(self):
         with pytest.raises(ValueError, match=r"non-finite number at growth\.table\[1\]"):

@@ -117,6 +117,8 @@ def _reject_constant(name):
 # found by this test: the oracle overflowed or hit a singular solve
 @example(_replace(BASES[2], ("systems", 0, "grams", 0, "logscale"), 1e308))
 @example(_replace(BASES[2], ("systems", 0, "grams", 0, "logscale"), -1e308))
+# found by test_gen_is_total: numpy's generators reject a negative seed
+@example(_replace(BASES[0], ("options", "seed"), -1))
 def test_run_is_total_on_mutated_problems(problem):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "p.json", Path(tmp) / "r.json"
@@ -239,3 +241,86 @@ def test_integer_matrices_parse_like_their_float_twins(integer_rows):
     twin = ser.moment_system_from_json(system([float] * 3), "s")
     assert ms.mats.tobytes() == twin.mats.tobytes()
     assert ms.logs.tobytes() == twin.logs.tobytes()
+
+
+# Option values for the `gen` generators, (valid, invalid) per option;
+# required options come first in each table. Sizes stay small (d, N, n <= 3),
+# so every draw runs in milliseconds.
+POSITIVE = (["1", "2.5", "0.5"], ["0", "-1", "nan", "inf", "1e400", "x"])
+DIMENSION = (["1", "2", "3"], ["0", "-1", "1.5", "x"])
+DEGREE = (["0", "1", "3"], ["-1", "2.0", "x"])
+SEED = (["0", "7"], ["-1", "x"])
+DEGREES = (["1,2,3,4", "2,4,6,8"], ["4,3,2,1", "1,2", "0,1,2,3", "x"])
+GENERATORS = {
+    "pochhammer": {"--lambda": POSITIVE, "--mu": POSITIVE, "--lambda2": POSITIVE,
+                   "--mu2": POSITIVE, "--d": DIMENSION, "--N": DEGREE,
+                   "--kind": (["similarity", "diagnostic", "unitary"], ["oracle"]),
+                   "--degrees": DEGREES, "--seed": SEED},
+    "unitary-congruence": {"--d": DIMENSION, "--N": DEGREE, "--n": DIMENSION,
+                           "--seed": SEED},
+    "perturb": {"--base": (["pochhammer:1,2", "pochhammer:2.5,0.5"],
+                           ["pochhammer:2", "pochhammer:0,2", "pochhammer:nan,1",
+                            "shift:1,2"]),
+                "--d": DIMENSION, "--N": DEGREE, "--replace0": POSITIVE,
+                "--max-degree": DEGREE, "--seed": SEED},
+    "homogeneous": {"--d": DIMENSION, "--N": DEGREE, "--n": DIMENSION, "--seed": SEED,
+                    "--kind": (["similarity", "diagnostic"], ["unitary"]),
+                    "--degrees": DEGREES, "--independent": ([None], [])},
+}
+REQUIRED = {"pochhammer": 4, "perturb": 1}
+
+
+@st.composite
+def gen_arguments(draw):
+    """A gen command line: valid values throughout, or one option broken
+    (an invalid value, or a required option left out)."""
+    generator = draw(st.sampled_from(sorted(GENERATORS)))
+    table = GENERATORS[generator]
+    required = list(table)[:REQUIRED.get(generator, 0)]
+    broken = draw(st.one_of(st.none(), st.sampled_from(list(table))))
+    argv = ["gen", generator]
+    for option, (valid, invalid) in table.items():
+        if option == broken and (invalid or option in required):
+            if invalid and (option not in required or draw(st.booleans())):
+                argv += [option, draw(st.sampled_from(invalid))]
+            continue
+        if option in required or draw(st.booleans()):
+            value = draw(st.sampled_from(valid))
+            argv += [option] if value is None else [option, value]
+    return argv
+
+
+def _main(argv):
+    """cli.main's exit code, argparse's usage errors included, and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as ex:
+            code = ex.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(gen_arguments())
+def test_gen_is_total(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "p.json"
+        code, err = _main(argv + ["--out", str(out), "--quiet"])
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_problems())
+def test_validate_is_total_on_mutated_problems(problem):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        code, err = _main(["validate", str(path), "--quiet"])
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err

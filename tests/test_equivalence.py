@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from multishift import equivalence as eq
@@ -16,6 +18,7 @@ from multishift.numerics import (
     hermpd,
     inv,
     inv_sqrt_pd,
+    pencil_logeigs,
     singular_range,
     sqrt_pd,
 )
@@ -264,10 +267,37 @@ class TestCertificateSearch:
             fd = central_diff(func, c)
             assert frob_norm(grad - fd) <= 1e-6 * frob_norm(fd)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_descent_gradient_is_packed_in_real_coordinates(self, seed):
+        # the directional derivative along a real 2n^2 direction is grad . d
+        rng = np.random.default_rng([81, seed])
+        ms = sampling.random_moment_system(2, 3, 2, rng)
+        mt = sampling.random_moment_system(2, 3, 2, rng)
+        objective = eq._Objective(ms, mt)
+        c = np.eye(2) + 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        grad = eq._gradient(objective, objective(c))
+        assert grad.shape == (8,) and grad.dtype == np.float64
+        x, h = c.ravel().view(np.float64), 1e-6
+        for direction in np.eye(8):
+            moved = [objective((x + t * direction).view(np.complex128).reshape(2, 2)).value
+                     for t in (h, -h)]
+            assert (moved[0] - moved[1]) / (2 * h) == pytest.approx(grad @ direction, abs=1e-6)
+
+    @pytest.mark.parametrize("grads,stationary", [
+        ([[1.0, 1.0], [-1.0, 1.0]], False),        # min-norm point (0, 1) on an edge
+        ([[1.0, 1e-9], [-1.0, 1e-9]], True),       # (0, 1e-9) on the same edge
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], True),  # zero inside a triangle
+        ([[2.0, 1.0], [1.0, 2.0], [3.0, 0.5], [1.5, 1.5], [0.2, 3.0]], False),
+        ([[1e-9, 0.0]], True),
+    ])
+    def test_stationary_is_exact_on_small_hulls(self, grads, stationary):
+        assert eq._stationary(np.array(grads)) is stationary
+
     @pytest.mark.parametrize("n", [2, 3])
-    def test_direction_from_stage_a_cluster_decreases_f(self, n):
+    def test_search_leaves_the_stage_a_cluster(self, n):
         # G~ = G at alpha = 0 and G~ > G elsewhere, so at the stage (a) start
-        # the minimum is the n-fold eigenvalue 1 at alpha = 0
+        # the minimum is the n-fold eigenvalue 1 at alpha = 0, a kink the
+        # perturbed start of the descent moves off
         rng = np.random.default_rng([78, n])
         ms = sampling.random_moment_system(2, 2, n, rng)
         grams = {}
@@ -282,23 +312,19 @@ class TestCertificateSearch:
         objective = eq._Objective(ms, mt)
         ev = objective(c0)
         bundle = objective.bundle(ev, 1e-6)
-        masks = eq._active(bundle, 1e-6)
-        assert masks[1].sum() == n and masks[1].sum(axis=1).max() == n
-        stage = eq._RefineStage()
-        g = eq._min_norm_element(bundle, masks, stage, c0)
-        gnorm = frob_norm(g)
-        assert gnorm > 1e-3
-        for travel in (1e-3, 1e-4):
-            step = travel / gnorm
-            moved = objective(stage.move(c0, -g, step))
-            assert moved.value < ev.value - 0.5 * step * gnorm ** 2
+        cluster = bundle.lo <= bundle.lo[:, 0].min() + 1e-6
+        assert cluster.sum() == n and cluster.sum(axis=1).max() == n
+        cert = eq.optimize_C(ms, mt, seed=0)
+        assert cert.search.descent.steps > 0
+        assert cert.log_ratio < ev.value - 1e-3
+        assert eq.verify_certificate(ms, mt, cert).passes
 
     @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
     def test_certificates_no_worse_than_central_differences(self, name, monkeypatch):
         ms, mt, seed = certify_random_pair(name)
         # the benchmark tracer counts objective evaluations as calls of
         # equivalence.pencil_logrange_batch inside optimize_C: one per
-        # evaluation, and no second pass for the certificate
+        # evaluation, none for the bound, and no second pass for the certificate
         offsets, kernel, values = eq._Objective(ms, mt), eq.pencil_logrange_batch, []
 
         def counted(f, h, c):
@@ -310,8 +336,7 @@ class TestCertificateSearch:
         monkeypatch.setattr(eq, "pencil_logrange_batch", counted)
         cert = eq.optimize_C(ms, mt, seed=seed)
         search = cert.search
-        assert len(values) == (search.start_evaluations + search.unitary.evaluations
-                               + search.refine.evaluations)
+        assert len(values) == search.start_evaluations + search.descent.evaluations
         assert cert.log_ratio == min(v for v in values if v is not None)
         assert cert.log_ratio <= CENTRAL_DIFFERENCE_LOG_RATIOS[name] + 1e-9
         assert eq.verify_certificate(ms, mt, cert).passes
@@ -320,26 +345,122 @@ class TestCertificateSearch:
             "identity", "alignment", "recovery", "random0", "random1"]
         assert min(s.value for s in search.starts) == next(
             s.value for s in search.starts if s.name == search.start)
-        for stage in (search.unitary, search.refine):
-            assert stage.exit in ("bottomed out", "flat", "no decrease", "stalled",
-                                  "iteration cap")
-            assert stage.evaluations >= stage.steps >= 0
-        if name in SEARCH_PATHS:
-            # hardware-independent counters: a change here is a new search path
-            assert (search.start, tuple(search.unitary), tuple(search.refine)) \
-                == SEARCH_PATHS[name]
+        assert search.descent.evaluations >= search.descent.steps >= 0
+        # hardware-independent: a change here is a new search path
+        start, exit_, zero_counts = SEARCH_PATHS[name]
+        assert (search.start, search.descent.exit) == (start, exit_)
+        if zero_counts:
+            assert search.descent.steps == search.descent.evaluations == 0
+
+    @pytest.mark.parametrize("name", ["random0", "random2", "random3"])
+    def test_certificate_is_stable_under_rounding_of_the_start(self, name, monkeypatch):
+        # the descent ends at a nonsmooth minimum or a stationary point, not
+        # at a step cap, so rounding-level changes of its start move the
+        # path but not the value
+        ms, mt, seed = certify_random_pair(name)
+        descend, ratios = eq._bfgs, []
+        for k in range(5):
+            monkeypatch.setattr(eq, "_bfgs", lambda objective, c, *rest, k=k: descend(
+                objective, c * (1.0 + k * 1e-15), *rest))
+            cert = eq.optimize_C(ms, mt, seed=seed)
+            assert cert.search.descent.exit != "iteration cap"
+            ratios.append(cert.log_ratio)
+        assert max(ratios) - min(ratios) <= 1e-10
 
 
-# (start, unitary stage, refine stage) of the certify-random pairs whose search
-# ends before a step cap; random2 and random3 end at the refinement cap, where
-# rounding-level changes move the path (see ROADMAP item 8).
+# (start, descent exit, whether the descent took no step and no evaluation)
+# per certify-random pair; step and evaluation counts are pinned only where
+# they are 0, as rounding-level changes move them but not the values.
 SEARCH_PATHS = {
-    "random0": ("alignment", ("stalled", 43, 102), ("stalled", 49, 117)),
-    "random1": ("alignment", ("stalled", 114, 241), ("stalled", 138, 288)),
-    "random4": ("recovery", ("stalled", 9, 33), ("no decrease", 0, 30)),
-    "swap": ("alignment", ("bottomed out", 0, 0), ("bottomed out", 0, 0)),
-    "perturb": ("identity", ("flat", 0, 0), ("flat", 0, 0)),
+    "random0": ("alignment", "no bracket", False),
+    "random1": ("alignment", "stationary", False),
+    "random2": ("recovery", "no bracket", False),
+    "random3": ("recovery", "no bracket", False),
+    "random4": ("recovery", "stationary", False),
+    "swap": ("alignment", "bottomed out", True),
+    "perturb": ("identity", "proven optimal", True),
 }
+
+
+def level_zero_bound(ms, mt):
+    zero = (0,) * ms.d
+    return eq._Objective(ms, mt).level_zero_bound(inv_sqrt_pd(ms.gram(zero)),
+                                                   sqrt_pd(mt.gram(zero)))
+
+
+def per_row_level_zero_bound(ms, mt):
+    """The level-zero bound from every lattice row, by the pencil eigenvalues
+    of each (G_beta, G_0) and (G~_beta, G~_0): the reference for the bound
+    computed from the class rows."""
+    zero = (0,) * ms.d
+    gaps = []
+    for beta in ms.truncation():
+        src = pencil_logeigs(ms.gram(beta), ms.gram(zero))
+        tgt = pencil_logeigs(mt.gram(beta), mt.gram(zero))
+        gaps += [abs(tgt[-1] - src[-1]), abs(tgt[0] - src[0])]
+    return max(gaps)
+
+
+def perturbed_pochhammer_pair(seed):
+    """Pochhammer (1,2) against a copy whose coefficients up to degree 2 are
+    replaced by seeded random ones, each a class of its own."""
+    base = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 12)
+    rng = np.random.default_rng([82, seed])
+    other, _ = kg.perturb_kernel(base, {alpha: sampling.random_pd(2, rng)
+                                        for alpha in base.truncation() if sum(alpha) <= 2})
+    return kg.kernel_moments(base), kg.kernel_moments(other)
+
+
+# Mutations of _Objective.level_zero_bound these tests kill: a bound without
+# the absolute value fails on the Pochhammer gap pairs and the perturb pair,
+# whose bound-attaining gaps are negative; a bound that pairs lambda_max of
+# one family with lambda_min of the other fails the per-row reference and
+# exceeds the verified log ratio.
+class TestLevelZeroBound:
+    @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
+    def test_at_most_the_verified_log_ratio(self, name):
+        ms, mt, seed = certify_random_pair(name)
+        cert = eq.optimize_C(ms, mt, seed=seed)
+        assert eq.verify_certificate(ms, mt, cert).passes
+        bound = level_zero_bound(ms, mt)
+        assert bound <= cert.log_ratio + 1e-12
+        assert cert.search.bound in (None, bound)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 2), top=st.integers(1, 3), n=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_at_most_the_verified_log_ratio_on_drawn_pairs(self, d, top, n, seed):
+        rng = np.random.default_rng(seed)
+        ms = sampling.random_moment_system(d, top, n, rng)
+        mt = sampling.random_moment_system(d, top, n, rng)
+        cert = eq.optimize_C(ms, mt, seed=0)
+        assert eq.verify_certificate(ms, mt, cert).passes
+        assert level_zero_bound(ms, mt) <= cert.log_ratio + 1e-12
+
+    @pytest.mark.parametrize("top", [16, 32, 64, 128])
+    def test_proves_the_pochhammer_gap_certificates(self, top):
+        ms, mt = pochhammer_moments(1, 2, top=top), pochhammer_moments(1, 3, top=top)
+        cert = eq.optimize_C(ms, mt, seed=0)
+        assert cert.search.descent == eq.SearchStage("proven optimal", 0, 0)
+        assert abs(cert.log_ratio - cert.search.bound) <= 1e-12
+        assert cert.search.bound == level_zero_bound(ms, mt)
+
+    def test_proves_the_perturbed_certificate(self):
+        ms, mt, seed = certify_random_pair("perturb")
+        cert = eq.optimize_C(ms, mt, seed=seed)
+        assert cert.search.descent.exit == "proven optimal"
+        assert abs(cert.log_ratio - cert.search.bound) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_class_rows_match_the_per_row_reference(self, seed):
+        ms, mt = perturbed_pochhammer_pair(seed)
+        assert len(eq._Objective(ms, mt).rows) < len(ms.truncation())
+        bound = level_zero_bound(ms, mt)
+        assert abs(bound - per_row_level_zero_bound(ms, mt)) <= 1e-12 * max(1.0, bound)
+        flat = level_zero_bound(helpers.identity_classes(ms), helpers.identity_classes(mt))
+        assert abs(bound - flat) <= 1e-13 * max(1.0, bound)
+        cert = eq.optimize_C(ms, mt, seed=seed)
+        assert bound <= cert.log_ratio + 1e-12
 
 
 def cholesky_pencil_eig(a_mats, b_mats):
@@ -620,7 +741,7 @@ class TestUnitaryEquivalence:
             ms, helpers.scaled_system(ms, math.log(2.0)), 1e-8
         )
         assert not result.equivalent
-        assert result.witness == (0, 0)
+        assert result.witness == (0, 0) and result.witness_invariant == "spectrum"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_construct_then_recover(self, seed):
@@ -696,6 +817,27 @@ class TestUnitaryEquivalence:
         result = eq.test_unitary_equivalence(ms, mt, 1e-8)
         assert result.witness is None and result.witness_invariant is None
         assert result.equivalent and result.polish is not None
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("condition", [1e8, 1e10])
+    def test_ill_conditioned_hidden_unitary_positive_is_recovered(self, seed, condition):
+        # the smallest eigenvalue of the rotated G_0 carries a relative
+        # rounding error near eps * condition, far above tol: the allowance of
+        # the eigenvalue-list check widens with lambda_max / lambda_j
+        rng = np.random.default_rng([1100, seed])
+        n = 3
+        base = sampling.random_moment_system(2, 4, n, rng)
+        u = sampling.random_unitary(n, rng)
+        mats, logs = np.array(base.mats), np.array(base.logs)
+        mats[0] = u @ np.diag(np.geomspace(1.0, 1.0 / condition, n)) @ u.conj().T
+        ms = sc.MomentSystem.from_arrays(2, 4, n, mats, logs)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(n, rng))
+        result = eq.test_unitary_equivalence(ms, mt, 1e-8)
+        assert result.equivalent and result.residual <= 1e-12
+        # the allowance is per eigenvalue: a 1e-6 rescaling still shows at
+        # the well-conditioned top of the spectrum
+        scaled = eq.test_unitary_equivalence(ms, helpers.scaled_system(mt, 1e-6), 1e-8)
+        assert scaled.witness == (0, 0) and scaled.witness_invariant == "spectrum"
 
     def test_trace_gap_is_a_sum_of_differences(self):
         # logscales near +-1e308 on both sides: l_0 + l_beta would overflow
