@@ -526,14 +526,12 @@ def gen_homogeneous(args) -> dict:
 # Entry point.
 # ---------------------------------------------------------------------------
 
-def _parse_degrees(text) -> list:
-    if isinstance(text, list):
-        return [int(x) for x in text]
+def _parse_degrees(text: str) -> list:
     try:
-        out = [int(x) for x in str(text).split(",") if x.strip()]
+        out = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as ex:
         raise InputValidationError(f"cannot parse degrees {text!r}") from ex
-    if len(out) < 4 or sorted(set(out)) != out or out[0] < 1:
+    if not _is_degree_list(out):
         raise InputValidationError("degrees must be >= 4 strictly ascending integers >= 1")
     return out
 

@@ -410,9 +410,14 @@ def _line_search(objective: _Objective, ev: _Eval, grad: np.ndarray,
                  direction: np.ndarray):
     """Weak Wolfe step along direction from ev, by bracketing: doubling
     until a trial fails the sufficient decrease, then bisection. Returns
-    (evaluation, gradient) of the step found, or None."""
-    x = ev.c.ravel().view(np.float64)
+    (evaluation, gradient) of the step found, or None. A direction that is
+    not a descent direction gets None before any evaluation: at slope >= 0
+    a trial equal to ev passes both Wolfe tests, so BFGS would keep taking
+    steps that make no progress."""
     slope = float(grad @ direction)
+    if not slope < 0.0:
+        return None
+    x = ev.c.ravel().view(np.float64)
     lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(LINE_SEARCH_TRIALS):
         trial = objective((x + t * direction).view(np.complex128).reshape(ev.c.shape))

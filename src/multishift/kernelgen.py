@@ -27,20 +27,10 @@ from .numerics import (
 )
 from .shiftcore import GradedFamily, MomentSystem
 
-PROVENANCE_TAGS = ("pochhammer", "homogeneous", "perturbed", "explicit")
-
-
 class KernelSpec(GradedFamily):
     """Diagonal reproducing kernel data: coefficients alpha -> C_alpha (PD), stored
     as graded stacks like MomentSystem; coeff(alpha) is a HermPD view of one row.
     The generators below build one class per degree (see GradedFamily)."""
-
-    def __init__(self, d: int, N: int, fiber_dim: int, mats, logs,
-                 provenance: str = "explicit", classes=None):
-        if provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance tag {provenance!r}")
-        super().__init__(d, N, fiber_dim, mats, logs, classes)
-        self.provenance = provenance
 
     coeff = GradedFamily.row
 
@@ -102,8 +92,7 @@ def pochhammer_kernel(pair: PochhammerPair, d: int, top_degree: int) -> KernelSp
                           for m in range(top_degree + 1)])
     mats, logs = hermpd_from_log_diag_batch(by_degree)
     deg, lfact, _ = _graded_log_factorials(d, top_degree)
-    return KernelSpec(d, top_degree, 2, mats, logs[deg] - lfact,
-                      provenance="pochhammer", classes=deg)
+    return KernelSpec(d, top_degree, 2, mats, logs[deg] - lfact, classes=deg)
 
 
 def pochhammer_ground_truth(pair: PochhammerPair, other: PochhammerPair) -> bool:
@@ -134,8 +123,7 @@ def homogeneous_kernel(coeffs_by_degree, d: int) -> KernelSpec:
     deg, lfact, lf = _graded_log_factorials(d, top)
     mats = np.stack([a.matrix for a in coeffs_by_degree])
     logs = np.array([a.logscale for a in coeffs_by_degree]) + lf
-    return KernelSpec(d, top, n, mats, logs[deg] - lfact,
-                      provenance="homogeneous", classes=deg)
+    return KernelSpec(d, top, n, mats, logs[deg] - lfact, classes=deg)
 
 
 def perturb_kernel(spec: KernelSpec, replacements: dict):
@@ -165,7 +153,7 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     class_mats = np.concatenate([spec.class_mats, np.reshape(
         extra, (len(extra), spec.fiber_dim, spec.fiber_dim))])
     perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, class_mats, logs,
-                           provenance="perturbed", classes=classes)
+                           classes=classes)
     lo, hi = [0.0], [0.0]
     if n0 >= 0:
         k0 = simplex_size(spec.d, n0)

@@ -3,11 +3,8 @@
 Eigendecompositions, general solves, singular values and the polar factor
 run on the LAPACK that numpy ships (`numpy.linalg`); a LAPACK failure is
 re-raised as this module's ConvergenceError or SingularMatrixError, so
-callers catch one family of errors. One piece stays hand-written because
-it measured faster than LAPACK on this package's workloads (2-vCPU Xeon,
-OpenBLAS 0.3.31): 2x2 stacks take one closed-form Jacobi rotation, exact at
-n = 2; over an (8385, 2, 2) stack it takes 3.2 ms for values and 4.7 ms with
-vectors, against 7.6 ms for `eigvalsh` and 10.8 ms for `eigh`.
+callers catch one family of errors. Every Hermitian eigensolve, whatever
+its size, is one batched `eigh`/`eigvalsh` call on the symmetrized stack.
 
 Scalars are complex128 throughout, even for real inputs: the similarity and
 unitary-equivalence criteria downstream need complex phases.
@@ -22,7 +19,6 @@ import numpy as np
 
 LOG2 = math.log(2.0)
 
-JACOBI_OFFDIAG_TOL = 1e-14
 HERMITIAN_ASYMMETRY_TOL = 1e-8
 
 
@@ -86,57 +82,8 @@ def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_ASYMMETRY_TOL) -> None
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver, batched over a stack of matrices.
+# LAPACK calls: Hermitian eigensolves, general solves and singular values.
 # ---------------------------------------------------------------------------
-
-def _jacobi_rotate(a, v, thresh):
-    """Diagonalise a (m, 2, 2) Hermitian stack by one Jacobi rotation, in place.
-
-    v: (m, 2, 2) accumulated transforms or None. thresh: (m,) per-matrix
-    off-diagonal threshold; matrices whose off-diagonal entry is already
-    below threshold get the identity rotation.
-    """
-    apq = a[:, 0, 1]
-    r = np.abs(apq)
-    active = r > thresh
-    if not np.any(active):
-        return
-
-    # Identity rotation where inactive keeps the update branch-free.
-    safe_r = np.where(active, r, 1.0)
-    phase = np.where(active, apq / safe_r, 1.0)
-    tau = (a[:, 1, 1].real - a[:, 0, 0].real) / (2.0 * safe_r)
-    sgn = np.where(tau >= 0.0, 1.0, -1.0)
-    t = sgn / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
-    t = np.where(active, t, 0.0)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    cc = c[:, None]
-    sp = (s * phase)[:, None]
-
-    # A <- R* A R with R[0,0]=c, R[0,1]=s*phase, R[1,0]=-s*conj(phase), R[1,1]=c.
-    col0 = a[:, :, 0].copy()
-    col1 = a[:, :, 1].copy()
-    a[:, :, 0] = cc * col0 - sp.conj() * col1
-    a[:, :, 1] = sp * col0 + cc * col1
-    row0 = a[:, 0, :].copy()
-    row1 = a[:, 1, :].copy()
-    a[:, 0, :] = cc * row0 - sp * row1
-    a[:, 1, :] = sp.conj() * row0 + cc * row1
-
-    # Re-impose exact Hermitian structure.
-    a[:, 0, 1] = np.where(active, 0.0, a[:, 0, 1])
-    a[:, 1, 0] = a[:, 0, 1].conj()
-    a[:, 0, 0] = a[:, 0, 0].real
-    a[:, 1, 1] = a[:, 1, 1].real
-
-    if v is not None:
-        vcol0 = v[:, :, 0].copy()
-        vcol1 = v[:, :, 1].copy()
-        v[:, :, 0] = cc * vcol0 - sp.conj() * vcol1
-        v[:, :, 1] = sp * vcol0 + cc * vcol1
-
 
 def herm_eig_batch(stack: np.ndarray, vectors: bool = True):
     """Eigendecompose a (m, n, n) stack of Hermitian matrices.
@@ -148,28 +95,13 @@ def herm_eig_batch(stack: np.ndarray, vectors: bool = True):
     a = np.asarray(stack, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected (m, n, n) stack, got {a.shape}")
-    n = a.shape[1]
     a = symmetrize(a)
-    if n != 2:
-        try:
-            if vectors:
-                return np.linalg.eigh(a)
-            return np.linalg.eigvalsh(a), None
-        except np.linalg.LinAlgError as ex:
-            raise ConvergenceError(f"Hermitian eigensolve failed: {ex}") from ex
-
-    v = None
-    if vectors:
-        v = np.zeros_like(a)
-        v[:, range(n), range(n)] = 1.0
-    thresh = JACOBI_OFFDIAG_TOL * np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
-    _jacobi_rotate(a, v, thresh)
-    eigs = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    order = np.argsort(eigs, axis=1, kind="stable")
-    eigs = np.take_along_axis(eigs, order, axis=1)
-    if vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return eigs, v
+    try:
+        if vectors:
+            return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a), None
+    except np.linalg.LinAlgError as ex:
+        raise ConvergenceError(f"Hermitian eigensolve failed: {ex}") from ex
 
 
 def herm_eig(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +116,6 @@ def herm_eig(mat) -> tuple[np.ndarray, np.ndarray]:
     eigs, v = herm_eig_batch(a[None], vectors=True)
     return eigs[0], v[0]
 
-
-# ---------------------------------------------------------------------------
-# General solves and singular values.
-# ---------------------------------------------------------------------------
 
 def solve(mat, rhs) -> np.ndarray:
     """Solve A X = B for general square complex A."""

@@ -108,7 +108,8 @@ def multiindex_to_json(alpha) -> list:
 
 def multiindex_from_json(data, path: str, d: int | None = None) -> tuple:
     if (not isinstance(data, list) or not data
-            or not all(isinstance(a, int) and a >= 0 for a in data)):
+            or not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0
+                       for a in data)):
         raise SchemaError(path, "expected an array of non-negative integers")
     if d is not None and len(data) != d:
         raise SchemaError(path, f"expected {d} components, got {len(data)}")

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,11 +636,13 @@ class TestDeterminism:
 
 
 def test_console_entry_point(tmp_path):
+    # the subprocess imports the same package as this test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "multishift", "gen", "pochhammer", "--lambda", "1",
          "--mu", "2", "--lambda2", "2", "--mu2", "1", "--N", "6",
          "--out", str(tmp_path / "cli.json")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cli.json").exists()

@@ -215,6 +215,24 @@ def test_bad_matrix_scalar_names_the_entry(mutate, expected):
     assert err.getvalue() == expected
 
 
+def test_boolean_multi_index_names_the_field():
+    # [true, false] equals (1, 0) as a Python tuple; like every other integer
+    # field, a multi-index refuses bools
+    moments = ser.moment_system_to_json(sampling.random_moment_system(2, 1, 2, 42))
+    assert moments["grams"][2]["alpha"] == [1, 0]
+    moments["grams"][2]["alpha"] = [True, False]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps({"version": 1, "kind": "validate", "systems": [moments]}),
+                        encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "r.json"), "--quiet"])
+    assert code == 3
+    assert err.getvalue() == ("schema error at systems[0].grams[2].alpha: "
+                              "expected an array of non-negative integers\n")
+
+
 def test_entry_errors_keep_their_order_when_every_matrix_is_valid():
     moments = ser.moment_system_to_json(sampling.random_moment_system(1, 2, 2, 42))
     moments["grams"][2]["alpha"] = [-1]

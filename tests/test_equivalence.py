@@ -283,6 +283,23 @@ class TestCertificateSearch:
                      for t in (h, -h)]
             assert (moved[0] - moved[1]) / (2 * h) == pytest.approx(grad @ direction, abs=1e-6)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.0, 1e-16])
+    def test_line_search_refuses_a_non_descent_direction(self, scale):
+        # at slope >= 0 a trial equal to the start passes both Wolfe tests;
+        # the search answers None before it evaluates anything
+        rng = np.random.default_rng([83, 0])
+        ms = sampling.random_moment_system(2, 3, 2, rng)
+        mt = sampling.random_moment_system(2, 3, 2, rng)
+        objective = eq._Objective(ms, mt)
+        ev = objective(np.eye(2) + 0.3 * (rng.standard_normal((2, 2))
+                                          + 1j * rng.standard_normal((2, 2))))
+        grad = eq._gradient(objective, ev)
+        before = objective.evaluations
+        assert eq._line_search(objective, ev, grad, scale * grad) is None
+        assert objective.evaluations == before
+        found = eq._line_search(objective, ev, grad, -grad)
+        assert found is not None and found[0].value < ev.value
+
     @pytest.mark.parametrize("grads,stationary", [
         ([[1.0, 1.0], [-1.0, 1.0]], False),        # min-norm point (0, 1) on an edge
         ([[1.0, 1e-9], [-1.0, 1e-9]], True),       # (0, 1e-9) on the same edge

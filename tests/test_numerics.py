@@ -54,39 +54,34 @@ class TestHermEig:
         assert np.allclose(eigs, [1.0, 3.0], atol=1e-9)
 
 
-def random_two_by_two_stack(rng, m=60):
-    """Hermitian 2x2 stack with diagonal rows and rows of equal eigenvalues."""
-    a = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
+def random_hermitian_stack(rng, n, m=60):
+    """Hermitian (m, n, n) stack at scales 1e-20 to 1e20, with diagonal rows
+    and scalar rows (every eigenvalue equal)."""
+    a = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
     a = 0.5 * (a + a.conj().swapaxes(1, 2))
     a *= 10.0 ** rng.uniform(-20.0, 20.0, m)[:, None, None]
-    a[::5, 0, 1] = a[::5, 1, 0] = 0.0
-    a[1::7] = rng.uniform(-3.0, 3.0, (len(a[1::7]), 1, 1)) * np.eye(2)
-    a[2::11, 0, 0] = a[2::11, 1, 1]
-    a[2::11, 0, 1] = a[2::11, 1, 0] = 0.0
+    a[::5] *= np.eye(n)
+    a[1::7] = rng.uniform(-3.0, 3.0, (len(a[1::7]), 1, 1)) * np.eye(n)
+    a[2::11] = a[2::11, :1, :1] * np.eye(n)
     return a
 
 
-class TestTwoByTwoRotation:
+class TestHermEigBatch:
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_eigenvalues_match_lapack(self, seed):
-        a = random_two_by_two_stack(np.random.default_rng(seed))
-        eigs, _ = nx.herm_eig_batch(a, vectors=False)
-        want = np.linalg.eigh(a)[0]
-        scale = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
-        assert np.all(np.abs(eigs - want).max(axis=1) <= 1e-14 * scale)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_vectors_reconstruct_and_are_unitary(self, seed):
-        a = random_two_by_two_stack(np.random.default_rng(seed))
+    def test_vectors_reconstruct_and_are_unitary(self, n, seed):
+        a = random_hermitian_stack(np.random.default_rng([seed, n]), n)
         eigs, v = nx.herm_eig_batch(a, vectors=True)
+        assert np.all(np.diff(eigs, axis=1) >= 0.0)
         scale = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2)))
         rebuilt = (v * eigs[:, None, :]) @ v.conj().swapaxes(1, 2)
         assert np.all(np.abs(rebuilt - a).max(axis=(1, 2)) <= 1e-14 * scale)
         gram = v.conj().swapaxes(1, 2) @ v
-        assert np.abs(gram - np.eye(2)).max() <= 1e-15
+        assert np.abs(gram - np.eye(n)).max() <= 5e-16 * n
 
-    def test_rows_equal_single_matrix_result(self):
-        a = random_two_by_two_stack(np.random.default_rng(3))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_equal_single_matrix_result(self, n):
+        a = random_hermitian_stack(np.random.default_rng([3, n]), n)
         for vectors in (False, True):
             eigs, v = nx.herm_eig_batch(a, vectors=vectors)
             for k in range(len(a)):
