@@ -8,13 +8,15 @@ stay in the problem file), so a run is reproducible from its problem file and
 report; identical problem + seed gives a byte-identical report except for the
 timing_seconds field.
 
-Exit codes: 0 verdict produced, 2 input validation failure, 3 schema error.
+Exit codes: 0 verdict produced, 2 input validation failure or an output path
+that cannot be written, 3 schema error (an unreadable problem file included).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -554,9 +556,10 @@ def _positive_int_arg(text: str) -> int:
     return value
 
 
-def _default_report_path(problem_path: str) -> str:
+def _sidecar_path(problem_path: str, tag: str) -> str:
+    """`p.json` -> `p.<tag>.json`; only the file name's `.json` suffix is replaced."""
     base = problem_path[:-5] if problem_path.endswith(".json") else problem_path
-    return base + ".report.json"
+    return f"{base}.{tag}.json"
 
 
 def _resolve_threads(value) -> int:
@@ -577,8 +580,11 @@ def _write_json(path: str, payload: dict) -> None:
         text = ser.canonical_dumps(payload)
     except ValueError as ex:
         raise InputValidationError(f"{path} would not be strict JSON: {ex}") from ex
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise InputValidationError(f"cannot write {path}: {ex.strerror or ex}") from ex
 
 
 def _load_problem(path: str):
@@ -588,12 +594,15 @@ def _load_problem(path: str):
             return json.load(fh)
     except OSError as ex:
         raise SchemaError("$", f"cannot read {path}: {ex}") from ex
-    except json.JSONDecodeError as ex:
+    except UnicodeDecodeError as ex:
+        raise SchemaError("$", f"not valid UTF-8 ({ex})") from ex
+    # ValueError also covers an integer literal past int_max_str_digits
+    except (ValueError, RecursionError) as ex:
         raise SchemaError("$", f"not valid JSON ({ex})") from ex
 
 
 def _cmd_run(args) -> int:
-    out_path = args.out or _default_report_path(args.problem)
+    out_path = args.out or _sidecar_path(args.problem, "report")
     try:
         raw = _load_problem(args.problem)
         started = time.perf_counter()
@@ -659,8 +668,12 @@ def _cmd_gen(args) -> int:
             answer = None
         _write_json(args.out, problem)
         if answer is not None:
-            answer_path = _default_report_path(args.out).replace(".report.", ".answer.")
-            _write_json(answer_path, answer)
+            answer_path = _sidecar_path(args.out, "answer")
+            try:
+                _write_json(answer_path, answer)
+            except InputValidationError:
+                os.remove(args.out)  # a problem without its answer is a partial output
+                raise
     except InputValidationError as ex:
         print(f"parameter error: {ex}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -756,8 +769,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use, not at import.
+
+    Reuse is safe: parse_args keeps no state between calls, and no argument
+    has a default that argparse mutates (no `append` action).
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

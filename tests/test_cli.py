@@ -77,6 +77,21 @@ class TestGen:
         # the problem file itself must not leak the hidden unitary
         assert "V" not in read_report(out)
 
+    def test_unitary_congruence_sidecar_name_comes_from_the_file_name(self, tmp_path):
+        # a directory named like a report must not be renamed on the way
+        out_dir = tmp_path / "x.report.d"
+        out_dir.mkdir()
+        assert run_cli(["gen", "unitary-congruence", "--N", 2, "--n", 2,
+                        "--out", out_dir / "p.json", "--quiet"]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["p.answer.json", "p.json"]
+
+    def test_unwritable_answer_leaves_no_problem_file(self, tmp_path, capsys):
+        (tmp_path / "p.answer.json").mkdir()
+        assert run_cli(["gen", "unitary-congruence", "--N", 2, "--n", 2,
+                        "--out", tmp_path / "p.json", "--quiet"]) == 2
+        assert f"cannot write {tmp_path / 'p.answer.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_perturb_embeds_certificate(self, tmp_path):
         out = tmp_path / "p.json"
         assert run_cli([
@@ -377,6 +392,37 @@ class TestExitCodes:
         assert run_cli([command, tmp_path / "missing.json", "--quiet"]) == 3
         assert "schema error at $: cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe{}", "not valid UTF-8"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        (b"1" * 5000, "integer string conversion"),
+    ], ids=["undecodable", "too-deep", "too-many-digits"])
+    def test_unparsable_file_is_schema_error(self, tmp_path, capsys, command, content,
+                                             message):
+        path = tmp_path / "p.json"
+        path.write_bytes(content)
+        assert run_cli([command, path, "--out", tmp_path / "r.json", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("schema error at $: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["missing/r.json", "."],
+                             ids=["missing-directory", "existing-directory"])
+    def test_unwritable_report_is_a_clean_exit(self, swap_problem, tmp_path, capsys,
+                                               target):
+        out = tmp_path / target
+        assert run_cli(["run", swap_problem, "--out", out, "--quiet"]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_unwritable_problem_is_a_clean_exit(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p.json"
+        assert run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 2,
+                        "--mu2", 1, "--out", out, "--quiet"]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "v2.json"
         path.write_text('{"version": 2, "kind": "unitary", "systems": []}',
@@ -633,6 +679,78 @@ class TestDeterminism:
         monkeypatch.delenv("MULTISHIFT_THREADS")
         assert cli._resolve_threads(None) == 1
         assert cli._resolve_threads(8) == 8
+
+
+class TestParserReuse:
+    """cli.main builds one argument parser per process and reuses it."""
+
+    def test_parser_is_built_once_over_many_calls(self, swap_problem, tmp_path,
+                                                  monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return real_build()
+
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        for k in range(3):
+            assert run_cli(["run", swap_problem, "--out", tmp_path / f"r{k}.json",
+                            "--quiet"]) == 0
+            assert run_cli(["validate", swap_problem, "--quiet"]) == 0
+            assert run_cli(["gen", "homogeneous", "--N", 2, "--out",
+                            tmp_path / f"h{k}.json", "--quiet"]) == 0
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import multishift.cli\n"
+            "print(len(built), multishift.cli._parser.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_gen_defaults_do_not_leak_between_calls(self, tmp_path):
+        poch = ["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 2,
+                "--mu2", 1, "--quiet", "--out"]
+        assert run_cli([*poch, tmp_path / "n5.json", "--N", 5]) == 0
+        assert run_cli([*poch, tmp_path / "n24.json"]) == 0
+        assert read_report(tmp_path / "n5.json")["systems"][0]["N"] == 5
+        assert read_report(tmp_path / "n24.json")["systems"][0]["N"] == 24
+
+    def test_run_options_do_not_leak_between_calls(self, swap_problem, tmp_path):
+        seeded, unseeded, fresh = (tmp_path / f"{name}.json"
+                                   for name in ("seeded", "unseeded", "fresh"))
+        assert run_cli(["run", swap_problem, "--seed", 7, "--out", seeded, "--quiet"]) == 0
+        assert run_cli(["run", swap_problem, "--out", unseeded, "--quiet"]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "multishift", "run", str(swap_problem),
+             "--out", str(fresh), "--quiet"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_report(seeded)["options"]["seed"] == 7
+        assert report_bytes_without_timing(unseeded) == report_bytes_without_timing(fresh)
+
+    def test_usage_error_does_not_spoil_the_next_call(self, swap_problem, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", swap_problem, "--seed", -1, "--quiet"])
+        assert info.value.code == 2
+        out = tmp_path / "r.json"
+        assert run_cli(["run", swap_problem, "--out", out, "--quiet"]) == 0
+        assert read_report(out)["options"]["seed"] == 0
 
 
 def test_console_entry_point(tmp_path):

@@ -111,6 +111,15 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name}")
 
 
+def _write_problem(path, problem):
+    """A problem as JSON text, or raw bytes written as they are."""
+    path.write_bytes(problem if isinstance(problem, bytes) else json.dumps(problem).encode())
+
+
+# found by reading the loader: files json cannot decode without a traceback
+UNPARSABLE_FILES = [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_problems())
@@ -119,10 +128,13 @@ def _reject_constant(name):
 @example(_replace(BASES[2], ("systems", 0, "grams", 0, "logscale"), -1e308))
 # found by test_gen_is_total: numpy's generators reject a negative seed
 @example(_replace(BASES[0], ("options", "seed"), -1))
+@example(UNPARSABLE_FILES[0])
+@example(UNPARSABLE_FILES[1])
+@example(UNPARSABLE_FILES[2])
 def test_run_is_total_on_mutated_problems(problem):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "p.json", Path(tmp) / "r.json"
-        path.write_text(json.dumps(problem), encoding="utf-8")
+        _write_problem(path, problem)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli.main(["run", str(path), "--out", str(out), "--quiet"])
@@ -335,10 +347,13 @@ def test_gen_is_total(argv):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_problems())
+@example(UNPARSABLE_FILES[0])
+@example(UNPARSABLE_FILES[1])
+@example(UNPARSABLE_FILES[2])
 def test_validate_is_total_on_mutated_problems(problem):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.json"
-        path.write_text(json.dumps(problem), encoding="utf-8")
+        _write_problem(path, problem)
         code, err = _main(["validate", str(path), "--quiet"])
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
