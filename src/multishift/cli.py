@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -587,6 +588,17 @@ def _write_json(path: str, payload: dict) -> None:
         raise InputValidationError(f"cannot write {path}: {ex.strerror or ex}") from ex
 
 
+def _check_writable(path: str) -> None:
+    """Refuse, as _write_json would, a directory or a path whose parent is not a
+    writable directory; no file is created or touched."""
+    parent = os.path.dirname(path) or "."
+    for bad, code in ((os.path.isdir(path), errno.EISDIR),
+                      (not os.path.isdir(parent), errno.ENOENT),
+                      (not os.access(parent, os.W_OK), errno.EACCES)):
+        if bad:
+            raise InputValidationError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _load_problem(path: str):
     """The JSON value of a problem file; SchemaError at $ when unreadable."""
     try:
@@ -608,6 +620,7 @@ def _cmd_run(args) -> int:
         started = time.perf_counter()
         problem = parse_problem(raw)
         degrees = _parse_degrees(args.degrees) if args.degrees else None
+        _check_writable(out_path)
         report = run_problem(
             problem,
             seed=args.seed,

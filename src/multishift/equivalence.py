@@ -40,7 +40,7 @@ from .numerics import (
     sqrt_pd,
     symmetrize,
 )
-from .shiftcore import MomentSystem, _SqrtCache, _staircase_products, build_mz
+from .shiftcore import MomentSystem, _max_row_gap, _roots, _scaled, _shift
 
 RATIO_CAP = 1e3
 SLOPE_EPS = 0.1
@@ -917,19 +917,12 @@ def diagonal_intertwiner(ms: MomentSystem, mt: MomentSystem, c) -> IntertwinerMa
     c = as_complex_matrix(c, "C")
     _check_invertible_c(c)
     c_inv = inv(c)
-    trunc = ms.truncation()
-    n = ms.fiber_dim
-    dim = n * len(trunc)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    cache, tcache = _SqrtCache(ms), _SqrtCache(mt)
-    for k, alpha in enumerate(trunc.indices):
-        up = tcache.sqrt(alpha)
-        down = cache.inv_sqrt(alpha)
-        block = math.exp(up.logscale + down.logscale) * (
-            up.matrix @ c_inv @ down.matrix
-        )
-        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = block
-    return IntertwinerMatrix(ms.d, ms.N, ms.fiber_dim, out)
+    _, _, down, down_logs = _roots(ms)
+    up, up_logs, _, _ = _roots(mt)
+    m, n = len(down), ms.fiber_dim
+    out = np.zeros((m, n, m, n), dtype=np.complex128)
+    out[range(m), :, range(m), :] = _scaled(up_logs + down_logs, up @ c_inv @ down)
+    return IntertwinerMatrix(ms.d, ms.N, n, out.reshape(m * n, m * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -938,8 +931,10 @@ class ShiftPair:
 
     mz[j] and tmz[j] are build_mz of the source and the target, full[j] their
     dense matrices (source, target). tproducts and inv_products stack, in
-    graded order, the target's staircase products P~_alpha and the inverses
-    P_alpha^{-1} of the source's (shiftcore._staircase_products order).
+    graded order, the target's products P~_alpha of raise blocks along any
+    staircase from 0 to alpha and the inverses P_alpha^{-1} of the source's,
+    in closed form: the products telescope to P~_alpha = T_alpha^{1/2}
+    T_0^{-1/2}, so P_alpha^{-1} = G_0^{1/2} G_alpha^{-1/2}.
     """
 
     mz: tuple
@@ -952,17 +947,17 @@ class ShiftPair:
 def shift_pair(ms: MomentSystem, mt: MomentSystem) -> ShiftPair:
     """Build the shifts and path products of (ms, mt) once, for the oracle and its checks."""
     _require_same_shape(ms, mt)
-    mz = tuple(build_mz(ms, j) for j in range(ms.d))
-    tmz = tuple(build_mz(mt, j) for j in range(mt.d))
-    trunc, n = ms.truncation(), ms.fiber_dim
-    products = _staircase_products(trunc, n, lambda alpha, j: mz[j].blocks[alpha])
-    tproducts = _staircase_products(trunc, n, lambda alpha, j: tmz[j].blocks[alpha])
+    roots, troots = _roots(ms), _roots(mt)
+    mz = tuple(_shift(ms, roots, j) for j in range(ms.d))
+    tmz = tuple(_shift(mt, troots, j) for j in range(mt.d))
+    up, up_logs, down, down_logs = roots
+    tup, tup_logs, tdown, tdown_logs = troots
     return ShiftPair(
         mz=mz,
         tmz=tmz,
         full=tuple((a.full_matrix(), b.full_matrix()) for a, b in zip(mz, tmz)),
-        tproducts=np.stack(list(tproducts.values())),
-        inv_products=np.stack([inv(p) for p in products.values()]),
+        tproducts=_scaled(tup_logs + tdown_logs[0], tup @ tdown[0]),
+        inv_products=_scaled(up_logs[0] + down_logs, up[0] @ down),
     )
 
 
@@ -1061,11 +1056,7 @@ def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBa
     if n > INTERTWINER_FIBRE_CAP:
         raise DimensionCapError(f"fibre dimension {n} exceeds {INTERTWINER_FIBRE_CAP}")
     shifts = shift_pair(ms, mt)
-    interior = list(trunc.interior())
-    up = [np.array([trunc.position(shifted(a, j)) for a in interior], dtype=np.intp)
-          for j in range(d)]
-    tblocks = [np.array(list(t.blocks.values()), dtype=np.complex128).reshape(-1, n, n)
-               for t in shifts.tmz]
+    tmz = shifts.tmz
     # rows[b]: graded ranks of the levels g + beta, |g| <= N - |beta|, in the
     # order of g; qs[b]: the target's products from level g to g + beta.
     rows = [np.arange(m)]
@@ -1074,21 +1065,21 @@ def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBa
         j = max(k for k in range(d) if beta[k])
         below = trunc.position(shifted(beta, j, -1))
         src = rows[below][:simplex_size(d, ms.N - degree(beta))]
-        rows.append(up[j][src])
-        qs.append(tblocks[j][src] @ qs[below][:len(src)])
+        rows.append(tmz[j].dst[src])
+        qs.append(tmz[j].blocks[src] @ qs[below][:len(src)])
 
     # Each equation off the staircase, at row level g + alpha + e_j, reads
     # L1 X[g, 0] R1 = L2 X[g, 0] R2 for |g| < N - |alpha|; degree-sorted.
     inv_p = shifts.inv_products
     terms = []
     scale = 0.0
-    for alpha in interior:
+    for a, alpha in enumerate(trunc.interior()):
         for j in range(d):
             if not any(alpha[j + 1:]):
                 continue
-            a, b = trunc.position(alpha), trunc.position(shifted(alpha, j))
-            term = (qs[b], inv_p[b] @ shifts.mz[j].blocks[alpha],
-                    tblocks[j][rows[a][:len(rows[b])]] @ qs[a][:len(rows[b])], inv_p[a])
+            b = tmz[j].dst[a]
+            term = (qs[b], inv_p[b] @ shifts.mz[j].blocks[a],
+                    tmz[j].blocks[rows[a][:len(rows[b])]] @ qs[a][:len(rows[b])], inv_p[a])
             terms.append((degree(alpha), term))
             for left, right in (term[:2], term[2:]):  # ||L x R||_F <= ||L||_F ||R||_F ||x||
                 scale = max(scale, float(np.linalg.norm(left, axis=(1, 2)).max())
@@ -1126,18 +1117,17 @@ def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
 
     Every intertwiner's diagonal block at alpha equals the level-raising
     product of the target shift times the level-zero block times the inverse
-    product of the source shift. shifts, when given, is shift_pair(ms, mt).
+    product of the source shift. Those products are read in closed form
+    (ShiftPair), while the transport multiplies raise blocks along
+    staircases, so the check is independent of the transport that built X.
+    shifts, when given, is shift_pair(ms, mt).
     """
     _require_same_shape(ms, mt)
     shifts = shifts if shifts is not None else shift_pair(ms, mt)
     n = x.fiber_dim
     m = len(shifts.inv_products)
     diag = x.matrix.reshape(m, n, m, n)[range(m), :, range(m), :]
-    expected = shifts.tproducts @ diag[0] @ shifts.inv_products
-    err = np.linalg.norm(diag - expected, axis=(1, 2))
-    scale = np.maximum(np.maximum(np.linalg.norm(expected, axis=(1, 2)),
-                                  np.linalg.norm(diag, axis=(1, 2))), 1e-300)
-    return float((err / scale).max())
+    return _max_row_gap(diag, shifts.tproducts @ diag[0] @ shifts.inv_products)
 
 
 def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,

@@ -288,24 +288,28 @@ def hermpd_from_log_diag_batch(log_rows) -> tuple[np.ndarray, np.ndarray]:
     return hermpd_batch(mats, top)
 
 
-def _eig_transform_batch(mats, logs, fn, power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced stack of v fn(eigs) v* per row, logscales multiplied by power."""
+def _eig_transform_batch(mats, logs, *transforms) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced stacks of v fn(eigs) v* per row, one for each (fn, power) of
+    transforms, concatenated in that order, with the logscales multiplied by
+    power; one eigensolve and one balancing pass serve them all."""
     eigs, v = herm_eig_batch(mats, vectors=True)
     lo = eigs[:, 0]
     bad = np.nonzero(lo <= 0.0)[0]
     if bad.size:
         raise PositiveDefiniteError(f"smallest eigenvalue {lo[bad[0]]:.3e} is not positive")
-    out = (v * fn(eigs)[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return hermpd_batch(out, power * np.asarray(logs, dtype=np.float64))
+    vh = v.conj().swapaxes(1, 2)
+    logs = np.asarray(logs, dtype=np.float64)
+    return hermpd_batch(np.concatenate([(v * fn(eigs)[:, None, :]) @ vh for fn, _ in transforms]),
+                        np.concatenate([power * logs for _, power in transforms]))
 
 
 def inv_pd_batch(mats, logs) -> tuple[np.ndarray, np.ndarray]:
     """inv_pd of every row of a HermPD stack, in one pass."""
-    return _eig_transform_batch(mats, logs, lambda e: 1.0 / e, -1.0)
+    return _eig_transform_batch(mats, logs, (lambda e: 1.0 / e, -1.0))
 
 
 def _eig_transform(h: HermPD, fn, power: float) -> HermPD:
-    mats, logs = _eig_transform_batch(h.matrix[None], [h.logscale], fn, power)
+    mats, logs = _eig_transform_batch(h.matrix[None], [h.logscale], (fn, power))
     return HermPD(mats[0], float(logs[0]))
 
 

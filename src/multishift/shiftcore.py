@@ -17,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import Truncation, _truncation, degree, shifted
+from .lattice import Truncation, _truncation, shifted
 from .numerics import (
     HermPD,
+    _eig_transform_batch,
+    _svd,
     frob_norm,
     hermpd_batch,
-    inv_pd,
-    inv_sqrt_pd,
+    inv_pd_batch,
     singular_range,
-    sqrt_pd,
 )
 
 WEIGHT_SINGULARITY_TOL = 1e-12
@@ -143,9 +143,11 @@ class MomentSystem(GradedFamily):
 class TruncatedMz:
     """One coordinate multiplication operator in orthonormalized coordinates.
 
-    blocks[alpha] maps level alpha to level alpha + e_j and equals
-    G_{alpha+e_j}^{1/2} G_alpha^{-1/2}; blocks that would exit the truncation
-    are absent. The operator is strictly level-raising, so its matrix is
+    blocks (k, n, n) stacks, over the k interior levels |alpha| <= N - 1 in
+    graded order, the blocks G_{alpha+e_j}^{1/2} G_alpha^{-1/2} that map
+    level alpha to level alpha + e_j; src (k,) and dst (k,) hold the graded
+    ranks of alpha and alpha + e_j. Blocks that would exit the truncation are
+    absent. The operator is strictly level-raising, so its matrix is
     block-subdiagonal in the graded order.
     """
 
@@ -153,20 +155,17 @@ class TruncatedMz:
     d: int
     N: int
     fiber_dim: int
-    blocks: dict
+    blocks: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     norm_estimate: float
     min_singular_value: float
 
     def full_matrix(self) -> np.ndarray:
-        trunc = _truncation(self.d, self.N)
-        n = self.fiber_dim
-        dim = n * len(trunc)
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for alpha, block in self.blocks.items():
-            row = trunc.position(shifted(alpha, self.j))
-            col = trunc.position(alpha)
-            out[row * n:(row + 1) * n, col * n:(col + 1) * n] = block
-        return out
+        n, m = self.fiber_dim, len(_truncation(self.d, self.N))
+        out = np.zeros((m, n, m, n), dtype=np.complex128)
+        out[self.dst, :, self.src, :] = self.blocks
+        return out.reshape(m * n, m * n)
 
 
 @dataclass(frozen=True)
@@ -260,49 +259,60 @@ def moments_from_weights(ws: WeightSystem, g0: HermPD) -> MomentSystem:
         raise ValidationFailedError(str(report))
     if g0.dim != ws.fiber_dim:
         raise ValueError(f"G_0 has dimension {g0.dim}, expected {ws.fiber_dim}")
-    products = _staircase_products(ws.truncation(), ws.fiber_dim, ws.weight)
-    raw = [p.conj().T @ g0.matrix @ p for p in products.values()]
-    mats, logs = hermpd_batch(np.stack(raw), np.full(len(raw), g0.logscale))
+    p = _staircase_products(ws)
+    mats, logs = hermpd_batch(p.conj().swapaxes(1, 2) @ g0.matrix @ p,
+                              np.full(len(p), g0.logscale))
     return MomentSystem.from_arrays(ws.d, ws.N, ws.fiber_dim, mats, logs)
 
 
-def _staircase_products(trunc: Truncation, n: int, step) -> dict:
-    """P_0 = I and P_alpha = step(alpha - e_j, j) P_{alpha - e_j} in graded order,
-    j the trailing nonzero coordinate: products along the canonical staircase."""
-    products = {}
-    for alpha in trunc:
-        if degree(alpha) == 0:
-            products[alpha] = np.eye(n, dtype=np.complex128)
-        else:
-            j = max(k for k in range(trunc.d) if alpha[k] > 0)
-            below = shifted(alpha, j, -1)
-            products[alpha] = step(below, j) @ products[below]
-    return products
+def _staircase_products(ws: WeightSystem) -> np.ndarray:
+    """(m, n, n) stack in graded order of P_0 = I and P_alpha = A^(j)_{alpha-e_j}
+    P_{alpha-e_j}, j the trailing nonzero coordinate: the weight products along
+    the canonical staircase. Raw weights do not telescope, so this walks them."""
+    trunc = ws.truncation()
+    out = np.empty((len(trunc), ws.fiber_dim, ws.fiber_dim), dtype=np.complex128)
+    out[0] = np.eye(ws.fiber_dim)
+    for k, alpha in enumerate(trunc.indices[1:], 1):
+        j = max(i for i in range(ws.d) if alpha[i])
+        below = shifted(alpha, j, -1)
+        out[k] = ws.weight(below, j) @ out[trunc.position(below)]
+    return out
 
 
-class _SqrtCache:
-    """Per-alpha square roots and inverse square roots of a moment system."""
+def _roots(ms: GradedFamily) -> tuple:
+    """(up, up_logs, down, down_logs): per-row G^{1/2} and G^{-1/2} of a family
+    as balanced (m, n, n) stacks with (m,) logscales.
 
-    def __init__(self, ms: MomentSystem):
-        self.ms = ms
-        self._sqrt = {}
-        self._inv_sqrt = {}
+    One eigensolve of the class stack serves every row of a class: a row's
+    root logscale is +-1/2 its own logscale plus its class's balancing shift,
+    the sum that rooting the row on its own would give, bit for bit.
+    """
+    c = len(ms.class_mats)
+    mats, shift = _eig_transform_batch(ms.class_mats, np.zeros(c), (np.sqrt, 0.5),
+                                       (lambda e: 1.0 / np.sqrt(e), -0.5))
+    return (mats[:c][ms.classes], 0.5 * ms.logs + shift[:c][ms.classes],
+            mats[c:][ms.classes], -0.5 * ms.logs + shift[c:][ms.classes])
 
-    def sqrt(self, alpha) -> HermPD:
-        if alpha not in self._sqrt:
-            self._sqrt[alpha] = sqrt_pd(self.ms.gram(alpha))
-        return self._sqrt[alpha]
 
-    def inv_sqrt(self, alpha) -> HermPD:
-        if alpha not in self._inv_sqrt:
-            self._inv_sqrt[alpha] = inv_sqrt_pd(self.ms.gram(alpha))
-        return self._inv_sqrt[alpha]
+def _scaled(logs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """exp(logs[k]) mats[k] per row; math.exp per row, since a vectorised exp
+    may differ in the last bit."""
+    return np.array([math.exp(x) for x in logs.tolist()]).reshape(-1, 1, 1) * mats
 
-    def raise_block(self, alpha, j) -> np.ndarray:
-        """G_{alpha+e_j}^{1/2} G_alpha^{-1/2} with log scales folded in."""
-        up = self.sqrt(shifted(alpha, j))
-        down = self.inv_sqrt(alpha)
-        return math.exp(up.logscale + down.logscale) * (up.matrix @ down.matrix)
+
+def _shift(ms: MomentSystem, roots: tuple, j: int) -> TruncatedMz:
+    """build_mz from the family's _roots."""
+    if not 0 <= j < ms.d:
+        raise ValueError(f"coordinate j={j} outside 0..{ms.d - 1}")
+    trunc = ms.truncation()
+    up, up_logs, down, down_logs = roots
+    dst = np.array([trunc.position(shifted(a, j)) for a in trunc.interior()], dtype=np.intp)
+    src = np.arange(len(dst))
+    blocks = _scaled(up_logs[dst] + down_logs[src], up[dst] @ down[src])
+    s = _svd(blocks, compute_uv=False) if len(blocks) else np.zeros((1, 1))
+    return TruncatedMz(j=j, d=ms.d, N=ms.N, fiber_dim=ms.fiber_dim, blocks=blocks,
+                       src=src, dst=dst, norm_estimate=float(s[:, 0].max()),
+                       min_singular_value=float(s[:, -1].min()))
 
 
 def canonical_weights(ms: MomentSystem) -> WeightSystem:
@@ -312,62 +322,40 @@ def canonical_weights(ms: MomentSystem) -> WeightSystem:
     telescope to G_{alpha+e_i+e_j}^{1/2} G_alpha^{-1/2}) and reproduce ms from
     moments_from_weights up to the G_0 normalization.
     """
-    cache = _SqrtCache(ms)
+    roots = _roots(ms)
     weights = {}
-    for alpha in ms.truncation().interior():
-        for j in range(ms.d):
-            weights[(alpha, j)] = cache.raise_block(alpha, j)
+    for j in range(ms.d):
+        blocks = _shift(ms, roots, j).blocks
+        weights.update(((alpha, j), b) for alpha, b in zip(ms.truncation().interior(), blocks))
     return WeightSystem(ms.d, ms.N, ms.fiber_dim, weights)
 
 
 def build_mz(ms: MomentSystem, j: int) -> TruncatedMz:
     """Truncated matrix of the j-th coordinate shift in orthonormal coordinates."""
-    if not 0 <= j < ms.d:
-        raise ValueError(f"coordinate j={j} outside 0..{ms.d - 1}")
-    cache = _SqrtCache(ms)
-    blocks = {}
-    norm_est = 0.0
-    min_sv = math.inf
-    for alpha in ms.truncation().interior():
-        block = cache.raise_block(alpha, j)
-        blocks[alpha] = block
-        lo, hi = singular_range(block)
-        norm_est = max(norm_est, hi)
-        min_sv = min(min_sv, lo)
-    if min_sv is math.inf:
-        min_sv = 0.0
-    return TruncatedMz(
-        j=j, d=ms.d, N=ms.N, fiber_dim=ms.fiber_dim, blocks=blocks,
-        norm_estimate=norm_est, min_singular_value=min_sv,
-    )
+    return _shift(ms, _roots(ms), j)
 
 
 def check_adjoint_formula(ms: MomentSystem, j: int) -> float:
     """Max residual between the two constructions of the adjoint shift blocks.
 
     Route one conjugate-transposes the level-raising blocks of build_mz.
-    Route two expresses x z^alpha -> G_{alpha-e_j}^{-1} G_alpha x z^{alpha-e_j}
+    Route two expresses x z^beta -> G_{beta-e_j}^{-1} G_beta x z^{beta-e_j}
     in the same orthonormal coordinates, using a full inverse. Both should
     agree to ~1e-9 for any complete PD moment system; blocks at the
     truncation edge are the same set for both routes, so nothing is skipped.
     """
-    mz = build_mz(ms, j)
-    cache = _SqrtCache(ms)
-    worst = 0.0
-    for beta in ms.truncation():
-        if beta[j] == 0:
-            continue
-        below = shifted(beta, j, -1)
-        route_one = mz.blocks[below].conj().T
-        ginv = inv_pd(ms.gram(below))
-        g = ms.gram(beta)
-        middle = ginv.matrix @ g.matrix
-        mid_log = ginv.logscale + g.logscale
-        s_down = cache.sqrt(below)
-        s_up_inv = cache.inv_sqrt(beta)
-        route_two = math.exp(s_down.logscale + mid_log + s_up_inv.logscale) * (
-            s_down.matrix @ middle @ s_up_inv.matrix
-        )
-        scale = max(frob_norm(route_one), frob_norm(route_two), 1e-300)
-        worst = max(worst, frob_norm(route_one - route_two) / scale)
-    return worst
+    up, up_logs, down, down_logs = roots = _roots(ms)
+    mz = _shift(ms, roots, j)
+    below, beta = mz.src, mz.dst
+    ginv, ginv_logs = inv_pd_batch(ms.mats[below], ms.logs[below])
+    route_two = _scaled(up_logs[below] + (ginv_logs + ms.logs[beta]) + down_logs[beta],
+                        up[below] @ (ginv @ ms.mats[beta]) @ down[beta])
+    return _max_row_gap(mz.blocks.conj().swapaxes(1, 2), route_two)
+
+
+def _max_row_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max over k of ||a[k] - b[k]||_F / max(||a[k]||_F, ||b[k]||_F); 0.0 for empty stacks."""
+    err = np.linalg.norm(a - b, axis=(1, 2))
+    scale = np.maximum(np.maximum(np.linalg.norm(a, axis=(1, 2)),
+                                  np.linalg.norm(b, axis=(1, 2))), 1e-300)
+    return float((err / scale).max()) if len(err) else 0.0

@@ -1,17 +1,23 @@
-"""Test-only constructions derived from the package's seeded systems, and a
-Cholesky/whitening pencil path kept as an independent reference for the
-package's eigenpair-factored pencil kernel."""
+"""Test-only constructions derived from the package's seeded systems, and two
+independent references: a Cholesky/whitening pencil path for the package's
+eigenpair-factored pencil kernel, and the per-index shift construction for
+the graded shift stacks."""
+
+import math
 
 import numpy as np
 
 from multishift import sampling
+from multishift.lattice import shifted
 from multishift.numerics import (
     LinAlgError,
     PositiveDefiniteError,
     herm_eig_batch,
     hermpd,
     hermpd_batch,
+    inv,
     inv_sqrt_pd,
+    sqrt_pd,
     symmetrize,
 )
 from multishift.shiftcore import MomentSystem, WeightSystem, canonical_weights
@@ -67,6 +73,59 @@ def cholesky_pencil_logrange(a_mats, a_logs, b_mats, b_logs):
         raise PositiveDefiniteError("pencil numerator is not positive definite")
     off = np.asarray(a_logs, dtype=np.float64) - np.asarray(b_logs, dtype=np.float64)
     return np.log(eigs[:, 0]) + off, np.log(eigs[:, -1]) + off
+
+
+def per_index_raise_blocks(ms: MomentSystem, j: int) -> dict:
+    """alpha -> G_{alpha+e_j}^{1/2} G_alpha^{-1/2} for |alpha| <= N - 1, from
+    one sqrt_pd and one inv_sqrt_pd call per lattice index."""
+    out = {}
+    for alpha in ms.truncation().interior():
+        up, down = sqrt_pd(ms.gram(shifted(alpha, j))), inv_sqrt_pd(ms.gram(alpha))
+        out[alpha] = math.exp(up.logscale + down.logscale) * (up.matrix @ down.matrix)
+    return out
+
+
+def per_index_full_matrix(ms: MomentSystem, j: int) -> np.ndarray:
+    """The dense j-th shift, assembled block by block from per_index_raise_blocks."""
+    trunc, n = ms.truncation(), ms.fiber_dim
+    out = np.zeros((n * len(trunc), n * len(trunc)), dtype=np.complex128)
+    for alpha, block in per_index_raise_blocks(ms, j).items():
+        r, c = trunc.position(shifted(alpha, j)), trunc.position(alpha)
+        out[r * n:(r + 1) * n, c * n:(c + 1) * n] = block
+    return out
+
+
+def per_index_diagonal_intertwiner(ms: MomentSystem, mt: MomentSystem, c) -> np.ndarray:
+    """The dense diagonal intertwiner, level block G~_alpha^{1/2} C^{-1}
+    G_alpha^{-1/2} from one root call per side and index."""
+    trunc, n = ms.truncation(), ms.fiber_dim
+    c_inv = inv(c)
+    out = np.zeros((n * len(trunc), n * len(trunc)), dtype=np.complex128)
+    for k, alpha in enumerate(trunc):
+        up, down = sqrt_pd(mt.gram(alpha)), inv_sqrt_pd(ms.gram(alpha))
+        out[k * n:(k + 1) * n, k * n:(k + 1) * n] = math.exp(up.logscale + down.logscale) * (
+            up.matrix @ c_inv @ down.matrix)
+    return out
+
+
+def per_index_products(ms: MomentSystem) -> np.ndarray:
+    """Graded stack of the raise-block products along the canonical staircase
+    (the trailing nonzero coordinate raised last), P_0 = I."""
+    blocks = [per_index_raise_blocks(ms, j) for j in range(ms.d)]
+    products = {}
+    for alpha in ms.truncation():
+        if not any(alpha):
+            products[alpha] = np.eye(ms.fiber_dim, dtype=np.complex128)
+            continue
+        j = max(k for k in range(ms.d) if alpha[k])
+        below = shifted(alpha, j, -1)
+        products[alpha] = blocks[j][below] @ products[below]
+    return np.stack(list(products.values()))
+
+
+def per_index_inverse_products(ms: MomentSystem) -> np.ndarray:
+    """per_index_products(ms), each inverted with a general solve."""
+    return np.stack([inv(p) for p in per_index_products(ms)])
 
 
 def identity_classes(ms: MomentSystem) -> MomentSystem:

@@ -416,6 +416,27 @@ class TestExitCodes:
         assert f"cannot write {out}" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "."],
+                             ids=["missing-directory", "existing-directory"])
+    def test_unwritable_report_is_refused_before_solving(self, swap_problem, tmp_path,
+                                                         capsys, monkeypatch, target):
+        def solver_must_not_run(*args, **kwargs):
+            raise AssertionError("the problem was solved before the output was checked")
+
+        monkeypatch.setattr(cli, "run_problem", solver_must_not_run)
+        out = tmp_path / target
+        assert run_cli(["run", swap_problem, "--out", out, "--quiet"]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_schema_error_comes_before_the_output_check(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 1, "kind": "nonsense", "systems": []}',
+                        encoding="utf-8")
+        out = tmp_path / "missing" / "r.json"
+        assert run_cli(["run", path, "--out", out, "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("schema error at ")
+
     def test_unwritable_problem_is_a_clean_exit(self, tmp_path, capsys):
         out = tmp_path / "missing" / "p.json"
         assert run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 2,

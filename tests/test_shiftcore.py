@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import helpers
+from multishift import equivalence as eq
+from multishift import kernelgen as kg
 from multishift import lattice
+from multishift import numerics
 from multishift import sampling
 from multishift import shiftcore as sc
 from multishift.numerics import frob_norm, hermpd
@@ -158,7 +161,8 @@ class TestBuildMz:
         ms = sc.moments_from_weights(identity_weights(2, 3, 2), hermpd(np.eye(2)))
         mz = sc.build_mz(ms, 0)
         assert mz.norm_estimate == pytest.approx(1.0, abs=1e-12)
-        for block in mz.blocks.values():
+        assert mz.blocks.shape == (6, 2, 2)
+        for block in mz.blocks:
             assert np.allclose(block, np.eye(2), atol=1e-12)
 
     def test_unweighted_scalar_shift(self):
@@ -170,9 +174,10 @@ class TestBuildMz:
         # G_k = 1/(k+1) gives block(k) = sqrt((k+1)/(k+2))
         grams = {(k,): hermpd(np.eye(1), -math.log(k + 1)) for k in range(8)}
         mz = sc.build_mz(sc.MomentSystem(1, 7, 1, grams), 0)
-        for k in range(7):
+        assert mz.src.tolist() == list(range(7)) and mz.dst.tolist() == list(range(1, 8))
+        for k in range(7):  # (k,) has graded rank k
             want = math.sqrt((k + 1) / (k + 2))
-            assert mz.blocks[(k,)][0, 0].real == pytest.approx(want, rel=1e-12)
+            assert mz.blocks[k][0, 0].real == pytest.approx(want, rel=1e-12)
 
     def test_blocks_invertible_with_margin(self):
         ms = sampling.random_moment_system(2, 4, 3, 12)
@@ -192,6 +197,93 @@ class TestBuildMz:
                     assert np.all(block == 0.0)
 
 
+def _reference_family(name):
+    """The families the graded shift stacks are checked on against the per-index
+    construction: random, degree-class, extra-class, homogeneous and N = 0."""
+    rng = np.random.default_rng([60, len(name)])
+    poch = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 6)
+    if name.startswith("random"):
+        d, top, n = {"random1": (1, 6, 3), "random2": (2, 4, 2), "random3": (3, 3, 2)}[name]
+        return sampling.random_moment_system(d, top, n, rng)
+    if name == "pochhammer":
+        return kg.kernel_moments(poch)
+    if name == "perturbed":
+        reps = {(0, 1): sampling.random_pd(2, rng), (1, 1): sampling.random_pd(2, rng)}
+        return kg.kernel_moments(kg.perturb_kernel(poch, reps)[0])
+    if name == "homogeneous":
+        return kg.kernel_moments(
+            kg.homogeneous_kernel([sampling.random_pd(3, rng) for _ in range(5)], 2))
+    return sampling.random_moment_system(2, 0, 2, rng)
+
+
+REFERENCE_FAMILIES = ["random1", "random2", "random3", "pochhammer", "perturbed",
+                      "homogeneous", "degree0"]
+
+
+class TestPerIndexReference:
+    """The graded shift stacks from one root pass against one root call per index."""
+
+    @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+    def test_shifts_and_weights_are_bit_equal(self, name):
+        ms = _reference_family(name)
+        ws = sc.canonical_weights(ms)
+        for j in range(ms.d):
+            mz = sc.build_mz(ms, j)
+            want = helpers.per_index_full_matrix(ms, j)
+            assert mz.full_matrix().tobytes() == want.tobytes()
+            blocks = helpers.per_index_raise_blocks(ms, j)
+            for alpha, block in blocks.items():
+                assert ws.weight(alpha, j).tobytes() == block.tobytes()
+            svs = [numerics.singular_range(b) for b in blocks.values()]
+            assert mz.norm_estimate == max((hi for _, hi in svs), default=0.0)
+            assert mz.min_singular_value == min((lo for lo, _ in svs), default=0.0)
+
+    @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+    def test_diagonal_intertwiner_is_bit_equal(self, name):
+        ms = _reference_family(name)
+        c = sampling.random_pd(ms.fiber_dim, np.random.default_rng(61)).matrix
+        c = c + 0.25j * np.eye(ms.fiber_dim)
+        mt = sampling.congruent_pair(ms, c)
+        got = eq.diagonal_intertwiner(ms, mt, c).matrix
+        assert got.tobytes() == helpers.per_index_diagonal_intertwiner(ms, mt, c).tobytes()
+
+    @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
+    def test_closed_form_products_match_staircases(self, name):
+        ms = _reference_family(name)
+        mt = sampling.congruent_pair(ms, 2.0 * np.eye(ms.fiber_dim))
+        shifts = eq.shift_pair(ms, mt)
+        for got, want in ((shifts.tproducts, helpers.per_index_products(mt)),
+                          (shifts.inv_products, helpers.per_index_inverse_products(ms))):
+            err = np.linalg.norm(got - want, axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+
+class TestRootPassCount:
+    """Shifts come from one root pass per family: the number of eigensolves
+    does not grow with the truncation."""
+
+    @pytest.mark.parametrize("what", ["build_mz", "shift_pair", "diagonal_intertwiner"])
+    def test_eigensolves_do_not_grow_with_degree(self, monkeypatch, what):
+        real, calls = numerics.herm_eig_batch, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        counts = []
+        for top in (3, 12):
+            ms, mt = (sampling.random_moment_system(2, top, 2, [62, top, k]) for k in (0, 1))
+            run = {"build_mz": lambda: sc.build_mz(ms, 1),
+                   "shift_pair": lambda: eq.shift_pair(ms, mt),
+                   "diagonal_intertwiner": lambda: eq.diagonal_intertwiner(ms, mt, np.eye(2))}
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "herm_eig_batch", counted)
+                run[what]()
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
 class TestAdjointFormula:
     def test_identity_moments_zero_residual(self):
         ms = sc.moments_from_weights(identity_weights(2, 3, 2), hermpd(np.eye(2)))
@@ -204,7 +296,7 @@ class TestAdjointFormula:
         # in orthonormal coordinates the adjoint block is the constant 2
         mz = sc.build_mz(ms, 0)
         for k in range(4):
-            assert mz.blocks[(k,)][0, 0].real == pytest.approx(2.0, rel=1e-12)
+            assert mz.blocks[k][0, 0].real == pytest.approx(2.0, rel=1e-12)
         assert sc.check_adjoint_formula(ms, 0) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
