@@ -274,8 +274,6 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
             verdict="YES" if result.equivalent else "NO",
             unitary=ser.unitary_result_to_json(result),
         )
-        if result.polish is not None:
-            report["diagnostics"] = {"polish": ser.polish_to_json(result.polish)}
     elif kind == "oracle":
         ms, mt = _resolve_pair(problem, top_degree)
         if ms.N < 1:
@@ -311,24 +309,14 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
 
 
 def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
-    try:
-        basis = eq.brute_force_intertwiner(ms, mt)
-    except eq.DimensionCapError as ex:
-        raise InputValidationError(str(ex)) from ex
+    basis = eq.brute_force_intertwiner(ms, mt)
     shifts = basis.shifts
     rng = np.random.default_rng(seed)
-    invertible = 0
-    worst_level0 = 0.0
-    worst_recursion = 0.0
-    worst_intertwining = 0.0
-    certs_pass = True
-    for _ in range(ORACLE_SAMPLES):
-        if basis.solution_count == 0:
-            break
-        coeffs = rng.standard_normal(basis.solution_count) + 1j * rng.standard_normal(
-            basis.solution_count
-        )
-        x = basis.combine(coeffs)
+    invertible, certs_pass = 0, True
+    worst_level0 = worst_recursion = worst_intertwining = 0.0
+    count = basis.solution_count
+    for _ in range(ORACLE_SAMPLES if count else 0):
+        x = basis.combine(rng.standard_normal(count) + 1j * rng.standard_normal(count))
         x_range = singular_range(x.matrix)  # the one SVD of X per sample
         lo, hi = x_range
         if hi == 0.0 or lo <= 1e-8 * hi:
@@ -633,7 +621,7 @@ def _cmd_run(args) -> int:
     except SchemaError as ex:
         print(f"schema error at {ex.path}: {ex.message}", file=sys.stderr)
         return EXIT_SCHEMA
-    except InputValidationError as ex:
+    except (InputValidationError, eq.DimensionCapError) as ex:
         print(f"input validation failed: {ex}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

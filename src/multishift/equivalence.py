@@ -62,7 +62,7 @@ class SingularCError(Exception):
 
 
 class DimensionCapError(Exception):
-    """Truncated space too large for the brute-force oracle."""
+    """A dense intertwiner solve (the oracle, the unitary decision) past its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +512,7 @@ def _alignment_unitary(mats, logs, tmats, tlogs, weights) -> np.ndarray:
     return q @ qt.conj().T
 
 
-class PolishSummary(NamedTuple):
-    """How the polish of a unitary recovery ended.
-
-    exit is one of: converged (two iterates within 1e-14 sqrt(n) in the
-    Frobenius norm), iteration cap, rank-deficient coupling (the coupling
-    sum has no polar factor; the last iterate is kept). iterations counts the
-    couplings formed, one polar factor each.
-    """
-
-    exit: str
-    iterations: int
+RECOVERY_POLISH_STEPS = 300  # polar iterations of optimize_C's recovery start
 
 
 def _polish_operator(w, mats, tmats) -> np.ndarray:
@@ -534,18 +524,15 @@ def _polish_operator(w, mats, tmats) -> np.ndarray:
     return op.transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
 
-def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
-                                polish_iterations: int) -> tuple:
-    """Best unitary V with G~_alpha ~= V* G_alpha V across the stacks, and
-    the PolishSummary of its polish.
+def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng) -> np.ndarray:
+    """optimize_C's recovery start: a unitary V with G~_alpha ~= V* G_alpha V.
 
     Eigenframes of a seeded positive combination are aligned when its
-    spectrum has gaps, column phases are fixed against a second combination,
-    and alternating polar iterations on the positive coupling sum polish the
-    result (a monotone ascent whose fixed points include every exact V).
-    The coupling is linear in V, so its operator is built once and each
-    iteration is one product and one polar factor. Degenerate combinations
-    fall back to polishing from the identity.
+    spectrum has gaps (else V starts at the identity), column phases are
+    fixed against a second combination, and up to RECOVERY_POLISH_STEPS
+    alternating polar iterations on the positive coupling sum (its operator
+    built once) polish the result, until two iterates are within 1e-14
+    sqrt(n) or the coupling sum has no polar factor.
     """
     n = mats.shape[1]
     t1 = rng.uniform(0.5, 1.5, size=mats.shape[0])
@@ -573,18 +560,16 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
     # both offsets are clamped, so their sum cannot overflow either
     w = t1 * np.exp(_log_offsets(logs) + _log_offsets(tlogs))
     op = _polish_operator(w, mats, tmats)
-    reason, iterations = "iteration cap", 0
-    for iterations in range(1, polish_iterations + 1):
+    for _ in range(RECOVERY_POLISH_STEPS):
         try:
             v_next = polar_unitary((op @ v.ravel()).reshape(n, n))
         except LinAlgError:
-            reason = "rank-deficient coupling"
             break
-        if frob_norm(v_next - v) <= 1e-14 * math.sqrt(n):
-            v, reason = v_next, "converged"
-            break
+        converged = frob_norm(v_next - v) <= 1e-14 * math.sqrt(n)
         v = v_next
-    return v, PolishSummary(reason, iterations)
+        if converged:
+            break
+    return v
 
 
 def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> SimilarityCertificate:
@@ -637,8 +622,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
         candidates.append(("alignment", None, type(ex).__name__))
     try:
         candidates.append(("recovery", _recover_congruence_unitary(
-            wh_mats, wh_logs, wh_tmats, wh_tlogs, rng, polish_iterations=300,
-        )[0], None))
+            wh_mats, wh_logs, wh_tmats, wh_tlogs, rng), None))
     except LinAlgError as ex:
         candidates.append(("recovery", None, type(ex).__name__))
     for i in range(RANDOM_STARTS):
@@ -765,26 +749,39 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
 
 @dataclass(frozen=True, eq=False)
 class UnitaryEquivalenceResult:
+    """residual is V's congruence residual, the witness's log gap, or with no
+    candidate V residual_bound; the last two fields are None when an
+    invariant decides, and a NO is proven when residual_bound > tol."""
+
     equivalent: bool
     V: np.ndarray | None
     residual: float
     witness: tuple | None
     message: str
-    polish: PolishSummary | None = None  # None when an invariant decides
     # the congruence invariant behind the witness: "spectrum" or "trace"
     witness_invariant: str | None = None
+    residual_bound: float | None = None
+    null_dimension: int | None = None
 
 
-def _congruence_residual(mats, logs, tmats, tlogs, v) -> float:
-    """max_alpha ||G~ - V* G V|| / ||G||, balanced in the log domain."""
-    conj = _congruence_stack(mats, v)
+def _balanced_rows(mats, logs, tlogs) -> tuple:
+    """(a, b) per index with a M - b M~ = (G - G~) / ||G||_F: exp(l - top) and
+    exp(l~ - top), top = max(l, l~), over one ||exp(l - top) M||_F."""
     top = np.maximum(logs, tlogs)
-    w = np.exp(logs - top)[:, None, None]
-    wt = np.exp(tlogs - top)[:, None, None]
-    diff = wt * tmats - w * conj
-    num = np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2)))
-    den = np.maximum(np.sqrt((np.abs(w * mats) ** 2).sum(axis=(1, 2))), 1e-300)
-    return float((num / den).max())
+    w, wt = np.exp(logs - top), np.exp(tlogs - top)
+    den = np.maximum(w * np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2))), 1e-300)
+    return w / den, wt / den
+
+
+def _intertwiner_gram(mats, tmats, a, b) -> np.ndarray:
+    """L = sum_alpha A_alpha^H A_alpha for A_alpha = a M_alpha (x) I - b I (x)
+    M~_alpha^T, the map V -> a M_alpha V - b V M~_alpha on row-major vec(V):
+    for unitary V, ||A_alpha vec(V)|| is V's congruence residual at alpha."""
+    eye = np.eye(mats.shape[1])
+    left = ((a * a)[:, None, None] * (mats @ mats)).sum(axis=0)
+    right = ((b * b)[:, None, None] * (tmats @ tmats)).sum(axis=0)
+    return (np.kron(left, eye) + np.kron(eye, right.T)
+            - 2.0 * _polish_operator(a * b, mats, tmats))
 
 
 def _level_zero_log_traces(mats) -> np.ndarray:
@@ -811,8 +808,7 @@ def _invariant_witness(gaps, mismatched, indices, invariant: str,
 
 def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
                              tol: float = DEFAULT_TOL, *,
-                             seed: int = 0,
-                             polish_iterations: int = 500) -> UnitaryEquivalenceResult:
+                             seed: int = 0) -> UnitaryEquivalenceResult:
     """Decide simultaneous unitary congruence of the two Gram families.
 
     Two congruence invariants give quick NO witnesses, both in the log
@@ -822,12 +818,19 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     exceeds tol; each log eigenvalue's allowance is widened by its rounding
     term, SPECTRUM_ROUNDING n eps lambda_max / lambda_j on each side, since
     a computed eigenvalue of an n x n matrix is off by about n eps lambda_max.
-    When both match, V is recovered by aligning the eigenframes
-    of a seeded positive combination of each family — phases fixed against a
-    second combination when the spectrum has gaps — and polished by
-    alternating polar iterations on the coupling sum; YES requires the final
-    congruence residual to meet tol. The result carries the PolishSummary
-    whenever the polish ran.
+
+    When both match, one eigensolve of L (_intertwiner_gram, n^2 x n^2, so
+    n is capped at INTERTWINER_FIBRE_CAP) decides. A unitary V intertwines,
+    G_alpha V = V G~_alpha, exactly when it is a congruence, and its squared
+    residuals over the m indices sum to vec(V)^H L vec(V) >= n lambda_min, so
+    none has a largest residual below residual_bound = sqrt(n max(lambda_min
+    - delta, 0) / m). delta = 2 SPECTRUM_ROUNDING n^2 eps m is L's rounding:
+    its two squared terms have trace m each and cancel near a congruence.
+    The null_dimension eigenvectors with lambda <= (m / n) tol^2 + delta
+    span the near-intertwiners; with none, NO is proven. Else the polar
+    factor P Q* of a seeded combination X = P S Q* is the candidate (G_alpha
+    X = X G~_alpha makes X*X commute with every G~_alpha), and YES requires
+    its congruence residual to meet tol.
     """
     _require_same_shape(ms, mt)
     indices = ms.truncation().indices
@@ -852,24 +855,30 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     if witness is not None:
         return witness
 
-    rng = np.random.default_rng(seed)
-    v, polish = _recover_congruence_unitary(mats, logs, tmats, tlogs, rng,
-                                            polish_iterations)
-    residual = _congruence_residual(mats, logs, tmats, tlogs, v)
+    n, m = ms.fiber_dim, len(indices)
+    if n > INTERTWINER_FIBRE_CAP:
+        raise DimensionCapError(f"fibre dimension {n} exceeds {INTERTWINER_FIBRE_CAP}")
+    a, b = _balanced_rows(mats, logs, tlogs)
+    lam, vecs = herm_eig(_intertwiner_gram(mats, tmats, a, b))
+    rounding = 2.0 * SPECTRUM_ROUNDING * n * n * np.finfo(np.float64).eps * m
+    null = int(np.count_nonzero(lam <= (m / n) * tol ** 2 + rounding))
+    bound = math.sqrt(n * max(lam[0] - rounding, 0.0) / m)
+    v, residual = None, bound  # with no null vector, bound > tol
+    if null:
+        z = np.random.default_rng(seed).standard_normal((2, null))
+        x = vecs[:, :null] @ (z[0] + 1j * z[1])
+        p, _, qh = _svd(x.reshape(n, n), compute_uv=True)
+        v = p @ qh  # its residual: max_alpha ||G~ - V* G V||_F / ||G||_F
+        diff = b[:, None, None] * tmats - a[:, None, None] * _congruence_stack(mats, v)
+        residual = float(np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2))).max())
     if residual <= tol:
-        return UnitaryEquivalenceResult(
-            equivalent=True, V=v, residual=residual, witness=None,
-            message=f"recovered unitary with congruence residual {residual:.3e}",
-            polish=polish,
-        )
-    return UnitaryEquivalenceResult(
-        equivalent=False, V=None, residual=residual, witness=None,
-        message=(
-            "eigenvalue lists match but unitary recovery stalled at "
-            f"residual {residual:.3e} (optimization floor)"
-        ),
-        polish=polish,
-    )
+        message = f"recovered unitary with congruence residual {residual:.3e}"
+    else:
+        v, proof = None, "proven" if bound > tol else "unproven"
+        message = (f"no unitary within tol: null space dimension {null}, residual "
+                   f"{residual:.3e}, residual_bound {bound:.3e} ({proof} NO)")
+    return UnitaryEquivalenceResult(v is not None, v, residual, None, message,
+                                    residual_bound=bound, null_dimension=null)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,13 @@ import numpy as np
 
 from .equivalence import (
     GrowthDiagnostic,
-    PolishSummary,
     SearchStart,
     SearchSummary,
     SimilarityCertificate,
     UnitaryEquivalenceResult,
     VerificationReport,
 )
-from .lattice import _truncation
+from .lattice import _truncation, simplex_size
 from .numerics import HermPD, hermpd, hermpd_batch
 from .shiftcore import MomentSystem, ValidationReport, WeightSystem
 
@@ -183,6 +182,9 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     grams_field = data.get("grams")
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
+    # counted before the lattice is enumerated: it may be far past memory
+    if len(grams_field) < (size := simplex_size(d, top)):
+        raise SchemaError(f"{path}.grams", f"expected at least {size} entries")
     stack = _gram_stack(grams_field, n)
     mats, logs, rows = [], [], {}
     for i, entry in enumerate(grams_field):
@@ -222,6 +224,8 @@ def weight_system_from_json(data: dict, path: str):
     weights_field = data.get("weights")
     if not isinstance(weights_field, list):
         raise SchemaError(f"{path}.weights", "expected an array of weight entries")
+    if len(weights_field) < (size := d * simplex_size(d, top - 1)):  # as for grams
+        raise SchemaError(f"{path}.weights", f"expected at least {size} entries")
     weights = {}
     for i, entry in enumerate(weights_field):
         epath = f"{path}.weights[{i}]"
@@ -274,6 +278,9 @@ def unitary_result_to_json(result: UnitaryEquivalenceResult) -> dict:
     if result.witness is not None:
         out["witness_alpha"] = multiindex_to_json(result.witness)
         out["witness_invariant"] = result.witness_invariant
+    if result.null_dimension is not None:
+        out["residual_bound"] = result.residual_bound
+        out["null_dimension"] = result.null_dimension
     return out
 
 
@@ -310,10 +317,6 @@ def search_to_json(summary: SearchSummary) -> dict:
                     "evaluations": descent.evaluations},
         "bound": finite(summary.bound),
     }
-
-
-def polish_to_json(summary: PolishSummary) -> dict:
-    return {"exit": summary.exit, "iterations": summary.iterations}
 
 
 def validation_to_json(report: ValidationReport) -> dict:

@@ -172,7 +172,8 @@ class TestRun:
         report = read_report(tmp_path / "same.report.json")
         assert report["verdict"] == "YES"
         v = ser.matrix_from_json(report["unitary"]["V"], "V")
-        assert np.allclose(v, np.eye(2), atol=1e-6)
+        # V is fixed up to a phase: the commutant of a generic family is scalar
+        assert np.allclose(v, v[0, 0] * np.eye(2), atol=1e-6)
 
     def test_unitary_congruence_recovery(self, tmp_path):
         out = tmp_path / "uc.json"
@@ -182,11 +183,28 @@ class TestRun:
         report = read_report(tmp_path / "uc.report.json")
         assert report["verdict"] == "YES"
         assert report["unitary"]["residual"] <= 1e-8
-        polish = report["diagnostics"]["polish"]
-        assert polish["exit"] == "converged"
-        assert 1 <= polish["iterations"] < 500
+        assert report["unitary"]["null_dimension"] == 1
+        assert report["unitary"]["residual_bound"] <= 1e-8
+        assert "diagnostics" not in report
 
-    def test_spectral_witness_report_has_no_polish(self, tmp_path):
+    def test_identity_level_zero_control_gets_a_proven_no(self, tmp_path):
+        ms = helpers.normalized_to_identity(sampling.random_moment_system(2, 6, 3, 8))
+        control = helpers.per_index_unitary(ms, np.random.default_rng(8))
+        problem = {
+            "version": 1,
+            "kind": "unitary",
+            "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(control)],
+        }
+        path = tmp_path / "identity.json"
+        path.write_text(canonical_dumps(problem), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        report = read_report(tmp_path / "identity.report.json")
+        assert report["verdict"] == "NO" and "diagnostics" not in report
+        unitary = report["unitary"]
+        assert unitary["null_dimension"] == 0 and unitary["residual_bound"] > 1e-8
+        assert "(proven NO)" in unitary["message"] and "V" not in unitary
+
+    def test_spectral_witness_report_has_no_null_space(self, tmp_path):
         ms = sampling.random_moment_system(2, 2, 2, 6)
         problem = {
             "version": 1,
@@ -202,8 +220,9 @@ class TestRun:
         assert report["unitary"]["witness_alpha"] == [0, 0]
         assert report["unitary"]["witness_invariant"] == "spectrum"
         assert "diagnostics" not in report
+        assert "null_dimension" not in report["unitary"]
 
-    def test_trace_witness_report_has_no_polish(self, tmp_path):
+    def test_trace_witness_report_has_no_null_space(self, tmp_path):
         ms = sampling.random_moment_system(2, 3, 3, 7)
         control = helpers.per_index_unitary(ms, np.random.default_rng(7))
         problem = {
@@ -220,6 +239,7 @@ class TestRun:
         assert len(report["unitary"]["witness_alpha"]) == 2
         assert report["unitary"]["message"].startswith("level-zero traces")
         assert "diagnostics" not in report
+        assert "residual_bound" not in report["unitary"]
 
     def test_diagnostic_kind(self, tmp_path):
         out = tmp_path / "diag.json"
@@ -328,7 +348,38 @@ class TestRun:
         assert report["validation"]["passes"] is True
 
 
+def write_pair_problem(path, kind, ms, mt):
+    problem = {
+        "version": 1,
+        "kind": kind,
+        "systems": [ser.moment_system_to_json(ms), ser.moment_system_to_json(mt)],
+    }
+    path.write_text(canonical_dumps(problem), encoding="utf-8")
+    return path
+
+
 class TestExitCodes:
+    # one mapping: a dense solve past its cap exits 2, from either kind
+    @pytest.mark.parametrize("kind", ["unitary", "oracle"])
+    def test_fibre_cap_exits_2(self, tmp_path, capsys, kind):
+        rng = np.random.default_rng(9)
+        ms = sampling.random_moment_system(1, 1, 25, rng)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(25, rng))
+        path = write_pair_problem(tmp_path / "wide.json", kind, ms, mt)
+        assert run_cli(["run", path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "fibre dimension 25 exceeds 24" in err and "Traceback" not in err
+
+    def test_capped_fibre_still_gets_its_witness(self, tmp_path):
+        rng = np.random.default_rng(9)
+        ms = sampling.random_moment_system(1, 1, 25, rng)
+        mt = sampling.congruent_pair(ms, 2.0 * sampling.random_unitary(25, rng))
+        path = write_pair_problem(tmp_path / "scaled.json", "unitary", ms, mt)
+        assert run_cli(["run", path, "--quiet"]) == 0
+        report = read_report(tmp_path / "scaled.report.json")
+        assert report["verdict"] == "NO"
+        assert report["unitary"]["witness_invariant"] == "spectrum"
+
     def test_schema_error_names_field(self, tmp_path, capsys):
         problem = {
             "version": 1,

@@ -150,8 +150,9 @@ def _both_systems(problem, grams_index, logscale):
     return problem
 
 
-# found by the test above: equal extreme logscales in both families reach the
-# unitary polish, whose weights overflowed; the second spans past the float range
+# found by the test above: equal extreme logscales in both families pass both
+# unitary invariants, and the weights behind them overflowed; the second spans
+# past the float range
 @pytest.mark.parametrize("problem", [
     _both_systems(BASES[1], 0, 1e308),
     _both_systems(BASES[1], 0, -1e308),
@@ -253,6 +254,31 @@ def test_entry_errors_keep_their_order_when_every_matrix_is_valid():
     moments["grams"][1]["logscale"] = True
     with pytest.raises(ser.SchemaError, match=r"^s\.grams\[1\]\.logscale: "):
         ser.moment_system_from_json(moments, "s")
+
+
+# found by reading the loader: a file may declare a lattice far past memory
+# (C(80, 40) indices at d = N = 40); the entry count is checked before the
+# lattice is enumerated
+HUGE_SYSTEMS = [
+    ({"type": "moments", "d": 40, "N": 40, "fiber_dim": 1, "grams": []}, "grams"),
+    ({"type": "weights", "d": 40, "N": 40, "fiber_dim": 1,
+      "g0": {"logscale": 0.0, "matrix": [[[1.0, 0.0]]]}, "weights": []}, "weights"),
+]
+
+
+@pytest.mark.parametrize("spec,field", HUGE_SYSTEMS, ids=["moments", "weights"])
+@pytest.mark.parametrize("kind", ["unitary", "validate"])
+def test_huge_declared_lattice_exits_3(spec, field, kind):
+    systems = [spec] * (1 if kind == "validate" else 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps({"version": 1, "kind": kind, "systems": systems}),
+                        encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--out", str(Path(tmp) / "r.json"), "--quiet"])
+    assert code == 3
+    assert err.getvalue().startswith(f"schema error at systems[0].{field}: expected at least ")
 
 
 @pytest.mark.parametrize("integer_rows", [(0, 1, 2), (1,)])

@@ -16,6 +16,7 @@ from multishift.numerics import (
     frob_norm,
     herm_eig_batch,
     hermpd,
+    hermpd_batch,
     inv,
     inv_sqrt_pd,
     pencil_logeigs,
@@ -745,12 +746,67 @@ class TestDegreeClasses:
         assert abs(sum(diag.residuals)) <= 1e-12
 
 
+def kronecker_rows(ms, mt):
+    """Reference: the rows A_alpha = (w M_alpha (x) I - w~ I (x) M~_alpha^T) /
+    ||w M_alpha||_F, w and w~ the balanced weights, stacked one by one."""
+    n = ms.fiber_dim
+    eye = np.eye(n)
+    rows = []
+    for mat, tmat, log, tlog in zip(ms.mats, mt.mats, ms.logs, mt.logs):
+        top = max(log, tlog)
+        w, wt = math.exp(log - top), math.exp(tlog - top)
+        rows.append((w * np.kron(mat, eye) - wt * np.kron(eye, tmat.T))
+                    / np.linalg.norm(w * mat))
+    return np.vstack(rows)
+
+
+def congruence_residual(ms, mt, v):
+    """Reference: max_alpha ||G~_alpha - V* G_alpha V||_F / ||G_alpha||_F on
+    the represented Grams."""
+    worst = 0.0
+    for alpha in ms.truncation():
+        g, gt = ms.gram(alpha), mt.gram(alpha)
+        g, gt = math.exp(g.logscale) * g.matrix, math.exp(gt.logscale) * gt.matrix
+        worst = max(worst, np.linalg.norm(gt - v.conj().T @ g @ v) / np.linalg.norm(g))
+    return worst
+
+
+def block_sum(first, second):
+    """The family alpha -> G_alpha + G'_alpha, block diagonal, of two
+    families of one shape."""
+    n, k = first.fiber_dim, second.fiber_dim
+    mats = np.zeros((len(first.mats), n + k, n + k), dtype=np.complex128)
+    top = np.maximum(first.logs, second.logs)
+    mats[:, :n, :n] = np.exp(first.logs - top)[:, None, None] * first.mats
+    mats[:, n:, n:] = np.exp(second.logs - top)[:, None, None] * second.mats
+    mats, logs = hermpd_batch(mats, top)
+    return sc.MomentSystem.from_arrays(first.d, first.N, n + k, mats, logs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([1, 2]), top=st.integers(0, 5), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_unitary_decision_on_drawn_pairs(d, top, n, seed):
+    rng = np.random.default_rng(seed)
+    ms = sampling.random_moment_system(d, top, n, rng)
+    mt = sampling.congruent_pair(ms, sampling.random_unitary(n, rng))
+    result = eq.test_unitary_equivalence(ms, mt, 1e-8, seed=seed)
+    assert result.equivalent and result.residual <= 1e-12
+    if n == 1 or simplex_size(d, top) < 3:
+        return  # one moved index, or scalars: a per-index control is a twin
+    base = helpers.normalized_to_identity(ms)
+    control = eq.test_unitary_equivalence(base, helpers.per_index_unitary(base, rng), 1e-8)
+    assert not control.equivalent and control.residual_bound > 1e-8
+
+
 class TestUnitaryEquivalence:
     def test_identical_systems(self):
         ms = sampling.random_moment_system(2, 3, 2, 20)
         result = eq.test_unitary_equivalence(ms, ms, 1e-8)
         assert result.equivalent
-        assert np.allclose(result.V, np.eye(2), atol=1e-6)
+        # V is fixed up to a phase: the commutant of a generic family is scalar
+        assert abs(abs(result.V[0, 0]) - 1.0) <= 1e-12
+        assert np.allclose(result.V, result.V[0, 0] * np.eye(2), atol=1e-6)
 
     def test_scaled_system_witness_at_zero(self):
         ms = sampling.random_moment_system(2, 3, 2, 21)
@@ -784,24 +840,71 @@ class TestUnitaryEquivalence:
         got = (eq._polish_operator(w, mats, tmats) @ v.ravel()).reshape(n, n)
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
-    def test_polish_reports_why_it_stopped(self):
-        rng = np.random.default_rng(1000)
-        ms = sampling.random_moment_system(2, 4, 3, rng)
-        mt = sampling.congruent_pair(ms, sampling.random_unitary(3, rng))
-        polish = eq.test_unitary_equivalence(ms, mt, 1e-8).polish
-        assert polish.exit == "converged" and 1 <= polish.iterations < 500
-        # spectra match but no common V: the polish, run directly, hits its cap
+    @pytest.mark.parametrize("shape", [(1, 3, 2), (2, 4, 3), (2, 6, 4), (1, 0, 3)])
+    def test_intertwiner_gram_matches_the_kronecker_rows(self, shape):
+        d, top, n = shape
+        rng = np.random.default_rng([72, *shape])
+        ms = sampling.random_moment_system(d, top, n, rng)
+        mt = sampling.random_moment_system(d, top, n, rng)
+        a, b = eq._balanced_rows(ms.mats, ms.logs, mt.logs)
+        rows = kronecker_rows(ms, mt)
+        got = eq._intertwiner_gram(ms.mats, mt.mats, a, b)
+        assert np.linalg.norm(got - rows.conj().T @ rows) <= 1e-14 * np.linalg.norm(got)
+        # for unitary V the rows give V's residuals, so L sums their squares
+        v = sampling.random_unitary(n, rng)
+        residuals = np.linalg.norm((rows @ v.ravel()).reshape(-1, n * n), axis=1)
+        assert residuals.max() == pytest.approx(congruence_residual(ms, mt, v), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_identity_level_zero_controls_get_a_proven_no(self, n):
+        # G_0 = I makes tr(G_0 G_beta) = tr G_beta, so both invariants match
+        rng = np.random.default_rng([73, n])
+        ms = helpers.normalized_to_identity(sampling.random_moment_system(2, 6, n, rng))
         control = helpers.per_index_unitary(ms, rng)
-        _, polish = eq._recover_congruence_unitary(
-            ms.mats, ms.logs, control.mats, control.logs, np.random.default_rng(0), 5)
-        assert polish == eq.PolishSummary("iteration cap", 5)
-        # the public call decides it by the level-zero traces, without a polish
-        result = eq.test_unitary_equivalence(ms, control, 1e-8, polish_iterations=5)
-        assert not result.equivalent
-        assert result.witness_invariant == "trace" and result.polish is None
-        witnessed = eq.test_unitary_equivalence(ms, helpers.scaled_system(ms, 1.0), 1e-8)
-        assert witnessed.witness is not None and witnessed.polish is None
-        assert witnessed.witness_invariant == "spectrum"
+        result = eq.test_unitary_equivalence(ms, control, 1e-8)
+        assert not result.equivalent and result.V is None
+        assert result.witness is None and result.null_dimension == 0
+        assert result.residual == result.residual_bound > 0.4
+        assert "(proven NO)" in result.message
+        rows = kronecker_rows(ms, control)
+        smallest = np.linalg.svd(rows, compute_uv=False)[-1]
+        assert result.residual_bound == pytest.approx(
+            math.sqrt(n * smallest ** 2 / len(ms.mats)), rel=1e-9)
+        # no unitary beats the bound, the polish's best attempt included
+        tried = [sampling.random_unitary(n, rng) for _ in range(20)] + [
+            eq._recover_congruence_unitary(ms.mats, ms.logs, control.mats, control.logs, rng)]
+        assert min(congruence_residual(ms, control, v) for v in tried) >= result.residual_bound
+
+    def test_block_control_has_only_singular_intertwiners(self):
+        # G = A + B with B_0 = I against A + (B moved per index): the traces
+        # and spectra match, and I + 0 intertwines, but no unitary does
+        rng = np.random.default_rng(74)
+        part = sampling.random_moment_system(2, 3, 2, rng)
+        other = helpers.normalized_to_identity(sampling.random_moment_system(2, 3, 2, rng))
+        ms = block_sum(part, other)
+        mt = block_sum(part, helpers.per_index_unitary(other, rng))
+        result = eq.test_unitary_equivalence(ms, mt, 1e-8)
+        assert not result.equivalent and result.witness is None
+        assert result.null_dimension >= 1 and result.residual_bound == 0.0
+        assert result.residual > 1e-8 and "unproven NO" in result.message
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pochhammer_twin_has_a_two_dimensional_null_space(self, seed):
+        ms = pochhammer_moments(1, 2, top=16)
+        rng = np.random.default_rng([75, seed])
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(2, rng))
+        result = eq.test_unitary_equivalence(ms, mt, 1e-8, seed=seed)
+        assert result.equivalent and result.residual <= 1e-12
+        assert result.null_dimension == 2
+
+    def test_fibre_cap_comes_after_the_invariants(self):
+        rng = np.random.default_rng(76)
+        ms = sampling.random_moment_system(1, 1, 25, rng)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(25, rng))
+        with pytest.raises(eq.DimensionCapError, match="fibre dimension 25 exceeds 24"):
+            eq.test_unitary_equivalence(ms, mt, 1e-8)
+        scaled = eq.test_unitary_equivalence(ms, helpers.scaled_system(mt, math.log(2.0)), 1e-8)
+        assert scaled.witness_invariant == "spectrum" and not scaled.equivalent
 
     # the shapes of the congruence-oracle benchmark's per-index-unitary controls
     @pytest.mark.parametrize("seed", range(1, 5))
@@ -814,7 +917,7 @@ class TestUnitaryEquivalence:
         result = eq.test_unitary_equivalence(ms, helpers.per_index_unitary(ms, rng),
                                              1e-8, seed=seed)
         assert not result.equivalent
-        assert result.witness_invariant == "trace" and result.polish is None
+        assert result.witness_invariant == "trace" and result.null_dimension is None
         assert result.witness is not None and result.witness != (0,) * d
         assert result.residual > 1e-8
         assert result.message.startswith("level-zero traces")
@@ -833,7 +936,8 @@ class TestUnitaryEquivalence:
         mt = sampling.congruent_pair(ms, sampling.random_unitary(n, rng))
         result = eq.test_unitary_equivalence(ms, mt, 1e-8)
         assert result.witness is None and result.witness_invariant is None
-        assert result.equivalent and result.polish is not None
+        assert result.equivalent and result.null_dimension == 1
+        assert result.residual_bound <= 1e-8
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("condition", [1e8, 1e10])
@@ -869,12 +973,11 @@ class TestUnitaryEquivalence:
         assert math.isfinite(result.residual)
 
     def test_polish_stops_on_a_rank_deficient_coupling(self):
+        # the recovery start of optimize_C keeps its last unitary iterate
         mats = np.zeros((3, 2, 2), dtype=np.complex128)
         mats[:, 0, 0] = [1.0, 2.0, 3.0]
         logs = np.zeros(3)
-        v, polish = eq._recover_congruence_unitary(mats, logs, mats, logs,
-                                                   np.random.default_rng(0), 10)
-        assert polish == eq.PolishSummary("rank-deficient coupling", 1)
+        v = eq._recover_congruence_unitary(mats, logs, mats, logs, np.random.default_rng(0))
         assert frob_norm(v.conj().T @ v - np.eye(2)) <= 1e-12
 
     def test_unitary_implies_similarity(self):
