@@ -764,24 +764,23 @@ class UnitaryEquivalenceResult:
     null_dimension: int | None = None
 
 
-def _balanced_rows(mats, logs, tlogs) -> tuple:
-    """(a, b) per index with a M - b M~ = (G - G~) / ||G||_F: exp(l - top) and
-    exp(l~ - top), top = max(l, l~), over one ||exp(l - top) M||_F."""
+def _balanced_rows(mats, logs, tmats, tlogs) -> tuple:
+    """Stacks X, Y with X = G / ||G||_F and Y = G~ / ||G||_F per index, found in
+    the log domain; a unitary V's residual at alpha is ||X V - V Y||_F."""
     top = np.maximum(logs, tlogs)
     w, wt = np.exp(logs - top), np.exp(tlogs - top)
     den = np.maximum(w * np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2))), 1e-300)
-    return w / den, wt / den
+    return (w / den)[:, None, None] * mats, (wt / den)[:, None, None] * tmats
 
 
-def _intertwiner_gram(mats, tmats, a, b) -> np.ndarray:
-    """L = sum_alpha A_alpha^H A_alpha for A_alpha = a M_alpha (x) I - b I (x)
-    M~_alpha^T, the map V -> a M_alpha V - b V M~_alpha on row-major vec(V):
-    for unitary V, ||A_alpha vec(V)|| is V's congruence residual at alpha."""
-    eye = np.eye(mats.shape[1])
-    left = ((a * a)[:, None, None] * (mats @ mats)).sum(axis=0)
-    right = ((b * b)[:, None, None] * (tmats @ tmats)).sum(axis=0)
-    return (np.kron(left, eye) + np.kron(eye, right.T)
-            - 2.0 * _polish_operator(a * b, mats, tmats))
+def _intertwiner_gram(x, y, rows, cols) -> np.ndarray:
+    """sum_alpha A_alpha^H A_alpha, A_alpha: W -> X_alpha W - W Y_alpha, on the
+    coordinates W[rows, cols]; on all of them, sum X^2 (x) I + I (x) (Y^2)^T - 2 X (x) Y^T."""
+    x2, y2 = (np.tensordot(z, z, axes=([0, 2], [0, 1])) for z in (x, y))  # sum X^2, sum Y^2
+    # per coordinate p, U_p[k, l] = sum_alpha X[rows p, k] Y[l, cols p]: s n^2 entries
+    u = x[:, rows, :].transpose(1, 2, 0) @ y[:, :, cols].transpose(2, 0, 1)
+    return (x2[np.ix_(rows, rows)] * (cols[:, None] == cols) - 2.0 * u[:, rows, cols]
+            + (rows[:, None] == rows) * y2[np.ix_(cols, cols)].T)
 
 
 def _level_zero_log_traces(mats) -> np.ndarray:
@@ -819,18 +818,14 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     term, SPECTRUM_ROUNDING n eps lambda_max / lambda_j on each side, since
     a computed eigenvalue of an n x n matrix is off by about n eps lambda_max.
 
-    When both match, one eigensolve of L (_intertwiner_gram, n^2 x n^2, so
-    n is capped at INTERTWINER_FIBRE_CAP) decides. A unitary V intertwines,
-    G_alpha V = V G~_alpha, exactly when it is a congruence, and its squared
-    residuals over the m indices sum to vec(V)^H L vec(V) >= n lambda_min, so
-    none has a largest residual below residual_bound = sqrt(n max(lambda_min
-    - delta, 0) / m). delta = 2 SPECTRUM_ROUNDING n^2 eps m is L's rounding:
-    its two squared terms have trace m each and cancel near a congruence.
-    The null_dimension eigenvectors with lambda <= (m / n) tol^2 + delta
-    span the near-intertwiners; with none, NO is proven. Else the polar
-    factor P Q* of a seeded combination X = P S Q* is the candidate (G_alpha
-    X = X G~_alpha makes X*X commute with every G~_alpha), and YES requires
-    its congruence residual to meet tol.
+    When both match, the intertwining rows (_balanced_rows) on the blocks of
+    the eigenframes of a seeded combination decide (the README's unitary
+    paragraph derives the bound): no unitary has a largest residual
+    below residual_bound, so a NO with residual_bound > tol is proven. The
+    null_dimension eigenvectors of L on the blocks with lambda <= (m / n)
+    tol^2 + delta span the near-intertwiners there; the polar factor of a
+    seeded combination of them, turned so that tr V > 0, is the candidate,
+    and YES needs its residual to meet tol.
     """
     _require_same_shape(ms, mt)
     indices = ms.truncation().indices
@@ -856,22 +851,39 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
         return witness
 
     n, m = ms.fiber_dim, len(indices)
-    if n > INTERTWINER_FIBRE_CAP:
-        raise DimensionCapError(f"fibre dimension {n} exceeds {INTERTWINER_FIBRE_CAP}")
-    a, b = _balanced_rows(mats, logs, tlogs)
-    lam, vecs = herm_eig(_intertwiner_gram(mats, tmats, a, b))
-    rounding = 2.0 * SPECTRUM_ROUNDING * n * n * np.finfo(np.float64).eps * m
-    null = int(np.count_nonzero(lam <= (m / n) * tol ** 2 + rounding))
-    bound = math.sqrt(n * max(lam[0] - rounding, 0.0) / m)
-    v, residual = None, bound  # with no null vector, bound > tol
-    if null:
-        z = np.random.default_rng(seed).standard_normal((2, null))
-        x = vecs[:, :null] @ (z[0] + 1j * z[1])
-        p, _, qh = _svd(x.reshape(n, n), compute_uv=True)
-        v = p @ qh  # its residual: max_alpha ||G~ - V* G V||_F / ||G||_F
-        diff = b[:, None, None] * tmats - a[:, None, None] * _congruence_stack(mats, v)
-        residual = float(np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2))).max())
-    if residual <= tol:
+    x, y = _balanced_rows(mats, logs, tmats, tlogs)
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(m)
+    lams, (q, qt) = herm_eig_batch(np.tensordot(t / frob_norm(t), np.stack([x, y], 1), 1))
+    eps = np.finfo(np.float64).eps
+    eta = SPECTRUM_ROUNDING * n * eps * math.sqrt(n) * float(np.abs(lams).max(axis=1).sum())
+    root_k = float(np.linalg.norm(np.linalg.norm(x, axis=(1, 2)) + np.linalg.norm(y, axis=(1, 2))))
+    ordered = np.sort(lams, axis=None)
+    starts = ordered[1:][np.diff(ordered) > math.sqrt(m) * tol + eta]  # a V meeting tol spans less
+    cluster = np.searchsorted(starts, lams, side="right")
+    blocks = cluster[0][:, None] == cluster[1]  # the pairs (i, j) in one cluster
+    if (size := int(blocks.sum())) > INTERTWINER_FIBRE_CAP ** 2:
+        raise DimensionCapError(f"{size} intertwiner unknowns exceed {INTERTWINER_FIBRE_CAP ** 2}")
+    gap = float(np.abs(lams[0][:, None] - lams[1])[~blocks].min(initial=math.inf))
+    mu, vecs = (r[0] for r in herm_eig_batch(_intertwiner_gram(
+        _congruence_stack(x, q), _congruence_stack(y, qt), *np.nonzero(blocks))[None]))
+    mu = np.maximum(mu - 2.0 * SPECTRUM_ROUNDING * n * n * eps * m, 0.0)
+    null = int(np.count_nonzero(mu <= (m / n) * tol ** 2))  # near-intertwiners on the blocks
+    least = float(mu[0]) if mu.size else 0.0
+    touched = min(blocks.any(axis=1).sum(), blocks.any(axis=0).sum())
+    off = gap * math.sqrt(n - touched) if touched < n else 0.0
+    on = math.sqrt(least * n) / math.hypot(1.0 + root_k / gap, math.sqrt(least) / gap)
+    bound = max(max(on, off) - eta, 0.0) / math.sqrt(m)
+    v, residual = None, bound
+    if null and bound <= tol:
+        z = rng.standard_normal((2, null))
+        w = np.zeros((n, n), dtype=np.complex128)
+        w[blocks] = vecs[:, :null] @ (z[0] + 1j * z[1])
+        p, _, qh = _svd(q @ w @ qt.conj().T, compute_uv=True)
+        v = p @ qh
+        v *= abs(trace) / trace if (trace := np.trace(v)) else 1.0  # identical: V = I
+        residual = float(np.linalg.norm(y - _congruence_stack(x, v), axis=(1, 2)).max())
+    if v is not None and residual <= tol:
         message = f"recovered unitary with congruence residual {residual:.3e}"
     else:
         v, proof = None, "proven" if bound > tol else "unproven"

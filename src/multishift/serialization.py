@@ -182,9 +182,6 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     grams_field = data.get("grams")
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
-    # counted before the lattice is enumerated: it may be far past memory
-    if len(grams_field) < (size := simplex_size(d, top)):
-        raise SchemaError(f"{path}.grams", f"expected at least {size} entries")
     stack = _gram_stack(grams_field, n)
     mats, logs, rows = [], [], {}
     for i, entry in enumerate(grams_field):
@@ -201,6 +198,9 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
             raise SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {len(mat)}")
         mats.append(mat)
         logs.append(logscale)
+    # counted before the lattice is enumerated: it may be far past memory
+    if len(grams_field) < (size := simplex_size(d, top)):
+        raise SchemaError(f"{path}.grams", f"expected at least {size} entries")
     trunc = _truncation(d, top)
     missing = [alpha for alpha in trunc if alpha not in rows]
     if missing:
@@ -224,8 +224,6 @@ def weight_system_from_json(data: dict, path: str):
     weights_field = data.get("weights")
     if not isinstance(weights_field, list):
         raise SchemaError(f"{path}.weights", "expected an array of weight entries")
-    if len(weights_field) < (size := d * simplex_size(d, top - 1)):  # as for grams
-        raise SchemaError(f"{path}.weights", f"expected at least {size} entries")
     weights = {}
     for i, entry in enumerate(weights_field):
         epath = f"{path}.weights[{i}]"
@@ -241,6 +239,8 @@ def weight_system_from_json(data: dict, path: str):
         if mat.shape != (n, n):
             raise SchemaError(f"{epath}.matrix", f"expected shape ({n}, {n})")
         weights[(alpha, j)] = mat
+    if len(weights_field) < (size := d * simplex_size(d, top - 1)):  # as for grams
+        raise SchemaError(f"{path}.weights", f"expected at least {size} entries")
     try:
         return WeightSystem(d, top, n, weights), g0
     except ValueError as ex:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from multishift import sampling
-from multishift.lattice import shifted
+from multishift.lattice import enumerate_indices, shifted
 from multishift.numerics import (
     LinAlgError,
     PositiveDefiniteError,
@@ -163,6 +163,13 @@ def normalized_to_identity(ms: MomentSystem) -> MomentSystem:
     s = inv_sqrt_pd(ms.gram((0,) * ms.d))
     mats, logs = hermpd_batch(s.matrix @ ms.mats @ s.matrix, ms.logs + 2.0 * s.logscale)
     return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, mats, logs)
+
+
+def scalar_system(d: int, top_degree: int, n: int) -> MomentSystem:
+    """G_alpha = exp(|alpha|) I: every unitary carries the family onto itself."""
+    degrees = [float(sum(alpha)) for alpha in enumerate_indices(d, top_degree)]
+    mats, logs = hermpd_batch(np.broadcast_to(np.eye(n), (len(degrees), n, n)), degrees)
+    return MomentSystem.from_arrays(d, top_degree, n, mats, logs)
 
 
 def near_singular_gram(rng):

@@ -172,8 +172,7 @@ class TestRun:
         report = read_report(tmp_path / "same.report.json")
         assert report["verdict"] == "YES"
         v = ser.matrix_from_json(report["unitary"]["V"], "V")
-        # V is fixed up to a phase: the commutant of a generic family is scalar
-        assert np.allclose(v, v[0, 0] * np.eye(2), atol=1e-6)
+        assert np.allclose(v, np.eye(2), atol=1e-6)
 
     def test_unitary_congruence_recovery(self, tmp_path):
         out = tmp_path / "uc.json"
@@ -359,21 +358,31 @@ def write_pair_problem(path, kind, ms, mt):
 
 
 class TestExitCodes:
-    # one mapping: a dense solve past its cap exits 2, from either kind
-    @pytest.mark.parametrize("kind", ["unitary", "oracle"])
-    def test_fibre_cap_exits_2(self, tmp_path, capsys, kind):
+    # one mapping: a dense solve past its cap exits 2, from either kind; a
+    # scalar family has n^2 unitary unknowns
+    @pytest.mark.parametrize("kind,message", [
+        ("unitary", "625 intertwiner unknowns exceed 576"),
+        ("oracle", "fibre dimension 25 exceeds 24"),
+    ])
+    def test_dense_cap_exits_2(self, tmp_path, capsys, kind, message):
+        ms = helpers.scalar_system(1, 1, 25)
+        path = write_pair_problem(tmp_path / "wide.json", kind, ms, ms)
+        assert run_cli(["run", path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_wide_hidden_unitary_pair_is_answered(self, tmp_path):
         rng = np.random.default_rng(9)
         ms = sampling.random_moment_system(1, 1, 25, rng)
         mt = sampling.congruent_pair(ms, sampling.random_unitary(25, rng))
-        path = write_pair_problem(tmp_path / "wide.json", kind, ms, mt)
-        assert run_cli(["run", path, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "fibre dimension 25 exceeds 24" in err and "Traceback" not in err
+        path = write_pair_problem(tmp_path / "wide.json", "unitary", ms, mt)
+        assert run_cli(["run", path, "--quiet"]) == 0
+        unitary = read_report(tmp_path / "wide.report.json")["unitary"]
+        assert unitary["null_dimension"] == 1 and unitary["residual"] <= 1e-12
 
     def test_capped_fibre_still_gets_its_witness(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ms = sampling.random_moment_system(1, 1, 25, rng)
-        mt = sampling.congruent_pair(ms, 2.0 * sampling.random_unitary(25, rng))
+        ms = helpers.scalar_system(1, 1, 25)
+        mt = sampling.congruent_pair(ms, 2.0 * np.eye(25))
         path = write_pair_problem(tmp_path / "scaled.json", "unitary", ms, mt)
         assert run_cli(["run", path, "--quiet"]) == 0
         report = read_report(tmp_path / "scaled.report.json")

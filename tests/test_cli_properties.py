@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from multishift import cli, sampling
 from multishift import serialization as ser
+from multishift.shiftcore import canonical_weights
 
 
 def _moment_problem(kind, systems, **options):
@@ -254,6 +255,25 @@ def test_entry_errors_keep_their_order_when_every_matrix_is_valid():
     moments["grams"][1]["logscale"] = True
     with pytest.raises(ser.SchemaError, match=r"^s\.grams\[1\]\.logscale: "):
         ser.moment_system_from_json(moments, "s")
+    # the entry count is checked after the walk: a file too short for its
+    # lattice still names its first bad entry, and a full count with a
+    # repeated index names the first missing one
+    moments["grams"][2]["alpha"] = [2]
+    first = moments["grams"].pop(0)
+    with pytest.raises(ser.SchemaError, match=r"^s\.grams\[0\]\.logscale: "):
+        ser.moment_system_from_json(moments, "s")
+    moments["grams"][0]["logscale"] = 0.0
+    with pytest.raises(ser.SchemaError, match=r"^s\.grams: expected at least 3 entries$"):
+        ser.moment_system_from_json(moments, "s")
+    moments["grams"].append(dict(first, alpha=[1]))
+    with pytest.raises(ser.SchemaError, match=r"^s\.grams: missing Gram matrix at alpha=\(0,\)"):
+        ser.moment_system_from_json(moments, "s")
+    ms = sampling.random_moment_system(2, 2, 2, 42)
+    weights = ser.weight_system_to_json(canonical_weights(ms), ms.gram((0, 0)))
+    del weights["weights"][0]
+    weights["weights"][0]["j"] = 2
+    with pytest.raises(ser.SchemaError, match=r"^s\.weights\[0\]\.j: "):
+        ser.weight_system_from_json(weights, "s")
 
 
 # found by reading the loader: a file may declare a lattice far past memory

@@ -760,6 +760,38 @@ def kronecker_rows(ms, mt):
     return np.vstack(rows)
 
 
+def block_bound(ms, mt, tol, seed=0):
+    """Reference for residual_bound, step by step as the README derives it:
+    the seeded unit combination's eigenframes, clusters chained at gaps up
+    to sqrt(m) tol + eta, and the Kronecker rows in W = Q* V Q~ coordinates
+    restricted to the blocks."""
+    n, m = ms.fiber_dim, len(ms.mats)
+    x, y = eq._balanced_rows(ms.mats, ms.logs, mt.mats, mt.logs)
+    t = np.random.default_rng(seed).standard_normal(m)
+    (lam, q), (tlam, qt) = (np.linalg.eigh(np.tensordot(t / np.linalg.norm(t), z, 1))
+                            for z in (x, y))
+    eps = np.finfo(np.float64).eps
+    eta = 4.0 * n * eps * math.sqrt(n) * (np.abs(lam).max() + np.abs(tlam).max())
+    values = sorted([(v, side, i) for side, spectrum in enumerate((lam, tlam))
+                     for i, v in enumerate(spectrum)])
+    cluster, label = {}, 0
+    for k, (v, side, i) in enumerate(values):
+        label += k > 0 and v - values[k - 1][0] > math.sqrt(m) * tol + eta
+        cluster[side, i] = label
+    pairs = [(i, j) for i in range(n) for j in range(n) if cluster[0, i] == cluster[1, j]]
+    off_pairs = [abs(lam[i] - tlam[j]) for i in range(n) for j in range(n)
+                 if cluster[0, i] != cluster[1, j]]
+    gap = min(off_pairs, default=math.inf)
+    touched = min(len({i for i, _ in pairs}), len({j for _, j in pairs}))
+    rows = (kronecker_rows(ms, mt) @ np.kron(q, qt.conj()))[:, [i * n + j for i, j in pairs]]
+    least = np.linalg.svd(rows, compute_uv=False)[-1] ** 2 if pairs else 0.0
+    mu = max(least - 8.0 * n * n * eps * m, 0.0)
+    root_k = np.linalg.norm(np.linalg.norm(x, axis=(1, 2)) + np.linalg.norm(y, axis=(1, 2)))
+    on = math.sqrt(mu * n) / math.hypot(1.0 + root_k / gap, math.sqrt(mu) / gap)
+    off = gap * math.sqrt(n - touched) if touched < n else 0.0
+    return max(max(on, off) - eta, 0.0) / math.sqrt(m)
+
+
 def congruence_residual(ms, mt, v):
     """Reference: max_alpha ||G~_alpha - V* G_alpha V||_F / ||G_alpha||_F on
     the represented Grams."""
@@ -804,9 +836,7 @@ class TestUnitaryEquivalence:
         ms = sampling.random_moment_system(2, 3, 2, 20)
         result = eq.test_unitary_equivalence(ms, ms, 1e-8)
         assert result.equivalent
-        # V is fixed up to a phase: the commutant of a generic family is scalar
-        assert abs(abs(result.V[0, 0]) - 1.0) <= 1e-12
-        assert np.allclose(result.V, result.V[0, 0] * np.eye(2), atol=1e-6)
+        assert np.allclose(result.V, np.eye(2), atol=1e-6)
 
     def test_scaled_system_witness_at_zero(self):
         ms = sampling.random_moment_system(2, 3, 2, 21)
@@ -846,10 +876,15 @@ class TestUnitaryEquivalence:
         rng = np.random.default_rng([72, *shape])
         ms = sampling.random_moment_system(d, top, n, rng)
         mt = sampling.random_moment_system(d, top, n, rng)
-        a, b = eq._balanced_rows(ms.mats, ms.logs, mt.logs)
+        x, y = eq._balanced_rows(ms.mats, ms.logs, mt.mats, mt.logs)
         rows = kronecker_rows(ms, mt)
-        got = eq._intertwiner_gram(ms.mats, mt.mats, a, b)
+        every = np.divmod(np.arange(n * n), n)
+        got = eq._intertwiner_gram(x, y, *every)
         assert np.linalg.norm(got - rows.conj().T @ rows) <= 1e-14 * np.linalg.norm(got)
+        # on some of the coordinates, it is the principal submatrix on them
+        keep = np.sort(rng.choice(n * n, size=n + 1, replace=False))
+        part = eq._intertwiner_gram(x, y, every[0][keep], every[1][keep])
+        assert np.linalg.norm(part - got[np.ix_(keep, keep)]) <= 1e-14 * np.linalg.norm(got)
         # for unitary V the rows give V's residuals, so L sums their squares
         v = sampling.random_unitary(n, rng)
         residuals = np.linalg.norm((rows @ v.ravel()).reshape(-1, n * n), axis=1)
@@ -861,32 +896,60 @@ class TestUnitaryEquivalence:
         rng = np.random.default_rng([73, n])
         ms = helpers.normalized_to_identity(sampling.random_moment_system(2, 6, n, rng))
         control = helpers.per_index_unitary(ms, rng)
+        m = len(ms.mats)
         result = eq.test_unitary_equivalence(ms, control, 1e-8)
         assert not result.equivalent and result.V is None
         assert result.witness is None and result.null_dimension == 0
-        assert result.residual == result.residual_bound > 0.4
+        assert result.residual == result.residual_bound > 1e-3
         assert "(proven NO)" in result.message
-        rows = kronecker_rows(ms, control)
-        smallest = np.linalg.svd(rows, compute_uv=False)[-1]
-        assert result.residual_bound == pytest.approx(
-            math.sqrt(n * smallest ** 2 / len(ms.mats)), rel=1e-9)
-        # no unitary beats the bound, the polish's best attempt included
+        # the seeded combinations' spectra share no cluster, so every unitary's
+        # W lies off the blocks: ||W||_F = sqrt(n), at least g apart
+        t = np.random.default_rng(0).standard_normal(m)
+        lam, tlam = (np.linalg.eigvalsh(np.tensordot(t / np.linalg.norm(t), rows, 1))
+                     for rows in eq._balanced_rows(ms.mats, ms.logs, control.mats, control.logs))
+        gap = np.abs(lam[:, None] - tlam).min()
+        assert result.residual_bound == pytest.approx(gap * math.sqrt(n / m), rel=1e-9)
+        # at tol 0.5 one cluster holds both spectra: the bound is L's own,
+        # sqrt(n lambda_min(L) / m), from the rows' least singular value
+        wide = eq.test_unitary_equivalence(ms, control, 0.5)
+        smallest = np.linalg.svd(kronecker_rows(ms, control), compute_uv=False)[-1]
+        assert wide.residual_bound == pytest.approx(math.sqrt(n * smallest ** 2 / m), rel=1e-9)
+        assert not wide.equivalent and wide.null_dimension == 0 and wide.residual_bound > 0.5
+        # no unitary beats either bound, the polish's best attempt included
+        tried = [sampling.random_unitary(n, rng) for _ in range(20)] + [
+            eq._recover_congruence_unitary(ms.mats, ms.logs, control.mats, control.logs, rng)]
+        assert min(congruence_residual(ms, control, v) for v in tried) >= wide.residual_bound
+
+    @pytest.mark.parametrize("n,tol", [(2, 0.03), (4, 0.01), (3, 0.04), (3, 0.2), (4, 1e-8)])
+    def test_bound_follows_its_derivation(self, n, tol):
+        # at these tolerances some eigenvalues share a cluster and some do
+        # not, so both terms of the bound and the gap g take part
+        rng = np.random.default_rng([73, n])
+        ms = helpers.normalized_to_identity(sampling.random_moment_system(2, 6, n, rng))
+        control = helpers.per_index_unitary(ms, rng)
+        result = eq.test_unitary_equivalence(ms, control, tol)
+        assert result.residual_bound == pytest.approx(block_bound(ms, control, tol), rel=1e-9)
         tried = [sampling.random_unitary(n, rng) for _ in range(20)] + [
             eq._recover_congruence_unitary(ms.mats, ms.logs, control.mats, control.logs, rng)]
         assert min(congruence_residual(ms, control, v) for v in tried) >= result.residual_bound
 
     def test_block_control_has_only_singular_intertwiners(self):
         # G = A + B with B_0 = I against A + (B moved per index): the traces
-        # and spectra match, and I + 0 intertwines, but no unitary does
+        # and spectra match, and I + 0 intertwines, so L itself proves
+        # nothing. I + 0 lies on the blocks of the combinations, but the B
+        # half of every unitary lies off them, and that proves the NO
         rng = np.random.default_rng(74)
         part = sampling.random_moment_system(2, 3, 2, rng)
         other = helpers.normalized_to_identity(sampling.random_moment_system(2, 3, 2, rng))
         ms = block_sum(part, other)
         mt = block_sum(part, helpers.per_index_unitary(other, rng))
+        assert np.linalg.svd(kronecker_rows(ms, mt), compute_uv=False)[-1] <= 1e-12
         result = eq.test_unitary_equivalence(ms, mt, 1e-8)
         assert not result.equivalent and result.witness is None
-        assert result.null_dimension >= 1 and result.residual_bound == 0.0
-        assert result.residual > 1e-8 and "unproven NO" in result.message
+        assert result.null_dimension >= 1 and result.residual_bound > 1e-8
+        assert result.residual == result.residual_bound and "(proven NO)" in result.message
+        tried = [sampling.random_unitary(4, rng) for _ in range(20)]
+        assert min(congruence_residual(ms, mt, v) for v in tried) >= result.residual_bound
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pochhammer_twin_has_a_two_dimensional_null_space(self, seed):
@@ -897,13 +960,60 @@ class TestUnitaryEquivalence:
         assert result.equivalent and result.residual <= 1e-12
         assert result.null_dimension == 2
 
-    def test_fibre_cap_comes_after_the_invariants(self):
-        rng = np.random.default_rng(76)
-        ms = sampling.random_moment_system(1, 1, 25, rng)
-        mt = sampling.congruent_pair(ms, sampling.random_unitary(25, rng))
-        with pytest.raises(eq.DimensionCapError, match="fibre dimension 25 exceeds 24"):
-            eq.test_unitary_equivalence(ms, mt, 1e-8)
-        scaled = eq.test_unitary_equivalence(ms, helpers.scaled_system(mt, math.log(2.0)), 1e-8)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_positive_within_tol_is_recovered(self, seed):
+        # the combinations' spectra differ by about 1e-6: a V meeting tol may
+        # span that, so those eigenvalues share a cluster
+        rng = np.random.default_rng([77, seed])
+        ms = sampling.random_moment_system(2, 4, 3, rng)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(3, rng))
+        noise = rng.standard_normal(mt.mats.shape) + 1j * rng.standard_normal(mt.mats.shape)
+        mats, logs = hermpd_batch(mt.mats + 1e-6 * (noise + noise.conj().transpose(0, 2, 1)),
+                                  mt.logs)
+        mt = sc.MomentSystem.from_arrays(2, 4, 3, mats, logs)
+        result = eq.test_unitary_equivalence(ms, mt, 1e-3, seed=seed)
+        assert result.equivalent and 1e-8 < result.residual <= 1e-4
+        assert result.residual_bound <= result.residual
+        assert congruence_residual(ms, mt, result.V) == pytest.approx(result.residual, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("split", [1e-5, 1e-7])
+    def test_nearly_reducible_positive_is_recovered(self, seed, split):
+        # G_alpha = U diag(a, a, b) U* + split * noise: the combinations have
+        # two eigenvalues about split apart, their frames set by the noise
+        rng = np.random.default_rng([78, seed])
+        u = sampling.random_unitary(3, rng)
+        diag = rng.uniform(0.5, 2.0, (15, 3))
+        diag[:, 1] = diag[:, 0]
+        noise = rng.standard_normal((15, 3, 3)) + 1j * rng.standard_normal((15, 3, 3))
+        mats = u @ (diag[:, :, None] * np.eye(3)) @ u.conj().T
+        mats, logs = hermpd_batch(mats + split * (noise + noise.conj().transpose(0, 2, 1)),
+                                  rng.uniform(-1.0, 1.0, 15))
+        ms = sc.MomentSystem.from_arrays(2, 4, 3, mats, logs)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(3, rng))
+        result = eq.test_unitary_equivalence(ms, mt, 1e-8, seed=seed)
+        assert result.equivalent and result.residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [25, 48])
+    def test_wide_fibres_are_decided(self, n):
+        # a generic combination has simple spectra: n unknowns, not n^2
+        rng = np.random.default_rng([76, n])
+        ms = sampling.random_moment_system(2, 3, n, rng)
+        mt = sampling.congruent_pair(ms, sampling.random_unitary(n, rng))
+        result = eq.test_unitary_equivalence(ms, mt, 1e-8)
+        assert result.equivalent and result.residual <= 1e-12
+        assert result.null_dimension == 1
+        control = eq.test_unitary_equivalence(ms, helpers.per_index_unitary(ms, rng), 1e-8)
+        assert not control.equivalent and control.witness_invariant == "trace"
+
+    def test_unknown_cap_comes_after_the_invariants(self):
+        # a scalar family's combination is one cluster: n^2 unknowns
+        ms = helpers.scalar_system(1, 1, 24)
+        assert eq.test_unitary_equivalence(ms, ms, 1e-8).null_dimension == 24 * 24
+        ms = helpers.scalar_system(1, 1, 25)
+        with pytest.raises(eq.DimensionCapError, match="625 intertwiner unknowns exceed 576"):
+            eq.test_unitary_equivalence(ms, ms, 1e-8)
+        scaled = eq.test_unitary_equivalence(ms, helpers.scaled_system(ms, math.log(2.0)), 1e-8)
         assert scaled.witness_invariant == "spectrum" and not scaled.equivalent
 
     # the shapes of the congruence-oracle benchmark's per-index-unitary controls
