@@ -211,9 +211,8 @@ def resolve_system(spec: dict, path: str, top_degree: int | None = None) -> Mome
                 raise InputValidationError(f"{path}: {report}")
             return moments_from_weights(ws, g0)
         return kg.kernel_moments(_kernel_from_spec(spec, path, top_degree))
-    except LinAlgError as ex:
-        raise InputValidationError(f"{path}: {ex}") from ex
-    except ValidationFailedError as ex:
+    # MemoryError: a generated spec may declare a lattice far past memory
+    except (LinAlgError, ValidationFailedError, MemoryError) as ex:
         raise InputValidationError(f"{path}: {ex}") from ex
 
 

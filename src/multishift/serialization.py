@@ -5,6 +5,11 @@ pairs, and log scales ride in separate real fields, never multiplied into
 matrix entries. Balanced HermPD data round-trips byte-for-byte: parsing a
 serialized matrix re-runs the balancing convention, which is a no-op on
 already balanced input, and floats go through repr-exact JSON.
+
+Every file written (problem files, answer sidecars, reports) has one layout:
+`{`, then one sorted top-level member per line, indented two spaces and
+encoded compactly by json's C encoder, then `}`. Files in the older indented
+layout parse to the same values.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ def _is_finite_real(v) -> bool:
 
 
 def matrix_to_json(mat) -> list:
+    """A matrix, or a stack of them, as nested [re, im] pairs: one tolist()."""
     arr = np.asarray(mat, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def matrix_from_json(data, path: str, expect_square: bool = True) -> np.ndarray:
@@ -122,13 +128,15 @@ def moment_system_to_json(ms: MomentSystem) -> dict:
         "N": ms.N,
         "fiber_dim": ms.fiber_dim,
         "grams": [
-            {"alpha": multiindex_to_json(alpha), **hermpd_to_json(ms.gram(alpha))}
-            for alpha in ms.truncation()
+            {"alpha": list(alpha), "logscale": logscale, "matrix": mat}
+            for alpha, logscale, mat in zip(ms.truncation(), ms.logs.tolist(),
+                                            matrix_to_json(ms.mats))
         ],
     }
 
 
 def weight_system_to_json(ws: WeightSystem, g0: HermPD) -> dict:
+    keys = [(alpha, j) for alpha in ws.truncation().interior() for j in range(ws.d)]
     return {
         "type": "weights",
         "d": ws.d,
@@ -136,13 +144,8 @@ def weight_system_to_json(ws: WeightSystem, g0: HermPD) -> dict:
         "fiber_dim": ws.fiber_dim,
         "g0": hermpd_to_json(g0),
         "weights": [
-            {
-                "alpha": multiindex_to_json(alpha),
-                "j": j,
-                "matrix": matrix_to_json(ws.weight(alpha, j)),
-            }
-            for alpha in ws.truncation().interior()
-            for j in range(ws.d)
+            {"alpha": list(alpha), "j": j, "matrix": mat}
+            for (alpha, j), mat in zip(keys, matrix_to_json([ws.weight(*k) for k in keys]))
         ],
     }
 
@@ -342,12 +345,19 @@ def _nonfinite_path(obj, path: str):
     return next((hit for p, v in items if (hit := _nonfinite_path(v, p))), None)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
 def canonical_dumps(obj) -> str:
-    """Deterministic strict JSON text: sorted keys, two-space indent,
-    repr-exact floats. A NaN or infinity raises ValueError naming its path."""
+    """Deterministic strict JSON text: sorted keys, one top-level member per
+    line, each encoded compactly by the C encoder (which json skips whenever
+    an indent is set), repr-exact floats. A NaN or infinity raises
+    ValueError naming its path."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
-                          allow_nan=False) + "\n"
+        if not isinstance(obj, dict) or not obj:
+            return _ENCODER.encode(obj) + "\n"
+        members = (_ENCODER.encode({k: obj[k]})[1:-1] for k in sorted(obj))
+        return "{\n  " + ",\n  ".join(members) + "\n}\n"
     except ValueError as ex:
         where = _nonfinite_path(obj, "")
         if where is None:

@@ -1,7 +1,8 @@
-"""Test-only constructions derived from the package's seeded systems, and two
+"""Test-only constructions derived from the package's seeded systems, and three
 independent references: a Cholesky/whitening pencil path for the package's
-eigenpair-factored pencil kernel, and the per-index shift construction for
-the graded shift stacks."""
+eigenpair-factored pencil kernel, the per-index shift construction for the
+graded shift stacks, and the per-entry matrix writer for the one-pass JSON
+writers."""
 
 import math
 
@@ -21,6 +22,12 @@ from multishift.numerics import (
     symmetrize,
 )
 from multishift.shiftcore import MomentSystem, WeightSystem, canonical_weights
+
+
+def per_entry_matrix_to_json(mat) -> list:
+    """One matrix as nested [re, im] pairs, converted entry by entry."""
+    arr = np.asarray(mat, dtype=np.complex128)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
 class CholeskyError(LinAlgError):

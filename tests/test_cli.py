@@ -688,8 +688,14 @@ class TestStrictJSON:
             assert data["bound"] is None
 
     def test_canonical_dumps_names_the_non_finite_number(self):
-        with pytest.raises(ValueError, match=r"non-finite number at growth\.table\[1\]"):
-            canonical_dumps({"growth": {"table": [1.0, float("nan")]}, "slope": 0.5})
+        for obj, where in (
+            ({"growth": {"table": [1.0, float("nan")]}, "slope": 0.5}, r"growth\.table\[1\]"),
+            ({"a": 1.0, "slope": float("-inf")}, r"slope"),
+            ([0.0, [float("inf")]], r"\[1\]\[0\]"),
+            (float("nan"), r"\$"),
+        ):
+            with pytest.raises(ValueError, match=rf"^non-finite number at {where}$"):
+                canonical_dumps(obj)
 
     def test_non_finite_report_value_is_a_clean_exit(self, swap_problem, tmp_path,
                                                      capsys, monkeypatch):

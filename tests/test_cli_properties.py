@@ -7,6 +7,10 @@ report that is written must be strict JSON (no NaN, no Infinity).
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -299,6 +303,32 @@ def test_huge_declared_lattice_exits_3(spec, field, kind):
             code = cli.main(["run", str(path), "--out", str(Path(tmp) / "r.json"), "--quiet"])
     assert code == 3
     assert err.getvalue().startswith(f"schema error at systems[0].{field}: expected at least ")
+
+
+def _limit_address_space():
+    # a 1 GiB ceiling makes the failed allocation independent of the host's
+    # overcommit policy and keeps the child's peak memory small
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# a generated spec has no entries to count, so its lattice is enumerated
+# until memory runs out; the size policy belongs to the spec, and the CLI
+# only keeps the failure an input error
+@pytest.mark.parametrize("subcommand", ["run", "validate"])
+def test_huge_generated_lattice_exits_2(subcommand, tmp_path):
+    spec = {"type": "pochhammer", "lambda": 1, "mu": 2, "d": 40, "N": 40}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"version": 1, "kind": "similarity",
+                                "systems": [spec, spec]}), encoding="utf-8")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multishift", subcommand, str(path), "--quiet"],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input validation failed: systems[0]: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "p.report.json").exists()
 
 
 @pytest.mark.parametrize("integer_rows", [(0, 1, 2), (1,)])
