@@ -206,10 +206,7 @@ def resolve_system(spec: dict, path: str, top_degree: int | None = None) -> Mome
                 raise InputValidationError(
                     f"{path}: explicit system has N={ws.N}, options require {top_degree}"
                 )
-            report = validate_weights(ws)
-            if not report.passes:
-                raise InputValidationError(f"{path}: {report}")
-            return moments_from_weights(ws, g0)
+            return moments_from_weights(ws, g0)  # validates: ValidationFailedError
         return kg.kernel_moments(_kernel_from_spec(spec, path, top_degree))
     # MemoryError: a generated spec may declare a lattice far past memory
     except (LinAlgError, ValidationFailedError, MemoryError) as ex:
@@ -674,7 +671,8 @@ def _cmd_gen(args) -> int:
             except InputValidationError:
                 os.remove(args.out)  # a problem without its answer is a partial output
                 raise
-    except InputValidationError as ex:
+    # MemoryError: the options may declare a lattice far past memory
+    except (InputValidationError, MemoryError) as ex:
         print(f"parameter error: {ex}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     if not args.quiet:

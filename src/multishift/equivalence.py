@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Truncation, _truncation, degree, shifted, simplex_size
+from .lattice import Truncation, _truncation, degree, simplex_size
 from .numerics import (
     ConvergenceError,
     HermPD,
@@ -1082,12 +1082,11 @@ def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBa
     # order of g; qs[b]: the target's products from level g to g + beta.
     rows = [np.arange(m)]
     qs = [np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n))]
-    for beta in trunc.indices[1:]:
-        j = max(k for k in range(d) if beta[k])
-        below = trunc.position(shifted(beta, j, -1))
-        src = rows[below][:simplex_size(d, ms.N - degree(beta))]
+    coords, below = (p.tolist() for p in trunc.parents)
+    for b in range(1, m):
+        j, src = coords[b], rows[below[b]][:simplex_size(d, ms.N - degree(trunc.indices[b]))]
         rows.append(tmz[j].dst[src])
-        qs.append(tmz[j].blocks[src] @ qs[below][:len(src)])
+        qs.append(tmz[j].blocks[src] @ qs[below[b]][:len(src)])
 
     # Each equation off the staircase, at row level g + alpha + e_j, reads
     # L1 X[g, 0] R1 = L2 X[g, 0] R2 for |g| < N - |alpha|; degree-sorted.
@@ -1108,7 +1107,7 @@ def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBa
     threshold = INTERTWINER_RANK_RTOL * scale
     vectors, null, largest = [], [], 0.0
     for g in range(ms.N + 1):
-        lo, hi = simplex_size(d, g - 1) if g else 0, simplex_size(d, g)
+        lo, hi = simplex_size(d, g - 1), simplex_size(d, g)
         live = [t for deg, t in terms if deg < ms.N - g]
         system = np.zeros((hi - lo, len(live), n * n, n * n), dtype=np.complex128)
         for e, (l1, r1, l2, r2) in enumerate(live):
@@ -1184,7 +1183,7 @@ def intertwining_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSyst
     """
     _require_same_shape(ms, mt)
     shifts = shifts if shifts is not None else shift_pair(ms, mt)
-    keep = x.fiber_dim * simplex_size(ms.d, ms.N - 1) if ms.N > 0 else 0
+    keep = x.fiber_dim * simplex_size(ms.d, ms.N - 1)
     norm_x = x_range[1] if x_range is not None else x.norm()
     worst = 0.0
     for mz, mzt, (full, tfull) in zip(shifts.mz, shifts.tmz, shifts.full):

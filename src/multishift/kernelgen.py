@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import SimilarityCertificate
-from .lattice import _truncation, degree, shifted, simplex_size
+from .lattice import _truncation, degree, simplex_size
 from .numerics import (
     HermPD,
     hermpd_from_log_diag_batch,
@@ -178,11 +178,10 @@ def boundedness_estimate(spec: KernelSpec, j: int) -> float:
     """
     if not 0 <= j < spec.d:
         raise ValueError(f"coordinate j={j} outside 0..{spec.d - 1}")
-    trunc = spec.truncation()
-    rows = [k for k, alpha in enumerate(trunc) if alpha[j] > 0]
-    if not rows:
+    rows = spec.truncation().raise_map[j]
+    if not len(rows):
         return 0.0
-    below = [trunc.position(shifted(trunc.indices[k], j, -1)) for k in rows]
+    below = np.arange(len(rows))
     _, hi = pencil_logrange_batch(*pencil_factors(spec.mats[below], spec.mats[rows]),
                                   np.eye(spec.fiber_dim, dtype=np.complex128))
     return math.exp(0.5 * float((spec.logs[below] - spec.logs[rows] + hi).max()))

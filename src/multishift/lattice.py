@@ -10,7 +10,6 @@ downward closed.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,15 +21,10 @@ MultiIndex = tuple
 def degree(alpha: MultiIndex) -> int:
     return sum(alpha)
 
-def shifted(alpha: MultiIndex, j: int, step: int = 1) -> MultiIndex:
-    """alpha +/- step * e_j."""
-    out = list(alpha)
-    out[j] += step
-    return tuple(out)
-
 
 def simplex_size(d: int, top_degree: int) -> int:
-    return math.comb(top_degree + d, d)
+    """Number of alpha in N^d with |alpha| <= top_degree; 0 when top_degree < 0."""
+    return math.comb(top_degree + d, d) if top_degree >= 0 else 0
 
 
 def enumerate_indices(d: int, top_degree: int) -> list[MultiIndex]:
@@ -62,27 +56,11 @@ def monotone_path(alpha: MultiIndex) -> list[tuple[MultiIndex, int]]:
     Each step (beta, j) adds e_j at the lattice point beta; coordinate 0 is
     exhausted first, then coordinate 1, and so on. |alpha| steps total.
     """
-    steps = []
-    here = tuple(0 for _ in alpha)
+    steps, here = [], [0] * len(alpha)
     for j, a_j in enumerate(alpha):
         for _ in range(a_j):
-            steps.append((here, j))
-            here = shifted(here, j)
-    return steps
-
-
-def reverse_monotone_path(alpha: MultiIndex) -> list[tuple[MultiIndex, int]]:
-    """Staircase from 0 to alpha exhausting the last coordinate first.
-
-    Used by tests as the second path when checking that valid weight systems
-    give path-independent products.
-    """
-    steps = []
-    here = tuple(0 for _ in alpha)
-    for j in range(len(alpha) - 1, -1, -1):
-        for _ in range(alpha[j]):
-            steps.append((here, j))
-            here = shifted(here, j)
+            steps.append((tuple(here), j))
+            here[j] += 1
     return steps
 
 
@@ -113,11 +91,9 @@ class Truncation:
         """Rank of alpha in the graded order; KeyError when outside."""
         return self._pos[tuple(alpha)]
 
-    def interior(self, margin: int = 1):
-        """Indices with |alpha| <= N - margin (those whose e_j-shifts stay inside)."""
-        return itertools.takewhile(
-            lambda a: degree(a) <= self.N - margin, self.indices
-        )
+    def interior(self) -> tuple:
+        """Indices with |alpha| <= N - 1 (those whose e_j-shifts stay inside)."""
+        return self.indices[:simplex_size(self.d, self.N - 1)]
 
     @functools.cached_property
     def array(self) -> np.ndarray:
@@ -125,6 +101,26 @@ class Truncation:
         out = np.array(self.indices, dtype=np.int64).reshape(len(self), self.d)
         out.flags.writeable = False
         return out
+
+    @functools.cached_property
+    def raise_map(self) -> np.ndarray:
+        """Read-only (d, k): [j, r] is the rank of alpha + e_j, alpha the interior
+        index of rank r. alpha -> alpha + e_j keeps the graded order and maps the
+        interior onto the indices with alpha_j > 0, so row j lists those."""
+        out = np.nonzero(self.array.T)[1].reshape(self.d, -1)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def parents(self) -> tuple:
+        """Read-only (coords, below), each (m,): the canonical staircase parent of
+        alpha != 0, its trailing nonzero coordinate j and the rank of alpha - e_j;
+        row 0 holds (0, 0)."""
+        coords, below = np.zeros((2, len(self)), dtype=np.intp)
+        for j, up in enumerate(self.raise_map):  # ascending j: the last write wins
+            coords[up], below[up] = j, np.arange(len(up))
+        coords.flags.writeable = below.flags.writeable = False
+        return coords, below
 
 
 @functools.lru_cache(maxsize=32)

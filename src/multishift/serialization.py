@@ -136,7 +136,6 @@ def moment_system_to_json(ms: MomentSystem) -> dict:
 
 
 def weight_system_to_json(ws: WeightSystem, g0: HermPD) -> dict:
-    keys = [(alpha, j) for alpha in ws.truncation().interior() for j in range(ws.d)]
     return {
         "type": "weights",
         "d": ws.d,
@@ -145,7 +144,9 @@ def weight_system_to_json(ws: WeightSystem, g0: HermPD) -> dict:
         "g0": hermpd_to_json(g0),
         "weights": [
             {"alpha": list(alpha), "j": j, "matrix": mat}
-            for (alpha, j), mat in zip(keys, matrix_to_json([ws.weight(*k) for k in keys]))
+            for alpha, row in zip(ws.truncation().interior(),
+                                  matrix_to_json(ws.weights.swapaxes(0, 1)))
+            for j, mat in enumerate(row)
         ],
     }
 
@@ -159,12 +160,13 @@ def _require_int(data: dict, key: str, path: str, minimum: int) -> int:
     return v
 
 
-def _gram_stack(grams_field: list, n: int) -> np.ndarray | None:
-    """Every grams[*].matrix as one (m, n, n) complex stack, read in one
-    array pass, or None when any entry is not an (n, n) matrix of [re, im]
-    pairs of finite floats and ints; matrix_from_json then names the field."""
+def _matrix_stack(entries: list, n: int) -> np.ndarray | None:
+    """Every entries[*].matrix (Grams or weights) as one (m, n, n) complex
+    stack, read in one array pass, or None when any entry is not an (n, n)
+    matrix of [re, im] pairs of finite floats and ints; the per-entry walk
+    then names the field."""
     try:
-        raw = [entry["matrix"] for entry in grams_field]
+        raw = [entry["matrix"] for entry in entries]
         arr = np.array(raw)
     except (TypeError, KeyError, ValueError):
         return None
@@ -185,7 +187,7 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     grams_field = data.get("grams")
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
-    stack = _gram_stack(grams_field, n)
+    stack = _matrix_stack(grams_field, n)
     mats, logs, rows = [], [], {}
     for i, entry in enumerate(grams_field):
         epath = f"{path}.grams[{i}]"
@@ -204,13 +206,12 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     # counted before the lattice is enumerated: it may be far past memory
     if len(grams_field) < (size := simplex_size(d, top)):
         raise SchemaError(f"{path}.grams", f"expected at least {size} entries")
-    trunc = _truncation(d, top)
-    missing = [alpha for alpha in trunc if alpha not in rows]
-    if missing:
-        raise SchemaError(f"{path}.grams", f"missing Gram matrix at alpha={missing[0]}")
+    try:
+        take = [rows[alpha] for alpha in _truncation(d, top)]
+    except KeyError as ex:  # the first missing index
+        raise SchemaError(f"{path}.grams", f"missing Gram matrix at alpha={ex.args[0]}") from ex
     # every entry is balanced, the unused ones too; the last entry for an index wins
     mats, logs = hermpd_batch(np.stack(mats) if stack is None else stack, logs)
-    take = [rows[alpha] for alpha in trunc]
     return MomentSystem.from_arrays(d, top, n, mats[take], logs[take])
 
 
@@ -227,7 +228,8 @@ def weight_system_from_json(data: dict, path: str):
     weights_field = data.get("weights")
     if not isinstance(weights_field, list):
         raise SchemaError(f"{path}.weights", "expected an array of weight entries")
-    weights = {}
+    stack = _matrix_stack(weights_field, n)
+    mats, rows = [], {}
     for i, entry in enumerate(weights_field):
         epath = f"{path}.weights[{i}]"
         if not isinstance(entry, dict):
@@ -236,18 +238,26 @@ def weight_system_from_json(data: dict, path: str):
         j = entry.get("j")
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < d:
             raise SchemaError(f"{epath}.j", f"expected an integer in 0..{d - 1}")
+        rows[(alpha, j)] = i  # the last entry for a key wins
+        if stack is not None:
+            continue
         if "matrix" not in entry:
             raise SchemaError(f"{epath}.matrix", "missing")
         mat = matrix_from_json(entry["matrix"], f"{epath}.matrix")
         if mat.shape != (n, n):
             raise SchemaError(f"{epath}.matrix", f"expected shape ({n}, {n})")
-        weights[(alpha, j)] = mat
+        mats.append(mat)
     if len(weights_field) < (size := d * simplex_size(d, top - 1)):  # as for grams
         raise SchemaError(f"{path}.weights", f"expected at least {size} entries")
     try:
-        return WeightSystem(d, top, n, weights), g0
-    except ValueError as ex:
-        raise SchemaError(f"{path}.weights", str(ex)) from ex
+        take = [rows[(alpha, j)] for alpha in _truncation(d, top).interior() for j in range(d)]
+    except KeyError as ex:  # the first missing key, alpha-major
+        raise SchemaError(f"{path}.weights", "missing weight at alpha={}, j={}".format(
+            *ex.args[0])) from ex
+    if stack is None:
+        stack = np.array(mats, dtype=np.complex128).reshape(-1, n, n)
+    take = np.array(take, dtype=np.intp).reshape(-1, d).T
+    return WeightSystem.from_arrays(d, top, n, stack[take]), g0
 
 
 def certificate_to_json(cert: SimilarityCertificate) -> dict:

@@ -1,9 +1,11 @@
 """Truncated operator-valued multishifts.
 
-A WeightSystem stores the raw operator weights A^(j)_alpha on a degree-N
-simplex; a MomentSystem stores the Gram family G_alpha = B*_alpha B_alpha,
-which is the complete similarity invariant used by every criterion
-downstream. The canonical matrix realization of the shift tuple works in
+A WeightSystem stores the raw operator weights A^(j)_alpha as one graded
+stack (d, k, n, n) over the k interior indices |alpha| <= N - 1; a
+MomentSystem stores the Gram family G_alpha = B*_alpha B_alpha, the complete
+similarity invariant used by every criterion downstream, as graded stacks.
+Both are read in batched passes that take the lattice's neighbours from its
+Truncation. The canonical matrix realization of the shift tuple works in
 orthonormalized fiber coordinates, where the level-raising block from alpha
 to alpha+e_j is G_{alpha+e_j}^{1/2} G_alpha^{-1/2}: adjoints are literal
 conjugate transposes and operator norms are literal spectral norms.
@@ -17,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import Truncation, _truncation, shifted
+from .lattice import Truncation, _truncation
 from .numerics import (
     HermPD,
     _eig_transform_batch,
     _svd,
-    frob_norm,
     hermpd_batch,
     inv_pd_batch,
-    singular_range,
 )
 
 WEIGHT_SINGULARITY_TOL = 1e-12
@@ -36,31 +36,42 @@ class ValidationFailedError(Exception):
     """Raised when an operation requires a weight system that fails validation."""
 
 
-@dataclass(frozen=True, eq=False)
 class WeightSystem:
-    """Operator weights (alpha, j) -> invertible n x n matrix, |alpha| <= N-1."""
+    """Operator weights A^(j)_alpha, invertible n x n, on |alpha| <= N - 1 as one
+    read-only complex stack weights (d, k, n, n): row r of weights[j] is A^(j)
+    at the interior index of graded rank r; weight(alpha, j) is a view of it."""
 
-    d: int
-    N: int
-    fiber_dim: int
-    weights: dict
+    def __init__(self, d: int, N: int, fiber_dim: int, weights):
+        """From a mapping (alpha, j) -> n x n matrix that covers the interior."""
+        keys = [(alpha, j) for alpha in _truncation(d, N).interior() for j in range(d)]
+        for key in keys:
+            if key not in weights:
+                raise ValueError("missing weight at alpha={}, j={}".format(*key))
+            if weights[key].shape != (fiber_dim, fiber_dim):
+                raise ValueError(f"weight at {key} has shape {weights[key].shape}")
+        stack = np.array([weights[key] for key in keys], dtype=np.complex128)
+        self._store(d, N, fiber_dim, stack.reshape(-1, d, fiber_dim, fiber_dim).swapaxes(0, 1))
 
-    def __post_init__(self):
-        trunc = self.truncation()
-        for alpha in trunc.interior():
-            for j in range(self.d):
-                key = (alpha, j)
-                if key not in self.weights:
-                    raise ValueError(f"missing weight at alpha={alpha}, j={j}")
-                w = self.weights[key]
-                if w.shape != (self.fiber_dim, self.fiber_dim):
-                    raise ValueError(f"weight at {key} has shape {w.shape}")
+    @classmethod
+    def from_arrays(cls, d: int, N: int, fiber_dim: int, weights) -> "WeightSystem":
+        """From a (d, k, n, n) stack in graded order, kept uncopied."""
+        out = cls.__new__(cls)
+        out._store(d, N, fiber_dim, weights)
+        return out
+
+    def _store(self, d: int, N: int, fiber_dim: int, weights) -> None:
+        self.d, self.N, self.fiber_dim = d, N, fiber_dim
+        self.weights = np.ascontiguousarray(weights, dtype=np.complex128)
+        shape = (d, lattice.simplex_size(d, N - 1), fiber_dim, fiber_dim)
+        if self.weights.shape != shape:
+            raise ValueError(f"expected a {shape} weight stack, got {self.weights.shape}")
+        self.weights.flags.writeable = False
 
     def truncation(self) -> Truncation:
         return _truncation(self.d, self.N)
 
     def weight(self, alpha, j) -> np.ndarray:
-        return self.weights[(tuple(alpha), j)]
+        return self.weights[j, self.truncation().position(alpha)]
 
 
 class GradedFamily:
@@ -189,46 +200,32 @@ class ValidationReport:
 
 
 def validate_weights(ws: WeightSystem) -> ValidationReport:
-    """Check invertibility and the commutation condition; never raises."""
-    trunc = ws.truncation()
-    failures = []
-    min_ratio = math.inf
-    max_norm = 0.0
-    for alpha in trunc.interior():
-        for j in range(ws.d):
-            lo, hi = singular_range(ws.weight(alpha, j))
-            max_norm = max(max_norm, hi)
-            ratio = lo / hi if hi > 0.0 else 0.0
-            if ratio < min_ratio:
-                min_ratio = ratio
-            if not ratio > WEIGHT_SINGULARITY_TOL:
-                failures.append(
-                    f"weight at alpha={alpha}, j={j} is numerically singular"
-                )
-    max_resid = 0.0
-    worst = None
-    for alpha in trunc.interior(2):
-        for i in range(ws.d):
-            for j in range(i + 1, ws.d):
-                lhs = ws.weight(shifted(alpha, j), i) @ ws.weight(alpha, j)
-                rhs = ws.weight(shifted(alpha, i), j) @ ws.weight(alpha, i)
-                scale = max(frob_norm(lhs), frob_norm(rhs), 1e-300)
-                resid = frob_norm(lhs - rhs) / scale
-                if resid > max_resid:
-                    max_resid = resid
-                    worst = (alpha, i, j)
+    """Check invertibility and the commutation condition; never raises.
+
+    One batched SVD serves every weight, and one batched product per side
+    every (alpha, i < j) pair; failures come in the order alpha, then j.
+    """
+    trunc, w = ws.truncation(), ws.weights
+    s = _svd(w, compute_uv=False)
+    lo, hi = s[..., -1].T, s[..., 0].T  # (k, d): alpha-major
+    ratio = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
+    failures = [f"weight at alpha={trunc.indices[a]}, j={j} is numerically singular"
+                for a, j in zip(*np.nonzero(~(ratio > WEIGHT_SINGULARITY_TOL)))]
+    i, j = np.triu_indices(ws.d, 1)
+    a = np.arange(lattice.simplex_size(ws.d, ws.N - 2))[:, None]
+    up = trunc.raise_map
+    # fmax drops NaN (inf - inf once a product overflows), as a running max would
+    resid = np.fmax(_row_gaps(w[i, up[j, a]] @ w[j, a], w[j, up[i, a]] @ w[i, a]), 0.0)
+    max_resid = float(resid.max(initial=0.0))
     if max_resid > COMMUTATION_TOL:
-        failures.append(
-            f"commutation residual {max_resid:.3e} at alpha={worst[0]}, "
-            f"i={worst[1]}, j={worst[2]}"
-        )
-    if min_ratio is math.inf:
-        min_ratio = 1.0
+        alpha, pair = divmod(int(resid.argmax()), len(i))
+        failures.append(f"commutation residual {max_resid:.3e} at alpha={trunc.indices[alpha]}, "
+                        f"i={i[pair]}, j={j[pair]}")
     return ValidationReport(
         passes=not failures,
         max_commutation_residual=max_resid,
-        min_singular_ratio=min_ratio,
-        max_weight_norm=max_norm,
+        min_singular_ratio=float(ratio.min(initial=1.0)),  # no ratio exceeds 1
+        max_weight_norm=float(hi.max(initial=0.0)),
         failures=tuple(failures),
     )
 
@@ -268,14 +265,15 @@ def moments_from_weights(ws: WeightSystem, g0: HermPD) -> MomentSystem:
 def _staircase_products(ws: WeightSystem) -> np.ndarray:
     """(m, n, n) stack in graded order of P_0 = I and P_alpha = A^(j)_{alpha-e_j}
     P_{alpha-e_j}, j the trailing nonzero coordinate: the weight products along
-    the canonical staircase. Raw weights do not telescope, so this walks them."""
+    the canonical staircase. Raw weights do not telescope, so this walks them
+    one degree, and one batched product, at a time."""
     trunc = ws.truncation()
+    coords, below = trunc.parents
     out = np.empty((len(trunc), ws.fiber_dim, ws.fiber_dim), dtype=np.complex128)
     out[0] = np.eye(ws.fiber_dim)
-    for k, alpha in enumerate(trunc.indices[1:], 1):
-        j = max(i for i in range(ws.d) if alpha[i])
-        below = shifted(alpha, j, -1)
-        out[k] = ws.weight(below, j) @ out[trunc.position(below)]
+    for g in range(1, ws.N + 1):
+        rows = slice(lattice.simplex_size(ws.d, g - 1), lattice.simplex_size(ws.d, g))
+        out[rows] = ws.weights[coords[rows], below[rows]] @ out[below[rows]]
     return out
 
 
@@ -304,9 +302,8 @@ def _shift(ms: MomentSystem, roots: tuple, j: int) -> TruncatedMz:
     """build_mz from the family's _roots."""
     if not 0 <= j < ms.d:
         raise ValueError(f"coordinate j={j} outside 0..{ms.d - 1}")
-    trunc = ms.truncation()
     up, up_logs, down, down_logs = roots
-    dst = np.array([trunc.position(shifted(a, j)) for a in trunc.interior()], dtype=np.intp)
+    dst = ms.truncation().raise_map[j]
     src = np.arange(len(dst))
     blocks = _scaled(up_logs[dst] + down_logs[src], up[dst] @ down[src])
     s = _svd(blocks, compute_uv=False) if len(blocks) else np.zeros((1, 1))
@@ -323,11 +320,8 @@ def canonical_weights(ms: MomentSystem) -> WeightSystem:
     moments_from_weights up to the G_0 normalization.
     """
     roots = _roots(ms)
-    weights = {}
-    for j in range(ms.d):
-        blocks = _shift(ms, roots, j).blocks
-        weights.update(((alpha, j), b) for alpha, b in zip(ms.truncation().interior(), blocks))
-    return WeightSystem(ms.d, ms.N, ms.fiber_dim, weights)
+    return WeightSystem.from_arrays(ms.d, ms.N, ms.fiber_dim,
+                                    np.stack([_shift(ms, roots, j).blocks for j in range(ms.d)]))
 
 
 def build_mz(ms: MomentSystem, j: int) -> TruncatedMz:
@@ -353,9 +347,13 @@ def check_adjoint_formula(ms: MomentSystem, j: int) -> float:
     return _max_row_gap(mz.blocks.conj().swapaxes(1, 2), route_two)
 
 
+def _row_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a[k] - b[k]||_F / max(||a[k]||_F, ||b[k]||_F, 1e-300) over the leading axes."""
+    err = np.linalg.norm(a - b, axis=(-2, -1))
+    return err / np.maximum(np.maximum(np.linalg.norm(a, axis=(-2, -1)),
+                                       np.linalg.norm(b, axis=(-2, -1))), 1e-300)
+
+
 def _max_row_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max over k of ||a[k] - b[k]||_F / max(||a[k]||_F, ||b[k]||_F); 0.0 for empty stacks."""
-    err = np.linalg.norm(a - b, axis=(1, 2))
-    scale = np.maximum(np.maximum(np.linalg.norm(a, axis=(1, 2)),
-                                  np.linalg.norm(b, axis=(1, 2))), 1e-300)
-    return float((err / scale).max()) if len(err) else 0.0
+    """The largest of _row_gaps(a, b); 0.0 for empty stacks."""
+    return float(_row_gaps(a, b).max(initial=0.0))

@@ -1,27 +1,57 @@
-"""Test-only constructions derived from the package's seeded systems, and three
+"""Test-only constructions derived from the package's seeded systems, and four
 independent references: a Cholesky/whitening pencil path for the package's
 eigenpair-factored pencil kernel, the per-index shift construction for the
-graded shift stacks, and the per-entry matrix writer for the one-pass JSON
-writers."""
+graded shift stacks, the per-index weight validation and per-row staircase
+walk for the batched weight passes, and the per-entry matrix writer for the
+one-pass JSON writers."""
 
 import math
 
 import numpy as np
 
 from multishift import sampling
-from multishift.lattice import enumerate_indices, shifted
+from multishift.lattice import enumerate_indices, simplex_size
 from multishift.numerics import (
     LinAlgError,
     PositiveDefiniteError,
+    frob_norm,
     herm_eig_batch,
     hermpd,
     hermpd_batch,
     inv,
     inv_sqrt_pd,
+    singular_range,
     sqrt_pd,
     symmetrize,
 )
-from multishift.shiftcore import MomentSystem, WeightSystem, canonical_weights
+from multishift.shiftcore import (
+    COMMUTATION_TOL,
+    WEIGHT_SINGULARITY_TOL,
+    MomentSystem,
+    ValidationReport,
+    WeightSystem,
+    canonical_weights,
+)
+
+
+def shifted(alpha: tuple, j: int, step: int = 1) -> tuple:
+    """alpha +/- step * e_j, one tuple at a time."""
+    out = list(alpha)
+    out[j] += step
+    return tuple(out)
+
+
+def reverse_monotone_path(alpha: tuple) -> list:
+    """Staircase from 0 to alpha exhausting the last coordinate first: the
+    second path when checking that valid weight systems give path-independent
+    products."""
+    steps = []
+    here = tuple(0 for _ in alpha)
+    for j in range(len(alpha) - 1, -1, -1):
+        for _ in range(alpha[j]):
+            steps.append((here, j))
+            here = shifted(here, j)
+    return steps
 
 
 def per_entry_matrix_to_json(mat) -> list:
@@ -128,6 +158,60 @@ def per_index_products(ms: MomentSystem) -> np.ndarray:
         below = shifted(alpha, j, -1)
         products[alpha] = blocks[j][below] @ products[below]
     return np.stack(list(products.values()))
+
+
+def per_index_validate_weights(ws: WeightSystem) -> ValidationReport:
+    """validate_weights with one singular_range call per weight and one pair
+    of products per (alpha, i < j)."""
+    trunc = ws.truncation()
+    failures = []
+    min_ratio = math.inf
+    max_norm = 0.0
+    for alpha in trunc.interior():
+        for j in range(ws.d):
+            lo, hi = singular_range(ws.weight(alpha, j))
+            max_norm = max(max_norm, hi)
+            ratio = lo / hi if hi > 0.0 else 0.0
+            if ratio < min_ratio:
+                min_ratio = ratio
+            if not ratio > WEIGHT_SINGULARITY_TOL:
+                failures.append(f"weight at alpha={alpha}, j={j} is numerically singular")
+    max_resid = 0.0
+    worst = None
+    for alpha in trunc.indices[:simplex_size(ws.d, ws.N - 2)]:
+        for i in range(ws.d):
+            for j in range(i + 1, ws.d):
+                lhs = ws.weight(shifted(alpha, j), i) @ ws.weight(alpha, j)
+                rhs = ws.weight(shifted(alpha, i), j) @ ws.weight(alpha, i)
+                scale = max(frob_norm(lhs), frob_norm(rhs), 1e-300)
+                resid = frob_norm(lhs - rhs) / scale
+                if resid > max_resid:
+                    max_resid = resid
+                    worst = (alpha, i, j)
+    if max_resid > COMMUTATION_TOL:
+        failures.append(f"commutation residual {max_resid:.3e} at alpha={worst[0]}, "
+                        f"i={worst[1]}, j={worst[2]}")
+    return ValidationReport(
+        passes=not failures,
+        max_commutation_residual=max_resid,
+        min_singular_ratio=1.0 if min_ratio is math.inf else min_ratio,
+        max_weight_norm=max_norm,
+        failures=tuple(failures),
+    )
+
+
+def per_row_staircase_products(ws: WeightSystem) -> np.ndarray:
+    """Graded stack of the weight products along the canonical staircase, one
+    row at a time: P_0 = I, P_alpha = A^(j)_{alpha-e_j} P_{alpha-e_j} with j
+    the trailing nonzero coordinate."""
+    trunc = ws.truncation()
+    out = np.empty((len(trunc), ws.fiber_dim, ws.fiber_dim), dtype=np.complex128)
+    out[0] = np.eye(ws.fiber_dim)
+    for k, alpha in enumerate(trunc.indices[1:], 1):
+        j = max(i for i in range(ws.d) if alpha[i])
+        below = shifted(alpha, j, -1)
+        out[k] = ws.weight(below, j) @ out[trunc.position(below)]
+    return out
 
 
 def per_index_inverse_products(ms: MomentSystem) -> np.ndarray:

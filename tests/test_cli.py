@@ -346,6 +346,53 @@ class TestRun:
         assert report["verdict"] == "VALID"
         assert report["validation"]["passes"] is True
 
+    @pytest.mark.parametrize("kind", ["similarity", "validate"])
+    def test_weight_system_is_validated_once(self, tmp_path, monkeypatch, kind):
+        from multishift import shiftcore as sc
+        from multishift.numerics import hermpd
+        ws, g0 = helpers.random_weight_system(2, 3, 2, 30), hermpd(np.eye(2))
+        systems = [ser.weight_system_to_json(ws, g0),
+                   ser.moment_system_to_json(sc.moments_from_weights(ws, g0))]
+        path = tmp_path / "w.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": kind, "options": {"seed": 0},
+                                         "systems": systems[:1 if kind == "validate" else 2]}),
+                        encoding="utf-8")
+        real, calls = sc.validate_weights, []
+
+        def counted(weights):
+            calls.append(weights)
+            return real(weights)
+
+        monkeypatch.setattr(sc, "validate_weights", counted)
+        monkeypatch.setattr(cli, "validate_weights", counted)
+        assert run_cli(["run", path, "--quiet"]) == 0
+        assert len(calls) == 1
+
+    def test_invalid_weight_system_keeps_its_message(self, tmp_path, capsys):
+        from multishift import shiftcore as sc
+        from multishift.numerics import hermpd
+        eye = np.eye(2, dtype=np.complex128)
+        keys = [(alpha, j) for alpha in ((0, 0), (0, 1), (1, 0)) for j in range(2)]
+        weights = dict.fromkeys(keys, eye)
+        weights[((0, 0), 0)] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+        weights[((1, 0), 1)] = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+        weights[((0, 1), 1)] = np.diag([1.0, 0.0]).astype(np.complex128)
+        partner = sc.moments_from_weights(sc.WeightSystem(2, 2, 2, dict.fromkeys(keys, eye)),
+                                          hermpd(eye))
+        path = tmp_path / "bad.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": "similarity", "systems": [
+            ser.weight_system_to_json(sc.WeightSystem(2, 2, 2, weights), hermpd(eye)),
+            ser.moment_system_to_json(partner)]}), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "input validation failed: systems[0]: weight validation: FAIL\n"
+            "  max commutation residual: 1.000e+00\n"
+            "  min singular-value ratio: 0.000e+00\n"
+            "  max weight norm: 1.61803\n"
+            "  - weight at alpha=(0, 1), j=1 is numerically singular\n"
+            "  - commutation residual 1.000e+00 at alpha=(0, 0), i=0, j=1\n")
+        assert not (tmp_path / "bad.report.json").exists()
+
 
 def write_pair_problem(path, kind, ms, mt):
     problem = {

@@ -278,6 +278,27 @@ def test_entry_errors_keep_their_order_when_every_matrix_is_valid():
     weights["weights"][0]["j"] = 2
     with pytest.raises(ser.SchemaError, match=r"^s\.weights\[0\]\.j: "):
         ser.weight_system_from_json(weights, "s")
+    # a bad matrix in entry 1 makes the array pass refuse; the walk still
+    # names entry 1 before the bad j of entry 2
+    ws = canonical_weights(ms)
+    weights = ser.weight_system_to_json(ws, ms.gram((0, 0)))
+    entries = weights["weights"]
+    entries[1]["matrix"] = [[[1.0, 0.0]]]
+    entries[2]["j"] = 2
+    with pytest.raises(ser.SchemaError, match=r"^s\.weights\[1\]\.matrix: "):
+        ser.weight_system_from_json(weights, "s")
+    # entries are alpha-major: entry 5 is ((1, 0), 1); a repeated (alpha, j)
+    # takes its last entry, and an entry outside the interior is ignored
+    entries[:] = ser.weight_system_to_json(ws, ms.gram((0, 0)))["weights"]
+    entries.append(dict(entries[0], matrix=entries[5]["matrix"]))
+    entries.append({"alpha": [2, 0], "j": 0, "matrix": entries[3]["matrix"]})
+    want = np.array(ws.weights)
+    want[0, 0] = ws.weights[1, 2]
+    assert ser.weight_system_from_json(weights, "s")[0].weights.tobytes() == want.tobytes()
+    del entries[3]
+    with pytest.raises(ser.SchemaError,
+                       match=r"^s\.weights: missing weight at alpha=\(0, 1\), j=1$"):
+        ser.weight_system_from_json(weights, "s")
 
 
 # found by reading the loader: a file may declare a lattice far past memory
@@ -329,6 +350,20 @@ def test_huge_generated_lattice_exits_2(subcommand, tmp_path):
     assert proc.stderr.startswith("input validation failed: systems[0]: "), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "p.report.json").exists()
+
+
+def test_huge_generated_lattice_exits_2_in_gen(tmp_path):
+    out = tmp_path / "p.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multishift", "gen", "perturb", "--base", "pochhammer:1,2",
+         "--d", "40", "--N", "40", "--out", str(out), "--quiet"],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parameter error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("integer_rows", [(0, 1, 2), (1,)])

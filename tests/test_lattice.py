@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import helpers
 from multishift import lattice
 
 
@@ -25,7 +26,7 @@ def test_enumerate_size_and_downward_closure(d, top):
     for alpha in out:
         for j in range(d):
             if alpha[j] > 0:
-                below = lattice.shifted(alpha, j, -1)
+                below = helpers.shifted(alpha, j, -1)
                 assert below in position
                 assert position[below] < position[alpha]
 
@@ -50,19 +51,19 @@ def test_path_canonical_order():
 
 
 def test_reverse_path_order():
-    assert lattice.reverse_monotone_path((1, 2)) == [
+    assert helpers.reverse_monotone_path((1, 2)) == [
         ((0, 0), 1), ((0, 1), 1), ((0, 2), 0),
     ]
 
 
 @pytest.mark.parametrize("alpha", [(0,), (3,), (2, 1), (1, 0, 4), (2, 2, 2)])
 def test_path_lengths_and_endpoints(alpha):
-    for path in (lattice.monotone_path(alpha), lattice.reverse_monotone_path(alpha)):
+    for path in (lattice.monotone_path(alpha), helpers.reverse_monotone_path(alpha)):
         assert len(path) == sum(alpha)
         here = tuple(0 for _ in alpha)
         for beta, j in path:
             assert beta == here
-            here = lattice.shifted(here, j)
+            here = helpers.shifted(here, j)
         assert here == alpha
 
 
@@ -81,3 +82,26 @@ def test_truncations_are_built_once_per_shape():
     assert trunc == lattice.Truncation(3, 4)
     assert trunc.array.tolist() == [list(a) for a in trunc.indices]
     assert not trunc.array.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("top", [0, 1, 2, 5])
+def test_neighbour_maps_match_positions(d, top):
+    trunc = lattice.Truncation(d, top)
+    interior = list(trunc.interior())
+    assert trunc.raise_map.shape == (d, len(interior))
+    for j in range(d):
+        assert trunc.raise_map[j].tolist() == [
+            trunc.position(helpers.shifted(alpha, j)) for alpha in interior]
+    coords, below = trunc.parents
+    assert coords.shape == below.shape == (len(trunc),)
+    assert (coords[0], below[0]) == (0, 0)
+    for k, alpha in enumerate(trunc.indices[1:], 1):
+        j = max(i for i in range(d) if alpha[i])
+        assert (coords[k], below[k]) == (j, trunc.position(helpers.shifted(alpha, j, -1)))
+    for arr in (trunc.raise_map, coords, below):
+        assert not arr.flags.writeable
+
+
+def test_simplex_size_is_zero_below_degree_zero():
+    assert [lattice.simplex_size(3, top) for top in (-2, -1, 0, 2)] == [0, 0, 1, 10]

@@ -99,6 +99,35 @@ class TestExactValues:
             for alpha in ws.truncation().interior() for j in range(ws.d)]
         assert _exact(data["weights"]) == _exact(expected)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_weight_system_file_bytes(self, family):
+        ms = FAMILIES[family]()
+        ws, g0 = canonical_weights(ms), ms.gram((0,) * ms.d)
+        per_key = {
+            "type": "weights", "d": ws.d, "N": ws.N, "fiber_dim": ws.fiber_dim,
+            "g0": {"logscale": float(g0.logscale),
+                   "matrix": helpers.per_entry_matrix_to_json(g0.matrix)},
+            "weights": [{"alpha": list(alpha), "j": j,
+                         "matrix": helpers.per_entry_matrix_to_json(ws.weight(alpha, j))}
+                        for alpha in ws.truncation().interior() for j in range(ws.d)],
+        }
+        assert canonical_dumps(ser.weight_system_to_json(ws, g0)) == canonical_dumps(per_key)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_weight_system_round_trip(self, family):
+        ms = FAMILIES[family]()
+        ws, g0 = canonical_weights(ms), ms.gram((0,) * ms.d)
+        data = json.loads(canonical_dumps(ser.weight_system_to_json(ws, g0)))
+        again, _ = ser.weight_system_from_json(data, "s")
+        assert again.weights.tobytes() == ws.weights.tobytes()
+        # an integer past int64 makes the array pass refuse; the per-entry
+        # walk reads the same bits
+        data["weights"][0]["matrix"][0][0][0] = 2 ** 70
+        walked, _ = ser.weight_system_from_json(data, "s")
+        want = np.array(ws.weights)
+        want[0, 0, 0, 0] = complex(2 ** 70, want[0, 0, 0, 0].imag)
+        assert walked.weights.tobytes() == want.tobytes()
+
 
 def _problems():
     """One small problem of each solver kind; similarity reads a weight system."""

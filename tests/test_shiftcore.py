@@ -31,6 +31,25 @@ def scalar_weights(d, top, values):
     })
 
 
+def singular_weights():
+    """identity_weights(1, 2, 2) with the singular weight diag(1, 0) at alpha = 0."""
+    weights = {((k,), 0): np.eye(2, dtype=np.complex128) for k in range(2)}
+    weights[((0,), 0)] = np.diag([1.0, 0.0]).astype(np.complex128)
+    return sc.WeightSystem(1, 2, 2, weights)
+
+
+def noncommuting_weights():
+    eye = np.eye(2, dtype=np.complex128)
+    return sc.WeightSystem(2, 2, 2, {
+        ((0, 0), 0): np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128),
+        ((0, 0), 1): eye.copy(),
+        ((0, 1), 0): eye.copy(),
+        ((1, 0), 1): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+        ((0, 1), 1): eye.copy(),
+        ((1, 0), 0): eye.copy(),
+    })
+
+
 class TestValidateWeights:
     def test_identity_weights_pass(self):
         report = sc.validate_weights(identity_weights(2, 3, 2))
@@ -43,24 +62,13 @@ class TestValidateWeights:
         assert report.passes
 
     def test_noncommuting_pair_fails(self):
-        eye = np.eye(2, dtype=np.complex128)
-        weights = {
-            ((0, 0), 0): np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128),
-            ((0, 0), 1): eye.copy(),
-            ((0, 1), 0): eye.copy(),
-            ((1, 0), 1): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-            ((0, 1), 1): eye.copy(),
-            ((1, 0), 0): eye.copy(),
-        }
-        report = sc.validate_weights(sc.WeightSystem(2, 2, 2, weights))
+        report = sc.validate_weights(noncommuting_weights())
         assert not report.passes
         # direct 2x2 products: one order gives I, the other [[0,1],[1,1]]
         assert report.max_commutation_residual > 0.3
 
     def test_singular_weight_fails(self):
-        ws = identity_weights(1, 2, 2)
-        ws.weights[((0,), 0)] = np.diag([1.0, 0.0]).astype(np.complex128)
-        report = sc.validate_weights(ws)
+        report = sc.validate_weights(singular_weights())
         assert not report.passes
         assert any("singular" in f for f in report.failures)
 
@@ -86,10 +94,8 @@ class TestMomentsFromWeights:
             assert ms.gram(alpha).value()[0, 0].real == pytest.approx(want, rel=1e-12)
 
     def test_validation_enforced(self):
-        ws = identity_weights(1, 2, 2)
-        ws.weights[((0,), 0)] = np.diag([1.0, 0.0]).astype(np.complex128)
         with pytest.raises(sc.ValidationFailedError):
-            sc.moments_from_weights(ws, hermpd(np.eye(2)))
+            sc.moments_from_weights(singular_weights(), hermpd(np.eye(2)))
 
     def test_g0_normalization_enters(self):
         g0 = hermpd(np.diag([4.0, 1.0]))
@@ -101,14 +107,17 @@ class TestCanonicalWeights:
     def test_identity_moments(self):
         ms = sc.moments_from_weights(identity_weights(2, 3, 2), hermpd(np.eye(2)))
         ws = sc.canonical_weights(ms)
-        for key, w in ws.weights.items():
-            assert np.allclose(w, np.eye(2), atol=1e-12), key
+        assert ws.weights.shape == (2, 6, 2, 2)
+        for j, stack in enumerate(ws.weights):
+            for r, w in enumerate(stack):
+                assert np.allclose(w, np.eye(2), atol=1e-12), (j, r)
 
     def test_scalar_ratio(self):
         grams = {(k,): hermpd(np.eye(1), k * math.log(4.0)) for k in range(6)}
         ws = sc.canonical_weights(sc.MomentSystem(1, 5, 1, grams))
-        for key, w in ws.weights.items():
-            assert w[0, 0].real == pytest.approx(2.0, rel=1e-12), key
+        assert ws.weights.shape == (1, 5, 1, 1)
+        for r, w in enumerate(ws.weights[0]):
+            assert w[0, 0].real == pytest.approx(2.0, rel=1e-12), r
 
     def test_degree_graded_moments_give_degree_graded_weights(self):
         # G_alpha depending only on |alpha| forces weights that do too
@@ -151,7 +160,7 @@ class TestCanonicalWeights:
         ws = sc.canonical_weights(ms)
         for alpha in ws.truncation():
             canonical = sc.path_product(ws, alpha)
-            reverse = sc.path_product(ws, alpha, lattice.reverse_monotone_path(alpha))
+            reverse = sc.path_product(ws, alpha, helpers.reverse_monotone_path(alpha))
             scale = max(frob_norm(canonical), frob_norm(reverse))
             assert frob_norm(canonical - reverse) <= 1e-9 * scale, alpha
 
@@ -193,7 +202,7 @@ class TestBuildMz:
         for r, row_alpha in enumerate(trunc.indices):
             for c, col_alpha in enumerate(trunc.indices):
                 block = full[r * n:(r + 1) * n, c * n:(c + 1) * n]
-                if row_alpha != lattice.shifted(col_alpha, 1):
+                if row_alpha != helpers.shifted(col_alpha, 1):
                     assert np.all(block == 0.0)
 
 
@@ -258,6 +267,61 @@ class TestPerIndexReference:
             assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
 
 
+def _reference_weights(name):
+    """The weight systems the batched passes are checked on against the
+    per-index validation and the per-row staircase walk."""
+    shapes = {"random1": (1, 5, 3), "random2": (2, 4, 2), "random3": (3, 3, 2),
+              "degree0": (2, 0, 2), "degree1": (2, 1, 2)}
+    if name in shapes:
+        d, top, n = shapes[name]
+        return helpers.random_weight_system(d, top, n, [63, d, top])
+    if name == "overflow":  # every product overflows, so each residual is inf - inf
+        return scalar_weights(2, 3, [1e200, 1e200])
+    return {"singular": singular_weights, "noncommuting": noncommuting_weights}[name]()
+
+
+REFERENCE_WEIGHTS = ["random1", "random2", "random3", "singular", "noncommuting",
+                     "degree0", "degree1", "overflow"]
+
+
+class TestPerIndexWeightReference:
+    """Validation and staircase products from batched passes over the weight
+    stack against one call per index."""
+
+    @pytest.mark.parametrize("name", REFERENCE_WEIGHTS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_validation_matches(self, name):
+        ws = _reference_weights(name)
+        got, want = sc.validate_weights(ws), helpers.per_index_validate_weights(ws)
+        assert (got.passes, got.failures) == (want.passes, want.failures)
+        assert got.min_singular_ratio.hex() == want.min_singular_ratio.hex()
+        assert got.max_weight_norm.hex() == want.max_weight_norm.hex()
+        # batched Frobenius norms may differ from vdot's in the last bit
+        assert (abs(got.max_commutation_residual - want.max_commutation_residual)
+                <= 1e-14 * want.max_commutation_residual)
+
+    @pytest.mark.parametrize("name", REFERENCE_WEIGHTS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_staircase_products_are_bit_equal(self, name):
+        ws = _reference_weights(name)
+        got = sc._staircase_products(ws)
+        assert got.tobytes() == helpers.per_row_staircase_products(ws).tobytes()
+
+    def test_failures_keep_their_order(self):
+        weights = {(alpha, j): np.eye(2, dtype=np.complex128)
+                   for alpha in lattice.Truncation(2, 3).interior() for j in range(2)}
+        for key in (((0, 2), 1), ((1, 0), 0), ((0, 2), 0), ((0, 0), 1)):
+            weights[key] = np.diag([1.0, 0.0]).astype(np.complex128)
+        weights[((1, 1), 0)] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+        ws = sc.WeightSystem(2, 3, 2, weights)
+        got, want = sc.validate_weights(ws), helpers.per_index_validate_weights(ws)
+        assert got.failures == want.failures
+        assert [f.split(" is ")[0] for f in got.failures[:4]] == [
+            "weight at alpha=(0, 0), j=1", "weight at alpha=(1, 0), j=0",
+            "weight at alpha=(0, 2), j=0", "weight at alpha=(0, 2), j=1"]
+        assert got.failures[4].startswith("commutation residual ")
+
+
 class TestRootPassCount:
     """Shifts come from one root pass per family: the number of eigensolves
     does not grow with the truncation."""
@@ -308,8 +372,39 @@ class TestAdjointFormula:
 
 class TestConstruction:
     def test_missing_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^missing weight at alpha=\(1,\), j=0$"):
             sc.WeightSystem(1, 2, 1, {((0,), 0): np.eye(1, dtype=np.complex128)})
+
+    def test_mis_shaped_weight_rejected(self):
+        weights = {((k,), 0): np.eye(1, dtype=np.complex128) for k in range(2)}
+        weights[((1,), 0)] = np.eye(2)
+        with pytest.raises(ValueError, match=r"^weight at \(\(1,\), 0\) has shape \(2, 2\)$"):
+            sc.WeightSystem(1, 2, 1, weights)
+
+    def test_weight_stack_order_and_from_arrays(self):
+        ws = helpers.random_weight_system(2, 3, 2, 19)
+        trunc = ws.truncation()
+        weights = {(alpha, j): ws.weights[j, r]
+                   for r, alpha in enumerate(trunc.interior()) for j in range(2)}
+        again = sc.WeightSystem(2, 3, 2, weights)
+        assert again.weights.tobytes() == ws.weights.tobytes()
+        for (alpha, j), w in weights.items():
+            assert ws.weight(alpha, j).base is not None
+            assert np.array_equal(again.weight(alpha, j), w)
+        assert sc.WeightSystem.from_arrays(2, 3, 2, ws.weights).weights is ws.weights
+        with pytest.raises(ValueError):
+            sc.WeightSystem.from_arrays(2, 3, 2, ws.weights[:, 1:])
+        with pytest.raises(ValueError):
+            sc.WeightSystem.from_arrays(2, 2, 2, ws.weights)
+
+    def test_weight_stack_is_read_only(self):
+        ws = identity_weights(2, 2, 2)
+        with pytest.raises(ValueError):
+            ws.weights[0, 0] = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            ws.weight((0, 0), 1)[0, 0] = 2.0
+        mats = np.stack([np.stack([np.eye(2)] * 3)] * 2).astype(np.complex128)
+        assert not sc.WeightSystem.from_arrays(2, 2, 2, mats).weights.flags.writeable
 
     def test_missing_gram_rejected(self):
         with pytest.raises(ValueError):
