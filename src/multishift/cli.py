@@ -30,7 +30,7 @@ from . import equivalence as eq
 from . import kernelgen as kg
 from . import sampling
 from . import serialization as ser
-from .lattice import _truncation, degree
+from .lattice import simplex_size
 from .numerics import LinAlgError, hermpd, singular_range
 from .serialization import SchemaError
 from .shiftcore import (
@@ -445,9 +445,8 @@ def gen_perturb(args) -> dict:
         )
     else:
         rng = np.random.default_rng(args.seed)
-        for alpha in _truncation(args.d, args.N):
-            if degree(alpha) <= args.max_degree:
-                replacements[alpha] = sampling.random_pd(kernel.fiber_dim, rng)
+        for alpha in kernel.truncation().array[:simplex_size(args.d, args.max_degree)].tolist():
+            replacements[tuple(alpha)] = sampling.random_pd(kernel.fiber_dim, rng)
     _, cert = kg.perturb_kernel(kernel, replacements)
     return {
         "version": 1,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Truncation, _truncation, degree, simplex_size
+from .lattice import Truncation, _truncation, simplex_size
 from .numerics import (
     ConvergenceError,
     HermPD,
@@ -170,7 +170,7 @@ def verify_certificate(ms: MomentSystem, mt: MomentSystem,
     _require_same_shape(ms, mt)
     c = as_complex_matrix(cert.C, "C")
     _check_invertible_c(c)
-    indices = ms.truncation().indices
+    trunc = ms.truncation()
     bmats = _congruence_stack(ms.mats, c)
 
     def worst_margin(pos_mats, pos_logs, neg_mats, neg_logs):
@@ -186,7 +186,7 @@ def verify_certificate(ms: MomentSystem, mt: MomentSystem,
         scale = np.maximum(scale, 1e-300)
         margins = eigs[:, 0] / scale
         k = int(np.argmin(margins))
-        return float(margins[k]), indices[k]
+        return float(margins[k]), trunc.alpha(k)
 
     lower, lower_alpha = worst_margin(mt.mats, mt.logs, bmats, cert.log_m1 + ms.logs)
     upper, upper_alpha = worst_margin(bmats, cert.log_m2 + ms.logs, mt.mats, mt.logs)
@@ -790,7 +790,7 @@ def _level_zero_log_traces(mats) -> np.ndarray:
     return np.log(traces, out=np.full(traces.shape, np.nan), where=traces > 0)
 
 
-def _invariant_witness(gaps, mismatched, indices, invariant: str,
+def _invariant_witness(gaps, mismatched, trunc: Truncation, invariant: str,
                        what: str) -> UnitaryEquivalenceResult | None:
     """The NO whose witness is the first index in graded order marked in
     mismatched, reporting its log-domain gap, or None when none is marked."""
@@ -798,9 +798,10 @@ def _invariant_witness(gaps, mismatched, indices, invariant: str,
     if not mismatched.size:
         return None
     k = int(mismatched[0])
+    alpha = trunc.alpha(k)
     return UnitaryEquivalenceResult(
-        equivalent=False, V=None, residual=float(gaps[k]), witness=indices[k],
-        message=f"{what} differ at alpha={indices[k]} (log-domain gap {gaps[k]:.3e})",
+        equivalent=False, V=None, residual=float(gaps[k]), witness=alpha,
+        message=f"{what} differ at alpha={alpha} (log-domain gap {gaps[k]:.3e})",
         witness_invariant=invariant,
     )
 
@@ -828,7 +829,7 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     and YES needs its residual to meet tol.
     """
     _require_same_shape(ms, mt)
-    indices = ms.truncation().indices
+    trunc = ms.truncation()
     mats, logs = ms.mats, ms.logs
     tmats, tlogs = mt.mats, mt.logs
 
@@ -838,19 +839,19 @@ def test_unitary_equivalence(ms: MomentSystem, mt: MomentSystem,
     allowance = tol + SPECTRUM_ROUNDING * ms.fiber_dim * np.finfo(np.float64).eps * (
         eigs[:, -1:] / eigs + teigs[:, -1:] / teigs)
     witness = _invariant_witness(gaps.max(axis=1), (gaps > allowance).any(axis=1),
-                                 indices, "spectrum", "eigenvalue lists")
+                                 trunc, "spectrum", "eigenvalue lists")
     if witness is not None:
         return witness
     # a sum of differences: the logscales themselves may reach +-1e308, but
     # matching spectra bound each l_alpha - l~_alpha
     gaps = np.abs(_level_zero_log_traces(mats) - _level_zero_log_traces(tmats)
                   + (logs[0] - tlogs[0]) + (logs - tlogs))
-    witness = _invariant_witness(gaps, gaps > tol, indices, "trace",
+    witness = _invariant_witness(gaps, gaps > tol, trunc, "trace",
                                  "level-zero traces tr(G_0 G_alpha)")
     if witness is not None:
         return witness
 
-    n, m = ms.fiber_dim, len(indices)
+    n, m = ms.fiber_dim, len(trunc)
     x, y = _balanced_rows(mats, logs, tmats, tlogs)
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(m)
@@ -1082,9 +1083,12 @@ def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBa
     # order of g; qs[b]: the target's products from level g to g + beta.
     rows = [np.arange(m)]
     qs = [np.broadcast_to(np.eye(n, dtype=np.complex128), (m, n, n))]
+    # suffix[:, j] = alpha_j + ... + alpha_{d-1}: column 0 is the degree
+    suffix = np.cumsum(trunc.array[:, ::-1], axis=1)[:, ::-1]
+    degrees = suffix[:, 0].tolist()
     coords, below = (p.tolist() for p in trunc.parents)
     for b in range(1, m):
-        j, src = coords[b], rows[below[b]][:simplex_size(d, ms.N - degree(trunc.indices[b]))]
+        j, src = coords[b], rows[below[b]][:simplex_size(d, ms.N - degrees[b])]
         rows.append(tmz[j].dst[src])
         qs.append(tmz[j].blocks[src] @ qs[below[b]][:len(src)])
 
@@ -1093,17 +1097,15 @@ def brute_force_intertwiner(ms: MomentSystem, mt: MomentSystem) -> IntertwinerBa
     inv_p = shifts.inv_products
     terms = []
     scale = 0.0
-    for a, alpha in enumerate(trunc.interior()):
-        for j in range(d):
-            if not any(alpha[j + 1:]):
-                continue
-            b = tmz[j].dst[a]
-            term = (qs[b], inv_p[b] @ shifts.mz[j].blocks[a],
-                    tmz[j].blocks[rows[a][:len(rows[b])]] @ qs[a][:len(rows[b])], inv_p[a])
-            terms.append((degree(alpha), term))
-            for left, right in (term[:2], term[2:]):  # ||L x R||_F <= ||L||_F ||R||_F ||x||
-                scale = max(scale, float(np.linalg.norm(left, axis=(1, 2)).max())
-                            * frob_norm(right))
+    # the interior (a, j) with a nonzero coordinate of alpha after j, alpha-major
+    for a, j in np.argwhere(suffix[:simplex_size(d, ms.N - 1), 1:] > 0).tolist():
+        b = tmz[j].dst[a]
+        term = (qs[b], inv_p[b] @ shifts.mz[j].blocks[a],
+                tmz[j].blocks[rows[a][:len(rows[b])]] @ qs[a][:len(rows[b])], inv_p[a])
+        terms.append((degrees[a], term))
+        for left, right in (term[:2], term[2:]):  # ||L x R||_F <= ||L||_F ||R||_F ||x||
+            scale = max(scale, float(np.linalg.norm(left, axis=(1, 2)).max())
+                        * frob_norm(right))
     threshold = INTERTWINER_RANK_RTOL * scale
     vectors, null, largest = [], [], 0.0
     for g in range(ms.N + 1):

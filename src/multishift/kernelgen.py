@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import SimilarityCertificate
-from .lattice import _truncation, degree, simplex_size
+from .lattice import _truncation, simplex_size
 from .numerics import (
     HermPD,
     hermpd_from_log_diag_batch,
@@ -136,20 +136,21 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     extreme generalized eigenvalues of the pencils (D_a, C_a). Each replaced
     index becomes a class of its own.
     """
-    trunc = spec.truncation()
     logs, classes = spec.logs.copy(), spec.classes.copy()
+    alphas = [tuple(alpha) for alpha in replacements]
+    # an index of another length is outside: it is ranked as a row of -1s
+    ranks = spec.truncation().ranks([a if len(a) == spec.d else (-1,) * spec.d
+                                     for a in alphas]).tolist()
     extra = []
     n0 = -1  # the largest replaced degree
-    for alpha, dmat in replacements.items():
-        alpha = tuple(alpha)
-        if alpha not in trunc:
+    for alpha, k, dmat in zip(alphas, ranks, replacements.values()):
+        if k < 0:
             raise IndexError(f"replacement index {alpha} outside the truncation")
         if not isinstance(dmat, HermPD) or dmat.dim != spec.fiber_dim:
             raise ValueError(f"replacement at {alpha} is not an n x n HermPD")
-        k = trunc.position(alpha)
         classes[k], logs[k] = len(spec.class_mats) + len(extra), dmat.logscale
         extra.append(dmat.matrix)
-        n0 = max(n0, degree(alpha))
+        n0 = max(n0, sum(alpha))
     class_mats = np.concatenate([spec.class_mats, np.reshape(
         extra, (len(extra), spec.fiber_dim, spec.fiber_dim))])
     perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, class_mats, logs,

@@ -1,10 +1,10 @@
 """Multi-index bookkeeping: graded simplex truncations of N^d and lattice paths.
 
-Multi-indices are plain tuples of non-negative ints; coordinate directions are
-0-based. A truncation holds every index with total degree <= N (a simplex, not
-a box: the kernel families downstream depend on the degree only), ordered by
-ascending degree with lexicographic tie-breaking, which makes the list
-downward closed.
+A truncation holds every alpha in N^d with total degree <= N (a simplex, not a
+box: the kernel families downstream depend on the degree only) as the rows of
+one read-only (m, d) int64 array, by ascending degree with lexicographic
+tie-breaking, which makes it downward closed. Ranks come from a counting
+formula; an index is a tuple of Python ints only where it is iterated or named.
 """
 
 from __future__ import annotations
@@ -18,20 +18,17 @@ import numpy as np
 MultiIndex = tuple
 
 
-def degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def simplex_size(d: int, top_degree: int) -> int:
     """Number of alpha in N^d with |alpha| <= top_degree; 0 when top_degree < 0."""
     return math.comb(top_degree + d, d) if top_degree >= 0 else 0
 
 
-def enumerate_indices(d: int, top_degree: int) -> list[MultiIndex]:
-    """All alpha in N^d with |alpha| <= top_degree, graded-lexicographic.
+def enumerate_indices(d: int, top_degree: int) -> np.ndarray:
+    """All alpha in N^d with |alpha| <= top_degree, graded-lexicographic, as the
+    rows of a read-only (m, d) int64 array.
 
-    Ascending total degree, ties broken lexicographically ascending; length
-    is binomial(top_degree + d, d). Built without recursion: the simplex is
+    Ascending total degree, ties broken lexicographically ascending; m is
+    binomial(top_degree + d, d). Built without recursion: the simplex is
     grown one coordinate at a time in lexicographic order (every prefix in
     turn, followed by each value its remaining degree allows), then stably
     sorted by degree.
@@ -40,14 +37,15 @@ def enumerate_indices(d: int, top_degree: int) -> list[MultiIndex]:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if top_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {top_degree}")
-    idx = np.arange(top_degree + 1)[:, None]
+    idx = np.arange(top_degree + 1, dtype=np.int64)[:, None]
     for _ in range(d - 1):
         room = top_degree + 1 - idx.sum(axis=1)  # values the next coordinate may take
         starts = np.cumsum(room) - room
         idx = np.column_stack((np.repeat(idx, room, axis=0),
                                np.arange(room.sum()) - np.repeat(starts, room)))
     idx = idx[np.argsort(idx.sum(axis=1), kind="stable")]
-    return list(zip(*idx.T.tolist()))
+    idx.flags.writeable = False
+    return idx
 
 
 def monotone_path(alpha: MultiIndex) -> list[tuple[MultiIndex, int]]:
@@ -66,48 +64,75 @@ def monotone_path(alpha: MultiIndex) -> list[tuple[MultiIndex, int]]:
 
 @dataclass(frozen=True)
 class Truncation:
-    """The finite window |alpha| <= N onto N^d."""
+    """The finite window |alpha| <= N onto N^d; iterating yields its indices in
+    graded order as tuples, and a rank is computed, never looked up."""
 
     d: int
     N: int
-    indices: tuple = field(init=False, repr=False)
-    _pos: dict = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = tuple(enumerate_indices(self.d, self.N))
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(idx)})
+        object.__setattr__(self, "array", enumerate_indices(self.d, self.N))
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.array)
 
     def __contains__(self, alpha) -> bool:
-        return tuple(alpha) in self._pos
+        return bool(self.ranks([alpha])[0] >= 0)
 
     def __iter__(self):
-        return iter(self.indices)
+        return map(tuple, self.array.tolist())
+
+    def alpha(self, k) -> MultiIndex:
+        """The index of rank k as a tuple of Python ints, for reports and errors."""
+        return tuple(self.array[k].tolist())
 
     def position(self, alpha) -> int:
         """Rank of alpha in the graded order; KeyError when outside."""
-        return self._pos[tuple(alpha)]
+        if (k := int(self.ranks([alpha])[0])) < 0:
+            raise KeyError(tuple(alpha))
+        return k
 
-    def interior(self) -> tuple:
+    def interior(self):
         """Indices with |alpha| <= N - 1 (those whose e_j-shifts stay inside)."""
-        return self.indices[:simplex_size(self.d, self.N - 1)]
+        return map(tuple, self.array[:simplex_size(self.d, self.N - 1)].tolist())
 
     @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The indices as a read-only (m, d) integer array, in graded order."""
-        out = np.array(self.indices, dtype=np.int64).reshape(len(self), self.d)
-        out.flags.writeable = False
-        return out
+    def _pascal(self) -> np.ndarray:
+        """(N + 1, d + 1) int64: [x, k] = C(x + k, k), the number of beta in N^k with
+        |beta| <= x. No entry exceeds [N, d] = C(N + d, d) = m, the row count of
+        array, so int64 cannot overflow."""
+        return np.array([[math.comb(x + k, k) for k in range(self.d + 1)]
+                         for x in range(self.N + 1)], dtype=np.int64)
+
+    def ranks(self, alphas) -> np.ndarray:
+        """Graded rank of each row of alphas, (k, d) integers of any size; -1 for
+        a row outside (a negative coordinate, degree above N, another length).
+        With suffix degrees s_i = alpha_i + ... + alpha_{d-1} and P = _pascal, it
+        is P(s_0, d) - 1, the indices of degree <= |alpha| but alpha, less, for
+        each i >= 1, the P(s_i, d-i) - P(s_i, d-i-1) = C(s_i + d-i-1, d-i) beta of
+        degree |alpha| after alpha: beta_{i-1} > alpha_{i-1}, equal before it."""
+        a = np.asarray(alphas)  # integers past int64 stay Python ints until ruled out
+        if a.ndim != 2 or a.shape[1] != self.d:
+            return np.full(len(a), -1)
+        inside = ((a >= 0) & (a <= self.N)).all(axis=1)
+        b = np.where(inside[:, None], a, 0)
+        c = b.astype(np.int64)
+        inside &= (c == b).all(axis=1)  # 0.5 is not a coordinate; 1.0 and True are
+        s = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+        inside &= s[:, 0] <= self.N
+        s = np.where(inside[:, None], s, 0)
+        p, k = self._pascal, np.arange(self.d - 1, 0, -1)
+        after = (p[s[:, 1:], k] - p[s[:, 1:], k - 1]).sum(axis=1)
+        return np.where(inside, p[s[:, 0], self.d] - 1 - after, -1)
 
     @functools.cached_property
     def raise_map(self) -> np.ndarray:
         """Read-only (d, k): [j, r] is the rank of alpha + e_j, alpha the interior
         index of rank r. alpha -> alpha + e_j keeps the graded order and maps the
         interior onto the indices with alpha_j > 0, so row j lists those."""
-        out = np.nonzero(self.array.T)[1].reshape(self.d, -1)
+        # contiguous copy: nonzero's index arrays are views of one (nnz, 2) buffer
+        out = np.ascontiguousarray(np.nonzero(self.array.T)[1]).reshape(self.d, -1)
         out.flags.writeable = False
         return out
 

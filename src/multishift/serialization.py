@@ -128,8 +128,8 @@ def moment_system_to_json(ms: MomentSystem) -> dict:
         "N": ms.N,
         "fiber_dim": ms.fiber_dim,
         "grams": [
-            {"alpha": list(alpha), "logscale": logscale, "matrix": mat}
-            for alpha, logscale, mat in zip(ms.truncation(), ms.logs.tolist(),
+            {"alpha": alpha, "logscale": logscale, "matrix": mat}
+            for alpha, logscale, mat in zip(ms.truncation().array.tolist(), ms.logs.tolist(),
                                             matrix_to_json(ms.mats))
         ],
     }
@@ -144,7 +144,7 @@ def weight_system_to_json(ws: WeightSystem, g0: HermPD) -> dict:
         "g0": hermpd_to_json(g0),
         "weights": [
             {"alpha": list(alpha), "j": j, "matrix": mat}
-            for alpha, row in zip(ws.truncation().interior(),
+            for alpha, row in zip(ws.truncation().array[:ws.weights.shape[1]].tolist(),
                                   matrix_to_json(ws.weights.swapaxes(0, 1)))
             for j, mat in enumerate(row)
         ],
@@ -180,6 +180,15 @@ def _matrix_stack(entries: list, n: int) -> np.ndarray | None:
     return arr.view(np.complex128)[..., 0]
 
 
+def _last_entries(slots: np.ndarray, size: int) -> np.ndarray:
+    """(size,) intp: per slot 0..size-1 the last entry i with slots[i] equal to
+    it, or -1 when there is none; entries with other slots are ignored."""
+    out = np.full(size, -1, dtype=np.intp)
+    keep = np.flatnonzero((slots >= 0) & (slots < size))
+    np.maximum.at(out, slots[keep], keep)  # unlike fancy assignment, in any order
+    return out
+
+
 def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     d = _require_int(data, "d", path, 1)
     top = _require_int(data, "N", path, 0)
@@ -188,12 +197,12 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
     stack = _matrix_stack(grams_field, n)
-    mats, logs, rows = [], [], {}
+    mats, logs, alphas = [], [], []
     for i, entry in enumerate(grams_field):
         epath = f"{path}.grams[{i}]"
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise SchemaError(epath, "expected an object with 'alpha'")
-        rows[multiindex_from_json(entry["alpha"], f"{epath}.alpha", d)] = i
+        alphas.append(multiindex_from_json(entry["alpha"], f"{epath}.alpha", d))
         if stack is not None:
             # every matrix already passed; the walk's other checks run in order
             logs.append(_logscale_field(entry, epath))
@@ -206,11 +215,12 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     # counted before the lattice is enumerated: it may be far past memory
     if len(grams_field) < (size := simplex_size(d, top)):
         raise SchemaError(f"{path}.grams", f"expected at least {size} entries")
-    try:
-        take = [rows[alpha] for alpha in _truncation(d, top)]
-    except KeyError as ex:  # the first missing index
-        raise SchemaError(f"{path}.grams", f"missing Gram matrix at alpha={ex.args[0]}") from ex
-    # every entry is balanced, the unused ones too; the last entry for an index wins
+    trunc = _truncation(d, top)
+    take = _last_entries(trunc.ranks(alphas), size)
+    if (missing := np.flatnonzero(take < 0)).size:  # the first in graded order
+        raise SchemaError(f"{path}.grams",
+                          f"missing Gram matrix at alpha={trunc.alpha(missing[0])}")
+    # every entry is balanced, the unused ones too
     mats, logs = hermpd_batch(np.stack(mats) if stack is None else stack, logs)
     return MomentSystem.from_arrays(d, top, n, mats[take], logs[take])
 
@@ -229,16 +239,16 @@ def weight_system_from_json(data: dict, path: str):
     if not isinstance(weights_field, list):
         raise SchemaError(f"{path}.weights", "expected an array of weight entries")
     stack = _matrix_stack(weights_field, n)
-    mats, rows = [], {}
+    mats, alphas, js = [], [], []
     for i, entry in enumerate(weights_field):
         epath = f"{path}.weights[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(epath, "expected an object")
-        alpha = multiindex_from_json(entry.get("alpha"), f"{epath}.alpha", d)
+        alphas.append(multiindex_from_json(entry.get("alpha"), f"{epath}.alpha", d))
         j = entry.get("j")
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < d:
             raise SchemaError(f"{epath}.j", f"expected an integer in 0..{d - 1}")
-        rows[(alpha, j)] = i  # the last entry for a key wins
+        js.append(j)
         if stack is not None:
             continue
         if "matrix" not in entry:
@@ -249,14 +259,15 @@ def weight_system_from_json(data: dict, path: str):
         mats.append(mat)
     if len(weights_field) < (size := d * simplex_size(d, top - 1)):  # as for grams
         raise SchemaError(f"{path}.weights", f"expected at least {size} entries")
-    try:
-        take = [rows[(alpha, j)] for alpha in _truncation(d, top).interior() for j in range(d)]
-    except KeyError as ex:  # the first missing key, alpha-major
-        raise SchemaError(f"{path}.weights", "missing weight at alpha={}, j={}".format(
-            *ex.args[0])) from ex
+    trunc = _truncation(d, top)
+    # alpha-major slots: a rank of -1 or past the interior falls outside 0..size-1
+    take = _last_entries(trunc.ranks(alphas) * d + js, size)
+    if (missing := np.flatnonzero(take < 0)).size:
+        r, j = divmod(int(missing[0]), d)  # the first, alpha-major
+        raise SchemaError(f"{path}.weights", f"missing weight at alpha={trunc.alpha(r)}, j={j}")
     if stack is None:
         stack = np.array(mats, dtype=np.complex128).reshape(-1, n, n)
-    take = np.array(take, dtype=np.intp).reshape(-1, d).T
+    take = take.reshape(-1, d).T
     return WeightSystem.from_arrays(d, top, n, stack[take]), g0
 
 

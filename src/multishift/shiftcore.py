@@ -209,17 +209,23 @@ def validate_weights(ws: WeightSystem) -> ValidationReport:
     s = _svd(w, compute_uv=False)
     lo, hi = s[..., -1].T, s[..., 0].T  # (k, d): alpha-major
     ratio = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
-    failures = [f"weight at alpha={trunc.indices[a]}, j={j} is numerically singular"
+    failures = [f"weight at alpha={trunc.alpha(a)}, j={j} is numerically singular"
                 for a, j in zip(*np.nonzero(~(ratio > WEIGHT_SINGULARITY_TOL)))]
     i, j = np.triu_indices(ws.d, 1)
     a = np.arange(lattice.simplex_size(ws.d, ws.N - 2))[:, None]
     up = trunc.raise_map
-    # fmax drops NaN (inf - inf once a product overflows), as a running max would
-    resid = np.fmax(_row_gaps(w[i, up[j, a]] @ w[j, a], w[j, up[i, a]] @ w[i, a]), 0.0)
+    # both products of a pair scaled by one exact power of two, 2**-top, from the
+    # norms ||w[c, r]|| < 2**e[c, r]: none overflows, and the relative gap keeps its bits
+    e = np.frexp(s[..., 0])[1]
+    p1, p2, q1, q2 = (i, up[j, a]), (j, a), (j, up[i, a]), (i, a)
+    top = np.maximum(e[p1] + e[p2], e[q1] + e[q2])
+    # fmax drops NaN (inf - inf from a non-finite weight), as a running max would
+    resid = np.fmax(_row_gaps(_ldexp(w[p1], -e[p1]) @ _ldexp(w[p2], e[p1] - top),
+                              _ldexp(w[q1], -e[q1]) @ _ldexp(w[q2], e[q1] - top)), 0.0)
     max_resid = float(resid.max(initial=0.0))
     if max_resid > COMMUTATION_TOL:
         alpha, pair = divmod(int(resid.argmax()), len(i))
-        failures.append(f"commutation residual {max_resid:.3e} at alpha={trunc.indices[alpha]}, "
+        failures.append(f"commutation residual {max_resid:.3e} at alpha={trunc.alpha(alpha)}, "
                         f"i={i[pair]}, j={j[pair]}")
     return ValidationReport(
         passes=not failures,
@@ -228,6 +234,11 @@ def validate_weights(ws: WeightSystem) -> ValidationReport:
         max_weight_norm=float(hi.max(initial=0.0)),
         failures=tuple(failures),
     )
+
+
+def _ldexp(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """z[...] * 2**e[...] for a contiguous complex stack, forming no power of two."""
+    return np.ldexp(z.view(np.float64), e[..., None, None]).view(np.complex128)
 
 
 def path_product(ws: WeightSystem, alpha, path=None) -> np.ndarray:

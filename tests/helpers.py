@@ -178,7 +178,7 @@ def per_index_validate_weights(ws: WeightSystem) -> ValidationReport:
                 failures.append(f"weight at alpha={alpha}, j={j} is numerically singular")
     max_resid = 0.0
     worst = None
-    for alpha in trunc.indices[:simplex_size(ws.d, ws.N - 2)]:
+    for alpha in list(trunc)[:simplex_size(ws.d, ws.N - 2)]:
         for i in range(ws.d):
             for j in range(i + 1, ws.d):
                 lhs = ws.weight(shifted(alpha, j), i) @ ws.weight(alpha, j)
@@ -207,7 +207,7 @@ def per_row_staircase_products(ws: WeightSystem) -> np.ndarray:
     trunc = ws.truncation()
     out = np.empty((len(trunc), ws.fiber_dim, ws.fiber_dim), dtype=np.complex128)
     out[0] = np.eye(ws.fiber_dim)
-    for k, alpha in enumerate(trunc.indices[1:], 1):
+    for k, alpha in enumerate(list(trunc)[1:], 1):
         j = max(i for i in range(ws.d) if alpha[i])
         below = shifted(alpha, j, -1)
         out[k] = ws.weight(below, j) @ out[trunc.position(below)]

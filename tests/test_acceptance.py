@@ -34,7 +34,6 @@ from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
-from multishift.lattice import degree
 from multishift.numerics import frob_norm, singular_range
 from multishift.serialization import canonical_dumps
 
@@ -97,7 +96,7 @@ def test_criterion_2_growth_diagnostics():
 def test_criterion_3_perturbation_certificates():
     spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 20)
     base = kg.kernel_moments(spec)
-    low_degree = [alpha for alpha in spec.truncation() if degree(alpha) <= 2]
+    low_degree = [alpha for alpha in spec.truncation() if sum(alpha) <= 2]
     failures = []
     for seed in range(10):
         rng = np.random.default_rng(seed)

@@ -451,6 +451,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "systems[0].fiber_dim" in err
 
+    # a coordinate past int64 is an index outside the lattice, not an OverflowError
+    def test_extra_gram_past_int64_is_ignored(self, tmp_path, capsys):
+        moments = ser.moment_system_to_json(sampling.random_moment_system(2, 2, 2, 42))
+        moments["grams"].append(dict(moments["grams"][0], alpha=[10**30, 0]))
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"version": 1, "kind": "validate", "systems": [moments]}),
+                        encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("alpha", [[10**30, 0], [4, 0]])
+    def test_replacement_outside_the_truncation_exits_2(self, tmp_path, capsys, alpha):
+        base = {"type": "pochhammer", "lambda": 1.0, "mu": 2.0, "d": 2, "N": 3}
+        perturbed = {"type": "perturbed", "base": base, "replacements": [
+            {"alpha": alpha, "logscale": 0.0, "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                                        [[0.0, 0.0], [1.0, 0.0]]]}]}
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps({"version": 1, "kind": "similarity",
+                                    "systems": [base, perturbed]}), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"input validation failed: systems[1]: replacement index {tuple(alpha)} "
+            "outside the truncation\n")
+
     def test_invalid_json_is_schema_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -85,7 +85,17 @@ BAD_MATRICES = [
 EXTREME_SCALES = [1e308, -1e308, 745.0, -745.0, 5e-324, 1e200, -1e200, 700.0]
 
 
-def _mutation(kind):
+def _alpha_values(problem, path):
+    """Multi-indices the lattice of the system at path does not hold: past
+    int64, negative, of degree N + 1, empty, too long, and a bool."""
+    top = problem["systems"][path[1]].get("N")
+    top = top if isinstance(top, int) else 1  # the base systems' N
+    return [[10**30], [-1], [top + 1], [], [0, 0], [True]]
+
+
+def _mutation(kind, problem, path):
+    if kind == "alpha":
+        return st.sampled_from(_alpha_values(problem, path))
     if kind == "matrix":
         return st.sampled_from(BAD_MATRICES)
     if kind == "logscale":
@@ -104,11 +114,12 @@ def mutated_problems(draw):
             "matrix": [p for p in paths if p and p[-1] == "matrix"],
             "logscale": [p for p in paths if p and p[-1] == "logscale"],
             "N": [p for p in paths if p and p[-1] == "N"],
+            "alpha": [p for p in paths if p and p[-1] == "alpha"],
             "any": paths,
         }
         kind = draw(st.sampled_from([k for k, v in by_kind.items() if v]))
         path = draw(st.sampled_from(by_kind[kind]))
-        problem = _replace(problem, path, draw(_mutation(kind)))
+        problem = _replace(problem, path, draw(_mutation(kind, problem, path)))
     return problem
 
 

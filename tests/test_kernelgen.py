@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
-from multishift.lattice import Truncation, degree
+from multishift.lattice import Truncation
 from multishift.numerics import (
     PositiveDefiniteError,
     hermpd,
@@ -24,8 +25,8 @@ def per_index_pochhammer(pair, d, top):
     """Coefficients built one lattice index at a time: the balanced diagonal of
     degree |alpha|, with log(alpha!) taken off its logscale."""
     return {
-        alpha: log_diag(np.array([kg.log_pochhammer(pair.lam, degree(alpha)),
-                                  kg.log_pochhammer(pair.mu, degree(alpha))])
+        alpha: log_diag(np.array([kg.log_pochhammer(pair.lam, sum(alpha)),
+                                  kg.log_pochhammer(pair.mu, sum(alpha))])
                         ).logscaled(-log_alpha_factorial(alpha))
         for alpha in Truncation(d, top)
     }
@@ -36,7 +37,7 @@ def per_row_pochhammer(pair, d, top):
     logs before the row is balanced."""
     coeffs = {}
     for alpha in Truncation(d, top):
-        m, lfact = degree(alpha), log_alpha_factorial(alpha)
+        m, lfact = sum(alpha), log_alpha_factorial(alpha)
         coeffs[alpha] = log_diag(np.array([kg.log_pochhammer(pair.lam, m) - lfact,
                                            kg.log_pochhammer(pair.mu, m) - lfact]))
     return coeffs
@@ -50,7 +51,7 @@ def log_diag(logs):
 def per_index_homogeneous(by_degree, d):
     """m! A_m at degree m, with log(alpha!) taken off its logscale."""
     return {
-        alpha: by_degree[degree(alpha)].logscaled(kg.log_factorial(degree(alpha)))
+        alpha: by_degree[sum(alpha)].logscaled(kg.log_factorial(sum(alpha)))
         .logscaled(-log_alpha_factorial(alpha))
         for alpha in Truncation(d, len(by_degree) - 1)
     }
@@ -59,8 +60,8 @@ def per_index_homogeneous(by_degree, d):
 def per_row_homogeneous(by_degree, d):
     """The earlier per-row formula: the multinomial factor added as one log."""
     return {
-        alpha: by_degree[degree(alpha)].logscaled(
-            kg.log_factorial(degree(alpha)) - log_alpha_factorial(alpha))
+        alpha: by_degree[sum(alpha)].logscaled(
+            kg.log_factorial(sum(alpha)) - log_alpha_factorial(alpha))
         for alpha in Truncation(d, len(by_degree) - 1)
     }
 
@@ -85,7 +86,7 @@ def assert_rows_close(family, get, reference, rtol=1e-14):
 
 def assert_degree_classes(family):
     """Rows of one degree share one class, and the class is that degree."""
-    degrees = [degree(alpha) for alpha in family.truncation()]
+    degrees = [sum(alpha) for alpha in family.truncation()]
     assert family.classes.tolist() == degrees
     assert len(family.class_mats) == family.N + 1
 
@@ -196,7 +197,7 @@ class TestArrayBuiltFamilies:
         spec = kg.pochhammer_kernel(pair, 2, 6)
         rng = np.random.default_rng(seed)
         reps = {alpha: sampling.random_pd(2, rng)
-                for alpha in spec.truncation() if degree(alpha) <= 2}
+                for alpha in spec.truncation() if sum(alpha) <= 2}
         perturbed, cert = kg.perturb_kernel(spec, reps)
         coeffs = per_index_pochhammer(pair, 2, 6)
         coeffs.update(reps)
@@ -281,7 +282,7 @@ class TestHomogeneousKernel:
         spec = kg.homogeneous_kernel(coeffs, 2)
         ms = kg.kernel_moments(spec)
         for alpha in spec.truncation():
-            ref = (degree(alpha), 0)
+            ref = (sum(alpha), 0)
             assert np.array_equal(ms.gram(alpha).matrix, ms.gram(ref).matrix)
 
     def test_dim_mismatch(self):
@@ -315,7 +316,7 @@ class TestPerturbKernel:
         rng = np.random.default_rng(seed)
         reps = {
             alpha: sampling.random_pd(2, rng)
-            for alpha in spec.truncation() if degree(alpha) <= 2
+            for alpha in spec.truncation() if sum(alpha) <= 2
         }
         perturbed, cert = kg.perturb_kernel(spec, reps)
         report = eq.verify_certificate(
@@ -327,6 +328,14 @@ class TestPerturbKernel:
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 3)
         with pytest.raises(IndexError):
             kg.perturb_kernel(spec, {(4, 0): hermpd(np.eye(2))})
+
+    @pytest.mark.parametrize("alpha", [(10**30, 0), (-1, 0), (0, 0, 0), (0,)])
+    def test_index_outside_is_named_in_key_order(self, alpha):
+        # keys of several lengths in one dict; the first outside one is named
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 3)
+        reps = {(1, 0): hermpd(np.eye(2)), alpha: hermpd(np.eye(2)), (0, 0, 1): None}
+        with pytest.raises(IndexError, match=rf"^replacement index {re.escape(str(alpha))} "):
+            kg.perturb_kernel(spec, reps)
 
 
 class TestBoundednessEstimate:

@@ -212,3 +212,87 @@ def test_values_that_are_not_a_non_empty_object_take_one_line(obj):
     text = canonical_dumps(obj)
     assert text.count("\n") == 1 and text.endswith("\n")
     assert json.loads(text) == obj
+
+
+class TestReaderPlacement:
+    """The readers place each entry by the rank of its alpha: any file order
+    reads the same stacks, the last entry for an index wins, and entries
+    outside the lattice are ignored."""
+
+    @staticmethod
+    def _files(family):
+        ms = FAMILIES[family]()
+        ws, g0 = canonical_weights(ms), ms.gram((0,) * ms.d)
+        return (json.loads(canonical_dumps(ser.moment_system_to_json(ms))),
+                json.loads(canonical_dumps(ser.weight_system_to_json(ws, g0))))
+
+    @staticmethod
+    def _grams(data):
+        ms = ser.moment_system_from_json(data, "s")
+        return ms.mats.tobytes(), ms.logs.tobytes()
+
+    @staticmethod
+    def _weights(data):
+        return ser.weight_system_from_json(data, "s")[0].weights.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_entry_order_reads_the_same_stacks(self, family, order):
+        moments, weights = self._files(family)
+        for data, field, read in ((moments, "grams", self._grams),
+                                  (weights, "weights", self._weights)):
+            want = read(data)
+            entries = data[field]
+            perm = (range(len(entries) - 1, -1, -1) if order == "reversed"
+                    else np.random.default_rng(len(entries)).permutation(len(entries)))
+            data[field] = [entries[i] for i in perm]
+            assert read(data) == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_repeated_index_takes_its_last_entry(self, family):
+        moments, weights = self._files(family)
+        # the repeat carries the top-degree entry's data under index 1's alpha
+        grams = moments["grams"]
+        repeat = dict(grams[-1], alpha=grams[1]["alpha"])
+        want = self._grams(dict(moments, grams=[grams[0], repeat, *grams[2:]]))
+        assert want != self._grams(moments)
+        assert self._grams(dict(moments, grams=[*grams, repeat])) == want
+        assert self._grams(dict(moments, grams=[repeat, *grams])) == self._grams(moments)
+        entries = weights["weights"]
+        repeat = dict(entries[-1], alpha=entries[0]["alpha"], j=entries[0]["j"])
+        want = self._weights(dict(weights, weights=[repeat, *entries[1:]]))
+        assert want != self._weights(weights)
+        assert self._weights(dict(weights, weights=[*entries, repeat])) == want
+        assert self._weights(dict(weights, weights=[repeat, *entries])) == self._weights(weights)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_indices_outside_are_ignored(self, family):
+        moments, weights = self._files(family)
+        d, top = moments["d"], moments["N"]
+        outside = [[top + 1] + [0] * (d - 1), [0] * (d - 1) + [top + 1],
+                   [10**30] + [0] * (d - 1)]
+        gram = moments["grams"][-1]
+        extra = [dict(gram, alpha=alpha) for alpha in outside]
+        assert self._grams(dict(moments, grams=[*extra, *moments["grams"], *extra])) == (
+            self._grams(moments))
+        weight = weights["weights"][-1]
+        boundary = [top] + [0] * (d - 1)  # degree N: no weight leaves it
+        extra = [dict(weight, alpha=alpha) for alpha in [boundary, *outside]]
+        assert self._weights(dict(weights, weights=[*extra, *weights["weights"], *extra])) == (
+            self._weights(weights))
+
+    def test_the_first_missing_index_in_graded_order_is_named(self):
+        moments, weights = self._files("random")  # d = 2, N = 3
+        grams = moments["grams"]
+        # (0, 2) and (1, 1) replaced by a repeat and an index past int64
+        grams[4] = dict(grams[4], alpha=[10**30, 0])
+        grams[3] = dict(grams[3], alpha=[0, 0])
+        with pytest.raises(ser.SchemaError,
+                           match=r"^s\.grams: missing Gram matrix at alpha=\(0, 2\)$"):
+            ser.moment_system_from_json(moments, "s")
+        entries = weights["weights"]
+        entries[7] = dict(entries[7], alpha=[10**30, 0])  # ((0, 2), 1)
+        entries[3] = dict(entries[3], alpha=[3, 0])  # ((0, 1), 1)
+        with pytest.raises(ser.SchemaError,
+                           match=r"^s\.weights: missing weight at alpha=\(0, 1\), j=1$"):
+            ser.weight_system_from_json(weights, "s")

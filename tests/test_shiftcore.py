@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ class TestValidateWeights:
         # direct 2x2 products: one order gives I, the other [[0,1],[1,1]]
         assert report.max_commutation_residual > 0.3
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160])
+    def test_noncommuting_pair_fails_at_extreme_scales(self, scale):
+        # unscaled, the products of 1e160 or 1e200 weights overflow (inf - inf)
+        # and those of 1e-160 weights underflow, and either read PASS
+        ws = noncommuting_weights()
+        want = sc.validate_weights(ws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sc.validate_weights(sc.WeightSystem.from_arrays(2, 2, 2, ws.weights * scale))
+        assert not got.passes
+        assert abs(got.max_commutation_residual - want.max_commutation_residual) <= 1e-15
+        assert got.failures[-1].split(" at ")[1] == want.failures[-1].split(" at ")[1]
+
     def test_singular_weight_fails(self):
         report = sc.validate_weights(singular_weights())
         assert not report.passes
@@ -124,13 +138,13 @@ class TestCanonicalWeights:
         rng = np.random.default_rng(0)
         per_degree = [sampling.random_pd(2, rng) for _ in range(5)]
         grams = {
-            alpha: per_degree[lattice.degree(alpha)]
+            alpha: per_degree[sum(alpha)]
             for alpha in lattice.Truncation(2, 4)
         }
         ws = sc.canonical_weights(sc.MomentSystem(2, 4, 2, grams))
         for alpha in lattice.Truncation(2, 3):
             for j in range(2):
-                ref_alpha = (lattice.degree(alpha), 0)
+                ref_alpha = (sum(alpha), 0)
                 ref = ws.weight(ref_alpha, 0)
                 assert np.allclose(ws.weight(alpha, j), ref, atol=1e-10)
 
@@ -199,8 +213,8 @@ class TestBuildMz:
         full = sc.build_mz(ms, 1).full_matrix()
         trunc = ms.truncation()
         n = ms.fiber_dim
-        for r, row_alpha in enumerate(trunc.indices):
-            for c, col_alpha in enumerate(trunc.indices):
+        for r, row_alpha in enumerate(trunc):
+            for c, col_alpha in enumerate(trunc):
                 block = full[r * n:(r + 1) * n, c * n:(c + 1) * n]
                 if row_alpha != helpers.shifted(col_alpha, 1):
                     assert np.all(block == 0.0)
@@ -429,7 +443,7 @@ class TestConstruction:
     def test_moment_stacking_order(self):
         ms = sampling.random_moment_system(2, 2, 2, 14)
         mats, logs = ms.mats, ms.logs
-        for k, alpha in enumerate(ms.truncation().indices):
+        for k, alpha in enumerate(ms.truncation()):
             assert np.array_equal(mats[k], ms.gram(alpha).matrix)
             assert logs[k] == ms.gram(alpha).logscale
 
