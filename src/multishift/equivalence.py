@@ -12,6 +12,7 @@ criteria stay meaningful at high truncation degrees.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -213,6 +214,8 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 LINE_SEARCH_TRIALS = 30
 STATIONARY_WINDOW = 5  # the last gradients whose convex hull is tested
 STATIONARY_TOL = 1e-8
+_SUBSETS = tuple((np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1 == 1  # nonempty subsets
+                 for k in range(STATIONARY_WINDOW + 1))  # of a window of k, one row each
 
 
 class SearchStage(NamedTuple):
@@ -383,27 +386,44 @@ def _gradient(objective: _Objective, ev: _Eval) -> np.ndarray:
     return (grad_max - grad_min).ravel().view(np.float64)
 
 
-def _stationary(grads: np.ndarray) -> bool:
-    """Whether the convex hull of the rows of grads comes within
-    STATIONARY_TOL of zero.
-
-    An exact QP on these few points: the hull's min-norm point is the affine
-    min-norm point of some set of rows, with nonnegative weights, so the
-    KKT system of every nonempty set is solved in one batch (rows outside a
-    set get weight 0) and the smallest feasible point is the answer. A
-    singular system, from affinely dependent rows, answers NO.
-    """
+def _hull_min_norm(grads: np.ndarray) -> tuple:
+    """(squared norm, point) of the hull's min-norm point, by an exact QP: it is
+    the affine min-norm point, with nonnegative weights, of an affinely
+    independent set of rows (Caratheodory), so the KKT systems of all nonempty
+    sets are solved in one batch (rows outside a set get weight 0), or, if a
+    dependent set makes the batch singular, one at a time, skipping those."""
     k = len(grads)
-    sets = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1 == 1
+    sets, rhs = _SUBSETS[k], np.eye(k + 1)[:, k:]
     kkt = np.zeros((len(sets), k + 1, k + 1))
     kkt[:, :k, :k] = np.where(sets[:, :, None] & sets[:, None, :], grads @ grads.T, np.eye(k))
     kkt[:, :k, k] = kkt[:, k, :k] = sets
     try:
-        weights = np.linalg.solve(kkt, np.eye(k + 1)[:, k:])[:, :k, 0]
+        weights = np.linalg.solve(kkt, rhs)[:, :k, 0]
     except np.linalg.LinAlgError:
-        return False
+        solved = []
+        for system in kkt:
+            with contextlib.suppress(np.linalg.LinAlgError):
+                solved.append(np.linalg.solve(system, rhs)[:k, 0])
+        weights = np.array(solved)
     x = weights[(weights >= 0.0).all(axis=1)] @ grads
-    return bool((x * x).sum(axis=1).min() <= STATIONARY_TOL ** 2)
+    norms = (x * x).sum(axis=1)
+    return float(norms.min()), x[np.argmin(norms)]
+
+
+def _stationary(grads: np.ndarray, witness: np.ndarray | None = None) -> tuple:
+    """(stationary, witness): whether the convex hull of the rows of grads
+    comes within STATIONARY_TOL of zero, and the direction to try first next
+    time. A d with g.d > (STATIONARY_TOL + 2 m u |grads|_F) |d| for every row
+    g proves NO: 2 m u, u = 2^-53, bounds the rounding of a length-m dot
+    product (gamma_m, Higham 2002, ch. 3), and |grads|_F >= max |g|. The
+    witness, then the row sum, are tried; else the QP (_hull_min_norm)
+    decides, and its point, separating on any NO, is the next witness."""
+    slack = STATIONARY_TOL + grads.shape[1] * 2.0 ** -52 * math.sqrt(float(np.vdot(grads, grads)))
+    for d in (witness, grads.sum(axis=0)):
+        if d is not None and float((grads @ d).min()) > slack * math.sqrt(float(d @ d)):
+            return False, d
+    norm2, x = _hull_min_norm(grads)
+    return norm2 <= STATIONARY_TOL ** 2, x
 
 
 def _line_search(objective: _Objective, ev: _Eval, grad: np.ndarray,
@@ -440,8 +460,8 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
     f is a max-eigenvalue function, nonsmooth where extremes tie; BFGS with
     a weak Wolfe line search still converges on it (Lewis and Overton 2013).
     The inverse Hessian starts as s'y / y'y times the identity at the first
-    update; an update with s'y <= 0 is skipped. Stops in the order of
-    SearchStage's exits, checked after every step; deterministic.
+    update (s'y <= 0 skips it). SearchStage's exits are checked in order
+    after every step, _stationary from the last call's witness; deterministic.
     """
     first = objective.evaluations
     z = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
@@ -449,7 +469,7 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
     if not math.isfinite(ev.value):
         return SearchStage("non-finite", 0, objective.evaluations - first)
     grad = _gradient(objective, ev)
-    grads = [grad]
+    grads, witness = [grad], None
     hess = None
     reason, steps = "iteration cap", 0
     for steps in range(DESCENT_STEPS + 1):
@@ -459,7 +479,8 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
         if objective.best.value - bound <= PROVEN_RTOL * max(1.0, objective.best.value):
             reason = "proven optimal"
             break
-        if _stationary(np.array(grads[-STATIONARY_WINDOW:])):
+        stationary, witness = _stationary(np.array(grads[-STATIONARY_WINDOW:]), witness)
+        if stationary:
             reason = "stationary"
             break
         if steps == DESCENT_STEPS:
@@ -561,10 +582,14 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng) -> np.ndarray:
     w = t1 * np.exp(_log_offsets(logs) + _log_offsets(tlogs))
     op = _polish_operator(w, mats, tmats)
     for _ in range(RECOVERY_POLISH_STEPS):
+        # no input check: [0, 1.5] weights, balanced Grams and a unitary V keep the coupling finite
         try:
-            v_next = polar_unitary((op @ v.ravel()).reshape(n, n))
+            p, s, qh = _svd((op @ v.ravel()).reshape(n, n), compute_uv=True)
         except LinAlgError:
             break
+        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+            break
+        v_next = p @ qh
         converged = frob_norm(v_next - v) <= 1e-14 * math.sqrt(n)
         v = v_next
         if converged:

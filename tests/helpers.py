@@ -1,15 +1,18 @@
-"""Test-only constructions derived from the package's seeded systems, and four
+"""Test-only constructions derived from the package's seeded systems, and six
 independent references: a Cholesky/whitening pencil path for the package's
 eigenpair-factored pencil kernel, the per-index shift construction for the
 graded shift stacks, the per-index weight validation and per-row staircase
-walk for the batched weight passes, and the per-entry matrix writer for the
-one-pass JSON writers."""
+walk for the batched weight passes, the per-entry matrix writer for the
+one-pass JSON writers, the per-subset hull QP for the witness-first
+stationarity test, and the polish through polar_unitary for the recovery
+start's polish on the bare SVD."""
 
 import math
 
 import numpy as np
 
 from multishift import sampling
+from multishift.equivalence import STATIONARY_TOL
 from multishift.lattice import enumerate_indices, simplex_size
 from multishift.numerics import (
     LinAlgError,
@@ -20,6 +23,7 @@ from multishift.numerics import (
     hermpd_batch,
     inv,
     inv_sqrt_pd,
+    polar_unitary,
     singular_range,
     sqrt_pd,
     symmetrize,
@@ -289,3 +293,50 @@ def near_singular_pair(side: int, alpha: tuple, seed: int) -> list:
     mats[row], logs[row] = gram.matrix, gram.logscale
     systems[side] = MomentSystem.from_arrays(2, 2, 2, mats, logs)
     return systems
+
+
+def per_subset_stationary(grads) -> bool:
+    """Whether the convex hull of the rows of grads comes within
+    STATIONARY_TOL of zero, by the all-subsets QP solved one set at a time.
+
+    The hull's min-norm point is the affine min-norm point, with nonnegative
+    weights, of some affinely independent set of rows; each set's KKT system
+    [[G G*, 1], [1*, 0]] gives its affine min-norm point, a singular system
+    (affinely dependent rows) is skipped, and the smallest point with
+    nonnegative weights is the hull's.
+    """
+    grads = np.asarray(grads, dtype=np.float64)
+    k = len(grads)
+    best = math.inf
+    for mask in range(1, 2 ** k):
+        rows = grads[[i for i in range(k) if mask >> i & 1]]
+        r = len(rows)
+        kkt = np.ones((r + 1, r + 1))
+        kkt[:r, :r] = rows @ rows.T
+        kkt[r, r] = 0.0
+        try:
+            weights = np.linalg.solve(kkt, np.eye(r + 1)[r])[:r]
+        except np.linalg.LinAlgError:
+            continue
+        if (weights >= 0.0).all():
+            x = weights @ rows
+            best = min(best, float((x * x).sum()))
+    return best <= STATIONARY_TOL ** 2
+
+
+def polar_polish_reference(op: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """The recovery start's polish from the start v through polar_unitary,
+    input copy and check included: up to steps iterations V -> the polar
+    factor of op vec(V), stopping when two iterates are within 1e-14 sqrt(n)
+    or polar_unitary refuses the coupling."""
+    n = v.shape[0]
+    for _ in range(steps):
+        try:
+            v_next = polar_unitary((op @ v.ravel()).reshape(n, n))
+        except LinAlgError:
+            break
+        converged = frob_norm(v_next - v) <= 1e-14 * math.sqrt(n)
+        v = v_next
+        if converged:
+            break
+    return v

@@ -1,3 +1,5 @@
+import copy
+import functools
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from multishift.numerics import (
     pencil_logeigs,
     singular_range,
     sqrt_pd,
+    symmetrize,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -309,7 +312,8 @@ class TestCertificateSearch:
         ([[1e-9, 0.0]], True),
     ])
     def test_stationary_is_exact_on_small_hulls(self, grads, stationary):
-        assert eq._stationary(np.array(grads)) is stationary
+        answer, _ = eq._stationary(np.array(grads))
+        assert answer is stationary
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_search_leaves_the_stage_a_cluster(self, n):
@@ -398,6 +402,121 @@ SEARCH_PATHS = {
     "swap": ("alignment", "bottomed out", True),
     "perturb": ("identity", "proven optimal", True),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def descent_record(name):
+    """What optimize_C hands two of its parts on a certify-random pair:
+    every (window, witness) _stationary gets, how many of those calls reach
+    the QP (_hull_min_norm), and the arguments of the recovery start's
+    _recover_congruence_unitary, with a copy of the generator it gets."""
+    ms, mt, seed = certify_random_pair(name)
+    windows, solves, recoveries = [], [], []
+    stationary, solve, recover = eq._stationary, eq._hull_min_norm, eq._recover_congruence_unitary
+
+    def recorded_stationary(grads, witness=None):
+        windows.append((grads.copy(), None if witness is None else witness.copy()))
+        return stationary(grads, witness)
+
+    def counted_solve(grads):
+        solves.append(None)
+        return solve(grads)
+
+    def recorded_recovery(*args):
+        recoveries.append((args[:4], copy.deepcopy(args[4])))
+        return recover(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_stationary", recorded_stationary)
+        mp.setattr(eq, "_hull_min_norm", counted_solve)
+        mp.setattr(eq, "_recover_congruence_unitary", recorded_recovery)
+        eq.optimize_C(ms, mt, seed=seed)
+    return windows, len(solves), recoveries[0]
+
+
+# hulls that contain zero with affinely dependent rows, so that some KKT
+# system of the all-subsets QP is exactly singular
+DEGENERATE_HULLS = [
+    [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],  # a repeated gradient
+    [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+]
+
+
+def drawn_hull(k, m, offset, duplicate, rng):
+    """k standard normal rows of length m; with an offset, the last row is
+    moved so that a seeded convex combination of them is a vector of that
+    norm (the hull then comes at least that close to zero); with duplicate
+    and k >= 3, the first row repeats the second."""
+    rows = rng.standard_normal((k, m))
+    if duplicate and k >= 3:
+        rows[0] = rows[1]
+    if offset is not None:
+        w = rng.uniform(0.1, 1.0, size=k)
+        w /= w.sum()
+        target = rng.standard_normal(m)
+        target *= offset / np.linalg.norm(target)
+        rows[-1] = (target - w[:-1] @ rows[:-1]) / w[-1]
+    return rows
+
+
+# The witness-first test against the per-subset QP: a witness may only
+# shortcut a NO, so every witness passed must leave the QP's answer.
+class TestStationarity:
+    @pytest.mark.parametrize("grads", DEGENERATE_HULLS)
+    def test_hulls_through_zero_with_dependent_rows(self, grads):
+        # a singular system in the batch used to turn these into NO
+        grads = np.array(grads)
+        assert helpers.per_subset_stationary(grads)
+        rng = np.random.default_rng(0)
+        for witness in (None, grads.mean(axis=0), rng.standard_normal(2), np.array([1.0, 0.0])):
+            answer, _ = eq._stationary(grads, witness)
+            assert answer is True
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 5), m=st.sampled_from([8, 18]),
+           offset=st.sampled_from([None, 0.0, 1e-10, 1e-6, 1e-2, 1.0]),
+           duplicate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_per_subset_qp_on_drawn_hulls(self, k, m, offset, duplicate, seed):
+        # two windows of a descent: the second drops the first row of the
+        # first, and gets the first's witness as the previous one
+        rng = np.random.default_rng(seed)
+        rows = np.vstack([rng.standard_normal((1, m)), drawn_hull(k, m, offset, duplicate, rng)])
+        first, second = rows[:k], rows[1:]
+        _, previous = eq._stationary(first)
+        expected = helpers.per_subset_stationary(second)
+        if offset is not None and offset <= 1e-10:
+            assert expected
+        for witness in (None, second.mean(axis=0), rng.standard_normal(m), previous):
+            answer, _ = eq._stationary(second, witness)
+            assert answer is expected
+
+    @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
+    def test_matches_the_per_subset_qp_on_descent_windows(self, name):
+        windows, _, _ = descent_record(name)
+        rng = np.random.default_rng(0)
+        for grads, witness in windows:
+            expected = helpers.per_subset_stationary(grads)
+            for w in (witness, None, grads.mean(axis=0), rng.standard_normal(grads.shape[1])):
+                answer, _ = eq._stationary(grads, w)
+                assert answer is expected
+
+    def test_most_descent_windows_skip_the_qp(self):
+        # on the benchmark's pairs the kept witness or the row sum proves
+        # most NOs, so the batched KKT solve runs on few windows
+        records = [descent_record(name) for name in sorted(CENTRAL_DIFFERENCE_LOG_RATIOS)]
+        windows = sum(len(r[0]) for r in records)
+        solves = sum(r[1] for r in records)
+        assert windows > 0 and solves <= 0.25 * windows
+
+    def test_the_qp_point_is_the_next_witness(self):
+        # the row sum (-2, 2) is orthogonal to the first row, so the QP
+        # decides; its NO hands back the min-norm point, which separates
+        grads = np.array([[1.0, 1.0], [-3.0, 1.0]])
+        answer, witness = eq._stationary(grads)
+        assert answer is False and np.array_equal(witness, [0.0, 1.0])
+        again, kept = eq._stationary(grads, witness)
+        assert again is False and kept is witness
 
 
 def level_zero_bound(ms, mt):
@@ -1112,6 +1231,60 @@ class TestUnitaryEquivalence:
         mt = sampling.congruent_pair(ms, c0)
         result = eq.test_unitary_equivalence(ms, mt, 1e-8)
         assert not result.equivalent
+
+
+def whitened(ms):
+    """The stack and logscales of ms moved by G_0^{-1/2}, as optimize_C
+    hands them to the recovery start."""
+    s = inv_sqrt_pd(ms.gram((0,) * ms.d))
+    return symmetrize(eq._congruence_stack(ms.mats, s.matrix)), ms.logs + 2.0 * s.logscale
+
+
+def polished_with_reference(args, rng, build=eq._polish_operator):
+    """(V, start, reference) for the recovery start on args = (mats, logs,
+    tmats, tlogs): its V, its start before the polish (no polish steps), and
+    polar_polish_reference from that start on the same operator; the
+    operator comes from build, each call gets a copy of rng."""
+    ops, steps = [], eq.RECOVERY_POLISH_STEPS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq, "_polish_operator", lambda *a: ops.append(build(*a)) or ops[-1])
+        v = eq._recover_congruence_unitary(*args, copy.deepcopy(rng))
+        mp.setattr(eq, "RECOVERY_POLISH_STEPS", 0)
+        start = eq._recover_congruence_unitary(*args, copy.deepcopy(rng))
+    return v, start, helpers.polar_polish_reference(ops[0], start, steps)
+
+
+# The polish on the bare SVD against the polish through polar_unitary: the
+# same V, bit for bit.
+class TestRecoveryPolish:
+    @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
+    def test_matches_polar_unitary_on_the_certify_random_pairs(self, name):
+        args, rng = descent_record(name)[2]
+        v, start, reference = polished_with_reference(args, rng)
+        assert v.tobytes() == reference.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from([1, 2]), top=st.integers(0, 4), n=st.integers(1, 4),
+           congruent=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_polar_unitary_on_drawn_pairs(self, d, top, n, congruent, seed):
+        rng = np.random.default_rng(seed)
+        ms = sampling.random_moment_system(d, top, n, rng)
+        mt = (sampling.congruent_pair(ms, sampling.random_unitary(n, rng)) if congruent
+              else sampling.random_moment_system(d, top, n, rng))
+        v, _, reference = polished_with_reference(whitened(ms) + whitened(mt), rng)
+        assert v.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_both_stop_at_a_rank_deficient_coupling(self, n, rank):
+        # op vec(V) is 0 or V_00 E_00: rank deficient at the first iteration
+        rng = np.random.default_rng([84, n])
+        ms, mt = (sampling.random_moment_system(2, 2, n, rng) for _ in range(2))
+        op = np.zeros((n * n, n * n), dtype=np.complex128)
+        op[0, 0] = rank
+        v, start, reference = polished_with_reference(whitened(ms) + whitened(mt), rng,
+                                                      lambda *a: op)
+        assert v.tobytes() == start.tobytes() == reference.tobytes()
 
 
 class TestDiagonalIntertwiner:
