@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -224,7 +223,9 @@ class SearchStage(NamedTuple):
     exit is one of: bottomed out (the log ratio reached BOTTOM_VALUE), proven
     optimal (it is within PROVEN_RTOL of the level-zero lower bound),
     stationary (the convex hull of the last STATIONARY_WINDOW gradients comes
-    within STATIONARY_TOL of zero), no bracket (the line search found no weak
+    within STATIONARY_TOL of zero), rounding floor (the unit step's
+    sufficient-decrease bound rounds to f, so no step can show a decrease that
+    f's rounding does not hide), no bracket (the line search found no weak
     Wolfe step), iteration cap, non-finite (the perturbed start).
     """
 
@@ -430,18 +431,20 @@ def _line_search(objective: _Objective, ev: _Eval, grad: np.ndarray,
                  direction: np.ndarray):
     """Weak Wolfe step along direction from ev, by bracketing: doubling
     until a trial fails the sufficient decrease, then bisection. Returns
-    (evaluation, gradient) of the step found, or None. A direction that is
-    not a descent direction gets None before any evaluation: at slope >= 0
-    a trial equal to ev passes both Wolfe tests, so BFGS would keep taking
-    steps that make no progress."""
+    (evaluation, gradient) of the step found, or None. A trial is evaluated
+    only while its sufficient-decrease bound ev.value + WOLFE_C1 t slope is
+    below ev.value, so every step found lowers f: at slope >= 0, or where
+    the bound rounds to ev.value, a trial equal to ev would pass both Wolfe
+    tests, and BFGS would keep taking steps that make no progress."""
     slope = float(grad @ direction)
-    if not slope < 0.0:
-        return None
     x = ev.c.ravel().view(np.float64)
     lo, hi, t = 0.0, math.inf, 1.0
     for _ in range(LINE_SEARCH_TRIALS):
+        bound = ev.value + WOLFE_C1 * t * slope
+        if not bound < ev.value:
+            return None
         trial = objective((x + t * direction).view(np.complex128).reshape(ev.c.shape))
-        if not trial.value <= ev.value + WOLFE_C1 * t * slope:
+        if not trial.value <= bound:
             hi = t
         else:
             trial_grad = _gradient(objective, trial)
@@ -461,7 +464,8 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
     a weak Wolfe line search still converges on it (Lewis and Overton 2013).
     The inverse Hessian starts as s'y / y'y times the identity at the first
     update (s'y <= 0 skips it). SearchStage's exits are checked in order
-    after every step, _stationary from the last call's witness; deterministic.
+    after every step, _stationary from the last call's witness, and the
+    rounding floor before the line search evaluates anything; deterministic.
     """
     first = objective.evaluations
     z = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
@@ -486,6 +490,9 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
         if steps == DESCENT_STEPS:
             break
         direction = -(grad if hess is None else hess @ grad)
+        if ev.value + WOLFE_C1 * float(grad @ direction) == ev.value:
+            reason = "rounding floor"
+            break
         found = _line_search(objective, ev, grad, direction)
         if found is None:
             reason = "no bracket"
@@ -573,7 +580,8 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng) -> np.ndarray:
         for j in range(1, n):
             if abs(a[0, j]) > 1e-8 * ref:
                 z = b[0, j] / a[0, j]
-                phases[j] = z / abs(z)
+                if z != 0:
+                    phases[j] = z / abs(z)
         v = q @ np.diag(phases) @ qt.conj().T
     else:
         v = np.eye(n, dtype=np.complex128)
@@ -582,7 +590,8 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng) -> np.ndarray:
     w = t1 * np.exp(_log_offsets(logs) + _log_offsets(tlogs))
     op = _polish_operator(w, mats, tmats)
     for _ in range(RECOVERY_POLISH_STEPS):
-        # no input check: [0, 1.5] weights, balanced Grams and a unitary V keep the coupling finite
+        # no input check: [0, 1.5] weights, balanced Grams and a unitary V (each phase
+        # is 1 or z / |z| with z != 0, the iterates polar factors) keep the coupling finite
         try:
             p, s, qh = _svd((op @ v.ravel()).reshape(n, n), compute_uv=True)
         except LinAlgError:
@@ -742,6 +751,7 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
         return optimize_C(ms, mt, seed=seed)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             certs = list(pool.map(run, degrees))
     else:

@@ -911,6 +911,18 @@ class TestParserReuse:
         assert read_report(out)["options"]["seed"] == 0
 
 
+def test_import_leaves_the_thread_pool_unloaded():
+    # only growth_diagnostic with threads > 1 imports concurrent.futures
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, multishift.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_console_entry_point(tmp_path):
     # the subprocess imports the same package as this test, installed or not
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

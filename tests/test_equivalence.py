@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,16 @@ CENTRAL_DIFFERENCE_LOG_RATIOS = {
     "perturb": 0.11755584653932837,
 }
 
+# Log ratios of the certify-random pairs before the descent stopped at the
+# rounding floor; a descent may end within 1e-9 of them, not worse
+BEFORE_FLOOR_LOG_RATIOS = {
+    "random0": 2.9810954514333377,
+    "random1": 3.9093326728060633,
+    "random2": 2.728272117106618,
+    "random3": 3.0147353637381267,
+    "random4": 1.6609678026858248,
+}
+
 
 def certify_random_pair(name):
     if name.startswith("random"):
@@ -287,10 +298,11 @@ class TestCertificateSearch:
                      for t in (h, -h)]
             assert (moved[0] - moved[1]) / (2 * h) == pytest.approx(grad @ direction, abs=1e-6)
 
-    @pytest.mark.parametrize("scale", [1.0, 0.0, 1e-16])
+    @pytest.mark.parametrize("scale", [1.0, 0.0, 1e-16, -1e-20])
     def test_line_search_refuses_a_non_descent_direction(self, scale):
-        # at slope >= 0 a trial equal to the start passes both Wolfe tests;
-        # the search answers None before it evaluates anything
+        # at slope >= 0, or at a slope whose sufficient-decrease bound rounds
+        # to f, a trial equal to the start passes both Wolfe tests; the
+        # search answers None before it evaluates anything
         rng = np.random.default_rng([83, 0])
         ms = sampling.random_moment_system(2, 3, 2, rng)
         mt = sampling.random_moment_system(2, 3, 2, rng)
@@ -303,6 +315,59 @@ class TestCertificateSearch:
         assert objective.evaluations == before
         found = eq._line_search(objective, ev, grad, -grad)
         assert found is not None and found[0].value < ev.value
+
+    @pytest.mark.parametrize("name", sorted(BEFORE_FLOOR_LOG_RATIOS))
+    def test_every_step_lowers_f(self, name, monkeypatch):
+        search, lowered = eq._line_search, []
+
+        def checked(objective, ev, grad, direction):
+            found = search(objective, ev, grad, direction)
+            if found is not None:
+                lowered.append(found[0].value < ev.value)
+            return found
+
+        monkeypatch.setattr(eq, "_line_search", checked)
+        ms, mt, seed = certify_random_pair(name)
+        eq.optimize_C(ms, mt, seed=seed)
+        assert lowered and lowered.count(False) == 0
+
+    def test_descent_stops_at_the_rounding_floor(self, monkeypatch):
+        # a gradient of norm 1e-7 is not stationary (STATIONARY_TOL 1e-8), but
+        # the unit step's sufficient decrease, WOLFE_C1 1e-14, is below half
+        # an ulp of f ~ 3, so no trial could show a decrease
+        gradient = eq._gradient
+
+        def small(objective, ev):
+            grad = gradient(objective, ev)
+            return 1e-7 * grad / np.linalg.norm(grad)
+
+        monkeypatch.setattr(eq, "_gradient", small)
+        ms, mt, _ = certify_random_pair("random0")
+        objective = eq._Objective(ms, mt)
+        stage = eq._bfgs(objective, np.eye(2, dtype=np.complex128), 0.0,
+                         np.random.default_rng(0))
+        assert 1.0 <= objective.best.value < 8.0
+        assert stage == ("rounding floor", 0, 1)
+
+    def test_recovery_start_is_finite_where_a_phase_reference_is_zero(self):
+        # the target's Grams are diagonal, so the (0, 1) entry of its second
+        # combination vanishes in its eigenframe while the rotated source's
+        # does not; that phase stays 1 instead of 0 / 0
+        def rotation(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        grams, tgrams = {}, {}
+        for k in range(4):
+            diagonal = np.diag([1.0 + k, 2.0 + 0.5 * k * k])
+            grams[(k,)] = hermpd(rotation(0.3 * k) @ diagonal @ rotation(0.3 * k).T)
+            tgrams[(k,)] = hermpd(diagonal)
+        ms, mt = sc.MomentSystem(1, 3, 2, grams), sc.MomentSystem(1, 3, 2, tgrams)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = eq.optimize_C(ms, mt, seed=0)
+        recovery = next(s for s in cert.search.starts if s.name == "recovery")
+        assert recovery.error is None and math.isfinite(recovery.value)
+        assert eq.verify_certificate(ms, mt, cert).passes
 
     @pytest.mark.parametrize("grads,stationary", [
         ([[1.0, 1.0], [-1.0, 1.0]], False),        # min-norm point (0, 1) on an edge
@@ -361,6 +426,7 @@ class TestCertificateSearch:
         assert len(values) == search.start_evaluations + search.descent.evaluations
         assert cert.log_ratio == min(v for v in values if v is not None)
         assert cert.log_ratio <= CENTRAL_DIFFERENCE_LOG_RATIOS[name] + 1e-9
+        assert cert.log_ratio <= BEFORE_FLOOR_LOG_RATIOS.get(name, math.inf) + 1e-9
         assert eq.verify_certificate(ms, mt, cert).passes
         assert search.start_evaluations == 5
         assert [s.name for s in search.starts] == [
@@ -398,7 +464,7 @@ SEARCH_PATHS = {
     "random1": ("alignment", "stationary", False),
     "random2": ("recovery", "no bracket", False),
     "random3": ("recovery", "no bracket", False),
-    "random4": ("recovery", "stationary", False),
+    "random4": ("recovery", "rounding floor", False),
     "swap": ("alignment", "bottomed out", True),
     "perturb": ("identity", "proven optimal", True),
 }
