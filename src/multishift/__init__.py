@@ -10,7 +10,6 @@ from .equivalence import (
     UnitaryEquivalenceResult,
     VerificationReport,
     brute_force_intertwiner,
-    diagonal_intertwiner,
     growth_diagnostic,
     optimize_C,
     sandwich_certificate,
@@ -21,7 +20,6 @@ from .equivalence import (
 from .kernelgen import (
     KernelSpec,
     PochhammerPair,
-    boundedness_estimate,
     homogeneous_kernel,
     kernel_moments,
     log_pochhammer,
@@ -36,7 +34,6 @@ from .numerics import (
     hermpd,
     inv_pd,
     inv_sqrt_pd,
-    pencil_logeigs,
     polar_unitary,
     sqrt_pd,
 )

@@ -311,6 +311,7 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
     invertible, certs_pass = 0, True
     worst_level0 = worst_recursion = worst_intertwining = 0.0
     count = basis.solution_count
+    roots = eq.level_zero_roots(ms, mt) if count else None  # shared by the samples
     for _ in range(ORACLE_SAMPLES if count else 0):
         x = basis.combine(rng.standard_normal(count) + 1j * rng.standard_normal(count))
         x_range = singular_range(x.matrix)  # the one SVD of X per sample
@@ -323,7 +324,7 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
         worst_intertwining = max(
             worst_intertwining, eq.intertwining_residual(x, ms, mt, shifts, x_range)
         )
-        cert = eq.certificate_from_intertwiner(x, ms, mt, x_range)
+        cert = eq.certificate_from_intertwiner(x, ms, mt, x_range, roots)
         certs_pass = certs_pass and eq.verify_certificate(ms, mt, cert, tol).passes
     checks_pass = (
         invertible > 0

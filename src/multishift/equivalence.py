@@ -19,25 +19,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Truncation, _truncation, simplex_size
+from .lattice import Truncation, simplex_size
 from .numerics import (
     ConvergenceError,
     HermPD,
     LinAlgError,
+    _eig_transform_batch,
     _svd,
     as_complex_matrix,
     frob_norm,
     herm_eig,
     herm_eig_batch,
     inv,
-    inv_sqrt_pd,
     nullspace,
     pencil_factors,
     pencil_logrange_batch,
     polar_unitary,
     singular_range,
     spectral_norm,
-    sqrt_pd,
     symmetrize,
 )
 from .shiftcore import MomentSystem, _max_row_gap, _roots, _scaled, _shift
@@ -154,7 +153,7 @@ def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCer
     evaluation of the search's objective (_Objective)."""
     c = as_complex_matrix(c, "C")
     _check_invertible_c(c)
-    lo, hi = _Objective(ms, mt).log_ranges(c)
+    lo, hi, _ = _Objective(ms, mt).log_ranges(c)
     return SimilarityCertificate(c, float(lo.min()), float(hi.max()))
 
 
@@ -259,27 +258,14 @@ class SearchSummary(NamedTuple):
 
 
 class _Eval(NamedTuple):
-    """f at C, with the per-class log ranges behind it."""
+    """f at C, with the per-class log ranges behind it and the stack
+    K = F C H whose singular values gave them."""
 
     c: np.ndarray
     value: float
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-
-
-class _Bundle(NamedTuple):
-    """Eigenpairs at the joint classes near either extreme of an evaluated point.
-
-    lo and hi (r, n) are log pencil eigenvalues under the class's smallest
-    and largest logscale difference, x (r, n, n) B-orthonormal eigenvectors
-    (columns) and u = G_alpha C x, so that the gradient of log lambda along
-    an eigenvector column is -2 u x*.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
+    k: np.ndarray | None = None
 
 
 def _joint_classes(classes: np.ndarray, tclasses: np.ndarray) -> tuple:
@@ -321,38 +307,21 @@ class _Objective:
         self.best = _Eval(np.eye(ms.fiber_dim, dtype=np.complex128), math.inf)
 
     def log_ranges(self, c: np.ndarray) -> tuple:
-        """Per-class (lo, hi) log pencil eigenvalue extremes at C; raises
-        what pencil_logrange_batch raises."""
-        lo, hi = pencil_logrange_batch(self.f, self.h, c)
-        return self.lo_off + lo, self.hi_off + hi
+        """Per-class (lo, hi) log pencil eigenvalue extremes at C and the
+        stack K = F C H; raises what pencil_logrange_batch raises."""
+        lo, hi, k = pencil_logrange_batch(self.f, self.h, c)
+        return self.lo_off + lo, self.hi_off + hi, k
 
     def __call__(self, c: np.ndarray) -> _Eval:
         self.evaluations += 1
         try:
-            lo, hi = self.log_ranges(c)
+            lo, hi, k = self.log_ranges(c)
         except LinAlgError:
             return _Eval(c, math.inf)
-        ev = _Eval(c, float(hi.max()) - float(lo.min()), lo, hi)
+        ev = _Eval(c, float(hi.max()) - float(lo.min()), lo, hi, k)
         if ev.value < self.best.value:
             self.best = ev
         return ev
-
-    def bundle(self, ev: _Eval, eps: float) -> _Bundle:
-        """Re-solve, with eigenvectors, the classes within eps of an extreme.
-
-        With K = F C H = P S Q*, x = H Q S^{-1} is B-orthonormal and
-        G C x = F* P; singular values descend, so the eigenvalues come out
-        ascending.
-        """
-        top, bottom = ev.hi.max(), ev.lo.min()
-        near = np.nonzero((ev.hi >= top - eps) | (ev.lo <= bottom + eps))[0]
-        f, h = self.f[near], self.h[near]
-        p, s, qh = _svd(f @ ev.c @ h, compute_uv=True)
-        loge = -2.0 * np.log(s)
-        lo = self.lo_off[near][:, None] + loge
-        hi = self.hi_off[near][:, None] + loge
-        x = (h @ qh.conj().swapaxes(1, 2)) / s[:, None, :]
-        return _Bundle(lo, hi, x, f.conj().swapaxes(1, 2) @ p)
 
     def level_zero_bound(self, left: HermPD, right: HermPD) -> float:
         """A lower bound on f over every C: any sandwich puts the extreme
@@ -372,19 +341,29 @@ class _Objective:
                          for gap in (top, bottom) for off in (self.lo_off, self.hi_off)))
 
 
-def _extreme_gradients(b: _Bundle) -> tuple:
-    """grad_C of log lambda_max and of log lambda_min at their argmax and argmin."""
-    hi = int(np.argmax(b.hi[:, -1]))
-    lo = int(np.argmin(b.lo[:, 0]))
-    return (-2.0 * np.outer(b.u[hi, :, -1], b.x[hi, :, -1].conj()),
-            -2.0 * np.outer(b.u[lo, :, 0], b.x[lo, :, 0].conj()))
-
-
 def _gradient(objective: _Objective, ev: _Eval) -> np.ndarray:
     """grad f at an evaluated C, in the 2n^2 real coordinates of C
-    (interleaved real and imaginary parts, packed d/dRe + i d/dIm)."""
-    grad_max, grad_min = _extreme_gradients(objective.bundle(ev, 0.0))
-    return (grad_max - grad_min).ravel().view(np.float64)
+    (interleaved real and imaginary parts, packed d/dRe + i d/dIm).
+
+    The classes at either extreme are re-solved with vectors from the
+    evaluation's own K = F C H = P S Q*: x = H Q S^{-1} is B-orthonormal
+    and G C x = F* P, so the gradient of log lambda along the column x of a
+    simple eigenvalue is -2 (F* P)[:, col] x*. Singular values descend, so
+    lambda_max is the last column of its class and lambda_min the first.
+    """
+    near = np.nonzero((ev.hi >= ev.hi.max()) | (ev.lo <= ev.lo.min()))[0]
+    p, s, qh = _svd(ev.k[near], compute_uv=True)
+
+    def term(r: int, col: int) -> np.ndarray:
+        # whole n x n products of the one class: a matrix-vector product
+        # rounds differently from the column of a matrix product
+        u = (objective.f[near[r]].conj().T @ p[r])[:, col]
+        x = (objective.h[near[r]] @ qh[r].conj().T)[:, col] / s[r, col]
+        return -2.0 * (u[:, None] * x.conj())
+
+    top = int(np.argmax(objective.hi_off[near] - 2.0 * np.log(s[:, -1])))
+    bottom = int(np.argmin(objective.lo_off[near] - 2.0 * np.log(s[:, 0])))
+    return (term(top, -1) - term(bottom, 0)).ravel().view(np.float64)
 
 
 def _hull_min_norm(grads: np.ndarray) -> tuple:
@@ -505,8 +484,9 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
             if hess is None:
                 hess = (sy / float(y @ y)) * np.eye(s.size)
             hy = hess @ y
-            hess = (hess + ((sy + float(y @ hy)) / sy ** 2) * np.outer(s, s)
-                    - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+            hys = hy[:, None] * s
+            hess = (hess + ((sy + float(y @ hy)) / sy ** 2) * (s[:, None] * s)
+                    - (hys + hys.T) / sy)
         ev, grad = moved, moved_grad
         grads.append(grad)
     return SearchStage(reason, steps, objective.evaluations - first)
@@ -606,6 +586,16 @@ def _recover_congruence_unitary(mats, logs, tmats, tlogs, rng) -> np.ndarray:
     return v
 
 
+def level_zero_roots(ms: MomentSystem, mt: MomentSystem) -> tuple:
+    """(G_0^{-1/2}, G~_0^{1/2}, G~_0^{-1/2}) as HermPDs, from one eigensolve and
+    one balancing pass over row 0 of both families (alpha = 0 has rank 0);
+    each equals inv_sqrt_pd or sqrt_pd of its Gram bit for bit."""
+    mats, logs = _eig_transform_batch(np.stack([ms.mats[0], mt.mats[0]]),
+                                      [ms.logs[0], mt.logs[0]], (np.sqrt, 0.5),
+                                      (lambda e: 1.0 / np.sqrt(e), -0.5))
+    return tuple(HermPD(mats[k], float(logs[k])) for k in (2, 1, 3))
+
+
 def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> SimilarityCertificate:
     """Search for a certificate with a small log ratio.
 
@@ -632,10 +622,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     rows = objective.rows
     mats, logs = ms.mats[rows], ms.logs[rows]
     tmats, tlogs = mt.mats[rows], mt.logs[rows]
-    zero = (0,) * ms.d
-    left = inv_sqrt_pd(ms.gram(zero))
-    right = sqrt_pd(mt.gram(zero))
-    right_inv = inv_sqrt_pd(mt.gram(zero))
+    left, right, right_inv = level_zero_roots(ms, mt)
 
     # Transporting both families by their level-zero inverse square roots
     # turns any exact congruence into a unitary one, so the unitary-recovery
@@ -735,6 +722,9 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
     """Optimize a certificate at each truncation degree and fit the growth.
 
     pair_generator(N) must return the (M, M~) pair truncated at degree N.
+    It is called once, at the top degree: the truncation at a lower degree
+    is the compression of that one, the prefix of its rows in graded order
+    (GradedFamily.truncated), so each degree's search runs on views.
     A bounded optimal ratio across degrees is evidence for similarity; a
     power-law slope matching the moment asymptotics is evidence against.
     Any finite truncation admits some certificate, so the verdict is always
@@ -746,9 +736,10 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
     if sorted(degrees) != degrees or len(set(degrees)) != len(degrees) or degrees[0] < 1:
         raise ValueError("degrees must be strictly ascending positive integers")
 
+    ms, mt = pair_generator(degrees[-1])
+
     def run(top_degree: int) -> SimilarityCertificate:
-        ms, mt = pair_generator(top_degree)
-        return optimize_C(ms, mt, seed=seed)
+        return optimize_C(ms.truncated(top_degree), mt.truncated(top_degree), seed=seed)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only the pool needs it
@@ -946,40 +937,8 @@ class IntertwinerMatrix:
     fiber_dim: int
     matrix: np.ndarray
 
-    def truncation(self) -> Truncation:
-        return _truncation(self.d, self.N)
-
-    def block(self, row_alpha, col_alpha) -> np.ndarray:
-        trunc = self.truncation()
-        n = self.fiber_dim
-        r = trunc.position(row_alpha)
-        c = trunc.position(col_alpha)
-        return self.matrix[r * n:(r + 1) * n, c * n:(c + 1) * n]
-
-    def diag_block(self, alpha) -> np.ndarray:
-        return self.block(alpha, alpha)
-
     def norm(self) -> float:
         return spectral_norm(self.matrix)
-
-
-def diagonal_intertwiner(ms: MomentSystem, mt: MomentSystem, c) -> IntertwinerMatrix:
-    """The block-diagonal map x z^alpha -> (C^{-1} x) z^alpha in orthonormal frames.
-
-    Level block: G~_alpha^{1/2} C^{-1} G_alpha^{-1/2}. It intertwines the two
-    truncated shift tuples exactly; its block singular values all lie in
-    [sqrt(m1), sqrt(m2)] for the constants of sandwich_ratio with the same C.
-    """
-    _require_same_shape(ms, mt)
-    c = as_complex_matrix(c, "C")
-    _check_invertible_c(c)
-    c_inv = inv(c)
-    _, _, down, down_logs = _roots(ms)
-    up, up_logs, _, _ = _roots(mt)
-    m, n = len(down), ms.fiber_dim
-    out = np.zeros((m, n, m, n), dtype=np.complex128)
-    out[range(m), :, range(m), :] = _scaled(up_logs + down_logs, up @ c_inv @ down)
-    return IntertwinerMatrix(ms.d, ms.N, n, out.reshape(m * n, m * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1060,23 +1019,10 @@ class IntertwinerBasis:
             out[rows, :, b, :] = q @ x0[:len(rows)] @ r
         return IntertwinerMatrix(self.d, self.N, n, out.reshape(m * n, m * n))
 
-    def element(self, k: int) -> IntertwinerMatrix:
-        unit = np.zeros(self.solution_count, dtype=np.complex128)
-        unit[k] = 1.0
-        return self.combine(unit)
-
     def combine(self, coeffs) -> IntertwinerMatrix:
         full = np.zeros(self.null.shape, dtype=np.complex128)
         full[self.null] = coeffs
         return self.transport(np.einsum("gij,gj->gi", self.vectors, full))
-
-    def membership_residual(self, x: IntertwinerMatrix) -> float:
-        """||X - T(P X[:, 0])||_F / ||X||_F, with P the projection onto the span
-        and T the transport: zero exactly when X lies in the solution span."""
-        v = x.matrix[:, :self.fiber_dim].reshape(self.null.shape)
-        coeffs = np.einsum("gji,gj->gi", self.vectors.conj(), v) * self.null
-        proj = self.transport(np.einsum("gij,gj->gi", self.vectors, coeffs)).matrix
-        return frob_norm(x.matrix - proj) / max(frob_norm(x.matrix), 1e-300)
 
 
 def _kron_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -1188,21 +1134,20 @@ def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
 
 
 def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,
-                                 mt: MomentSystem,
-                                 x_range: tuple | None = None) -> SimilarityCertificate:
+                                 mt: MomentSystem, x_range: tuple | None = None,
+                                 roots: tuple | None = None) -> SimilarityCertificate:
     """The proof's certificate: C from the level-0 block of X^{-1}, m from norms.
 
     C (in coefficient coordinates) is G_0^{-1/2} [X^{-1}]_{00} G~_0^{1/2};
     the constants are m1 = 1/||X^{-1}||^2 = sigma_min(X)^2 and
     m2 = ||X||^2 = sigma_max(X)^2, using operator norms of the full truncated
-    matrices. x_range, when given, is singular_range(x.matrix).
+    matrices. x_range, when given, is singular_range(x.matrix); roots, when
+    given, is level_zero_roots(ms, mt).
     """
     _require_same_shape(ms, mt)
     n = ms.fiber_dim
     x_inv = inv(x.matrix)
-    zero = (0,) * ms.d
-    left = inv_sqrt_pd(ms.gram(zero))
-    right = sqrt_pd(mt.gram(zero))
+    left, right, _ = roots if roots is not None else level_zero_roots(ms, mt)
     c = math.exp(left.logscale + right.logscale) * (
         left.matrix @ x_inv[:n, :n] @ right.matrix
     )

@@ -158,8 +158,8 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     lo, hi = [0.0], [0.0]
     if n0 >= 0:
         k0 = simplex_size(spec.d, n0)
-        lo, hi = pencil_logrange_batch(*pencil_factors(perturbed.mats[:k0], spec.mats[:k0]),
-                                       np.eye(spec.fiber_dim, dtype=np.complex128))
+        lo, hi, _ = pencil_logrange_batch(*pencil_factors(perturbed.mats[:k0], spec.mats[:k0]),
+                                          np.eye(spec.fiber_dim, dtype=np.complex128))
         off = logs[:k0] - spec.logs[:k0]
         lo, hi = off + lo, off + hi
     cert = SimilarityCertificate(
@@ -168,21 +168,3 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
         log_m2=max(0.0, -float(np.min(lo))),
     )
     return perturbed, cert
-
-
-def boundedness_estimate(spec: KernelSpec, j: int) -> float:
-    """Operator-norm estimate of the j-th coordinate shift on the kernel space.
-
-    sup over alpha of ||C_alpha^{-1/2} C_{alpha-e_j} C_alpha^{-1/2}||^{1/2},
-    with C_{alpha-e_j} = 0 whenever alpha_j = 0 (so a degree-0 truncation
-    reports 0). Matches the norm estimate of build_mz on the kernel's moments.
-    """
-    if not 0 <= j < spec.d:
-        raise ValueError(f"coordinate j={j} outside 0..{spec.d - 1}")
-    rows = spec.truncation().raise_map[j]
-    if not len(rows):
-        return 0.0
-    below = np.arange(len(rows))
-    _, hi = pencil_logrange_batch(*pencil_factors(spec.mats[below], spec.mats[rows]),
-                                  np.eye(spec.fiber_dim, dtype=np.complex128))
-    return math.exp(0.5 * float((spec.logs[below] - spec.logs[rows] + hi).max()))

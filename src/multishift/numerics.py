@@ -217,15 +217,6 @@ class HermPD:
         """Represented matrix exp(logscale)*matrix; may overflow for large scales."""
         return math.exp(self.logscale) * self.matrix
 
-    def logscaled(self, dlog: float) -> "HermPD":
-        """The represented value multiplied by exp(dlog), exactly."""
-        return HermPD(self.matrix, self.logscale + float(dlog))
-
-    def log_eigvals(self) -> np.ndarray:
-        """log of the represented eigenvalues, ascending."""
-        eigs, _ = herm_eig_batch(self.matrix[None], vectors=False)
-        return np.log(eigs[0]) + self.logscale
-
 
 def hermpd_batch(mats, logs) -> tuple[np.ndarray, np.ndarray]:
     """hermpd on every row of a (m, n, n) stack with logscales (m,), in one pass.
@@ -347,29 +338,18 @@ def pencil_factors(a_mats, b_mats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pencil_logrange_batch(f, h, c):
-    """Per-matrix (min, max) log eigenvalues of the pencils (A_k, C* B_k C).
+    """Per-matrix (min, max) log eigenvalues of the pencils (A_k, C* B_k C),
+    and the stack K = F C H they come from.
 
     f, h: pencil_factors(A, B) of the stacks; c: an n x n matrix. The pencil
     at k has the eigenvalues 1/sigma^2 over the singular values sigma of
-    F_k C H_k, so both (m,) arrays come from one batched SVD; logscales are
-    not included. C rides along as the last matrix of that SVD for the
+    K_k = F_k C H_k, so both (m,) arrays come from one batched SVD; logscales
+    are not included. C rides along as the last matrix of that SVD for the
     invertibility test: RankDeficientError when its smallest singular value
     is not above 1e-12 times its largest, ConvergenceError when the SVD fails.
     """
-    s = _svd(np.concatenate([f @ c @ h, c[None]]), compute_uv=False)
+    k = f @ c @ h
+    s = _svd(np.concatenate([k, c[None]]), compute_uv=False)
     if not s[-1, -1] > 1e-12 * s[-1, 0]:
         raise RankDeficientError("C is numerically singular")
-    return -2.0 * np.log(s[:-1, 0]), -2.0 * np.log(s[:-1, -1])
-
-
-def pencil_logeigs(a: HermPD, b: HermPD) -> np.ndarray:
-    """log of the generalized eigenvalues of A x = lambda B x, ascending.
-
-    Every eigenvalue, not only the extremes: -2 log of the singular values
-    of F H from pencil_factors, plus the logscale difference.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"pencil dimension mismatch: {a.dim} vs {b.dim}")
-    f, h = pencil_factors(a.matrix[None], b.matrix[None])
-    s = _svd(f[0] @ h[0], compute_uv=False)
-    return (a.logscale - b.logscale) - 2.0 * np.log(s)
+    return -2.0 * np.log(s[:-1, 0]), -2.0 * np.log(s[:-1, -1]), k

@@ -180,6 +180,28 @@ def _matrix_stack(entries: list, n: int) -> np.ndarray | None:
     return arr.view(np.complex128)[..., 0]
 
 
+def _index_fields(entries: list, d: int) -> tuple | None:
+    """(alphas, logs): every entries[*].alpha as one (m, d) int64 array and every
+    float logscale (0.0 when absent) as one (m,) array, read in one array pass,
+    or None when any entry is not an object with an alpha of d non-negative
+    ints and a finite float or absent logscale; the per-entry walk then names
+    the field (and reads int logscales)."""
+    try:
+        raw = [entry["alpha"] for entry in entries]
+        scales = [entry.get("logscale", 0.0) for entry in entries]
+        alphas, logs = np.array(raw), np.array(scales, dtype=np.float64)
+    except (TypeError, KeyError, AttributeError, ValueError, OverflowError):
+        return None
+    if alphas.dtype != np.int64 or alphas.shape != (len(raw), d) or (alphas < 0).any():
+        return None
+    # np.array reads True as 1 and "0.5" as 0.5; the walk refuses both
+    if (not set(map(type, raw)) <= {list} or not np.isfinite(logs).all()
+            or not set(map(type, itertools.chain.from_iterable(raw))) <= {int}
+            or not set(map(type, scales)) <= {float}):
+        return None
+    return alphas, logs
+
+
 def _last_entries(slots: np.ndarray, size: int) -> np.ndarray:
     """(size,) intp: per slot 0..size-1 the last entry i with slots[i] equal to
     it, or -1 when there is none; entries with other slots are ignored."""
@@ -197,8 +219,10 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
     stack = _matrix_stack(grams_field, n)
-    mats, logs, alphas = [], [], []
-    for i, entry in enumerate(grams_field):
+    fields = _index_fields(grams_field, d) if stack is not None else None
+    alphas, logs = fields if fields is not None else ([], [])
+    mats = []
+    for i, entry in enumerate(grams_field if fields is None else ()):  # the walk
         epath = f"{path}.grams[{i}]"
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise SchemaError(epath, "expected an object with 'alpha'")

@@ -112,6 +112,19 @@ class GradedFamily:
     def truncation(self) -> Truncation:
         return self._trunc
 
+    def truncated(self, N: int) -> "GradedFamily":
+        """The family on |alpha| <= N, the compression of this one: its rows are
+        the first C(N + d, d) in graded order, so mats, logs and classes are
+        prefix views and class_mats is shared; nothing is copied."""
+        if not 0 <= N <= self.N:
+            raise ValueError(f"degree {N} outside 0..{self.N}")
+        m = lattice.simplex_size(self.d, N)
+        out = type(self).__new__(type(self))
+        out.d, out.N, out.fiber_dim, out._trunc = self.d, N, self.fiber_dim, _truncation(self.d, N)
+        out.class_mats = self.class_mats
+        out.mats, out.logs, out.classes = self.mats[:m], self.logs[:m], self.classes[:m]
+        return out
+
     def row(self, alpha) -> HermPD:
         """The HermPD at alpha, a view of one row of the stacks."""
         k = self._trunc.position(alpha)

@@ -1,28 +1,38 @@
-"""Test-only constructions derived from the package's seeded systems, and six
+"""Test-only constructions derived from the package's seeded systems, the
+functions nothing in the package calls (kept with their tests), and eight
 independent references: a Cholesky/whitening pencil path for the package's
 eigenpair-factored pencil kernel, the per-index shift construction for the
 graded shift stacks, the per-index weight validation and per-row staircase
 walk for the batched weight passes, the per-entry matrix writer for the
 one-pass JSON writers, the per-subset hull QP for the witness-first
-stationarity test, and the polish through polar_unitary for the recovery
-start's polish on the bare SVD."""
+stationarity test, the polish through polar_unitary for the recovery
+start's polish on the bare SVD, the eigenpairs of every class for the
+descent gradient's two columns, and the growth diagnostic that generates
+its pair afresh at every degree."""
 
 import math
 
 import numpy as np
 
+from multishift import equivalence as eq
 from multishift import sampling
-from multishift.equivalence import STATIONARY_TOL
-from multishift.lattice import enumerate_indices, simplex_size
+from multishift.equivalence import STATIONARY_TOL, IntertwinerBasis, IntertwinerMatrix
+from multishift.kernelgen import KernelSpec
+from multishift.lattice import _truncation, enumerate_indices, simplex_size
 from multishift.numerics import (
+    HermPD,
     LinAlgError,
     PositiveDefiniteError,
+    _svd,
+    as_complex_matrix,
     frob_norm,
     herm_eig_batch,
     hermpd,
     hermpd_batch,
     inv,
     inv_sqrt_pd,
+    pencil_factors,
+    pencil_logrange_batch,
     polar_unitary,
     singular_range,
     sqrt_pd,
@@ -34,6 +44,8 @@ from multishift.shiftcore import (
     MomentSystem,
     ValidationReport,
     WeightSystem,
+    _roots,
+    _scaled,
     canonical_weights,
 )
 
@@ -324,6 +336,26 @@ def per_subset_stationary(grads) -> bool:
     return best <= STATIONARY_TOL ** 2
 
 
+def pencil_eigenpairs(objective, ev) -> tuple:
+    """(loge, x, u) of every joint class of an evaluation, from its stack
+    K = F C H = P S Q*: the log pencil eigenvalues -2 log S, ascending and
+    without the classes' logscale offsets, the B-orthonormal eigenvectors
+    x = H Q S^{-1} (columns) and u = G C x = F* P, the quantities the
+    descent gradient forms for its two extreme classes only."""
+    p, s, qh = np.linalg.svd(ev.k)
+    x = (objective.h @ qh.conj().swapaxes(1, 2)) / s[:, None, :]
+    return -2.0 * np.log(s), x, objective.f.conj().swapaxes(1, 2) @ p
+
+
+def extreme_gradients(objective, ev) -> tuple:
+    """grad_C of log lambda_max and of log lambda_min at their argmax and
+    argmin over every class, from pencil_eigenpairs: -2 u x* per column."""
+    loge, x, u = pencil_eigenpairs(objective, ev)
+    hi = int(np.argmax(objective.hi_off + loge[:, -1]))
+    lo = int(np.argmin(objective.lo_off + loge[:, 0]))
+    return (-2.0 * np.outer(u[hi, :, -1], x[hi, :, -1].conj()),
+            -2.0 * np.outer(u[lo, :, 0], x[lo, :, 0].conj()))
+
 def polar_polish_reference(op: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     """The recovery start's polish from the start v through polar_unitary,
     input copy and check included: up to steps iterations V -> the polar
@@ -340,3 +372,109 @@ def polar_polish_reference(op: np.ndarray, v: np.ndarray, steps: int) -> np.ndar
         if converged:
             break
     return v
+
+
+# ---------------------------------------------------------------------------
+# Functions nothing in the package calls, kept here with their tests.
+# ---------------------------------------------------------------------------
+
+def logscaled(h: HermPD, dlog: float) -> HermPD:
+    """The represented value of h multiplied by exp(dlog), exactly."""
+    return HermPD(h.matrix, h.logscale + float(dlog))
+
+
+def log_eigvals(h: HermPD) -> np.ndarray:
+    """log of the represented eigenvalues of h, ascending."""
+    eigs, _ = herm_eig_batch(h.matrix[None], vectors=False)
+    return np.log(eigs[0]) + h.logscale
+
+
+def pencil_logeigs(a: HermPD, b: HermPD) -> np.ndarray:
+    """log of the generalized eigenvalues of A x = lambda B x, ascending.
+
+    Every eigenvalue, not only the extremes: -2 log of the singular values
+    of F H from pencil_factors, plus the logscale difference.
+    """
+    if a.dim != b.dim:
+        raise ValueError(f"pencil dimension mismatch: {a.dim} vs {b.dim}")
+    f, h = pencil_factors(a.matrix[None], b.matrix[None])
+    s = _svd(f[0] @ h[0], compute_uv=False)
+    return (a.logscale - b.logscale) - 2.0 * np.log(s)
+
+
+def boundedness_estimate(spec: KernelSpec, j: int) -> float:
+    """Operator-norm estimate of the j-th coordinate shift on the kernel space.
+
+    sup over alpha of ||C_alpha^{-1/2} C_{alpha-e_j} C_alpha^{-1/2}||^{1/2},
+    with C_{alpha-e_j} = 0 whenever alpha_j = 0 (so a degree-0 truncation
+    reports 0). Matches the norm estimate of build_mz on the kernel's moments.
+    """
+    if not 0 <= j < spec.d:
+        raise ValueError(f"coordinate j={j} outside 0..{spec.d - 1}")
+    rows = spec.truncation().raise_map[j]
+    if not len(rows):
+        return 0.0
+    below = np.arange(len(rows))
+    _, hi, _ = pencil_logrange_batch(*pencil_factors(spec.mats[below], spec.mats[rows]),
+                                     np.eye(spec.fiber_dim, dtype=np.complex128))
+    return math.exp(0.5 * float((spec.logs[below] - spec.logs[rows] + hi).max()))
+
+
+def diagonal_intertwiner(ms: MomentSystem, mt: MomentSystem, c) -> IntertwinerMatrix:
+    """The block-diagonal map x z^alpha -> (C^{-1} x) z^alpha in orthonormal frames.
+
+    Level block: G~_alpha^{1/2} C^{-1} G_alpha^{-1/2}, from the families'
+    batched roots. It intertwines the two truncated shift tuples exactly;
+    its block singular values all lie in [sqrt(m1), sqrt(m2)] for the
+    constants of sandwich_ratio with the same C.
+    """
+    eq._require_same_shape(ms, mt)
+    c = as_complex_matrix(c, "C")
+    eq._check_invertible_c(c)
+    _, _, down, down_logs = _roots(ms)
+    up, up_logs, _, _ = _roots(mt)
+    m, n = len(down), ms.fiber_dim
+    out = np.zeros((m, n, m, n), dtype=np.complex128)
+    out[range(m), :, range(m), :] = _scaled(up_logs + down_logs, up @ inv(c) @ down)
+    return IntertwinerMatrix(ms.d, ms.N, n, out.reshape(m * n, m * n))
+
+
+def diag_block(x: IntertwinerMatrix, alpha) -> np.ndarray:
+    """The diagonal block of x at alpha."""
+    k, n = _truncation(x.d, x.N).position(alpha), x.fiber_dim
+    return x.matrix[k * n:(k + 1) * n, k * n:(k + 1) * n]
+
+
+def basis_element(basis: IntertwinerBasis, k: int) -> IntertwinerMatrix:
+    """The k-th solution of an IntertwinerBasis, levels first, then columns."""
+    unit = np.zeros(basis.solution_count, dtype=np.complex128)
+    unit[k] = 1.0
+    return basis.combine(unit)
+
+
+def membership_residual(basis: IntertwinerBasis, x: IntertwinerMatrix) -> float:
+    """||X - T(P X[:, 0])||_F / ||X||_F, with P the projection onto the span
+    and T the transport: zero exactly when X lies in the solution span."""
+    v = x.matrix[:, :basis.fiber_dim].reshape(basis.null.shape)
+    coeffs = np.einsum("gji,gj->gi", basis.vectors.conj(), v) * basis.null
+    proj = basis.transport(np.einsum("gij,gj->gi", basis.vectors, coeffs)).matrix
+    return frob_norm(x.matrix - proj) / max(frob_norm(x.matrix), 1e-300)
+
+
+def per_degree_growth_diagnostic(pair_generator, degrees, seed: int = 0) -> eq.GrowthDiagnostic:
+    """growth_diagnostic with the pair generated afresh at every degree."""
+    certs = [eq.optimize_C(*pair_generator(top), seed=seed) for top in degrees]
+    x = np.log(np.array(degrees, dtype=np.float64))
+    y = np.array([c.log_ratio for c in certs], dtype=np.float64)
+    slope, intercept, r2 = eq._fit_line(x, y)
+    if abs(slope) <= eq.SLOPE_EPS and y.max() <= math.log(eq.RATIO_CAP):
+        verdict = eq.VERDICT_SIMILAR
+    elif slope >= eq.SLOPE_FLOOR and r2 >= eq.R2_MIN:
+        verdict = eq.VERDICT_NOT_SIMILAR
+    else:
+        verdict = eq.VERDICT_INCONCLUSIVE
+    return eq.GrowthDiagnostic(
+        degrees=tuple(degrees), log_ratios=tuple(float(v) for v in y), slope=slope,
+        intercept=intercept, r_squared=r2, verdict=verdict,
+        classes=tuple(c.search.classes for c in certs),
+        residuals=tuple(float(v) for v in y - (intercept + slope * x)))

@@ -251,6 +251,40 @@ class TestRun:
         assert len(report["growth"]["table"]) == 4
         assert report["options"]["degrees"] == [6, 8, 10, 12]
 
+    def test_diagnostic_homogeneous_too_short_names_the_top_degree(self, tmp_path, capsys):
+        # the pair is generated once, at the top degree, so the message names
+        # that degree even though 11 is the first listed one past the data
+        rng = np.random.default_rng(91)
+        spec = {"type": "homogeneous", "d": 2, "coeffs_by_degree": [
+            ser.hermpd_to_json(sampling.random_pd(2, rng)) for _ in range(11)]}
+        path = tmp_path / "short.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": "diagnostic",
+                                         "systems": [spec, spec],
+                                         "options": {"degrees": [4, 11, 12, 13]}}),
+                        encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "input validation failed: systems[0]: homogeneous system provides degrees "
+            "up to 10, requested 13\n")
+
+    def test_diagnostic_replacement_above_a_lower_degree_is_left_out(self, tmp_path):
+        # degree 4's truncation of the perturbed family leaves the degree-5
+        # replacement out: that pair is the base pair, and the search bottoms out
+        base = {"type": "pochhammer", "lambda": 1.0, "mu": 2.0, "d": 2}
+        perturbed = {"type": "perturbed", "base": base, "replacements": [
+            {"alpha": [5, 0], "logscale": 0.0, "matrix": [[[3.0, 0.0], [0.0, 0.0]],
+                                                         [[0.0, 0.0], [0.5, 0.0]]]}]}
+        path = tmp_path / "above.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": "diagnostic",
+                                         "systems": [base, perturbed],
+                                         "options": {"degrees": [4, 6, 8, 10]}}),
+                        encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        table = read_report(tmp_path / "above.report.json")["growth"]["table"]
+        assert [row["degree"] for row in table] == [4, 6, 8, 10]
+        assert table[0]["log_ratio"] <= 1e-13 < min(row["log_ratio"] for row in table[1:])
+        assert [row["classes"] for row in table] == [5, 8, 10, 12]
+
     def test_oracle_kind(self, tmp_path):
         ms = sampling.random_moment_system(2, 2, 2, 40)
         mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))

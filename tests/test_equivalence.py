@@ -22,7 +22,6 @@ from multishift.numerics import (
     hermpd_batch,
     inv,
     inv_sqrt_pd,
-    pencil_logeigs,
     singular_range,
     sqrt_pd,
     symmetrize,
@@ -274,13 +273,15 @@ class TestCertificateSearch:
         ev = objective(c)
         # away from ties: unique extreme indices with simple extreme eigenvalues
         assert np.diff(np.sort(ev.hi))[-1] >= 1e-2 and np.diff(np.sort(ev.lo))[0] >= 1e-2
-        bundle = objective.bundle(ev, 0.0)
-        assert np.diff(bundle.hi, axis=1).min() >= 1e-2
-        grad_max, grad_min = eq._extreme_gradients(bundle)
+        assert np.diff(helpers.pencil_eigenpairs(objective, ev)[0], axis=1).min() >= 1e-2
+        grad_max, grad_min = helpers.extreme_gradients(objective, ev)
         for grad, func in ((grad_max, lambda m: log_range(ms, mt, m)[1].max()),
                            (grad_min, lambda m: log_range(ms, mt, m)[0].min())):
             fd = central_diff(func, c)
             assert frob_norm(grad - fd) <= 1e-6 * frob_norm(fd)
+        # the descent's gradient forms the same two columns from the two classes alone
+        got = eq._gradient(objective, ev)
+        assert got.tobytes() == (grad_max - grad_min).ravel().view(np.float64).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_descent_gradient_is_packed_in_real_coordinates(self, seed):
@@ -398,8 +399,8 @@ class TestCertificateSearch:
         c0 = inv_sqrt_pd(ms.gram((0, 0))).matrix @ sqrt_pd(mt.gram((0, 0))).matrix
         objective = eq._Objective(ms, mt)
         ev = objective(c0)
-        bundle = objective.bundle(ev, 1e-6)
-        cluster = bundle.lo <= bundle.lo[:, 0].min() + 1e-6
+        lo = objective.lo_off[:, None] + helpers.pencil_eigenpairs(objective, ev)[0]
+        cluster = lo <= lo[:, 0].min() + 1e-6
         assert cluster.sum() == n and cluster.sum(axis=1).max() == n
         cert = eq.optimize_C(ms, mt, seed=0)
         assert cert.search.descent.steps > 0
@@ -416,9 +417,9 @@ class TestCertificateSearch:
 
         def counted(f, h, c):
             values.append(None)
-            lo, hi = kernel(f, h, c)
+            lo, hi, k = kernel(f, h, c)
             values[-1] = float((offsets.hi_off + hi).max()) - float((offsets.lo_off + lo).min())
-            return lo, hi
+            return lo, hi, k
 
         monkeypatch.setattr(eq, "pencil_logrange_batch", counted)
         cert = eq.optimize_C(ms, mt, seed=seed)
@@ -598,8 +599,8 @@ def per_row_level_zero_bound(ms, mt):
     zero = (0,) * ms.d
     gaps = []
     for beta in ms.truncation():
-        src = pencil_logeigs(ms.gram(beta), ms.gram(zero))
-        tgt = pencil_logeigs(mt.gram(beta), mt.gram(zero))
+        src = helpers.pencil_logeigs(ms.gram(beta), ms.gram(zero))
+        tgt = helpers.pencil_logeigs(mt.gram(beta), mt.gram(zero))
         gaps += [abs(tgt[-1] - src[-1]), abs(tgt[0] - src[0])]
     return max(gaps)
 
@@ -741,19 +742,19 @@ class TestFactoredObjective:
             assert ev.value == float(ev.hi.max()) - float(ev.lo.min())
 
     @pytest.mark.parametrize("case", FACTORED_CASES)
-    def test_bundle_matches_the_cholesky_eigenpairs(self, case):
+    def test_eigenpairs_match_the_cholesky_eigenpairs(self, case):
         objective, mats, logs, tmats, tlogs = factored_kernel_pair(case)
         n = mats.shape[1]
         c = random_cs(n, 1, [81, n])[0]
-        bundle = objective.bundle(objective(c), math.inf)  # every row
+        loge_k, x_k, u_k = helpers.pencil_eigenpairs(objective, objective(c))
         eigs, x = cholesky_pencil_eig(tmats, eq._congruence_stack(mats, c))
         loge = np.log(eigs)
         if case == "pochhammer128":  # where the Cholesky path loses digits
             loge = np.stack(diagonal_pencil_logrange(mats, tmats, c), axis=1)
-        for got in (bundle.lo, bundle.hi):
-            assert np.abs(got - loge - (tlogs - logs)[:, None]).max() <= 1e-12
+        for off in (objective.lo_off, objective.hi_off):
+            assert np.abs(off[:, None] + loge_k - loge - (tlogs - logs)[:, None]).max() <= 1e-12
         # u x* per column is free of the eigenvectors' phases
-        got = np.einsum("rik,rjk->rkij", bundle.u, bundle.x.conj())
+        got = np.einsum("rik,rjk->rkij", u_k, x_k.conj())
         want = np.einsum("rik,rjk->rkij", mats @ c @ x, x.conj())
         scale = np.linalg.norm(want, axis=(2, 3), keepdims=True)
         assert (np.linalg.norm(got - want, axis=(2, 3), keepdims=True) / scale).max() <= 1e-9
@@ -792,6 +793,30 @@ class TestFactoredObjective:
         ev = eq._Objective(ms, mt)(c)
         cert = eq.sandwich_certificate(ms, mt, c)
         assert (cert.log_m1, cert.log_m2) == (ev.lo.min(), ev.hi.max())
+
+
+class TestLevelZeroRoots:
+    @pytest.mark.parametrize("case", ["random-2", "random-5", "pochhammer", "near-singular",
+                                      "spread"])
+    def test_roots_equal_the_one_matrix_passes(self, case):
+        rng = np.random.default_rng([83, len(case)])
+        if case.startswith("random"):
+            n = int(case[-1])
+            ms, mt = (sampling.random_moment_system(2, 2, n, rng) for _ in range(2))
+        elif case == "pochhammer":
+            ms, mt = pochhammer_moments(1, 2, 3, 6), pochhammer_moments(0.5, 4, 3, 6)
+        elif case == "near-singular":
+            ms, mt = helpers.near_singular_pair(1, (0, 0), 3)
+        else:  # level-zero logscales far apart
+            ms = sampling.random_moment_system(2, 2, 3, rng)
+            mt = helpers.scaled_system(sampling.random_moment_system(2, 2, 3, rng), 600.0)
+        zero = (0,) * ms.d
+        wants = (inv_sqrt_pd(ms.gram(zero)), sqrt_pd(mt.gram(zero)), inv_sqrt_pd(mt.gram(zero)))
+        roots = eq.level_zero_roots(ms, mt)
+        assert len(roots) == 3
+        for got, want in zip(roots, wants):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.logscale == want.logscale
 
 
 class TestGrowthDiagnostic:
@@ -833,13 +858,29 @@ class TestGrowthDiagnostic:
         assert serial.log_ratios == threaded.log_ratios
         assert serial.slope == threaded.slope
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_generates_the_pair_once_at_the_top_degree(self, threads):
+        calls = []
+        gen = pochhammer_pair_generator(1, 2, 1, 3)
 
-def degree_class_pair(kind, d, top):
-    """A moment pair whose families carry degree classes, fibre 2."""
-    rng = np.random.default_rng([d, top, len(kind)])
+        def counted(top):
+            calls.append(top)
+            return gen(top)
+
+        eq.growth_diagnostic(counted, [6, 8, 10, 12], seed=0, threads=threads)
+        assert calls == [12]
+
+
+def degree_class_pair(kind, d, top, rng_top=None):
+    """A moment pair whose families carry degree classes, fibre 2. Its random
+    draws are made for degree rng_top (default top), so the pairs of one
+    rng_top are truncations of one pair."""
+    draws = (top if rng_top is None else rng_top) + 1
+    rng = np.random.default_rng([d, draws - 1, len(kind)])
 
     def homogeneous():
-        return kg.homogeneous_kernel([sampling.random_pd(2, rng) for _ in range(top + 1)], d)
+        by_degree = [sampling.random_pd(2, rng) for _ in range(draws)]
+        return kg.homogeneous_kernel(by_degree[:top + 1], d)
 
     poch = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), d, top)
     if kind == "pochhammer/pochhammer":
@@ -897,7 +938,7 @@ class TestDegreeClasses:
         ms, mt = degree_class_pair("homogeneous/homogeneous", 2, 10)
         cs = random_cs(2, 8, 2)
         full = full_lattice_objective(ms, mt)
-        lo, hi = full.log_ranges(cs[0])
+        lo, hi, _ = full.log_ranges(cs[0])
         extreme = [int(ms.classes[np.argmax(hi)]), int(ms.classes[np.argmin(lo)])]
         drop = max(extreme)
         assert drop > 0
@@ -929,6 +970,17 @@ class TestDegreeClasses:
         fit = diag.intercept + diag.slope * np.log(np.array(degrees, dtype=np.float64))
         assert np.allclose(diag.residuals, np.array(diag.log_ratios) - fit, rtol=0, atol=1e-15)
         assert abs(sum(diag.residuals)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("d,degrees", [(1, [4, 9, 16, 30]), (2, [3, 6, 8, 12]),
+                                           (3, [2, 3, 5, 6])])
+    def test_growth_equals_the_per_degree_reference(self, kind, d, degrees):
+        # perturbed pairs replace degrees <= 2 only, inside every truncation
+        def gen(top):
+            return degree_class_pair(kind, d, top, rng_top=degrees[-1])
+
+        got = eq.growth_diagnostic(gen, degrees, seed=3)
+        assert got == helpers.per_degree_growth_diagnostic(gen, degrees, seed=3)
 
 
 def kronecker_rows(ms, mt):
@@ -1356,15 +1408,15 @@ class TestRecoveryPolish:
 class TestDiagonalIntertwiner:
     def test_identity_case(self):
         ms = sampling.random_moment_system(2, 3, 2, 25)
-        x = eq.diagonal_intertwiner(ms, ms, np.eye(2))
+        x = helpers.diagonal_intertwiner(ms, ms, np.eye(2))
         assert np.allclose(x.matrix, np.eye(x.matrix.shape[0]), atol=1e-10)
 
     def test_swap_pair_blocks_unitary(self):
         ms = pochhammer_moments(1, 2, top=8)
         mt = pochhammer_moments(2, 1, top=8)
-        x = eq.diagonal_intertwiner(ms, mt, SWAP)
+        x = helpers.diagonal_intertwiner(ms, mt, SWAP)
         for alpha in ms.truncation():
-            lo, hi = singular_range(x.diag_block(alpha))
+            lo, hi = singular_range(helpers.diag_block(x, alpha))
             assert lo == pytest.approx(1.0, abs=1e-10)
             assert hi == pytest.approx(1.0, abs=1e-10)
 
@@ -1374,9 +1426,9 @@ class TestDiagonalIntertwiner:
         ms = sc.MomentSystem(1, top, 1, grams)
         grams_t = {(k,): hermpd(np.eye(1), k * math.log(4.0)) for k in range(top + 1)}
         mt = sc.MomentSystem(1, top, 1, grams_t)
-        x = eq.diagonal_intertwiner(ms, mt, np.eye(1))
+        x = helpers.diagonal_intertwiner(ms, mt, np.eye(1))
         for k in range(top + 1):
-            assert x.diag_block((k,))[0, 0].real == pytest.approx(2.0 ** k, rel=1e-11)
+            assert helpers.diag_block(x, (k,))[0, 0].real == pytest.approx(2.0 ** k, rel=1e-11)
         assert eq.intertwining_residual(x, ms, mt) <= 1e-9
         _, _, log_ratio = eq.sandwich_ratio(ms, mt, np.eye(1))
         assert log_ratio == pytest.approx(top * math.log(4.0), rel=1e-12)
@@ -1385,11 +1437,11 @@ class TestDiagonalIntertwiner:
         ms = sampling.random_moment_system(2, 3, 2, 26)
         c0 = np.array([[1.0, 0.3], [0.1j, 1.2]], dtype=np.complex128)
         mt = sampling.congruent_pair(ms, c0)
-        x = eq.diagonal_intertwiner(ms, mt, c0)
+        x = helpers.diagonal_intertwiner(ms, mt, c0)
         assert eq.intertwining_residual(x, ms, mt) <= 1e-9
         m1, m2, _ = eq.sandwich_ratio(ms, mt, c0)
         for alpha in ms.truncation():
-            lo, hi = singular_range(x.diag_block(alpha))
+            lo, hi = singular_range(helpers.diag_block(x, alpha))
             assert lo >= math.sqrt(m1) * (1 - 1e-9)
             assert hi <= math.sqrt(m2) * (1 + 1e-9)
 
@@ -1416,7 +1468,7 @@ class TestBruteForceIntertwiner:
         basis = eq.brute_force_intertwiner(ms, ms)
         assert basis.solution_count == 2
         for k in range(2):
-            x = basis.element(k).matrix
+            x = helpers.basis_element(basis, k).matrix
             assert abs(x[0, 1]) <= 1e-12
             assert abs(x[0, 0] - x[1, 1]) <= 1e-12
 
@@ -1430,7 +1482,7 @@ class TestBruteForceIntertwiner:
         basis = eq.brute_force_intertwiner(ms, mt)
         assert basis.solution_count == 2
         for k in range(2):
-            x = basis.element(k).matrix
+            x = helpers.basis_element(basis, k).matrix
             assert abs(x[0, 1]) <= 1e-12
             # diagonal recursion forces the level-1 block to be twice level 0
             assert abs(x[1, 1] - 2.0 * x[0, 0]) <= 1e-12
@@ -1468,6 +1520,9 @@ class TestBruteForceIntertwiner:
             assert eq.intertwining_residual(x, ms, mt) <= 1e-9
             cert = eq.certificate_from_intertwiner(x, ms, mt)
             assert eq.verify_certificate(ms, mt, cert, 1e-9).passes
+            # the oracle passes the level-zero roots it built once
+            shared = eq.certificate_from_intertwiner(x, ms, mt, None, eq.level_zero_roots(ms, mt))
+            assert shared.C.tobytes() == cert.C.tobytes()
         assert checked > 0
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -1481,7 +1536,7 @@ class TestBruteForceIntertwiner:
         reference = kronecker_null_space(ms, mt)
         # N = 0 imposes no equation, so every operator intertwines
         assert basis.solution_count == reference.shape[1] == basis.dim * n
-        dense = np.stack([basis.element(k).matrix.ravel(order="F")
+        dense = np.stack([helpers.basis_element(basis, k).matrix.ravel(order="F")
                           for k in range(basis.solution_count)], axis=1)
         q, _ = np.linalg.qr(dense)
         assert frob_norm(reference - q @ (q.conj().T @ reference)) <= 1e-9
@@ -1504,10 +1559,10 @@ class TestBruteForceIntertwiner:
         mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
         basis = eq.brute_force_intertwiner(ms, mt)
         x = basis.combine(rng.standard_normal(basis.solution_count))
-        assert basis.membership_residual(x) <= 1e-12
+        assert helpers.membership_residual(basis, x) <= 1e-12
         bumped = x.matrix.copy()
         bumped[-1, -1] += frob_norm(x.matrix)
-        assert basis.membership_residual(eq.IntertwinerMatrix(2, 2, 2, bumped)) >= 0.1
+        assert helpers.membership_residual(basis, eq.IntertwinerMatrix(2, 2, 2, bumped)) >= 0.1
 
     def test_solution_space_contains_diagonal_intertwiner(self):
         rng = np.random.default_rng(3000)
@@ -1516,8 +1571,8 @@ class TestBruteForceIntertwiner:
                                  + 1j * rng.standard_normal((2, 2)))
         mt = sampling.congruent_pair(ms, c0)
         basis = eq.brute_force_intertwiner(ms, mt)
-        x = eq.diagonal_intertwiner(ms, mt, c0)
-        assert basis.membership_residual(x) <= 1e-9
+        x = helpers.diagonal_intertwiner(ms, mt, c0)
+        assert helpers.membership_residual(basis, x) <= 1e-9
 
     def test_recovered_unitary_lies_in_span(self):
         rng = np.random.default_rng(3100)
@@ -1527,5 +1582,5 @@ class TestBruteForceIntertwiner:
         result = eq.test_unitary_equivalence(ms, mt, 1e-8)
         assert result.equivalent
         basis = eq.brute_force_intertwiner(ms, mt)
-        x = eq.diagonal_intertwiner(ms, mt, result.V)
-        assert basis.membership_residual(x) <= 1e-9
+        x = helpers.diagonal_intertwiner(ms, mt, result.V)
+        assert helpers.membership_residual(basis, x) <= 1e-9

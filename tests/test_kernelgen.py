@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import helpers
 from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
@@ -13,7 +14,6 @@ from multishift.numerics import (
     PositiveDefiniteError,
     hermpd,
     inv_pd,
-    pencil_logeigs,
 )
 
 
@@ -25,9 +25,9 @@ def per_index_pochhammer(pair, d, top):
     """Coefficients built one lattice index at a time: the balanced diagonal of
     degree |alpha|, with log(alpha!) taken off its logscale."""
     return {
-        alpha: log_diag(np.array([kg.log_pochhammer(pair.lam, sum(alpha)),
-                                  kg.log_pochhammer(pair.mu, sum(alpha))])
-                        ).logscaled(-log_alpha_factorial(alpha))
+        alpha: helpers.logscaled(log_diag(np.array([kg.log_pochhammer(pair.lam, sum(alpha)),
+                                                    kg.log_pochhammer(pair.mu, sum(alpha))])),
+                                 -log_alpha_factorial(alpha))
         for alpha in Truncation(d, top)
     }
 
@@ -51,8 +51,9 @@ def log_diag(logs):
 def per_index_homogeneous(by_degree, d):
     """m! A_m at degree m, with log(alpha!) taken off its logscale."""
     return {
-        alpha: by_degree[sum(alpha)].logscaled(kg.log_factorial(sum(alpha)))
-        .logscaled(-log_alpha_factorial(alpha))
+        alpha: helpers.logscaled(helpers.logscaled(by_degree[sum(alpha)],
+                                                   kg.log_factorial(sum(alpha))),
+                                 -log_alpha_factorial(alpha))
         for alpha in Truncation(d, len(by_degree) - 1)
     }
 
@@ -60,8 +61,8 @@ def per_index_homogeneous(by_degree, d):
 def per_row_homogeneous(by_degree, d):
     """The earlier per-row formula: the multinomial factor added as one log."""
     return {
-        alpha: by_degree[sum(alpha)].logscaled(
-            kg.log_factorial(sum(alpha)) - log_alpha_factorial(alpha))
+        alpha: helpers.logscaled(
+            by_degree[sum(alpha)], kg.log_factorial(sum(alpha)) - log_alpha_factorial(alpha))
         for alpha in Truncation(d, len(by_degree) - 1)
     }
 
@@ -147,7 +148,7 @@ class TestPochhammerKernel:
         g = ms.gram((200,))
         assert np.all(np.isfinite(g.matrix))
         # G_k second entry over first entry is k!/(2)_k = 1/(k+1)
-        logeigs = np.sort(g.log_eigvals())
+        logeigs = np.sort(helpers.log_eigvals(g))
         assert logeigs[1] - logeigs[0] == pytest.approx(math.log(201.0), rel=1e-12)
 
     def test_swap_symmetry_bit_equal(self):
@@ -212,7 +213,7 @@ class TestArrayBuiltFamilies:
         moments = kg.kernel_moments(perturbed)
         assert_rows_equal(moments, moments.gram,
                           {a: inv_pd(c) for a, c in coeffs.items()})
-        pencils = [pencil_logeigs(d, spec.coeff(a)) for a, d in reps.items()]
+        pencils = [helpers.pencil_logeigs(d, spec.coeff(a)) for a, d in reps.items()]
         assert cert.log_m1 == min(0.0, *(-float(p[-1]) for p in pencils))
         assert cert.log_m2 == max(0.0, *(-float(p[0]) for p in pencils))
 
@@ -228,6 +229,64 @@ class TestArrayBuiltFamilies:
         # range one shared logscale can carry in double precision
         with pytest.raises(PositiveDefiniteError):
             kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2000.0), 2, 400)
+
+
+def truncation_cases(kind, d, top, low):
+    """(whole, fresh): a family generated at degree top and the same family
+    generated afresh at degree low, fibre 2. A perturbed family replaces
+    indices of degree 1 and low + 1; the fresh one keeps those inside."""
+    rng = np.random.default_rng([d, top, low, len(kind)])
+    if kind == "pochhammer":
+        pair = kg.PochhammerPair(1.0, 2.5)
+        return kg.pochhammer_kernel(pair, d, top), kg.pochhammer_kernel(pair, d, low)
+    if kind == "homogeneous":
+        by_degree = [sampling.random_pd(2, rng, logscale_span=3.0) for _ in range(top + 1)]
+        return kg.homogeneous_kernel(by_degree, d), kg.homogeneous_kernel(by_degree[:low + 1], d)
+    pair = kg.PochhammerPair(2.0, 1.0)
+    reps = {alpha: sampling.random_pd(2, rng)
+            for alpha in kg.pochhammer_kernel(pair, d, top).truncation()
+            if sum(alpha) in (1, low + 1)}
+    whole, _ = kg.perturb_kernel(kg.pochhammer_kernel(pair, d, top), reps)
+    fresh, _ = kg.perturb_kernel(kg.pochhammer_kernel(pair, d, low),
+                                 {a: r for a, r in reps.items() if sum(a) <= low})
+    return whole, fresh
+
+
+class TestTruncated:
+    """GradedFamily.truncated(N) is the degree-N family, as prefix views."""
+
+    @staticmethod
+    def assert_prefix_is_fresh(part, whole, fresh):
+        assert type(part) is type(fresh)
+        assert (part.d, part.N, part.fiber_dim) == (fresh.d, fresh.N, fresh.fiber_dim)
+        assert part.truncation() is fresh.truncation()
+        assert part.class_mats is whole.class_mats  # shared, not sliced
+        for name in ("mats", "logs", "classes"):
+            got, full = getattr(part, name), getattr(whole, name)
+            assert got.base is not None and np.shares_memory(got, full)  # a view
+            assert not got.flags.writeable
+        assert part.mats.tobytes() == fresh.mats.tobytes()
+        assert part.logs.tobytes() == fresh.logs.tobytes()
+        # a perturbed family numbers its replaced classes after its degrees, so
+        # the numbers differ; the rows are grouped alike
+        pairs = set(zip(part.classes.tolist(), fresh.classes.tolist()))
+        assert len(pairs) == len(set(part.classes.tolist())) == len(set(fresh.classes.tolist()))
+
+    @pytest.mark.parametrize("kind", ["pochhammer", "homogeneous", "perturbed"])
+    @pytest.mark.parametrize("d,top", [(1, 12), (2, 8), (3, 5)])
+    def test_prefix_equals_fresh_generation(self, kind, d, top):
+        for low in (0, 1, top // 2, top - 1, top):
+            whole, fresh = truncation_cases(kind, d, top, low)
+            self.assert_prefix_is_fresh(whole.truncated(low), whole, fresh)
+            moments = kg.kernel_moments(whole)
+            self.assert_prefix_is_fresh(moments.truncated(low), moments,
+                                        kg.kernel_moments(fresh))
+
+    def test_degree_outside_the_family_is_refused(self):
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 4)
+        for bad in (-1, 5):
+            with pytest.raises(ValueError, match=f"degree {bad} outside 0..4"):
+                spec.truncated(bad)
 
 
 class TestGroundTruth:
@@ -341,19 +400,19 @@ class TestPerturbKernel:
 class TestBoundednessEstimate:
     def test_hardy_shift_norm(self):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 1), 1, 12)
-        assert kg.boundedness_estimate(spec, 0) == pytest.approx(1.0, abs=1e-12)
+        assert helpers.boundedness_estimate(spec, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_bergman_type_below_one(self):
         top = 9
         spec = kg.pochhammer_kernel(kg.PochhammerPair(2, 2), 1, top)
-        got = kg.boundedness_estimate(spec, 0)
+        got = helpers.boundedness_estimate(spec, 0)
         assert got == pytest.approx(math.sqrt(top / (top + 1.0)), rel=1e-12)
         assert got < 1.0
 
     def test_degree_zero_convention(self):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 0)
-        assert kg.boundedness_estimate(spec, 0) == 0.0
-        assert kg.boundedness_estimate(spec, 1) == 0.0
+        assert helpers.boundedness_estimate(spec, 0) == 0.0
+        assert helpers.boundedness_estimate(spec, 1) == 0.0
 
     @pytest.mark.parametrize("lam,mu,d,top", [
         (1.0, 2.0, 2, 6), (0.5, 3.0, 1, 8), (2.0, 2.0, 3, 4),
@@ -362,7 +421,7 @@ class TestBoundednessEstimate:
         spec = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), d, top)
         ms = kg.kernel_moments(spec)
         for j in range(d):
-            be = kg.boundedness_estimate(spec, j)
+            be = helpers.boundedness_estimate(spec, j)
             mz = sc.build_mz(ms, j)
             assert abs(be - mz.norm_estimate) <= 1e-10
 
@@ -372,7 +431,7 @@ class TestBoundednessEstimate:
         spec = kg.homogeneous_kernel(coeffs, 2)
         ms = kg.kernel_moments(spec)
         for j in range(2):
-            assert abs(kg.boundedness_estimate(spec, j)
+            assert abs(helpers.boundedness_estimate(spec, j)
                        - sc.build_mz(ms, j).norm_estimate) <= 1e-10
 
 

@@ -281,6 +281,40 @@ class TestReaderPlacement:
         assert self._weights(dict(weights, weights=[*extra, *weights["weights"], *extra])) == (
             self._weights(weights))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_pass_reads_the_walks_stacks(self, family, monkeypatch):
+        moments, _ = self._files(family)
+        del moments["grams"][1]["logscale"]  # read as 0.0 by both
+        assert ser._index_fields(moments["grams"], moments["d"]) is not None
+        want = self._grams(moments)
+        monkeypatch.setattr(ser, "_index_fields", lambda entries, d: None)
+        assert self._grams(moments) == want
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", [True, 0]), ("alpha", [1.0, 0]), ("alpha", [-1, 0]), ("alpha", [0]),
+        ("alpha", [10**30, 0]), ("alpha", "ab"), ("alpha", None), ("logscale", True),
+        ("logscale", "0.5"), ("logscale", 1), ("logscale", 10**400), ("logscale", None),
+        ("logscale", float("inf")), ("logscale", float("nan"))])
+    def test_entries_the_one_pass_refuses_are_walked(self, field, value, monkeypatch):
+        # the walk names the field of a bad entry and reads an int logscale
+        moments, _ = self._files("random")
+        moments["grams"][2][field] = value
+        assert ser._index_fields(moments["grams"], moments["d"]) is None
+
+        def outcome():
+            try:
+                return self._grams(moments)
+            except ser.SchemaError as ex:
+                return str(ex)
+
+        got = outcome()
+        monkeypatch.setattr(ser, "_index_fields", lambda entries, d: None)
+        assert got == outcome()
+        if (field, type(value), value) == ("logscale", int, 1):
+            assert isinstance(got, tuple)
+        elif (field, value) != ("alpha", [10**30, 0]):  # an index outside: missing (0, 2)
+            assert got.startswith(f"s.grams[2].{field}: ")
+
     def test_the_first_missing_index_in_graded_order_is_named(self):
         moments, weights = self._files("random")  # d = 2, N = 3
         grams = moments["grams"]

@@ -267,7 +267,7 @@ class TestPerIndexReference:
         c = sampling.random_pd(ms.fiber_dim, np.random.default_rng(61)).matrix
         c = c + 0.25j * np.eye(ms.fiber_dim)
         mt = sampling.congruent_pair(ms, c)
-        got = eq.diagonal_intertwiner(ms, mt, c).matrix
+        got = helpers.diagonal_intertwiner(ms, mt, c).matrix
         assert got.tobytes() == helpers.per_index_diagonal_intertwiner(ms, mt, c).tobytes()
 
     @pytest.mark.parametrize("name", REFERENCE_FAMILIES)
@@ -353,7 +353,7 @@ class TestRootPassCount:
             ms, mt = (sampling.random_moment_system(2, top, 2, [62, top, k]) for k in (0, 1))
             run = {"build_mz": lambda: sc.build_mz(ms, 1),
                    "shift_pair": lambda: eq.shift_pair(ms, mt),
-                   "diagonal_intertwiner": lambda: eq.diagonal_intertwiner(ms, mt, np.eye(2))}
+                   "diagonal_intertwiner": lambda: helpers.diagonal_intertwiner(ms, mt, np.eye(2))}
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(numerics, "herm_eig_batch", counted)
