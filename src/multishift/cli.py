@@ -31,7 +31,7 @@ from . import kernelgen as kg
 from . import sampling
 from . import serialization as ser
 from .lattice import simplex_size
-from .numerics import LinAlgError, hermpd, singular_range
+from .numerics import HermPD, LinAlgError, hermpd, hermpd_batch, singular_range
 from .serialization import SchemaError
 from .shiftcore import (
     MomentSystem,
@@ -43,7 +43,6 @@ from .shiftcore import (
 KINDS = ("similarity", "unitary", "oracle", "diagnostic", "validate")
 GENERATED_TYPES = ("pochhammer", "homogeneous", "perturbed")
 DEFAULT_DEGREES = (8, 16, 24, 32)
-DEFAULT_TOL = 1e-8
 ORACLE_TOL = 1e-9
 ORACLE_SAMPLES = 8
 
@@ -124,42 +123,6 @@ def _is_degree_list(v) -> bool:
 def _kernel_from_spec(spec: dict, path: str, top_degree: int | None):
     """Resolve a generated system spec to a KernelSpec at the requested degree."""
     stype = spec["type"]
-    if stype == "pochhammer":
-        for key in ("lambda", "mu"):
-            if key not in spec:
-                raise SchemaError(f"{path}.{key}", "missing")
-            if not _is_finite_positive(spec[key]):
-                raise SchemaError(f"{path}.{key}", "expected a finite positive number")
-        d = spec.get("d", 2)
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise SchemaError(f"{path}.d", "expected a positive integer")
-        n_res = top_degree if top_degree is not None else spec.get("N")
-        if not isinstance(n_res, int) or isinstance(n_res, bool) or n_res < 0:
-            raise SchemaError(f"{path}.N", "expected a non-negative integer")
-        pair = kg.PochhammerPair(float(spec["lambda"]), float(spec["mu"]))
-        return kg.pochhammer_kernel(pair, d, n_res)
-    if stype == "homogeneous":
-        d = spec.get("d", 2)
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise SchemaError(f"{path}.d", "expected a positive integer")
-        coeffs_field = spec.get("coeffs_by_degree")
-        if not isinstance(coeffs_field, list) or not coeffs_field:
-            raise SchemaError(f"{path}.coeffs_by_degree", "expected a non-empty array")
-        coeffs = [
-            ser.hermpd_from_json(entry, f"{path}.coeffs_by_degree[{m}]")
-            for m, entry in enumerate(coeffs_field)
-        ]
-        if top_degree is not None:
-            if top_degree > len(coeffs) - 1:
-                raise InputValidationError(
-                    f"{path}: homogeneous system provides degrees up to "
-                    f"{len(coeffs) - 1}, requested {top_degree}"
-                )
-            coeffs = coeffs[:top_degree + 1]
-        try:
-            return kg.homogeneous_kernel(coeffs, d)
-        except ValueError as ex:
-            raise InputValidationError(f"{path}: {ex}") from ex
     if stype == "perturbed":
         base_spec = spec.get("base")
         if not isinstance(base_spec, dict) or base_spec.get("type") not in (
@@ -170,19 +133,52 @@ def _kernel_from_spec(spec: dict, path: str, top_degree: int | None):
         reps_field = spec.get("replacements")
         if not isinstance(reps_field, list):
             raise SchemaError(f"{path}.replacements", "expected an array")
-        replacements = {}
-        for i, entry in enumerate(reps_field):
-            epath = f"{path}.replacements[{i}]"
-            if not isinstance(entry, dict) or "alpha" not in entry:
-                raise SchemaError(epath, "expected an object with 'alpha'")
-            alpha = ser.multiindex_from_json(entry["alpha"], f"{epath}.alpha", base.d)
-            replacements[alpha] = ser.hermpd_from_json(entry, epath)
+        mats, alphas, _, logs = ser.entries_from_json(
+            reps_field, f"{path}.replacements", base.fiber_dim, base.d, ("alpha", "logscale"))
+        mats, logs = hermpd_batch(mats, logs)
+        # a repeated alpha keeps its first place and takes its last matrix
+        replacements = dict(zip(map(tuple, alphas.tolist()), map(HermPD, mats, logs.tolist())))
         try:
             perturbed, _ = kg.perturb_kernel(base, replacements)
         except (IndexError, ValueError) as ex:
             raise InputValidationError(f"{path}: {ex}") from ex
         return perturbed
-    raise SchemaError(f"{path}.type", "unknown generated type")
+    if stype == "pochhammer":
+        for key in ("lambda", "mu"):
+            if key not in spec:
+                raise SchemaError(f"{path}.{key}", "missing")
+            if not _is_finite_positive(spec[key]):
+                raise SchemaError(f"{path}.{key}", "expected a finite positive number")
+    elif stype != "homogeneous":
+        raise SchemaError(f"{path}.type", "unknown generated type")
+    d = spec.get("d", 2)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise SchemaError(f"{path}.d", "expected a positive integer")
+    if stype == "pochhammer":
+        n_res = top_degree if top_degree is not None else spec.get("N")
+        if not isinstance(n_res, int) or isinstance(n_res, bool) or n_res < 0:
+            raise SchemaError(f"{path}.N", "expected a non-negative integer")
+        pair = kg.PochhammerPair(float(spec["lambda"]), float(spec["mu"]))
+        return kg.pochhammer_kernel(pair, d, n_res)
+    coeffs_field = spec.get("coeffs_by_degree")
+    if not isinstance(coeffs_field, list) or not coeffs_field:
+        raise SchemaError(f"{path}.coeffs_by_degree", "expected a non-empty array")
+    # A_0 sets the fibre dimension: n None reads it from the first matrix
+    mats, _, _, logs = ser.entries_from_json(
+        coeffs_field, f"{path}.coeffs_by_degree", None, d, ("logscale",))
+    mats, logs = hermpd_batch(mats, logs)
+    coeffs = list(map(HermPD, mats, logs.tolist()))
+    if top_degree is not None:
+        if top_degree > len(coeffs) - 1:
+            raise InputValidationError(
+                f"{path}: homogeneous system provides degrees up to "
+                f"{len(coeffs) - 1}, requested {top_degree}"
+            )
+        coeffs = coeffs[:top_degree + 1]
+    try:
+        return kg.homogeneous_kernel(coeffs, d)
+    except ValueError as ex:
+        raise InputValidationError(f"{path}: {ex}") from ex
 
 
 def resolve_system(spec: dict, path: str, top_degree: int | None = None) -> MomentSystem:
@@ -235,7 +231,7 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
     options = problem.get("options", {})
     kind = problem["kind"]
     seed = seed if seed is not None else options.get("seed", 0)
-    tol_default = ORACLE_TOL if kind == "oracle" else DEFAULT_TOL
+    tol_default = ORACLE_TOL if kind == "oracle" else eq.DEFAULT_TOL
     tol = float(tol if tol is not None else options.get("tol", tol_default))
     top_degree = options.get("N")
 
@@ -354,14 +350,15 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
 
 
 def _run_validate(spec: dict, top_degree) -> dict:
-    if spec.get("type") == "weights":
-        ws, _ = ser.weight_system_from_json(spec, "systems[0]")
-        report = validate_weights(ws)
-        return {
-            "verdict": "VALID" if report.passes else "INVALID",
-            "validation": ser.validation_to_json(report),
-        }
     try:
+        if spec.get("type") == "weights":
+            with _systems_failure("systems[0].g0 is not a positive-definite matrix"):
+                ws, _ = ser.weight_system_from_json(spec, "systems[0]")
+            report = validate_weights(ws)
+            return {
+                "verdict": "VALID" if report.passes else "INVALID",
+                "validation": ser.validation_to_json(report),
+            }
         ms = resolve_system(spec, "systems[0]", top_degree)
     except InputValidationError as ex:
         return {"verdict": "INVALID", "validation": {"passes": False, "failures": [str(ex)]}}
@@ -393,7 +390,7 @@ def gen_pochhammer(args) -> dict:
             {"type": "pochhammer", "lambda": args.lam2, "mu": args.mu2,
              "d": args.d, "N": args.N},
         ],
-        "options": {"seed": args.seed, "tol": DEFAULT_TOL},
+        "options": {"seed": args.seed, "tol": eq.DEFAULT_TOL},
         "ground_truth": {"similar": kg.pochhammer_ground_truth(pair, other)},
     }
     if args.kind == "diagnostic":
@@ -413,7 +410,7 @@ def gen_unitary_congruence(args):
             ser.moment_system_to_json(ms),
             ser.moment_system_to_json(twin),
         ],
-        "options": {"seed": args.seed, "tol": DEFAULT_TOL},
+        "options": {"seed": args.seed, "tol": eq.DEFAULT_TOL},
         "ground_truth": {"unitarily_equivalent": True},
     }
     answer = {"V": ser.matrix_to_json(v0), "seed": args.seed}
@@ -463,7 +460,7 @@ def gen_perturb(args) -> dict:
                 ],
             },
         ],
-        "options": {"seed": args.seed, "tol": DEFAULT_TOL},
+        "options": {"seed": args.seed, "tol": eq.DEFAULT_TOL},
         "ground_truth": {
             "similar": True,
             "closed_form_certificate": ser.certificate_to_json(cert),
@@ -500,7 +497,7 @@ def gen_homogeneous(args) -> dict:
         "version": 1,
         "kind": args.kind,
         "systems": [first, second],
-        "options": {"seed": args.seed, "tol": DEFAULT_TOL},
+        "options": {"seed": args.seed, "tol": eq.DEFAULT_TOL},
     }
     if ground:
         problem["ground_truth"] = ground

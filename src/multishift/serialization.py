@@ -14,10 +14,10 @@ layout parse to the same values.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def matrix_to_json(mat) -> list:
     return np.stack((arr.real, arr.imag), -1).tolist()
 
 
-def matrix_from_json(data, path: str, expect_square: bool = True) -> np.ndarray:
+def matrix_from_json(data, path: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SchemaError(path, "expected a non-empty nested array of [re, im] pairs")
     rows = []
@@ -77,7 +77,7 @@ def matrix_from_json(data, path: str, expect_square: bool = True) -> np.ndarray:
             out_row.append(complex(entry[0], entry[1]))
         rows.append(out_row)
     arr = np.array(rows, dtype=np.complex128)
-    if expect_square and arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         raise SchemaError(path, f"expected a square matrix, got {arr.shape}")
     return arr
 
@@ -86,25 +86,9 @@ def hermpd_to_json(h: HermPD) -> dict:
     return {"logscale": float(h.logscale), "matrix": matrix_to_json(h.matrix)}
 
 
-def _logscale_field(data: dict, path: str) -> float:
-    logscale = data.get("logscale", 0.0)
-    if not _is_finite_real(logscale):
-        raise SchemaError(f"{path}.logscale", "expected a finite real number")
-    return float(logscale)
-
-
-def _hermpd_fields(data, path: str):
-    """(matrix, logscale) of a HermPD entry, parsed but not yet balanced."""
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object with 'logscale' and 'matrix'")
-    if "matrix" not in data:
-        raise SchemaError(f"{path}.matrix", "missing")
-    logscale = _logscale_field(data, path)
-    return matrix_from_json(data["matrix"], f"{path}.matrix"), logscale
-
-
 def hermpd_from_json(data, path: str) -> HermPD:
-    return hermpd(*_hermpd_fields(data, path))
+    mat = _entry_matrix(data, path, None, 0, ("logscale",))
+    return hermpd(mat, data.get("logscale", 0.0))
 
 
 def multiindex_to_json(alpha) -> list:
@@ -160,46 +144,81 @@ def _require_int(data: dict, key: str, path: str, minimum: int) -> int:
     return v
 
 
-def _matrix_stack(entries: list, n: int) -> np.ndarray | None:
-    """Every entries[*].matrix (Grams or weights) as one (m, n, n) complex
-    stack, read in one array pass, or None when any entry is not an (n, n)
-    matrix of [re, im] pairs of finite floats and ints; the per-entry walk
-    then names the field."""
+def _finite_reals(values: list, arr: np.ndarray) -> bool:
+    """Whether values, read into the float array arr, are finite reals: at once
+    for floats alone, else exactly (an int just past the float range rounds in)."""
+    return (set(map(type, values)) <= {float} and bool(np.isfinite(arr).all())
+            or all(map(_is_finite_real, values)))
+
+
+# The text for an entry that is not an object, by the keys its array reads;
+# Grams and replacements also need an alpha.
+_NOT_AN_ENTRY = {("alpha", "logscale"): "expected an object with 'alpha'",
+                 ("alpha", "j"): "expected an object",
+                 ("logscale",): "expected an object with 'logscale' and 'matrix'"}
+
+
+def _entry_matrix(entry, path: str, n: int | None, d: int, keys: tuple) -> np.ndarray:
+    """The matrix of one entry (of an (n, n) HermPD with "logscale" in keys),
+    read after its other fields; the first bad field raises its SchemaError."""
+    if not isinstance(entry, dict) or (keys == ("alpha", "logscale") and "alpha" not in entry):
+        raise SchemaError(path, _NOT_AN_ENTRY[keys])
+    if "alpha" in keys:
+        multiindex_from_json(entry.get("alpha"), f"{path}.alpha", d)
+    if "j" in keys and (not isinstance(j := entry.get("j"), int) or isinstance(j, bool)
+                        or not 0 <= j < d):
+        raise SchemaError(f"{path}.j", f"expected an integer in 0..{d - 1}")
+    if "matrix" not in entry:
+        raise SchemaError(f"{path}.matrix", "missing")
+    if "logscale" in keys and not _is_finite_real(entry.get("logscale", 0.0)):
+        raise SchemaError(f"{path}.logscale", "expected a finite real number")
+    mat = matrix_from_json(entry["matrix"], f"{path}.matrix")
+    if n is not None and len(mat) != n:
+        raise SchemaError(f"{path}.matrix", f"expected shape ({n}, {n})" if "j" in keys
+                          else f"expected dimension {n}, got {len(mat)}")
+    return mat
+
+
+def entries_from_json(entries: list, path: str, n: int | None, d: int, keys: tuple) -> tuple:
+    """(mats, alphas, js, logs) of an array of Gram, weight, kernel coefficient
+    or replacement entries, each an object with an (n, n) matrix (n None: the
+    first one's) and the keys asked for of "alpha", "j" and "logscale", read in
+    one array pass: (m, n, n) complex, (m, d) ints (int64, or Python ints when
+    one is past it), (m,) int64 and (m,) floats (0.0 where absent), None for a
+    key not asked for. When the pass refuses the array, the per-entry walk
+    raises the SchemaError naming the first bad field."""
+    m = len(entries)
+    alphas = js = logs = None
     try:
+        n = len(entries[0]["matrix"]) if n is None else n
         raw = [entry["matrix"] for entry in entries]
-        arr = np.array(raw)
-    except (TypeError, KeyError, ValueError):
-        return None
-    if arr.dtype != np.float64 or arr.shape != (len(raw), n, n, 2):
-        return None
-    # np.array reads True as 1.0; the walk refuses bools
-    scalars = itertools.chain.from_iterable(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(raw)))
-    if not set(map(type, scalars)) <= {float, int} or not np.isfinite(arr).all():
-        return None
-    return arr.view(np.complex128)[..., 0]
-
-
-def _index_fields(entries: list, d: int) -> tuple | None:
-    """(alphas, logs): every entries[*].alpha as one (m, d) int64 array and every
-    float logscale (0.0 when absent) as one (m,) array, read in one array pass,
-    or None when any entry is not an object with an alpha of d non-negative
-    ints and a finite float or absent logscale; the per-entry walk then names
-    the field (and reads int logscales)."""
-    try:
-        raw = [entry["alpha"] for entry in entries]
-        scales = [entry.get("logscale", 0.0) for entry in entries]
-        alphas, logs = np.array(raw), np.array(scales, dtype=np.float64)
-    except (TypeError, KeyError, AttributeError, ValueError, OverflowError):
-        return None
-    if alphas.dtype != np.int64 or alphas.shape != (len(raw), d) or (alphas < 0).any():
-        return None
-    # np.array reads True as 1 and "0.5" as 0.5; the walk refuses both
-    if (not set(map(type, raw)) <= {list} or not np.isfinite(logs).all()
-            or not set(map(type, itertools.chain.from_iterable(raw))) <= {int}
-            or not set(map(type, scales)) <= {float}):
-        return None
-    return alphas, logs
+        mats = np.array(raw, dtype=np.float64)  # ints round as float(int) does
+        scalars = list(chain.from_iterable(chain.from_iterable(chain.from_iterable(raw))))
+        # np.array([]) has shape (0,): an empty array is read as (0, n, n)
+        ok = (mats.shape == (m, n, n, 2) or not m) and _finite_reals(scalars, mats)
+        if "alpha" in keys:
+            raw = [entry["alpha"] for entry in entries]
+            alphas = np.array(raw)
+            if alphas.dtype != np.int64:  # floats or objects past int64
+                alphas = np.array(raw, dtype=object)
+            # np.array reads True as 1; the walk refuses it
+            ok = (ok and set(map(type, raw)) <= {list} and (alphas.shape == (m, d) or not m)
+                  and set(map(type, chain.from_iterable(raw))) <= {int} and not (alphas < 0).any())
+        if "j" in keys:
+            raw = [entry["j"] for entry in entries]
+            js = np.array(raw, dtype=np.int64)
+            ok = ok and set(map(type, raw)) <= {int} and bool(((js >= 0) & (js < d)).all())
+        if "logscale" in keys:
+            raw = [entry.get("logscale", 0.0) for entry in entries]
+            logs = np.array(raw, dtype=np.float64)  # reads "0.5"; the walk refuses it
+            ok = ok and _finite_reals(raw, logs)
+    except (TypeError, KeyError, IndexError, AttributeError, ValueError, OverflowError):
+        ok = False
+    if not ok:  # the walk: the first bad field, in entry order, raises
+        for i, entry in enumerate(entries):
+            n = len(_entry_matrix(entry, f"{path}[{i}]", n, d, keys))
+        raise AssertionError(f"{path}: the array pass refused entries the walk reads")
+    return mats.reshape(m, n, n, 2).view(np.complex128)[..., 0], alphas, js, logs
 
 
 def _last_entries(slots: np.ndarray, size: int) -> np.ndarray:
@@ -218,24 +237,8 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     grams_field = data.get("grams")
     if not isinstance(grams_field, list):
         raise SchemaError(f"{path}.grams", "expected an array of Gram entries")
-    stack = _matrix_stack(grams_field, n)
-    fields = _index_fields(grams_field, d) if stack is not None else None
-    alphas, logs = fields if fields is not None else ([], [])
-    mats = []
-    for i, entry in enumerate(grams_field if fields is None else ()):  # the walk
-        epath = f"{path}.grams[{i}]"
-        if not isinstance(entry, dict) or "alpha" not in entry:
-            raise SchemaError(epath, "expected an object with 'alpha'")
-        alphas.append(multiindex_from_json(entry["alpha"], f"{epath}.alpha", d))
-        if stack is not None:
-            # every matrix already passed; the walk's other checks run in order
-            logs.append(_logscale_field(entry, epath))
-            continue
-        mat, logscale = _hermpd_fields(entry, epath)
-        if mat.shape[0] != n:
-            raise SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {len(mat)}")
-        mats.append(mat)
-        logs.append(logscale)
+    mats, alphas, _, logs = entries_from_json(grams_field, f"{path}.grams", n, d,
+                                              ("alpha", "logscale"))
     # counted before the lattice is enumerated: it may be far past memory
     if len(grams_field) < (size := simplex_size(d, top)):
         raise SchemaError(f"{path}.grams", f"expected at least {size} entries")
@@ -245,7 +248,7 @@ def moment_system_from_json(data: dict, path: str) -> MomentSystem:
         raise SchemaError(f"{path}.grams",
                           f"missing Gram matrix at alpha={trunc.alpha(missing[0])}")
     # every entry is balanced, the unused ones too
-    mats, logs = hermpd_batch(np.stack(mats) if stack is None else stack, logs)
+    mats, logs = hermpd_batch(mats, logs)
     return MomentSystem.from_arrays(d, top, n, mats[take], logs[take])
 
 
@@ -262,25 +265,8 @@ def weight_system_from_json(data: dict, path: str):
     weights_field = data.get("weights")
     if not isinstance(weights_field, list):
         raise SchemaError(f"{path}.weights", "expected an array of weight entries")
-    stack = _matrix_stack(weights_field, n)
-    mats, alphas, js = [], [], []
-    for i, entry in enumerate(weights_field):
-        epath = f"{path}.weights[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(epath, "expected an object")
-        alphas.append(multiindex_from_json(entry.get("alpha"), f"{epath}.alpha", d))
-        j = entry.get("j")
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < d:
-            raise SchemaError(f"{epath}.j", f"expected an integer in 0..{d - 1}")
-        js.append(j)
-        if stack is not None:
-            continue
-        if "matrix" not in entry:
-            raise SchemaError(f"{epath}.matrix", "missing")
-        mat = matrix_from_json(entry["matrix"], f"{epath}.matrix")
-        if mat.shape != (n, n):
-            raise SchemaError(f"{epath}.matrix", f"expected shape ({n}, {n})")
-        mats.append(mat)
+    mats, alphas, js, _ = entries_from_json(weights_field, f"{path}.weights", n, d,
+                                            ("alpha", "j"))
     if len(weights_field) < (size := d * simplex_size(d, top - 1)):  # as for grams
         raise SchemaError(f"{path}.weights", f"expected at least {size} entries")
     trunc = _truncation(d, top)
@@ -289,10 +275,8 @@ def weight_system_from_json(data: dict, path: str):
     if (missing := np.flatnonzero(take < 0)).size:
         r, j = divmod(int(missing[0]), d)  # the first, alpha-major
         raise SchemaError(f"{path}.weights", f"missing weight at alpha={trunc.alpha(r)}, j={j}")
-    if stack is None:
-        stack = np.array(mats, dtype=np.complex128).reshape(-1, n, n)
     take = take.reshape(-1, d).T
-    return WeightSystem.from_arrays(d, top, n, stack[take]), g0
+    return WeightSystem.from_arrays(d, top, n, mats[take]), g0
 
 
 def certificate_to_json(cert: SimilarityCertificate) -> dict:

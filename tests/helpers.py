@@ -1,14 +1,14 @@
 """Test-only constructions derived from the package's seeded systems, the
-functions nothing in the package calls (kept with their tests), and eight
+functions nothing in the package calls (kept with their tests), and nine
 independent references: a Cholesky/whitening pencil path for the package's
 eigenpair-factored pencil kernel, the per-index shift construction for the
 graded shift stacks, the per-index weight validation and per-row staircase
 walk for the batched weight passes, the per-entry matrix writer for the
-one-pass JSON writers, the per-subset hull QP for the witness-first
-stationarity test, the polish through polar_unitary for the recovery
-start's polish on the bare SVD, the eigenpairs of every class for the
-descent gradient's two columns, and the growth diagnostic that generates
-its pair afresh at every degree."""
+one-pass JSON writers, the per-entry reader for the one-pass entry reader,
+the per-subset hull QP for the witness-first stationarity test, the polish
+through polar_unitary for the recovery start's polish on the bare SVD, the
+eigenpairs of every class for the descent gradient's two columns, and the
+growth diagnostic that generates its pair afresh at every degree."""
 
 import math
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from multishift import equivalence as eq
 from multishift import sampling
+from multishift import serialization as ser
 from multishift.equivalence import STATIONARY_TOL, IntertwinerBasis, IntertwinerMatrix
 from multishift.kernelgen import KernelSpec
 from multishift.lattice import _truncation, enumerate_indices, simplex_size
@@ -74,6 +75,53 @@ def per_entry_matrix_to_json(mat) -> list:
     """One matrix as nested [re, im] pairs, converted entry by entry."""
     arr = np.asarray(mat, dtype=np.complex128)
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+
+
+def per_entry_read(entries: list, path: str, n, d: int, keys: tuple) -> tuple:
+    """(mats, alphas, js, logs) of Gram, weight, kernel coefficient or
+    replacement entries, read entry by entry with each field checked in
+    order, as the readers did before the array pass; the first bad field
+    raises its SchemaError. A coefficient or replacement matrix of another
+    dimension than n (None: the first one's) is named as a Gram's is. alphas
+    are tuples of Python ints, js and logs lists; None for a key not read."""
+    mats, alphas, js, logs = [], [], [], []
+    for i, entry in enumerate(entries):
+        epath = f"{path}[{i}]"
+        if "j" in keys:  # a weight
+            if not isinstance(entry, dict):
+                raise ser.SchemaError(epath, "expected an object")
+            alphas.append(ser.multiindex_from_json(entry.get("alpha"), f"{epath}.alpha", d))
+            j = entry.get("j")
+            if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < d:
+                raise ser.SchemaError(f"{epath}.j", f"expected an integer in 0..{d - 1}")
+            js.append(j)
+            if "matrix" not in entry:
+                raise ser.SchemaError(f"{epath}.matrix", "missing")
+            mat = ser.matrix_from_json(entry["matrix"], f"{epath}.matrix")
+            if mat.shape != (n, n):
+                raise ser.SchemaError(f"{epath}.matrix", f"expected shape ({n}, {n})")
+            mats.append(mat)
+            continue
+        if "alpha" in keys:  # a Gram or a replacement
+            if not isinstance(entry, dict) or "alpha" not in entry:
+                raise ser.SchemaError(epath, "expected an object with 'alpha'")
+            alphas.append(ser.multiindex_from_json(entry["alpha"], f"{epath}.alpha", d))
+        if not isinstance(entry, dict):
+            raise ser.SchemaError(epath, "expected an object with 'logscale' and 'matrix'")
+        if "matrix" not in entry:
+            raise ser.SchemaError(f"{epath}.matrix", "missing")
+        logscale = entry.get("logscale", 0.0)
+        if not ser._is_finite_real(logscale):
+            raise ser.SchemaError(f"{epath}.logscale", "expected a finite real number")
+        logs.append(float(logscale))
+        mat = ser.matrix_from_json(entry["matrix"], f"{epath}.matrix")
+        n = len(mat) if n is None else n
+        if len(mat) != n:
+            raise ser.SchemaError(f"{epath}.matrix", f"expected dimension {n}, got {len(mat)}")
+        mats.append(mat)
+    return (np.array(mats, dtype=np.complex128).reshape(len(entries), n, n),
+            alphas if "alpha" in keys else None, js if "j" in keys else None,
+            np.array(logs, dtype=np.float64) if "logscale" in keys else None)
 
 
 class CholeskyError(LinAlgError):

@@ -14,7 +14,7 @@ from multishift import equivalence as eq
 from multishift import sampling
 from multishift import serialization as ser
 from multishift.lattice import simplex_size
-from multishift.numerics import PositiveDefiniteError
+from multishift.numerics import PositiveDefiniteError, hermpd
 from multishift.serialization import canonical_dumps
 
 
@@ -380,6 +380,22 @@ class TestRun:
         assert report["verdict"] == "VALID"
         assert report["validation"]["passes"] is True
 
+    # found by the property test: a g0 that is not positive definite raised
+    # out of validate with a traceback; like an indefinite Gram it is INVALID
+    def test_validate_weights_with_an_indefinite_g0_is_invalid(self, tmp_path):
+        ws = helpers.random_weight_system(1, 1, 2, 6)
+        data = ser.weight_system_to_json(ws, hermpd(np.eye(2)))
+        data["g0"]["matrix"] = helpers.per_entry_matrix_to_json(np.diag([1.0, -1.0]))
+        path = tmp_path / "val.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": "validate", "systems": [data]}),
+                        encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        report = read_report(tmp_path / "val.report.json")
+        assert report["verdict"] == "INVALID"
+        assert report["validation"]["failures"] == [
+            "systems: systems[0].g0 is not a positive-definite matrix "
+            "(smallest eigenvalue -1.000e+00 is not positive)"]
+
     @pytest.mark.parametrize("kind", ["similarity", "validate"])
     def test_weight_system_is_validated_once(self, tmp_path, monkeypatch, kind):
         from multishift import shiftcore as sc
@@ -508,6 +524,51 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"input validation failed: systems[1]: replacement index {tuple(alpha)} "
             "outside the truncation\n")
+
+    @staticmethod
+    def _kernel_problem(tmp_path, array, entries):
+        """A similarity problem whose second system is a homogeneous spec with
+        entries as its coefficients, or a perturbed one with them as replacements."""
+        base = {"type": "pochhammer", "lambda": 1.0, "mu": 2.0, "d": 2, "N": 3}
+        spec = ({"type": "homogeneous", "d": 2, "coeffs_by_degree": entries}
+                if array == "coeffs_by_degree"
+                else {"type": "perturbed", "base": base, "replacements": entries})
+        path = tmp_path / f"{array}.json"
+        path.write_text(json.dumps({"version": 1, "kind": "similarity",
+                                    "systems": [base, spec]}), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _kernel_entries(matrices):
+        return [{"alpha": [k, 0], "logscale": 0.0, "matrix": helpers.per_entry_matrix_to_json(m)}
+                for k, m in enumerate(matrices)]
+
+    # a Gram of another dimension than the fibre's is a schema error, and so now
+    # is a kernel coefficient or replacement (kernelgen refused them with exit 2)
+    @pytest.mark.parametrize("array", ["coeffs_by_degree", "replacements"])
+    def test_kernel_matrix_of_another_dimension_names_its_field(self, tmp_path, capsys, array):
+        entries = self._kernel_entries([np.eye(2), 2 * np.eye(3), np.eye(2), np.eye(2)])
+        assert run_cli(["run", self._kernel_problem(tmp_path, array, entries), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"schema error at systems[1].{array}[1].matrix: expected dimension 2, got 3\n")
+
+    # the whole array is read before any matrix is balanced, as for Grams: a
+    # schema error anywhere in it comes before an indefinite matrix earlier on
+    @pytest.mark.parametrize("array", ["coeffs_by_degree", "replacements"])
+    def test_schema_error_comes_before_an_earlier_indefinite_matrix(self, tmp_path, capsys,
+                                                                   array):
+        entries = self._kernel_entries([np.eye(2), np.diag([1.0, -1.0]), np.eye(2),
+                                        np.eye(2)])
+        entries[3]["logscale"] = "0.5"
+        path = self._kernel_problem(tmp_path, array, entries)
+        assert run_cli(["run", path, "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"schema error at systems[1].{array}[3].logscale: expected a finite real number\n")
+        entries[3]["logscale"] = 0.5
+        path = self._kernel_problem(tmp_path, array, entries)
+        assert run_cli(["run", path, "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input validation failed: systems[1]: smallest eigenvalue -1.000e+00")
 
     def test_invalid_json_is_schema_error(self, tmp_path):
         path = tmp_path / "broken.json"

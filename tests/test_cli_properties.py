@@ -36,6 +36,12 @@ def _base_problems():
     mt = sampling.congruent_pair(ms, np.eye(2) + 0.2j * np.eye(2))
     poch = {"type": "pochhammer", "d": 2, "lambda": 1.0, "mu": 2.0, "N": 3}
     swap = {"type": "pochhammer", "d": 2, "lambda": 2.0, "mu": 1.0, "N": 3}
+    rng = np.random.default_rng(6)
+    weights = ser.weight_system_to_json(canonical_weights(ms), ms.gram((0,)))
+    homogeneous = {"type": "homogeneous", "d": 2, "coeffs_by_degree": [
+        ser.hermpd_to_json(sampling.random_pd(2, rng)) for _ in range(3)]}
+    perturbed = {"type": "perturbed", "base": dict(poch, N=2), "replacements": [
+        {"alpha": [1, 0], **ser.hermpd_to_json(sampling.random_pd(2, rng))}]}
     return [
         _moment_problem("similarity", [ms, mt], seed=0),
         _moment_problem("unitary", [ms, ms], seed=0, tol=1e-8),
@@ -43,6 +49,9 @@ def _base_problems():
         _moment_problem("validate", [ms]),
         {"version": 1, "kind": "diagnostic", "systems": [poch, swap],
          "options": {"degrees": [2, 3, 4, 5]}},
+        {"version": 1, "kind": "validate", "systems": [weights]},
+        {"version": 1, "kind": "unitary", "systems": [homogeneous, perturbed],
+         "options": {"seed": 0, "N": 2}},
     ]
 
 
@@ -144,6 +153,8 @@ UNPARSABLE_FILES = [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000]
 @example(_replace(BASES[2], ("systems", 0, "grams", 0, "logscale"), -1e308))
 # found by test_gen_is_total: numpy's generators reject a negative seed
 @example(_replace(BASES[0], ("options", "seed"), -1))
+# found by this test: validate raised out on a weight file's indefinite g0
+@example(_replace(BASES[5], ("systems", 0, "g0", "matrix"), BAD_MATRICES[0]))
 @example(UNPARSABLE_FILES[0])
 @example(UNPARSABLE_FILES[1])
 @example(UNPARSABLE_FILES[2])

@@ -120,8 +120,7 @@ class TestExactValues:
         data = json.loads(canonical_dumps(ser.weight_system_to_json(ws, g0)))
         again, _ = ser.weight_system_from_json(data, "s")
         assert again.weights.tobytes() == ws.weights.tobytes()
-        # an integer past int64 makes the array pass refuse; the per-entry
-        # walk reads the same bits
+        # the array pass reads an integer past int64 as float(int) does
         data["weights"][0]["matrix"][0][0][0] = 2 ** 70
         walked, _ = ser.weight_system_from_json(data, "s")
         want = np.array(ws.weights)
@@ -281,40 +280,6 @@ class TestReaderPlacement:
         assert self._weights(dict(weights, weights=[*extra, *weights["weights"], *extra])) == (
             self._weights(weights))
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_one_pass_reads_the_walks_stacks(self, family, monkeypatch):
-        moments, _ = self._files(family)
-        del moments["grams"][1]["logscale"]  # read as 0.0 by both
-        assert ser._index_fields(moments["grams"], moments["d"]) is not None
-        want = self._grams(moments)
-        monkeypatch.setattr(ser, "_index_fields", lambda entries, d: None)
-        assert self._grams(moments) == want
-
-    @pytest.mark.parametrize("field,value", [
-        ("alpha", [True, 0]), ("alpha", [1.0, 0]), ("alpha", [-1, 0]), ("alpha", [0]),
-        ("alpha", [10**30, 0]), ("alpha", "ab"), ("alpha", None), ("logscale", True),
-        ("logscale", "0.5"), ("logscale", 1), ("logscale", 10**400), ("logscale", None),
-        ("logscale", float("inf")), ("logscale", float("nan"))])
-    def test_entries_the_one_pass_refuses_are_walked(self, field, value, monkeypatch):
-        # the walk names the field of a bad entry and reads an int logscale
-        moments, _ = self._files("random")
-        moments["grams"][2][field] = value
-        assert ser._index_fields(moments["grams"], moments["d"]) is None
-
-        def outcome():
-            try:
-                return self._grams(moments)
-            except ser.SchemaError as ex:
-                return str(ex)
-
-        got = outcome()
-        monkeypatch.setattr(ser, "_index_fields", lambda entries, d: None)
-        assert got == outcome()
-        if (field, type(value), value) == ("logscale", int, 1):
-            assert isinstance(got, tuple)
-        elif (field, value) != ("alpha", [10**30, 0]):  # an index outside: missing (0, 2)
-            assert got.startswith(f"s.grams[2].{field}: ")
-
     def test_the_first_missing_index_in_graded_order_is_named(self):
         moments, weights = self._files("random")  # d = 2, N = 3
         grams = moments["grams"]
@@ -330,3 +295,141 @@ class TestReaderPlacement:
         with pytest.raises(ser.SchemaError,
                            match=r"^s\.weights: missing weight at alpha=\(0, 1\), j=1$"):
             ser.weight_system_from_json(weights, "s")
+
+
+def _entry_arrays(family):
+    """A family's four entry arrays as entries_from_json reads them: (entries,
+    path, n, d, keys) for its Grams, its canonical weights, and its Grams
+    without alphas as kernel coefficients (n read from the first) and with them
+    as replacements."""
+    ms = FAMILIES[family]()
+    ws, g0 = canonical_weights(ms), ms.gram((0,) * ms.d)
+    grams = json.loads(canonical_dumps(ser.moment_system_to_json(ms)))["grams"]
+    weights = json.loads(canonical_dumps(ser.weight_system_to_json(ws, g0)))["weights"]
+    coeffs = [{"logscale": e["logscale"], "matrix": e["matrix"]} for e in grams]
+    n, d = ms.fiber_dim, ms.d
+    return {"grams": (grams, "s.grams", n, d, KEYS["grams"]),
+            "weights": (weights, "s.weights", n, d, KEYS["weights"]),
+            "coeffs_by_degree": (coeffs, "s.coeffs_by_degree", None, d,
+                                 KEYS["coeffs_by_degree"]),
+            "replacements": (grams[::-1], "s.replacements", n, d, KEYS["replacements"])}
+
+
+KEYS = {"grams": ("alpha", "logscale"), "weights": ("alpha", "j"),
+        "coeffs_by_degree": ("logscale",), "replacements": ("alpha", "logscale")}
+ARRAYS = tuple(KEYS)
+
+
+def _typed(rows):
+    return None if rows is None else [[(type(v), v) for v in row] for row in rows]
+
+
+def _outcome(read, entries, path, n, d, keys):
+    """What a reader gives: its stacks as bytes, alphas and js with their
+    Python types, or the text of its SchemaError."""
+    try:
+        mats, alphas, js, logs = read(entries, path, n, d, keys)
+    except ser.SchemaError as ex:
+        return str(ex)
+    if isinstance(alphas, np.ndarray):
+        alphas, js = alphas.tolist(), None if js is None else js.tolist()
+    mats = np.asarray(mats)
+    return (mats.dtype, mats.shape, mats.tobytes(), _typed(alphas),
+            _typed(None if js is None else [js]), None if logs is None else logs.tobytes())
+
+
+def _both(entries, path, n, d, keys):
+    """The reader's outcome, checked equal to the per-entry reference's."""
+    got = _outcome(ser.entries_from_json, entries, path, n, d, keys)
+    assert got == _outcome(helpers.per_entry_read, entries, path, n, d, keys)
+    return got
+
+
+FMAX_PLUS_ONE = int(np.finfo(np.float64).max) + 1  # rounds to the largest float
+# fields the pass reads: indices past int64 (ranked -1 downstream) and int
+# logscales inside the float range
+READ_FIELDS = [("alpha", [10**30, 0]), ("alpha", [2**63, 0]), ("alpha", [2**64, 0]),
+               ("logscale", 1), ("logscale", 10**300), ("logscale", FMAX_PLUS_ONE - 1)]
+BAD_FIELDS = [
+    ("alpha", [True, 0]), ("alpha", [1.0, 0]), ("alpha", [-1, 0]), ("alpha", [0]),
+    ("alpha", "ab"), ("alpha", None), ("logscale", True), ("logscale", "0.5"),
+    ("logscale", 10**400), ("logscale", None), ("logscale", float("inf")),
+    ("logscale", float("nan")), ("alpha", [2**63, -1]), ("alpha", (0, 0)),
+    ("logscale", FMAX_PLUS_ONE), ("j", True), ("j", -1), ("j", 2), ("j", 1.0), ("j", None),
+    ("j", 2**70), ("j", "0"), *READ_FIELDS]
+
+
+class TestEntryReader:
+    """entries_from_json reads each array in one pass; where the pass refuses
+    it, the walk names the first bad field as the per-entry reader does."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("array", ARRAYS)
+    def test_files_read_the_references_stacks(self, family, array):
+        entries, path, n, d, keys = _entry_arrays(family)[array]
+        entries[1].pop("logscale", None)  # read as 0.0 by both
+        assert not isinstance(_both(entries, path, n, d, keys), str)
+        # a repeated index reads as one more row
+        assert not isinstance(_both([*entries, entries[0]], path, n, d, keys), str)
+
+    @pytest.mark.parametrize("array", ARRAYS)
+    def test_an_empty_array_reads_as_no_rows(self, array):
+        _, path, n, d, keys = _entry_arrays("random")[array]
+        got = _both([], path, n if n is not None else 3, d, keys)
+        assert got[1] == (0, 3, 3)
+
+    @pytest.mark.parametrize("array,field,value", [
+        (array, field, value) for array in ARRAYS for field, value in BAD_FIELDS
+        if field in KEYS[array]])
+    def test_bad_fields_are_named_as_the_reference_names_them(self, array, field, value):
+        entries, path, n, d, keys = _entry_arrays("random")[array]  # d = 2
+        entries[2][field] = value
+        got = _both(entries, path, n, d, keys)
+        assert isinstance(got, str) != any(
+            (field, value) == (f, v) and type(value) is type(v) for f, v in READ_FIELDS)
+        if isinstance(got, str):
+            assert got.startswith(f"{path}[2].{field}: ")
+
+    @pytest.mark.parametrize("value", [
+        True, "1.5", None, 10**400, FMAX_PLUS_ONE, float("nan"), [0.5], 2**70, 7,
+        FMAX_PLUS_ONE - 1])
+    @pytest.mark.parametrize("array", ARRAYS)
+    def test_matrix_scalars(self, array, value):
+        entries, path, n, d, keys = _entry_arrays("random")[array]
+        entries[2]["matrix"][0][1][0] = value
+        got = _both(entries, path, n, d, keys)
+        assert isinstance(got, str) == (value not in (2**70, 7, FMAX_PLUS_ONE - 1))
+
+    @pytest.mark.parametrize("array", ARRAYS)
+    def test_all_integer_matrices(self, array):
+        entries, path, n, d, keys = _entry_arrays("random")[array]
+        for entry in entries:
+            entry["matrix"] = [[[int(i == k), 0] for k in range(3)] for i in range(3)]
+        assert not isinstance(_both(entries, path, n, d, keys), str)
+
+    @pytest.mark.parametrize("array", ARRAYS)
+    @pytest.mark.parametrize("bad", ["not-an-object", "no-alpha", "no-matrix", "wide",
+                                     "fibre-four", "ragged", "order"])
+    def test_bad_entries(self, array, bad):
+        entries, path, n, d, keys = _entry_arrays("random")[array]  # n = 3
+        entry = entries[2]
+        if bad == "not-an-object":
+            entries[2] = [entry]
+        elif bad == "no-alpha":
+            entry.pop("alpha", None)
+        elif bad == "no-matrix":
+            del entry["matrix"]
+        elif bad == "wide":
+            for row in entry["matrix"]:
+                row.append([0.0, 0.0])
+        elif bad == "fibre-four":
+            entry["matrix"] = helpers.per_entry_matrix_to_json(np.eye(4))
+        elif bad == "ragged":
+            entry["matrix"][1].pop()
+        else:  # a later entry's bad alpha and logscale and an earlier one's matrix
+            entries[4]["alpha"] = entries[4]["logscale"] = "x"
+            entry["matrix"][0][0] = [1.0]
+        got = _both(entries, path, n, d, keys)
+        assert isinstance(got, str) == (bad != "no-alpha" or "alpha" in keys)
+        if isinstance(got, str):
+            assert got.startswith(f"{path}[2]")
