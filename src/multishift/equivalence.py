@@ -13,6 +13,7 @@ criteria stay meaningful at high truncation degrees.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -296,15 +297,28 @@ class _Objective:
 
     def __init__(self, ms: MomentSystem, mt: MomentSystem):
         _require_same_shape(ms, mt)
-        self.rows, joint = _joint_classes(ms.classes, mt.classes)
-        off = mt.logs - ms.logs
+        self.rows, self._joint = _joint_classes(ms.classes, mt.classes)
+        self._off = mt.logs - ms.logs
+        self.f, self.h = pencil_factors(*(x.class_mats[x.classes[self.rows]] for x in (mt, ms)))
+        self._reset()
+
+    def prefix(self, m: int) -> "_Objective":
+        """The objective of the pair's first m rows, with its own offsets, count
+        and best C; the rows ascend, so F and H are prefixes (eigh is per row)."""
+        out = object.__new__(_Objective)
+        c = int(np.searchsorted(self.rows, m))
+        out.rows, out.f, out.h = self.rows[:c], self.f[:c], self.h[:c]
+        out._joint, out._off = self._joint[:m], self._off[:m]
+        out._reset()
+        return out
+
+    def _reset(self) -> None:
         self.lo_off = np.full(len(self.rows), math.inf)
         self.hi_off = np.full(len(self.rows), -math.inf)
-        np.minimum.at(self.lo_off, joint, off)
-        np.maximum.at(self.hi_off, joint, off)
-        self.f, self.h = pencil_factors(mt.mats[self.rows], ms.mats[self.rows])
+        np.minimum.at(self.lo_off, self._joint, self._off)
+        np.maximum.at(self.hi_off, self._joint, self._off)
         self.evaluations = 0
-        self.best = _Eval(np.eye(ms.fiber_dim, dtype=np.complex128), math.inf)
+        self.best = _Eval(np.eye(self.f.shape[-1], dtype=np.complex128), math.inf)
 
     def log_ranges(self, c: np.ndarray) -> tuple:
         """Per-class (lo, hi) log pencil eigenvalue extremes at C and the
@@ -330,15 +344,22 @@ class _Objective:
         lambda_max(G_beta, G_0)|, and the same with lambda_min. With left =
         G_0^{-1/2} and right = G~_0^{1/2}, the singular values of F_beta left
         and right H_beta give those eigenvalues and their reciprocals up to
-        logscales; each class's extreme offsets (lo_off, hi_off) give its
-        largest gap."""
+        logscales (level_zero_gaps); each class's extreme offsets (lo_off,
+        hi_off) give its largest gap."""
+        return self.bound(self.level_zero_gaps(left, right))
+
+    def level_zero_gaps(self, left: HermPD, right: HermPD) -> tuple:
+        """Per class, the gaps between the pair's level-zero log extremes."""
         s = _svd(self.f @ left.matrix, compute_uv=False)
         t = _svd(right.matrix @ self.h, compute_uv=False)
         shift = -2.0 * (left.logscale + right.logscale)
-        top = shift - 2.0 * (np.log(t[:, -1]) + np.log(s[:, 0]))
-        bottom = shift - 2.0 * (np.log(t[:, 0]) + np.log(s[:, -1]))
-        return float(max(np.abs(gap + off).max()
-                         for gap in (top, bottom) for off in (self.lo_off, self.hi_off)))
+        return (shift - 2.0 * (np.log(t[:, -1]) + np.log(s[:, 0])),
+                shift - 2.0 * (np.log(t[:, 0]) + np.log(s[:, -1])))
+
+    def bound(self, gaps: tuple) -> float:
+        """The level-zero bound from the first classes' level_zero_gaps."""
+        return float(max(np.abs(gap[:len(self.rows)] + off).max()
+                         for gap in gaps for off in (self.lo_off, self.hi_off)))
 
 
 def _gradient(objective: _Objective, ev: _Eval) -> np.ndarray:
@@ -590,7 +611,7 @@ def level_zero_roots(ms: MomentSystem, mt: MomentSystem) -> tuple:
     """(G_0^{-1/2}, G~_0^{1/2}, G~_0^{-1/2}) as HermPDs, from one eigensolve and
     one balancing pass over row 0 of both families (alpha = 0 has rank 0);
     each equals inv_sqrt_pd or sqrt_pd of its Gram bit for bit."""
-    mats, logs = _eig_transform_batch(np.stack([ms.mats[0], mt.mats[0]]),
+    mats, logs = _eig_transform_batch(np.stack([x.class_mats[x.classes[0]] for x in (ms, mt)]),
                                       [ms.logs[0], mt.logs[0]], (np.sqrt, 0.5),
                                       (lambda e: 1.0 / np.sqrt(e), -0.5))
     return tuple(HermPD(mats[k], float(logs[k])) for k in (2, 1, 3))
@@ -616,36 +637,49 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     _Objective), whose evaluations give the full lattice's constants, so the
     certificate is the best evaluation itself.
     """
-    objective = _Objective(ms, mt)
-    rng = np.random.default_rng(seed)
-    n = ms.fiber_dim
-    rows = objective.rows
-    mats, logs = ms.mats[rows], ms.logs[rows]
-    tmats, tlogs = mt.mats[rows], mt.logs[rows]
-    left, right, right_inv = level_zero_roots(ms, mt)
+    return _search(_Setup(ms, mt), len(ms.truncation()), seed)
 
-    # Transporting both families by their level-zero inverse square roots
-    # turns any exact congruence into a unitary one, so the unitary-recovery
-    # machinery hands the optimizer an (often exactly optimal) start.
-    wh_mats = symmetrize(_congruence_stack(mats, left.matrix))
-    wh_logs = logs + 2.0 * left.logscale
-    wh_tmats = symmetrize(_congruence_stack(tmats, right_inv.matrix))
-    wh_tlogs = tlogs + 2.0 * right_inv.logscale
+
+class _Setup:
+    """A pair's search setup at its top degree: the objective, the level-zero
+    roots, the class rows transported by them and, once needed, the level-zero
+    gaps. Its rows ascend, and every stack here is computed row by row, so a
+    truncation's setup is the prefix of each (_Objective.prefix)."""
+
+    def __init__(self, ms: MomentSystem, mt: MomentSystem):
+        self.objective = _Objective(ms, mt)
+        rows = self.objective.rows
+        self.left, self.right, right_inv = level_zero_roots(ms, mt)
+        # Transporting both families by their level-zero inverse square roots
+        # turns any exact congruence into a unitary one, so the unitary-recovery
+        # machinery hands the optimizer an (often exactly optimal) start.
+        mats, tmats = (x.class_mats[x.classes[rows]] for x in (ms, mt))
+        self.whitened = (symmetrize(_congruence_stack(mats, self.left.matrix)),
+                         ms.logs[rows] + 2.0 * self.left.logscale,
+                         symmetrize(_congruence_stack(tmats, right_inv.matrix)),
+                         mt.logs[rows] + 2.0 * right_inv.logscale)
+
+    @functools.cached_property
+    def gaps(self) -> tuple:
+        return self.objective.level_zero_gaps(self.left, self.right)
+
+
+def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
+    """optimize_C on the first m rows of the setup's pair."""
+    objective = setup.objective.prefix(m)
+    rng = np.random.default_rng(seed)
+    c, n, _ = objective.f.shape  # c joint classes
+    whitened = tuple(a[:c] for a in setup.whitened)
 
     # (name, unitary W or None, class of the LinAlgError that stopped it)
     candidates = [("identity", np.eye(n, dtype=np.complex128), None)]
-    align_weights = rng.uniform(0.5, 1.5, size=mats.shape[0])
-    try:
-        candidates.append(("alignment", _alignment_unitary(
-            wh_mats, wh_logs, wh_tmats, wh_tlogs, align_weights,
-        ), None))
-    except LinAlgError as ex:
-        candidates.append(("alignment", None, type(ex).__name__))
-    try:
-        candidates.append(("recovery", _recover_congruence_unitary(
-            wh_mats, wh_logs, wh_tmats, wh_tlogs, rng), None))
-    except LinAlgError as ex:
-        candidates.append(("recovery", None, type(ex).__name__))
+    align_weights = rng.uniform(0.5, 1.5, size=c)
+    for name, start in (("alignment", lambda: _alignment_unitary(*whitened, align_weights)),
+                        ("recovery", lambda: _recover_congruence_unitary(*whitened, rng))):
+        try:
+            candidates.append((name, start(), None))
+        except LinAlgError as ex:
+            candidates.append((name, None, type(ex).__name__))
     for i in range(RANDOM_STARTS):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         candidates.append((f"random{i}", polar_unitary(z), None))
@@ -658,7 +692,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
         if w is None:
             tried.append(SearchStart(name, None, error))
             continue
-        ev = objective(left.matrix @ w @ right.matrix)
+        ev = objective(setup.left.matrix @ w @ setup.right.matrix)
         tried.append(SearchStart(name, ev.value))
         if start_ev is None or ev.value < start_ev.value:
             label, start_ev = name, ev
@@ -670,7 +704,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     if start_ev.value <= BOTTOM_VALUE:
         descent = SearchStage("bottomed out", 0, 0)
     else:
-        bound = objective.level_zero_bound(left, right)
+        bound = objective.bound(setup.gaps)
         if start_ev.value - bound <= PROVEN_RTOL * max(1.0, start_ev.value):
             descent = SearchStage("proven optimal", 0, 0)
         else:
@@ -678,8 +712,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     best = objective.best
     return SimilarityCertificate(
         best.c, float(best.lo.min()), float(best.hi.max()),
-        search=SearchSummary(label, start_evaluations, tuple(tried), descent, bound,
-                             len(rows)),
+        search=SearchSummary(label, start_evaluations, tuple(tried), descent, bound, c),
     )
 
 
@@ -722,9 +755,9 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
     """Optimize a certificate at each truncation degree and fit the growth.
 
     pair_generator(N) must return the (M, M~) pair truncated at degree N.
-    It is called once, at the top degree: the truncation at a lower degree
-    is the compression of that one, the prefix of its rows in graded order
-    (GradedFamily.truncated), so each degree's search runs on views.
+    It is called once, at the top degree, where the search setup (_Setup) is
+    built: a lower degree's truncation is the prefix of its rows in graded
+    order, so each degree's search reads prefixes of that setup.
     A bounded optimal ratio across degrees is evidence for similarity; a
     power-law slope matching the moment asymptotics is evidence against.
     Any finite truncation admits some certificate, so the verdict is always
@@ -737,9 +770,10 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
         raise ValueError("degrees must be strictly ascending positive integers")
 
     ms, mt = pair_generator(degrees[-1])
+    setup = _Setup(ms, mt)
 
     def run(top_degree: int) -> SimilarityCertificate:
-        return optimize_C(ms.truncated(top_degree), mt.truncated(top_degree), seed=seed)
+        return _search(setup, simplex_size(ms.d, top_degree), seed)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only the pool needs it

@@ -66,8 +66,8 @@ def _graded_log_factorials(d: int, top_degree: int):
     """|alpha| and log(alpha!) per row of the truncation, and log(m!) per degree m."""
     idx = _truncation(d, top_degree).array
     lf = np.array([log_factorial(m) for m in range(top_degree + 1)])
-    # cumsum adds strictly left to right, so each row is sum(lgamma(a + 1)) to the bit
-    return idx.sum(axis=1), np.cumsum(lf[idx], axis=1)[:, -1], lf
+    # column by column, left to right from 0, so each row is sum(lgamma(a + 1)) to the bit
+    return idx.sum(axis=1), sum(lf[col] for col in idx.T), lf
 
 
 def kernel_moments(spec: KernelSpec) -> MomentSystem:
@@ -158,7 +158,8 @@ def perturb_kernel(spec: KernelSpec, replacements: dict):
     lo, hi = [0.0], [0.0]
     if n0 >= 0:
         k0 = simplex_size(spec.d, n0)
-        lo, hi, _ = pencil_logrange_batch(*pencil_factors(perturbed.mats[:k0], spec.mats[:k0]),
+        rows = (x.class_mats[x.classes[:k0]] for x in (perturbed, spec))
+        lo, hi, _ = pencil_logrange_batch(*pencil_factors(*rows),
                                           np.eye(spec.fiber_dim, dtype=np.complex128))
         off = logs[:k0] - spec.logs[:k0]
         lo, hi = off + lo, off + hi

@@ -86,8 +86,8 @@ def hermpd_to_json(h: HermPD) -> dict:
     return {"logscale": float(h.logscale), "matrix": matrix_to_json(h.matrix)}
 
 
-def hermpd_from_json(data, path: str) -> HermPD:
-    mat = _entry_matrix(data, path, None, 0, ("logscale",))
+def hermpd_from_json(data, path: str, n: int) -> HermPD:
+    mat = _entry_matrix(data, path, n, 0, ("logscale",))
     return hermpd(mat, data.get("logscale", 0.0))
 
 
@@ -259,9 +259,7 @@ def weight_system_from_json(data: dict, path: str):
     n = _require_int(data, "fiber_dim", path, 1)
     if "g0" not in data:
         raise SchemaError(f"{path}.g0", "missing")
-    g0 = hermpd_from_json(data["g0"], f"{path}.g0")
-    if g0.dim != n:
-        raise SchemaError(f"{path}.g0.matrix", f"expected dimension {n}, got {g0.dim}")
+    g0 = hermpd_from_json(data["g0"], f"{path}.g0", n)
     weights_field = data.get("weights")
     if not isinstance(weights_field, list):
         raise SchemaError(f"{path}.weights", "expected an array of weight entries")

@@ -13,6 +13,7 @@ conjugate transposes and operator norms are literal spectral norms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,13 +80,12 @@ class GradedFamily:
 
     The rows fall into classes: classes (m,) maps each row to a row of the
     class stack class_mats (c, n, n), and mats (m, n, n) is that stack
-    gathered, so the rows of one class share one balanced matrix bit for bit;
-    logs (m,) holds every row's logscale. The kernel generators number the
-    degrees as classes: there a row's logscale differs from its class's by
-    -log alpha! (kernel coefficients) or +log alpha! (moments), so the
-    pencils of a pair of such families depend on the degree alone. A family
-    given row by row has the identity map. The stacks are made read-only,
-    and one row is read as a HermPD view.
+    gathered on first read, so the rows of one class share one balanced
+    matrix bit for bit; logs (m,) holds every row's logscale. The kernel
+    generators number the degrees as classes: there a row's logscale differs
+    from its class's by -log alpha! (kernel coefficients) or +log alpha!
+    (moments), so a pair's pencils depend on the degree alone. A family
+    given row by row has the identity map; the stacks are read-only.
     """
 
     def __init__(self, d: int, N: int, fiber_dim: int, mats, logs, classes=None):
@@ -105,30 +105,36 @@ class GradedFamily:
                              f"{self.logs.shape}, {self.classes.shape}")
         if m and (self.classes.min() < 0 or self.classes.max() >= c):
             raise ValueError(f"class map points outside the {c} classes")
-        self.mats = self.class_mats if identity else self.class_mats[self.classes]
-        for arr in (self.class_mats, self.mats, self.logs, self.classes):
+        if identity:
+            self.mats = self.class_mats
+        for arr in (self.class_mats, self.logs, self.classes):
             arr.flags.writeable = False
+
+    @functools.cached_property
+    def mats(self) -> np.ndarray:
+        mats = self.class_mats[self.classes]
+        mats.flags.writeable = False
+        return mats
 
     def truncation(self) -> Truncation:
         return self._trunc
 
     def truncated(self, N: int) -> "GradedFamily":
         """The family on |alpha| <= N, the compression of this one: its rows are
-        the first C(N + d, d) in graded order, so mats, logs and classes are
-        prefix views and class_mats is shared; nothing is copied."""
+        the first C(N + d, d) in graded order, so logs and classes are prefix
+        views and class_mats is shared; nothing is copied or gathered."""
         if not 0 <= N <= self.N:
             raise ValueError(f"degree {N} outside 0..{self.N}")
         m = lattice.simplex_size(self.d, N)
         out = type(self).__new__(type(self))
         out.d, out.N, out.fiber_dim, out._trunc = self.d, N, self.fiber_dim, _truncation(self.d, N)
-        out.class_mats = self.class_mats
-        out.mats, out.logs, out.classes = self.mats[:m], self.logs[:m], self.classes[:m]
+        out.class_mats, out.logs, out.classes = self.class_mats, self.logs[:m], self.classes[:m]
         return out
 
     def row(self, alpha) -> HermPD:
         """The HermPD at alpha, a view of one row of the stacks."""
         k = self._trunc.position(alpha)
-        return HermPD(self.mats[k], float(self.logs[k]))
+        return HermPD(self.class_mats[self.classes[k]], float(self.logs[k]))
 
 
 class MomentSystem(GradedFamily):

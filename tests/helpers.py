@@ -18,7 +18,7 @@ from multishift import equivalence as eq
 from multishift import sampling
 from multishift import serialization as ser
 from multishift.equivalence import STATIONARY_TOL, IntertwinerBasis, IntertwinerMatrix
-from multishift.kernelgen import KernelSpec
+from multishift.kernelgen import KernelSpec, log_factorial
 from multishift.lattice import _truncation, enumerate_indices, simplex_size
 from multishift.numerics import (
     HermPD,
@@ -526,3 +526,11 @@ def per_degree_growth_diagnostic(pair_generator, degrees, seed: int = 0) -> eq.G
         intercept=intercept, r_squared=r2, verdict=verdict,
         classes=tuple(c.search.classes for c in certs),
         residuals=tuple(float(v) for v in y - (intercept + slope * x)))
+
+
+def cumsum_graded_log_factorials(d: int, top_degree: int) -> tuple:
+    """kernelgen._graded_log_factorials by one cumsum across the columns, the
+    form it had: numpy's cumsum adds strictly left to right."""
+    idx = _truncation(d, top_degree).array
+    lf = np.array([log_factorial(m) for m in range(top_degree + 1)])
+    return idx.sum(axis=1), np.cumsum(lf[idx], axis=1)[:, -1], lf

@@ -13,6 +13,7 @@ from multishift import cli
 from multishift import equivalence as eq
 from multishift import sampling
 from multishift import serialization as ser
+from multishift import shiftcore as sc
 from multishift.lattice import simplex_size
 from multishift.numerics import PositiveDefiniteError, hermpd
 from multishift.serialization import canonical_dumps
@@ -569,6 +570,23 @@ class TestExitCodes:
         assert run_cli(["run", path, "--quiet"]) == 2
         assert capsys.readouterr().err.startswith(
             "input validation failed: systems[1]: smallest eigenvalue -1.000e+00")
+
+    # g0's dimension is checked before g0 is balanced, as an entry's is: one of
+    # another dimension exits 3 whether or not it is positive definite
+    @pytest.mark.parametrize("kind", ["similarity", "validate"])
+    @pytest.mark.parametrize("g0", [np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    def test_g0_of_another_dimension_names_its_field(self, tmp_path, capsys, kind, g0):
+        ws = helpers.random_weight_system(1, 1, 2, 6)
+        data = ser.weight_system_to_json(ws, hermpd(np.eye(2)))
+        data["g0"]["matrix"] = helpers.per_entry_matrix_to_json(g0)
+        systems = [data, ser.moment_system_to_json(sc.moments_from_weights(ws, hermpd(np.eye(2))))]
+        path = tmp_path / "g0.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": kind,
+                                         "systems": systems[:2 if kind == "similarity" else 1]}),
+                        encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "schema error at systems[0].g0.matrix: expected dimension 2, got 3\n")
 
     def test_invalid_json_is_schema_error(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from test_kernelgen import truncation_cases
 from multishift import equivalence as eq
 from multishift import kernelgen as kg
 from multishift import sampling
 from multishift import shiftcore as sc
-from multishift.lattice import simplex_size
+from multishift.lattice import _truncation, simplex_size
 from multishift.numerics import (
     LinAlgError,
     frob_norm,
@@ -981,6 +983,104 @@ class TestDegreeClasses:
 
         got = eq.growth_diagnostic(gen, degrees, seed=3)
         assert got == helpers.per_degree_growth_diagnostic(gen, degrees, seed=3)
+
+
+def class_spanning_pair(d, top):
+    """A from_arrays pair whose joint classes span degrees: a row of degree g
+    is in class g // 2 of the source and g // 3 of the target, so degrees g
+    and g + 1 share a joint class when g is even and g % 3 < 2. The offsets
+    rise with the degree, so a truncation at such a g ends in a class whose
+    largest offset is smaller than at the top degree."""
+    rng = np.random.default_rng([85, d, top])
+    deg = _truncation(d, top).array.sum(axis=1)
+
+    def family(step, logs):
+        classes = deg // step
+        mats = np.stack([sampling.random_pd(2, rng).matrix for _ in range(classes.max() + 1)])
+        return sc.MomentSystem.from_arrays(d, top, 2, mats, logs, classes)
+
+    return (family(2, rng.uniform(-0.1, 0.1, len(deg))),
+            family(3, 0.3 * deg + rng.uniform(-0.1, 0.1, len(deg))))
+
+
+def shared_setup_cases(kind, d, degrees):
+    """The moment pair of a kind at the top of degrees."""
+    if kind == "spanning":
+        return class_spanning_pair(d, degrees[-1])
+    return degree_class_pair(kind, d, degrees[-1])
+
+
+SPANNING_DEGREES = [4, 6, 10, 12]  # each ends inside a joint class
+
+
+class TestSharedSearchSetup:
+    """growth_diagnostic builds one _Setup at the top degree, and each degree's
+    search reads prefixes of it."""
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS + ["spanning"])
+    @pytest.mark.parametrize("d,degrees", [(1, [4, 9, 16, 30]), (2, [3, 6, 8, 12]),
+                                           (3, [2, 3, 5, 6])])
+    def test_each_degree_equals_a_fresh_search(self, kind, d, degrees):
+        if kind == "spanning":
+            degrees = SPANNING_DEGREES
+        ms, mt = shared_setup_cases(kind, d, degrees)
+        setup = eq._Setup(ms, mt)
+        # top degree first: a search that left state in the setup would show
+        for top in reversed(degrees):
+            part, tpart = ms.truncated(top), mt.truncated(top)
+            m = simplex_size(d, top)
+            got, fresh = setup.objective.prefix(m), eq._Objective(part, tpart)
+            for name in ("rows", "f", "h", "lo_off", "hi_off"):
+                assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
+            cert = eq._search(setup, m, 3)
+            want = eq.optimize_C(part, tpart, seed=3)
+            assert cert.C.tobytes() == want.C.tobytes()
+            assert (cert.log_m1, cert.log_m2) == (want.log_m1, want.log_m2)
+            assert cert.search == want.search
+
+    def test_spanning_classes_change_their_offsets(self):
+        # the case the per-degree offsets are for: the top degree's would be wrong
+        ms, mt = class_spanning_pair(2, SPANNING_DEGREES[-1])
+        top = eq._Objective(ms, mt)
+        for degree in SPANNING_DEGREES[:-1]:
+            part = top.prefix(simplex_size(2, degree))
+            assert part.hi_off[-1] < top.hi_off[len(part.rows) - 1]
+
+    def test_threads_share_one_setup(self):
+        # eight threads search sixteen degrees on one _Setup, whose gaps the
+        # first thread that needs them makes; every degree's result is the serial one
+        gen = pochhammer_pair_generator(1, 2, 1, 3)
+        degrees = list(range(4, 20))
+        serial = eq.growth_diagnostic(gen, degrees, seed=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = eq.growth_diagnostic(gen, degrees, seed=0, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("kind", ["pochhammer", "homogeneous", "perturbed"])
+    def test_no_family_gathers_its_rows(self, kind):
+        families = []
+
+        def gen(top):
+            whole, _ = truncation_cases(kind, 2, top, top)
+            other = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 3.0), 2, top)
+            pair = kg.kernel_moments(whole), kg.kernel_moments(other)
+            families.extend([whole, other, *pair])
+            return pair
+
+        eq.growth_diagnostic(gen, [4, 6, 8, 10], seed=0)
+        assert len(families) == 4
+        for family in families:
+            assert "mats" not in vars(family)
+            low = family.truncated(6)
+            assert "mats" not in vars(low)
+            for part in (low, family, family.truncated(6)):  # before and after a read
+                assert part.mats.tobytes() == part.class_mats[part.classes].tobytes()
+                assert not part.mats.flags.writeable
+                assert part.mats is part.mats  # gathered once
 
 
 def kronecker_rows(ms, mt):

@@ -117,6 +117,16 @@ class TestLogPochhammer:
             kg.log_pochhammer(1.0, -1)
 
 
+class TestGradedLogFactorials:
+    @pytest.mark.parametrize("d,top", [(1, 300), (2, 128), (3, 64), (4, 30), (4, 0)])
+    def test_equals_the_cumsum_form_bit_for_bit(self, d, top):
+        got = kg._graded_log_factorials(d, top)
+        want = helpers.cumsum_graded_log_factorials(d, top)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
 class TestPochhammerKernel:
     def test_hardy_case(self):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 1.0), 1, 5)
@@ -261,10 +271,12 @@ class TestTruncated:
         assert (part.d, part.N, part.fiber_dim) == (fresh.d, fresh.N, fresh.fiber_dim)
         assert part.truncation() is fresh.truncation()
         assert part.class_mats is whole.class_mats  # shared, not sliced
-        for name in ("mats", "logs", "classes"):
+        for name in ("logs", "classes"):
             got, full = getattr(part, name), getattr(whole, name)
             assert got.base is not None and np.shares_memory(got, full)  # a view
             assert not got.flags.writeable
+        # mats is gathered when first read, so it is compared by its bytes
+        assert not part.mats.flags.writeable
         assert part.mats.tobytes() == fresh.mats.tobytes()
         assert part.logs.tobytes() == fresh.logs.tobytes()
         # a perturbed family numbers its replaced classes after its degrees, so
