@@ -31,7 +31,7 @@ from . import kernelgen as kg
 from . import sampling
 from . import serialization as ser
 from .lattice import simplex_size
-from .numerics import HermPD, LinAlgError, hermpd, hermpd_batch, singular_range
+from .numerics import HermPD, LinAlgError, hermpd, hermpd_batch
 from .serialization import SchemaError
 from .shiftcore import (
     MomentSystem,
@@ -307,20 +307,16 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
     invertible, certs_pass = 0, True
     worst_level0 = worst_recursion = worst_intertwining = 0.0
     count = basis.solution_count
-    roots = eq.level_zero_roots(ms, mt) if count else None  # shared by the samples
     for _ in range(ORACLE_SAMPLES if count else 0):
         x = basis.combine(rng.standard_normal(count) + 1j * rng.standard_normal(count))
-        x_range = singular_range(x.matrix)  # the one SVD of X per sample
-        lo, hi = x_range
+        lo, hi = x.singular_range  # the one SVD of X per sample
         if hi == 0.0 or lo <= 1e-8 * hi:
             continue
         invertible += 1
         worst_level0 = max(worst_level0, eq.level0_annihilation_residual(x))
-        worst_recursion = max(worst_recursion, eq.recursion_residual(x, ms, mt, shifts))
-        worst_intertwining = max(
-            worst_intertwining, eq.intertwining_residual(x, ms, mt, shifts, x_range)
-        )
-        cert = eq.certificate_from_intertwiner(x, ms, mt, x_range, roots)
+        worst_recursion = max(worst_recursion, eq.recursion_residual(x, shifts))
+        worst_intertwining = max(worst_intertwining, eq.intertwining_residual(x, shifts))
+        cert = eq.certificate_from_intertwiner(x, shifts)
         certs_pass = certs_pass and eq.verify_certificate(ms, mt, cert, tol).passes
     checks_pass = (
         invertible > 0
@@ -703,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="parse and validate a problem file")
     val.add_argument("problem")
-    val.add_argument("--out", default=None, help=argparse.SUPPRESS)
     val.add_argument("--quiet", action="store_true")
     val.set_defaults(func=_cmd_validate)
 

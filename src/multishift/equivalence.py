@@ -151,10 +151,10 @@ def sandwich_ratio(ms: MomentSystem, mt: MomentSystem, c) -> tuple:
 
 def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCertificate:
     """The certificate with the tightest constants for a given C, from one
-    evaluation of the search's objective (_Objective)."""
+    evaluation of the search's objective (_Setup.objective)."""
     c = as_complex_matrix(c, "C")
     _check_invertible_c(c)
-    lo, hi, _ = _Objective(ms, mt).log_ranges(c)
+    lo, hi, _ = _Setup(ms, mt).objective(len(ms.truncation())).log_ranges(c)
     return SimilarityCertificate(c, float(lo.min()), float(hi.max()))
 
 
@@ -291,34 +291,20 @@ class _Objective:
     at its first row (rows). As fl(a + x) is monotone in a, lo.min() and
     hi.max() over the classes equal the full lattice's bit for bit. Both
     stacks are fixed for the whole search, so they are factored once
-    (pencil_factors) and an evaluation is one pencil_logrange_batch call.
-    f is +inf where that call raises, as at a numerically singular C.
+    (pencil_factors, in _Setup) and an evaluation is one pencil_logrange_batch
+    call. f is +inf where that call raises, as at a numerically singular C.
+    _Setup.objective builds it from prefixes of the setup: rows, f and h per
+    class, joint (each row's class) and off (the logscale difference) per row.
     """
 
-    def __init__(self, ms: MomentSystem, mt: MomentSystem):
-        _require_same_shape(ms, mt)
-        self.rows, self._joint = _joint_classes(ms.classes, mt.classes)
-        self._off = mt.logs - ms.logs
-        self.f, self.h = pencil_factors(*(x.class_mats[x.classes[self.rows]] for x in (mt, ms)))
-        self._reset()
-
-    def prefix(self, m: int) -> "_Objective":
-        """The objective of the pair's first m rows, with its own offsets, count
-        and best C; the rows ascend, so F and H are prefixes (eigh is per row)."""
-        out = object.__new__(_Objective)
-        c = int(np.searchsorted(self.rows, m))
-        out.rows, out.f, out.h = self.rows[:c], self.f[:c], self.h[:c]
-        out._joint, out._off = self._joint[:m], self._off[:m]
-        out._reset()
-        return out
-
-    def _reset(self) -> None:
-        self.lo_off = np.full(len(self.rows), math.inf)
-        self.hi_off = np.full(len(self.rows), -math.inf)
-        np.minimum.at(self.lo_off, self._joint, self._off)
-        np.maximum.at(self.hi_off, self._joint, self._off)
+    def __init__(self, rows, joint, off, f, h):
+        self.rows, self.f, self.h = rows, f, h
+        self.lo_off = np.full(len(rows), math.inf)
+        self.hi_off = np.full(len(rows), -math.inf)
+        np.minimum.at(self.lo_off, joint, off)
+        np.maximum.at(self.hi_off, joint, off)
         self.evaluations = 0
-        self.best = _Eval(np.eye(self.f.shape[-1], dtype=np.complex128), math.inf)
+        self.best = _Eval(np.eye(f.shape[-1], dtype=np.complex128), math.inf)
 
     def log_ranges(self, c: np.ndarray) -> tuple:
         """Per-class (lo, hi) log pencil eigenvalue extremes at C and the
@@ -337,27 +323,10 @@ class _Objective:
             self.best = ev
         return ev
 
-    def level_zero_bound(self, left: HermPD, right: HermPD) -> float:
-        """A lower bound on f over every C: any sandwich puts the extreme
-        eigenvalues of (G~_beta, G~_0) and (G_beta, G_0) within m2/m1 of each
-        other, so f >= max_beta |log lambda_max(G~_beta, G~_0) - log
-        lambda_max(G_beta, G_0)|, and the same with lambda_min. With left =
-        G_0^{-1/2} and right = G~_0^{1/2}, the singular values of F_beta left
-        and right H_beta give those eigenvalues and their reciprocals up to
-        logscales (level_zero_gaps); each class's extreme offsets (lo_off,
-        hi_off) give its largest gap."""
-        return self.bound(self.level_zero_gaps(left, right))
-
-    def level_zero_gaps(self, left: HermPD, right: HermPD) -> tuple:
-        """Per class, the gaps between the pair's level-zero log extremes."""
-        s = _svd(self.f @ left.matrix, compute_uv=False)
-        t = _svd(right.matrix @ self.h, compute_uv=False)
-        shift = -2.0 * (left.logscale + right.logscale)
-        return (shift - 2.0 * (np.log(t[:, -1]) + np.log(s[:, 0])),
-                shift - 2.0 * (np.log(t[:, 0]) + np.log(s[:, -1])))
-
     def bound(self, gaps: tuple) -> float:
-        """The level-zero bound from the first classes' level_zero_gaps."""
+        """The level-zero lower bound on f over every C, from the first
+        classes' gaps (_Setup.gaps): each class's extreme offsets (lo_off,
+        hi_off) give its largest gap."""
         return float(max(np.abs(gap[:len(self.rows)] + off).max()
                          for gap in gaps for off in (self.lo_off, self.hi_off)))
 
@@ -624,7 +593,7 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     with unitary W, starting from the identity, an eigenframe-alignment
     candidate, a unitary recovery and seeded random unitaries. Unless the
     best start has bottomed out, the level-zero lower bound of the pair
-    (_Objective.level_zero_bound) is computed once, and a start within
+    (_Setup.gaps, _Objective.bound) is computed once, and a start within
     PROVEN_RTOL of it is returned as proven optimal. Otherwise one BFGS
     descent (_bfgs) runs over all invertible C from the best start, on
     exact gradients: the gradient of log lambda at a B-normalised extreme
@@ -641,32 +610,52 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
 
 
 class _Setup:
-    """A pair's search setup at its top degree: the objective, the level-zero
-    roots, the class rows transported by them and, once needed, the level-zero
-    gaps. Its rows ascend, and every stack here is computed row by row, so a
-    truncation's setup is the prefix of each (_Objective.prefix)."""
+    """A pair's search setup at its top degree: the joint classes (rows, joint),
+    every row's logscale offset, the pencil factors F and H of the class rows,
+    the level-zero roots, the class rows transported by them and, once needed,
+    the level-zero gaps. Its rows ascend, and every stack here is computed row
+    by row, so a truncation's setup is the prefix of each (objective)."""
 
     def __init__(self, ms: MomentSystem, mt: MomentSystem):
-        self.objective = _Objective(ms, mt)
-        rows = self.objective.rows
+        _require_same_shape(ms, mt)
+        self.rows, self.joint = _joint_classes(ms.classes, mt.classes)
+        self.off = mt.logs - ms.logs
+        mats, tmats = (x.class_mats[x.classes[self.rows]] for x in (ms, mt))
+        self.f, self.h = pencil_factors(tmats, mats)
         self.left, self.right, right_inv = level_zero_roots(ms, mt)
         # Transporting both families by their level-zero inverse square roots
         # turns any exact congruence into a unitary one, so the unitary-recovery
         # machinery hands the optimizer an (often exactly optimal) start.
-        mats, tmats = (x.class_mats[x.classes[rows]] for x in (ms, mt))
         self.whitened = (symmetrize(_congruence_stack(mats, self.left.matrix)),
-                         ms.logs[rows] + 2.0 * self.left.logscale,
+                         ms.logs[self.rows] + 2.0 * self.left.logscale,
                          symmetrize(_congruence_stack(tmats, right_inv.matrix)),
-                         mt.logs[rows] + 2.0 * right_inv.logscale)
+                         mt.logs[self.rows] + 2.0 * right_inv.logscale)
+
+    def objective(self, m: int) -> _Objective:
+        """The objective of the pair's first m rows, with its own offsets, count
+        and best C; the rows ascend, so F and H are prefixes (eigh is per row)."""
+        c = int(np.searchsorted(self.rows, m))
+        return _Objective(self.rows[:c], self.joint[:m], self.off[:m], self.f[:c], self.h[:c])
 
     @functools.cached_property
     def gaps(self) -> tuple:
-        return self.objective.level_zero_gaps(self.left, self.right)
+        """Per class, the gaps between the pair's level-zero log extremes. Any
+        sandwich puts the extreme eigenvalues of (G~_beta, G~_0) and (G_beta,
+        G_0) within m2/m1 of each other, so f >= max_beta |log lambda_max(G~_beta,
+        G~_0) - log lambda_max(G_beta, G_0)|, and the same with lambda_min. With
+        left = G_0^{-1/2} and right = G~_0^{1/2}, the singular values of F_beta
+        left and right H_beta give those eigenvalues and their reciprocals up
+        to logscales (_Objective.bound adds the class offsets)."""
+        s = _svd(self.f @ self.left.matrix, compute_uv=False)
+        t = _svd(self.right.matrix @ self.h, compute_uv=False)
+        shift = -2.0 * (self.left.logscale + self.right.logscale)
+        return (shift - 2.0 * (np.log(t[:, -1]) + np.log(s[:, 0])),
+                shift - 2.0 * (np.log(t[:, 0]) + np.log(s[:, -1])))
 
 
 def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
     """optimize_C on the first m rows of the setup's pair."""
-    objective = setup.objective.prefix(m)
+    objective = setup.objective(m)
     rng = np.random.default_rng(seed)
     c, n, _ = objective.f.shape  # c joint classes
     whitened = tuple(a[:c] for a in setup.whitened)
@@ -971,8 +960,10 @@ class IntertwinerMatrix:
     fiber_dim: int
     matrix: np.ndarray
 
-    def norm(self) -> float:
-        return spectral_norm(self.matrix)
+    @functools.cached_property
+    def singular_range(self) -> tuple:
+        """(sigma_min, sigma_max) of the matrix, from one SVD shared by every check."""
+        return singular_range(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -984,7 +975,10 @@ class ShiftPair:
     graded order, the target's products P~_alpha of raise blocks along any
     staircase from 0 to alpha and the inverses P_alpha^{-1} of the source's,
     in closed form: the products telescope to P~_alpha = T_alpha^{1/2}
-    T_0^{-1/2}, so P_alpha^{-1} = G_0^{1/2} G_alpha^{-1/2}.
+    T_0^{-1/2}, so P_alpha^{-1} = G_0^{1/2} G_alpha^{-1/2}. left = G_0^{-1/2}
+    and right = G~_0^{1/2} are row 0 of the same root pass: the matrices of
+    level_zero_roots(ms, mt)[:2] bit for bit, and their logscales (a zero's
+    sign may differ).
     """
 
     mz: tuple
@@ -992,6 +986,8 @@ class ShiftPair:
     full: tuple
     tproducts: np.ndarray
     inv_products: np.ndarray
+    left: HermPD
+    right: HermPD
 
 
 def shift_pair(ms: MomentSystem, mt: MomentSystem) -> ShiftPair:
@@ -1008,6 +1004,8 @@ def shift_pair(ms: MomentSystem, mt: MomentSystem) -> ShiftPair:
         full=tuple((a.full_matrix(), b.full_matrix()) for a, b in zip(mz, tmz)),
         tproducts=_scaled(tup_logs + tdown_logs[0], tup @ tdown[0]),
         inv_products=_scaled(up_logs[0] + down_logs, up[0] @ down),
+        left=HermPD(down[0], float(down_logs[0])),
+        right=HermPD(tup[0], float(tup_logs[0])),
     )
 
 
@@ -1148,8 +1146,7 @@ def level0_annihilation_residual(x: IntertwinerMatrix) -> float:
     return frob_norm(off) / max(frob_norm(x.matrix), 1e-300)
 
 
-def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
-                       shifts: ShiftPair | None = None) -> float:
+def recursion_residual(x: IntertwinerMatrix, shifts: ShiftPair) -> float:
     """Deviation of the diagonal blocks from the shift-transport recursion.
 
     Every intertwiner's diagonal block at alpha equals the level-raising
@@ -1157,50 +1154,35 @@ def recursion_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
     product of the source shift. Those products are read in closed form
     (ShiftPair), while the transport multiplies raise blocks along
     staircases, so the check is independent of the transport that built X.
-    shifts, when given, is shift_pair(ms, mt).
     """
-    _require_same_shape(ms, mt)
-    shifts = shifts if shifts is not None else shift_pair(ms, mt)
     n = x.fiber_dim
     m = len(shifts.inv_products)
     diag = x.matrix.reshape(m, n, m, n)[range(m), :, range(m), :]
     return _max_row_gap(diag, shifts.tproducts @ diag[0] @ shifts.inv_products)
 
 
-def certificate_from_intertwiner(x: IntertwinerMatrix, ms: MomentSystem,
-                                 mt: MomentSystem, x_range: tuple | None = None,
-                                 roots: tuple | None = None) -> SimilarityCertificate:
+def certificate_from_intertwiner(x: IntertwinerMatrix, shifts: ShiftPair) -> SimilarityCertificate:
     """The proof's certificate: C from the level-0 block of X^{-1}, m from norms.
 
     C (in coefficient coordinates) is G_0^{-1/2} [X^{-1}]_{00} G~_0^{1/2};
     the constants are m1 = 1/||X^{-1}||^2 = sigma_min(X)^2 and
     m2 = ||X||^2 = sigma_max(X)^2, using operator norms of the full truncated
-    matrices. x_range, when given, is singular_range(x.matrix); roots, when
-    given, is level_zero_roots(ms, mt).
+    matrices.
     """
-    _require_same_shape(ms, mt)
-    n = ms.fiber_dim
+    n = x.fiber_dim
     x_inv = inv(x.matrix)
-    left, right, _ = roots if roots is not None else level_zero_roots(ms, mt)
+    left, right = shifts.left, shifts.right
     c = math.exp(left.logscale + right.logscale) * (
         left.matrix @ x_inv[:n, :n] @ right.matrix
     )
-    lo, hi = x_range if x_range is not None else singular_range(x.matrix)
+    lo, hi = x.singular_range
     return SimilarityCertificate(C=c, log_m1=2.0 * math.log(lo), log_m2=2.0 * math.log(hi))
 
 
-def intertwining_residual(x: IntertwinerMatrix, ms: MomentSystem, mt: MomentSystem,
-                          shifts: ShiftPair | None = None,
-                          x_range: tuple | None = None) -> float:
-    """max_j ||X Mz_j - M~z_j X|| over interior columns, scaled by ||X|| and shift norms.
-
-    shifts, when given, is shift_pair(ms, mt); x_range, when given, is
-    singular_range(x.matrix).
-    """
-    _require_same_shape(ms, mt)
-    shifts = shifts if shifts is not None else shift_pair(ms, mt)
-    keep = x.fiber_dim * simplex_size(ms.d, ms.N - 1)
-    norm_x = x_range[1] if x_range is not None else x.norm()
+def intertwining_residual(x: IntertwinerMatrix, shifts: ShiftPair) -> float:
+    """max_j ||X Mz_j - M~z_j X|| over interior columns, scaled by ||X|| and shift norms."""
+    keep = x.fiber_dim * simplex_size(x.d, x.N - 1)
+    norm_x = x.singular_range[1]
     worst = 0.0
     for mz, mzt, (full, tfull) in zip(shifts.mz, shifts.tmz, shifts.full):
         lhs = x.matrix @ full[:, :keep]

@@ -119,18 +119,6 @@ class GradedFamily:
     def truncation(self) -> Truncation:
         return self._trunc
 
-    def truncated(self, N: int) -> "GradedFamily":
-        """The family on |alpha| <= N, the compression of this one: its rows are
-        the first C(N + d, d) in graded order, so logs and classes are prefix
-        views and class_mats is shared; nothing is copied or gathered."""
-        if not 0 <= N <= self.N:
-            raise ValueError(f"degree {N} outside 0..{self.N}")
-        m = lattice.simplex_size(self.d, N)
-        out = type(self).__new__(type(self))
-        out.d, out.N, out.fiber_dim, out._trunc = self.d, N, self.fiber_dim, _truncation(self.d, N)
-        out.class_mats, out.logs, out.classes = self.class_mats, self.logs[:m], self.classes[:m]
-        return out
-
     def row(self, alpha) -> HermPD:
         """The HermPD at alpha, a view of one row of the stacks."""
         k = self._trunc.position(alpha)
@@ -175,10 +163,10 @@ class TruncatedMz:
 
     blocks (k, n, n) stacks, over the k interior levels |alpha| <= N - 1 in
     graded order, the blocks G_{alpha+e_j}^{1/2} G_alpha^{-1/2} that map
-    level alpha to level alpha + e_j; src (k,) and dst (k,) hold the graded
-    ranks of alpha and alpha + e_j. Blocks that would exit the truncation are
-    absent. The operator is strictly level-raising, so its matrix is
-    block-subdiagonal in the graded order.
+    level alpha to level alpha + e_j, so block r leaves graded rank r; dst
+    (k,) holds the graded ranks of alpha + e_j. Blocks that would exit the
+    truncation are absent. The operator is strictly level-raising, so its
+    matrix is block-subdiagonal in the graded order.
     """
 
     j: int
@@ -186,7 +174,6 @@ class TruncatedMz:
     N: int
     fiber_dim: int
     blocks: np.ndarray
-    src: np.ndarray
     dst: np.ndarray
     norm_estimate: float
     min_singular_value: float
@@ -194,7 +181,7 @@ class TruncatedMz:
     def full_matrix(self) -> np.ndarray:
         n, m = self.fiber_dim, len(_truncation(self.d, self.N))
         out = np.zeros((m, n, m, n), dtype=np.complex128)
-        out[self.dst, :, self.src, :] = self.blocks
+        out[self.dst, :, range(len(self.dst)), :] = self.blocks
         return out.reshape(m * n, m * n)
 
 
@@ -334,11 +321,11 @@ def _shift(ms: MomentSystem, roots: tuple, j: int) -> TruncatedMz:
         raise ValueError(f"coordinate j={j} outside 0..{ms.d - 1}")
     up, up_logs, down, down_logs = roots
     dst = ms.truncation().raise_map[j]
-    src = np.arange(len(dst))
-    blocks = _scaled(up_logs[dst] + down_logs[src], up[dst] @ down[src])
+    k = len(dst)
+    blocks = _scaled(up_logs[dst] + down_logs[:k], up[dst] @ down[:k])
     s = _svd(blocks, compute_uv=False) if len(blocks) else np.zeros((1, 1))
     return TruncatedMz(j=j, d=ms.d, N=ms.N, fiber_dim=ms.fiber_dim, blocks=blocks,
-                       src=src, dst=dst, norm_estimate=float(s[:, 0].max()),
+                       dst=dst, norm_estimate=float(s[:, 0].max()),
                        min_singular_value=float(s[:, -1].min()))
 
 
@@ -370,7 +357,8 @@ def check_adjoint_formula(ms: MomentSystem, j: int) -> float:
     """
     up, up_logs, down, down_logs = roots = _roots(ms)
     mz = _shift(ms, roots, j)
-    below, beta = mz.src, mz.dst
+    beta = mz.dst
+    below = slice(len(beta))  # the interior ranks, in graded order
     ginv, ginv_logs = inv_pd_batch(ms.mats[below], ms.logs[below])
     route_two = _scaled(up_logs[below] + (ginv_logs + ms.logs[beta]) + down_logs[beta],
                         up[below] @ (ginv @ ms.mats[beta]) @ down[beta])

@@ -1,5 +1,6 @@
 """Test-only constructions derived from the package's seeded systems, the
-functions nothing in the package calls (kept with their tests), and nine
+functions nothing in the package calls (kept with their tests: a family's
+prefix truncation and the search objective of a whole pair), and nine
 independent references: a Cholesky/whitening pencil path for the package's
 eigenpair-factored pencil kernel, the per-index shift construction for the
 graded shift stacks, the per-index weight validation and per-row staircase
@@ -42,6 +43,7 @@ from multishift.numerics import (
 from multishift.shiftcore import (
     COMMUTATION_TOL,
     WEIGHT_SINGULARITY_TOL,
+    GradedFamily,
     MomentSystem,
     ValidationReport,
     WeightSystem,
@@ -286,6 +288,27 @@ def per_index_inverse_products(ms: MomentSystem) -> np.ndarray:
 def identity_classes(ms: MomentSystem) -> MomentSystem:
     """The same family with the identity class map: every row its own class."""
     return MomentSystem.from_arrays(ms.d, ms.N, ms.fiber_dim, ms.mats, ms.logs)
+
+
+def truncated(family: GradedFamily, top_degree: int) -> GradedFamily:
+    """The family on |alpha| <= top_degree, the compression of this one: its
+    rows are the first C(top_degree + d, d) in graded order, so logs and
+    classes are prefix views and class_mats is shared; nothing is copied or
+    gathered. The reference a shared search setup's prefixes are checked
+    against."""
+    if not 0 <= top_degree <= family.N:
+        raise ValueError(f"degree {top_degree} outside 0..{family.N}")
+    m = simplex_size(family.d, top_degree)
+    out = type(family).__new__(type(family))
+    out.d, out.N, out.fiber_dim = family.d, top_degree, family.fiber_dim
+    out._trunc = _truncation(family.d, top_degree)
+    out.class_mats, out.logs, out.classes = family.class_mats, family.logs[:m], family.classes[:m]
+    return out
+
+
+def objective(ms: MomentSystem, mt: MomentSystem) -> eq._Objective:
+    """The search objective on every row of the pair, as optimize_C builds it."""
+    return eq._Setup(ms, mt).objective(len(ms.truncation()))
 
 
 def scaled_system(ms: MomentSystem, log_factor: float) -> MomentSystem:

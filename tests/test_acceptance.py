@@ -170,8 +170,8 @@ def test_criterion_5_intertwiner_oracle():
             sampled += 1
             total_invertible += 1
             worst_annih = max(worst_annih, eq.level0_annihilation_residual(x))
-            worst_recur = max(worst_recur, eq.recursion_residual(x, ms, mt))
-            cert = eq.certificate_from_intertwiner(x, ms, mt)
+            worst_recur = max(worst_recur, eq.recursion_residual(x, basis.shifts))
+            cert = eq.certificate_from_intertwiner(x, basis.shifts)
             certs_ok = certs_ok and eq.verify_certificate(ms, mt, cert, 1e-9).passes
         assert sampled == 4, f"seed {seed}: {sampled} invertible samples in {draws} draws"
     ok = worst_annih <= 1e-9 and worst_recur <= 1e-9 and certs_ok

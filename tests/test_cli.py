@@ -11,6 +11,7 @@ import pytest
 import helpers
 from multishift import cli
 from multishift import equivalence as eq
+from multishift import numerics
 from multishift import sampling
 from multishift import serialization as ser
 from multishift import shiftcore as sc
@@ -330,6 +331,27 @@ class TestRun:
         assert shapes.count((dim, keep)) == d * oracle["invertible_samples"]
         assert sum(len(s) == 2 and dim in s for s in shapes) == (d + 1) * oracle["samples"]
 
+    def test_oracle_reads_one_singular_range_per_sample(self, tmp_path, monkeypatch):
+        # the checks read the sample's cached range (IntertwinerMatrix.singular_range);
+        # a check that took the range of X again would count here
+        d, top, n = 2, 2, 2
+        ms = sampling.random_moment_system(d, top, n, 40)
+        mt = sampling.congruent_pair(ms, np.eye(n) + 0.2j * np.eye(n))
+        path = write_pair_problem(tmp_path / "oracle.json", "oracle", ms, mt)
+        shapes, singular_range = [], numerics.singular_range
+
+        def counting(mat):
+            shapes.append(np.shape(mat))
+            return singular_range(mat)
+
+        for module in (eq, numerics):  # spectral_norm reads the numerics name
+            monkeypatch.setattr(module, "singular_range", counting)
+        assert run_cli(["run", path, "--quiet"]) == 0
+        oracle = read_report(tmp_path / "oracle.report.json")["oracle"]
+        assert oracle["invertible_samples"] == oracle["samples"] > 0
+        dim = n * simplex_size(d, top)
+        assert shapes.count((dim, dim)) == oracle["samples"]
+
     def test_oracle_report_carries_rank_threshold(self, tmp_path):
         ms = sampling.random_moment_system(2, 3, 2, 41)
         mt = sampling.random_moment_system(2, 3, 2, 42)
@@ -646,7 +668,8 @@ class TestExitCodes:
                                              message):
         path = tmp_path / "p.json"
         path.write_bytes(content)
-        assert run_cli([command, path, "--out", tmp_path / "r.json", "--quiet"]) == 3
+        out = ["--out", tmp_path / "r.json"] if command == "run" else []
+        assert run_cli([command, path, *out, "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("schema error at $: ") and message in err
         assert "Traceback" not in err
@@ -807,7 +830,7 @@ class TestNearSingularGrams:
         ms, mt = systems = helpers.near_singular_pair(side, alpha, seed)
         # the pencil kernel factors the Grams from their eigenpairs, so it has
         # a finite objective where a Cholesky factor of the Gram would fail
-        objective = eq._Objective(ms, mt)
+        objective = helpers.objective(ms, mt)
         assert math.isfinite(objective(np.eye(2, dtype=np.complex128)).value)
 
         path, out = tmp_path / "problem.json", tmp_path / "report.json"
@@ -1014,6 +1037,20 @@ class TestParserReuse:
         assert proc.returncode == 0, proc.stderr
         assert read_report(seeded)["options"]["seed"] == 7
         assert report_bytes_without_timing(unseeded) == report_bytes_without_timing(fresh)
+
+    def test_validate_takes_no_out_option(self, swap_problem, tmp_path):
+        # validate writes nothing, so --out is a usage error, not a silent no-op
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "multishift", "validate", str(swap_problem),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --out" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_usage_error_does_not_spoil_the_next_call(self, swap_problem, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -271,7 +271,7 @@ class TestCertificateSearch:
         ms = sampling.random_moment_system(d, top, n, rng)
         mt = sampling.random_moment_system(d, top, n, rng)
         c = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        objective = eq._Objective(ms, mt)
+        objective = helpers.objective(ms, mt)
         ev = objective(c)
         # away from ties: unique extreme indices with simple extreme eigenvalues
         assert np.diff(np.sort(ev.hi))[-1] >= 1e-2 and np.diff(np.sort(ev.lo))[0] >= 1e-2
@@ -291,7 +291,7 @@ class TestCertificateSearch:
         rng = np.random.default_rng([81, seed])
         ms = sampling.random_moment_system(2, 3, 2, rng)
         mt = sampling.random_moment_system(2, 3, 2, rng)
-        objective = eq._Objective(ms, mt)
+        objective = helpers.objective(ms, mt)
         c = np.eye(2) + 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         grad = eq._gradient(objective, objective(c))
         assert grad.shape == (8,) and grad.dtype == np.float64
@@ -309,7 +309,7 @@ class TestCertificateSearch:
         rng = np.random.default_rng([83, 0])
         ms = sampling.random_moment_system(2, 3, 2, rng)
         mt = sampling.random_moment_system(2, 3, 2, rng)
-        objective = eq._Objective(ms, mt)
+        objective = helpers.objective(ms, mt)
         ev = objective(np.eye(2) + 0.3 * (rng.standard_normal((2, 2))
                                           + 1j * rng.standard_normal((2, 2))))
         grad = eq._gradient(objective, ev)
@@ -346,7 +346,7 @@ class TestCertificateSearch:
 
         monkeypatch.setattr(eq, "_gradient", small)
         ms, mt, _ = certify_random_pair("random0")
-        objective = eq._Objective(ms, mt)
+        objective = helpers.objective(ms, mt)
         stage = eq._bfgs(objective, np.eye(2, dtype=np.complex128), 0.0,
                          np.random.default_rng(0))
         assert 1.0 <= objective.best.value < 8.0
@@ -399,7 +399,7 @@ class TestCertificateSearch:
             grams[alpha] = hermpd(g)
         mt = sc.MomentSystem(2, 2, n, grams)
         c0 = inv_sqrt_pd(ms.gram((0, 0))).matrix @ sqrt_pd(mt.gram((0, 0))).matrix
-        objective = eq._Objective(ms, mt)
+        objective = helpers.objective(ms, mt)
         ev = objective(c0)
         lo = objective.lo_off[:, None] + helpers.pencil_eigenpairs(objective, ev)[0]
         cluster = lo <= lo[:, 0].min() + 1e-6
@@ -415,7 +415,7 @@ class TestCertificateSearch:
         # the benchmark tracer counts objective evaluations as calls of
         # equivalence.pencil_logrange_batch inside optimize_C: one per
         # evaluation, none for the bound, and no second pass for the certificate
-        offsets, kernel, values = eq._Objective(ms, mt), eq.pencil_logrange_batch, []
+        offsets, kernel, values = helpers.objective(ms, mt), eq.pencil_logrange_batch, []
 
         def counted(f, h, c):
             values.append(None)
@@ -589,9 +589,8 @@ class TestStationarity:
 
 
 def level_zero_bound(ms, mt):
-    zero = (0,) * ms.d
-    return eq._Objective(ms, mt).level_zero_bound(inv_sqrt_pd(ms.gram(zero)),
-                                                   sqrt_pd(mt.gram(zero)))
+    setup = eq._Setup(ms, mt)
+    return setup.objective(len(ms.truncation())).bound(setup.gaps)
 
 
 def per_row_level_zero_bound(ms, mt):
@@ -617,7 +616,7 @@ def perturbed_pochhammer_pair(seed):
     return kg.kernel_moments(base), kg.kernel_moments(other)
 
 
-# Mutations of _Objective.level_zero_bound these tests kill: a bound without
+# Mutations of _Setup.gaps and _Objective.bound these tests kill: a bound without
 # the absolute value fails on the Pochhammer gap pairs and the perturb pair,
 # whose bound-attaining gaps are negative; a bound that pairs lambda_max of
 # one family with lambda_min of the other fails the per-row reference and
@@ -660,7 +659,7 @@ class TestLevelZeroBound:
     @pytest.mark.parametrize("seed", range(3))
     def test_class_rows_match_the_per_row_reference(self, seed):
         ms, mt = perturbed_pochhammer_pair(seed)
-        assert len(eq._Objective(ms, mt).rows) < len(ms.truncation())
+        assert len(helpers.objective(ms, mt).rows) < len(ms.truncation())
         bound = level_zero_bound(ms, mt)
         assert abs(bound - per_row_level_zero_bound(ms, mt)) <= 1e-12 * max(1.0, bound)
         flat = level_zero_bound(helpers.identity_classes(ms), helpers.identity_classes(mt))
@@ -689,7 +688,7 @@ def factored_kernel_pair(case):
         span = 300.0 if kind == "spread" else 1.0
         ms, mt = (sampling.random_moment_system(2, 3, int(n), rng, logscale_span=span)
                   for _ in range(2))
-    objective = eq._Objective(ms, mt)
+    objective = helpers.objective(ms, mt)
     rows = objective.rows
     assert len(rows) == (129 if case == "pochhammer128" else len(ms.truncation()))
     return objective, ms.mats[rows], ms.logs[rows], mt.mats[rows], mt.logs[rows]
@@ -792,31 +791,47 @@ class TestFactoredObjective:
                 break
         else:
             pytest.fail("no seed makes the Cholesky path fail")
-        ev = eq._Objective(ms, mt)(c)
+        ev = helpers.objective(ms, mt)(c)
         cert = eq.sandwich_certificate(ms, mt, c)
         assert (cert.log_m1, cert.log_m2) == (ev.lo.min(), ev.hi.max())
 
 
+def level_zero_case(case):
+    """A pair for the level-zero root tests."""
+    rng = np.random.default_rng([83, len(case)])
+    if case.startswith("random"):
+        n = int(case[-1])
+        return tuple(sampling.random_moment_system(2, 2, n, rng) for _ in range(2))
+    if case == "pochhammer":
+        return pochhammer_moments(1, 2, 3, 6), pochhammer_moments(0.5, 4, 3, 6)
+    if case == "near-singular":
+        return helpers.near_singular_pair(1, (0, 0), 3)
+    # level-zero logscales far apart
+    ms = sampling.random_moment_system(2, 2, 3, rng)
+    return ms, helpers.scaled_system(sampling.random_moment_system(2, 2, 3, rng), 600.0)
+
+
+LEVEL_ZERO_CASES = ["random-2", "random-5", "pochhammer", "near-singular", "spread"]
+
+
 class TestLevelZeroRoots:
-    @pytest.mark.parametrize("case", ["random-2", "random-5", "pochhammer", "near-singular",
-                                      "spread"])
+    @pytest.mark.parametrize("case", LEVEL_ZERO_CASES)
     def test_roots_equal_the_one_matrix_passes(self, case):
-        rng = np.random.default_rng([83, len(case)])
-        if case.startswith("random"):
-            n = int(case[-1])
-            ms, mt = (sampling.random_moment_system(2, 2, n, rng) for _ in range(2))
-        elif case == "pochhammer":
-            ms, mt = pochhammer_moments(1, 2, 3, 6), pochhammer_moments(0.5, 4, 3, 6)
-        elif case == "near-singular":
-            ms, mt = helpers.near_singular_pair(1, (0, 0), 3)
-        else:  # level-zero logscales far apart
-            ms = sampling.random_moment_system(2, 2, 3, rng)
-            mt = helpers.scaled_system(sampling.random_moment_system(2, 2, 3, rng), 600.0)
+        ms, mt = level_zero_case(case)
         zero = (0,) * ms.d
         wants = (inv_sqrt_pd(ms.gram(zero)), sqrt_pd(mt.gram(zero)), inv_sqrt_pd(mt.gram(zero)))
         roots = eq.level_zero_roots(ms, mt)
         assert len(roots) == 3
         for got, want in zip(roots, wants):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.logscale == want.logscale
+
+    @pytest.mark.parametrize("case", LEVEL_ZERO_CASES)
+    def test_shift_pair_roots_equal_the_search_roots(self, case):
+        # the oracle's certificate reads row 0 of the shift pair's root pass
+        ms, mt = level_zero_case(case)
+        shifts = eq.shift_pair(ms, mt)
+        for got, want in zip((shifts.left, shifts.right), eq.level_zero_roots(ms, mt)[:2]):
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert got.logscale == want.logscale
 
@@ -900,7 +915,7 @@ def degree_class_pair(kind, d, top, rng_top=None):
 
 def full_lattice_objective(ms, mt):
     """The objective of the same pair rebuilt with identity class maps."""
-    return eq._Objective(helpers.identity_classes(ms), helpers.identity_classes(mt))
+    return helpers.objective(helpers.identity_classes(ms), helpers.identity_classes(mt))
 
 
 def objective_gap(reduced, full, cs):
@@ -927,7 +942,7 @@ class TestDegreeClasses:
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_reduced_objective_equals_full_lattice(self, kind, d, top):
         ms, mt = degree_class_pair(kind, d, top)
-        reduced = eq._Objective(ms, mt)
+        reduced = helpers.objective(ms, mt)
         # perturbed: every index of degree <= 2 is a class of its own
         extra = simplex_size(d, 2) - 3 if kind.startswith("perturbed") else 0
         assert len(reduced.rows) == top + 1 + extra < simplex_size(d, top)
@@ -947,7 +962,7 @@ class TestDegreeClasses:
         merged = np.where(ms.classes == drop, drop - 1, ms.classes)
         joint_classes = eq._joint_classes
         monkeypatch.setattr(eq, "_joint_classes", lambda a, b: joint_classes(merged, merged))
-        assert objective_gap(eq._Objective(ms, mt), full, cs) > 1e-12
+        assert objective_gap(helpers.objective(ms, mt), full, cs) > 1e-12
 
     @pytest.mark.parametrize("name", ["random0", "random4", "swap", "perturb"])
     def test_reduced_search_matches_full_lattice_search(self, name):
@@ -1027,9 +1042,9 @@ class TestSharedSearchSetup:
         setup = eq._Setup(ms, mt)
         # top degree first: a search that left state in the setup would show
         for top in reversed(degrees):
-            part, tpart = ms.truncated(top), mt.truncated(top)
+            part, tpart = helpers.truncated(ms, top), helpers.truncated(mt, top)
             m = simplex_size(d, top)
-            got, fresh = setup.objective.prefix(m), eq._Objective(part, tpart)
+            got, fresh = setup.objective(m), helpers.objective(part, tpart)
             for name in ("rows", "f", "h", "lo_off", "hi_off"):
                 assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
             cert = eq._search(setup, m, 3)
@@ -1041,9 +1056,10 @@ class TestSharedSearchSetup:
     def test_spanning_classes_change_their_offsets(self):
         # the case the per-degree offsets are for: the top degree's would be wrong
         ms, mt = class_spanning_pair(2, SPANNING_DEGREES[-1])
-        top = eq._Objective(ms, mt)
+        setup = eq._Setup(ms, mt)
+        top = setup.objective(len(ms.truncation()))
         for degree in SPANNING_DEGREES[:-1]:
-            part = top.prefix(simplex_size(2, degree))
+            part = setup.objective(simplex_size(2, degree))
             assert part.hi_off[-1] < top.hi_off[len(part.rows) - 1]
 
     def test_threads_share_one_setup(self):
@@ -1075,9 +1091,9 @@ class TestSharedSearchSetup:
         assert len(families) == 4
         for family in families:
             assert "mats" not in vars(family)
-            low = family.truncated(6)
+            low = helpers.truncated(family, 6)
             assert "mats" not in vars(low)
-            for part in (low, family, family.truncated(6)):  # before and after a read
+            for part in (low, family, helpers.truncated(family, 6)):  # before and after a read
                 assert part.mats.tobytes() == part.class_mats[part.classes].tobytes()
                 assert not part.mats.flags.writeable
                 assert part.mats is part.mats  # gathered once
@@ -1529,7 +1545,7 @@ class TestDiagonalIntertwiner:
         x = helpers.diagonal_intertwiner(ms, mt, np.eye(1))
         for k in range(top + 1):
             assert helpers.diag_block(x, (k,))[0, 0].real == pytest.approx(2.0 ** k, rel=1e-11)
-        assert eq.intertwining_residual(x, ms, mt) <= 1e-9
+        assert eq.intertwining_residual(x, eq.shift_pair(ms, mt)) <= 1e-9
         _, _, log_ratio = eq.sandwich_ratio(ms, mt, np.eye(1))
         assert log_ratio == pytest.approx(top * math.log(4.0), rel=1e-12)
 
@@ -1538,7 +1554,7 @@ class TestDiagonalIntertwiner:
         c0 = np.array([[1.0, 0.3], [0.1j, 1.2]], dtype=np.complex128)
         mt = sampling.congruent_pair(ms, c0)
         x = helpers.diagonal_intertwiner(ms, mt, c0)
-        assert eq.intertwining_residual(x, ms, mt) <= 1e-9
+        assert eq.intertwining_residual(x, eq.shift_pair(ms, mt)) <= 1e-9
         m1, m2, _ = eq.sandwich_ratio(ms, mt, c0)
         for alpha in ms.truncation():
             lo, hi = singular_range(helpers.diag_block(x, alpha))
@@ -1616,13 +1632,15 @@ class TestBruteForceIntertwiner:
                 continue
             checked += 1
             assert eq.level0_annihilation_residual(x) <= 1e-9
-            assert eq.recursion_residual(x, ms, mt) <= 1e-9
-            assert eq.intertwining_residual(x, ms, mt) <= 1e-9
-            cert = eq.certificate_from_intertwiner(x, ms, mt)
+            assert eq.recursion_residual(x, basis.shifts) <= 1e-9
+            assert eq.intertwining_residual(x, basis.shifts) <= 1e-9
+            cert = eq.certificate_from_intertwiner(x, basis.shifts)
             assert eq.verify_certificate(ms, mt, cert, 1e-9).passes
-            # the oracle passes the level-zero roots it built once
-            shared = eq.certificate_from_intertwiner(x, ms, mt, None, eq.level_zero_roots(ms, mt))
-            assert shared.C.tobytes() == cert.C.tobytes()
+            # the shift pair's roots are the one-matrix roots of level zero
+            left, right = inv_sqrt_pd(ms.gram((0, 0))), sqrt_pd(mt.gram((0, 0)))
+            want = math.exp(left.logscale + right.logscale) * (
+                left.matrix @ inv(x.matrix)[:2, :2] @ right.matrix)
+            assert cert.C.tobytes() == want.tobytes()
         assert checked > 0
 
     @pytest.mark.parametrize("d", [1, 2])

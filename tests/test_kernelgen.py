@@ -263,7 +263,8 @@ def truncation_cases(kind, d, top, low):
 
 
 class TestTruncated:
-    """GradedFamily.truncated(N) is the degree-N family, as prefix views."""
+    """helpers.truncated(family, N) is the degree-N family, as prefix views:
+    the reference for the prefixes of a shared search setup."""
 
     @staticmethod
     def assert_prefix_is_fresh(part, whole, fresh):
@@ -289,16 +290,16 @@ class TestTruncated:
     def test_prefix_equals_fresh_generation(self, kind, d, top):
         for low in (0, 1, top // 2, top - 1, top):
             whole, fresh = truncation_cases(kind, d, top, low)
-            self.assert_prefix_is_fresh(whole.truncated(low), whole, fresh)
+            self.assert_prefix_is_fresh(helpers.truncated(whole, low), whole, fresh)
             moments = kg.kernel_moments(whole)
-            self.assert_prefix_is_fresh(moments.truncated(low), moments,
+            self.assert_prefix_is_fresh(helpers.truncated(moments, low), moments,
                                         kg.kernel_moments(fresh))
 
     def test_degree_outside_the_family_is_refused(self):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 4)
         for bad in (-1, 5):
             with pytest.raises(ValueError, match=f"degree {bad} outside 0..4"):
-                spec.truncated(bad)
+                helpers.truncated(spec, bad)
 
 
 class TestGroundTruth:

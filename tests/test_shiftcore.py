@@ -197,7 +197,7 @@ class TestBuildMz:
         # G_k = 1/(k+1) gives block(k) = sqrt((k+1)/(k+2))
         grams = {(k,): hermpd(np.eye(1), -math.log(k + 1)) for k in range(8)}
         mz = sc.build_mz(sc.MomentSystem(1, 7, 1, grams), 0)
-        assert mz.src.tolist() == list(range(7)) and mz.dst.tolist() == list(range(1, 8))
+        assert mz.dst.tolist() == list(range(1, 8))
         for k in range(7):  # (k,) has graded rank k
             want = math.sqrt((k + 1) / (k + 2))
             assert mz.blocks[k][0, 0].real == pytest.approx(want, rel=1e-12)
