@@ -3,10 +3,12 @@
 Problem files are JSON (version 1) with a kind (similarity | unitary |
 oracle | diagnostic | validate), one or two system specs (explicit moments or
 weights, or generated pochhammer / homogeneous / perturbed), and options.
-Reports record the resolved options and seed, not the input systems (those
-stay in the problem file), so a run is reproducible from its problem file and
-report; identical problem + seed gives a byte-identical report except for the
-timing_seconds field.
+A pair is resolved once, before its kind runs: a diagnostic's at its top
+degree (its last degree), any other's at options.N when given; an explicit
+system must have that N. Reports record the resolved options and seed, not
+the input systems (those stay in the problem file), so a run is reproducible
+from its problem file and report; identical problem + seed gives a
+byte-identical report except for the timing_seconds field.
 
 Exit codes: 0 verdict produced, 2 input validation failure or an output path
 that cannot be written, 3 schema error (an unreadable problem file included).
@@ -218,6 +220,12 @@ def _resolve_pair(problem: dict, top_degree: int | None):
             f"systems disagree in shape: ({ms.d},{ms.N},{ms.fiber_dim}) vs "
             f"({mt.d},{mt.N},{mt.fiber_dim})"
         )
+    with np.errstate(over="ignore"):  # every kind compares the families in the log domain
+        apart = np.flatnonzero(~np.isfinite(mt.logs - ms.logs))
+    if apart.size:
+        alpha = ms.truncation().alpha(apart[0])
+        raise InputValidationError(f"systems: the logscales at alpha={alpha} "
+                                   "differ by more than the double-precision range")
     return ms, mt
 
 
@@ -243,8 +251,16 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
     if top_degree is not None:
         report["options"]["N"] = top_degree
 
+    if kind == "validate":
+        report.update(_run_validate(problem["systems"][0], top_degree))
+        return report
+    if kind == "diagnostic":
+        degrees = degrees or options.get("degrees", list(DEFAULT_DEGREES))
+        report["options"]["degrees"] = [int(x) for x in degrees]
+        top_degree = degrees[-1]  # the lower degrees are prefixes of this pair
+    ms, mt = _resolve_pair(problem, top_degree)
+
     if kind == "similarity":
-        ms, mt = _resolve_pair(problem, top_degree)
         with _systems_failure(NO_CERTIFICATE):
             cert = eq.optimize_C(ms, mt, seed=seed)
             verification = eq.verify_certificate(ms, mt, cert, tol)
@@ -260,14 +276,12 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
             diagnostics={"optimize": ser.search_to_json(cert.search)},
         )
     elif kind == "unitary":
-        ms, mt = _resolve_pair(problem, top_degree)
         result = eq.test_unitary_equivalence(ms, mt, tol, seed=seed)
         report.update(
             verdict="YES" if result.equivalent else "NO",
             unitary=ser.unitary_result_to_json(result),
         )
     elif kind == "oracle":
-        ms, mt = _resolve_pair(problem, top_degree)
         if ms.N < 1:
             raise InputValidationError("systems[0].N: the oracle needs N >= 1 "
                                        "(N=0 leaves no intertwining equation)")
@@ -275,28 +289,10 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         with _systems_failure("the dense oracle cannot represent this pair",
                               (LinAlgError, OverflowError, eq.SingularCError)):
             report.update(_run_oracle(ms, mt, seed, tol))
-    elif kind == "diagnostic":
-        degrees = degrees if degrees is not None else options.get(
-            "degrees", list(DEFAULT_DEGREES)
-        )
-        for i, spec in enumerate(problem["systems"]):
-            if spec.get("type") not in GENERATED_TYPES:
-                raise InputValidationError(
-                    f"systems[{i}]: diagnostic problems need generated systems "
-                    "(re-generable at every degree)"
-                )
-
-        def pair_at(n_deg):
-            return _resolve_pair(problem, n_deg)
-
+    else:  # diagnostic; parse_problem guards the kind
         with _systems_failure(NO_CERTIFICATE):
-            diag = eq.growth_diagnostic(pair_at, degrees, seed=seed, threads=threads)
-        report["options"]["degrees"] = [int(x) for x in degrees]
+            diag = eq.growth_diagnostic(ms, mt, degrees, seed=seed, threads=threads)
         report.update(verdict=diag.verdict, growth=ser.growth_to_json(diag))
-    elif kind == "validate":
-        report.update(_run_validate(problem["systems"][0], top_degree))
-    else:  # pragma: no cover - parse_problem guards this
-        raise SchemaError("kind", f"unhandled kind {kind}")
     return report
 
 

@@ -223,10 +223,10 @@ class SearchStage(NamedTuple):
     exit is one of: bottomed out (the log ratio reached BOTTOM_VALUE), proven
     optimal (it is within PROVEN_RTOL of the level-zero lower bound),
     stationary (the convex hull of the last STATIONARY_WINDOW gradients comes
-    within STATIONARY_TOL of zero), rounding floor (the unit step's
-    sufficient-decrease bound rounds to f, so no step can show a decrease that
-    f's rounding does not hide), no bracket (the line search found no weak
-    Wolfe step), iteration cap, non-finite (the perturbed start).
+    within STATIONARY_TOL of zero), no bracket (the line search found no weak
+    Wolfe step, its first trial's sufficient-decrease bound included: where
+    that bound rounds to f, no step can show a decrease that f's rounding
+    does not hide), iteration cap, non-finite (the perturbed start).
     """
 
     exit: str
@@ -236,7 +236,7 @@ class SearchStage(NamedTuple):
 
 class SearchStart(NamedTuple):
     """One stage (a) candidate: its objective value, or, when building it
-    raised a LinAlgError, the error's class name (value None)."""
+    raised a numerical error, the error's class name (value None)."""
 
     name: str
     value: float | None
@@ -433,8 +433,7 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
     a weak Wolfe line search still converges on it (Lewis and Overton 2013).
     The inverse Hessian starts as s'y / y'y times the identity at the first
     update (s'y <= 0 skips it). SearchStage's exits are checked in order
-    after every step, _stationary from the last call's witness, and the
-    rounding floor before the line search evaluates anything; deterministic.
+    after every step, _stationary from the last call's witness; deterministic.
     """
     first = objective.evaluations
     z = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
@@ -459,9 +458,6 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
         if steps == DESCENT_STEPS:
             break
         direction = -(grad if hess is None else hess @ grad)
-        if ev.value + WOLFE_C1 * float(grad @ direction) == ev.value:
-            reason = "rounding floor"
-            break
         found = _line_search(objective, ev, grad, direction)
         if found is None:
             reason = "no bracket"
@@ -611,25 +607,39 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
 
 class _Setup:
     """A pair's search setup at its top degree: the joint classes (rows, joint),
-    every row's logscale offset, the pencil factors F and H of the class rows,
-    the level-zero roots, the class rows transported by them and, once needed,
-    the level-zero gaps. Its rows ascend, and every stack here is computed row
-    by row, so a truncation's setup is the prefix of each (objective)."""
+    every row's logscale offset and the pencil factors F and H of the class
+    rows; the level-zero roots, the class rows transported by them and the
+    level-zero gaps are built when a search first reads them. Its rows
+    ascend, and every stack here is computed row by row, so a truncation's
+    setup is the prefix of each (objective)."""
 
     def __init__(self, ms: MomentSystem, mt: MomentSystem):
         _require_same_shape(ms, mt)
+        self.pair = ms, mt
         self.rows, self.joint = _joint_classes(ms.classes, mt.classes)
         self.off = mt.logs - ms.logs
-        mats, tmats = (x.class_mats[x.classes[self.rows]] for x in (ms, mt))
-        self.f, self.h = pencil_factors(tmats, mats)
-        self.left, self.right, right_inv = level_zero_roots(ms, mt)
-        # Transporting both families by their level-zero inverse square roots
-        # turns any exact congruence into a unitary one, so the unitary-recovery
-        # machinery hands the optimizer an (often exactly optimal) start.
-        self.whitened = (symmetrize(_congruence_stack(mats, self.left.matrix)),
-                         ms.logs[self.rows] + 2.0 * self.left.logscale,
-                         symmetrize(_congruence_stack(tmats, right_inv.matrix)),
-                         mt.logs[self.rows] + 2.0 * right_inv.logscale)
+        self.f, self.h = pencil_factors(*(x.class_mats[x.classes[self.rows]] for x in (mt, ms)))
+
+    @functools.cached_property
+    def roots(self) -> tuple:
+        """level_zero_roots of the pair: (G_0^{-1/2}, G~_0^{1/2}, G~_0^{-1/2})."""
+        return level_zero_roots(*self.pair)
+
+    @functools.cached_property
+    def whitened(self) -> tuple:
+        """(stack, logscales) per family: its class rows transported by its
+        level-zero inverse square root, which turns any exact congruence into a
+        unitary one for the alignment and recovery starts. OverflowError where
+        a family spans past the double-precision range."""
+        out = ()
+        for x, root in zip(self.pair, self.roots[::2]):
+            with np.errstate(over="ignore"):
+                logs = x.logs[self.rows] + 2.0 * root.logscale
+            if not np.isfinite(logs).all():
+                raise OverflowError("a whitened logscale is past the double-precision range")
+            out += (symmetrize(_congruence_stack(x.class_mats[x.classes[self.rows]],
+                                                 root.matrix)), logs)
+        return out
 
     def objective(self, m: int) -> _Objective:
         """The objective of the pair's first m rows, with its own offsets, count
@@ -646,9 +656,10 @@ class _Setup:
         left = G_0^{-1/2} and right = G~_0^{1/2}, the singular values of F_beta
         left and right H_beta give those eigenvalues and their reciprocals up
         to logscales (_Objective.bound adds the class offsets)."""
-        s = _svd(self.f @ self.left.matrix, compute_uv=False)
-        t = _svd(self.right.matrix @ self.h, compute_uv=False)
-        shift = -2.0 * (self.left.logscale + self.right.logscale)
+        left, right, _ = self.roots
+        s = _svd(self.f @ left.matrix, compute_uv=False)
+        t = _svd(right.matrix @ self.h, compute_uv=False)
+        shift = -2.0 * (left.logscale + right.logscale)
         return (shift - 2.0 * (np.log(t[:, -1]) + np.log(s[:, 0])),
                 shift - 2.0 * (np.log(t[:, 0]) + np.log(s[:, -1])))
 
@@ -658,16 +669,16 @@ def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
     objective = setup.objective(m)
     rng = np.random.default_rng(seed)
     c, n, _ = objective.f.shape  # c joint classes
-    whitened = tuple(a[:c] for a in setup.whitened)
+    left, right, _ = setup.roots
 
-    # (name, unitary W or None, class of the LinAlgError that stopped it)
+    # (name, unitary W or None, class of the error that stopped it)
     candidates = [("identity", np.eye(n, dtype=np.complex128), None)]
     align_weights = rng.uniform(0.5, 1.5, size=c)
-    for name, start in (("alignment", lambda: _alignment_unitary(*whitened, align_weights)),
-                        ("recovery", lambda: _recover_congruence_unitary(*whitened, rng))):
-        try:
-            candidates.append((name, start(), None))
-        except LinAlgError as ex:
+    for name, start in (("alignment", lambda w: _alignment_unitary(*w, align_weights)),
+                        ("recovery", lambda w: _recover_congruence_unitary(*w, rng))):
+        try:  # the whitened stacks are read, and may fail, inside each start
+            candidates.append((name, start([a[:c] for a in setup.whitened]), None))
+        except (LinAlgError, OverflowError) as ex:
             candidates.append((name, None, type(ex).__name__))
     for i in range(RANDOM_STARTS):
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -681,7 +692,7 @@ def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
         if w is None:
             tried.append(SearchStart(name, None, error))
             continue
-        ev = objective(setup.left.matrix @ w @ setup.right.matrix)
+        ev = objective(left.matrix @ w @ right.matrix)
         tried.append(SearchStart(name, ev.value))
         if start_ev is None or ev.value < start_ev.value:
             label, start_ev = name, ev
@@ -739,14 +750,13 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, intercept, r2
 
 
-def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
+def growth_diagnostic(ms: MomentSystem, mt: MomentSystem, degrees, *, seed: int = 0,
                       threads: int = 1) -> GrowthDiagnostic:
     """Optimize a certificate at each truncation degree and fit the growth.
 
-    pair_generator(N) must return the (M, M~) pair truncated at degree N.
-    It is called once, at the top degree, where the search setup (_Setup) is
-    built: a lower degree's truncation is the prefix of its rows in graded
-    order, so each degree's search reads prefixes of that setup.
+    The pair (ms, mt) must reach the top degree. Its search setup (_Setup) is
+    built once: a lower degree's truncation is the prefix of its rows in
+    graded order, so each degree's search reads prefixes of that setup.
     A bounded optimal ratio across degrees is evidence for similarity; a
     power-law slope matching the moment asymptotics is evidence against.
     Any finite truncation admits some certificate, so the verdict is always
@@ -757,8 +767,9 @@ def growth_diagnostic(pair_generator, degrees, *, seed: int = 0,
         raise ValueError("need at least 4 truncation degrees")
     if sorted(degrees) != degrees or len(set(degrees)) != len(degrees) or degrees[0] < 1:
         raise ValueError("degrees must be strictly ascending positive integers")
+    if degrees[-1] > ms.N:
+        raise ValueError(f"top degree {degrees[-1]} exceeds the pair's N={ms.N}")
 
-    ms, mt = pair_generator(degrees[-1])
     setup = _Setup(ms, mt)
 
     def run(top_degree: int) -> SimilarityCertificate:

@@ -71,8 +71,8 @@ def test_criterion_1_explicit_swap_certificate():
 def test_criterion_2_growth_diagnostics():
     started = time.perf_counter()
     degrees = [8, 16, 24, 32, 48, 64]
-    apart = eq.growth_diagnostic(pair_generator(1, 2, 1, 3), degrees, seed=0)
-    swapped = eq.growth_diagnostic(pair_generator(1, 3, 3, 1), degrees, seed=0)
+    apart = eq.growth_diagnostic(*pair_generator(1, 2, 1, 3)(degrees[-1]), degrees, seed=0)
+    swapped = eq.growth_diagnostic(*pair_generator(1, 3, 3, 1)(degrees[-1]), degrees, seed=0)
     elapsed = time.perf_counter() - started
     ok = (
         0.8 <= apart.slope <= 1.2

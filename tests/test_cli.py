@@ -11,6 +11,7 @@ import pytest
 import helpers
 from multishift import cli
 from multishift import equivalence as eq
+from multishift import kernelgen as kg
 from multishift import numerics
 from multishift import sampling
 from multishift import serialization as ser
@@ -286,6 +287,53 @@ class TestRun:
         assert [row["degree"] for row in table] == [4, 6, 8, 10]
         assert table[0]["log_ratio"] <= 1e-13 < min(row["log_ratio"] for row in table[1:])
         assert [row["classes"] for row in table] == [5, 8, 10, 12]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_diagnostic_resolves_the_pair_once_at_the_top_degree(self, tmp_path, monkeypatch,
+                                                                 threads):
+        path = tmp_path / "diag.json"
+        assert run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 1,
+                        "--mu2", 3, "--kind", "diagnostic", "--degrees", "6,8,10,12",
+                        "--out", path, "--quiet"]) == 0
+        calls, resolve = [], cli.resolve_system
+
+        def counted(spec, where, top_degree=None):
+            calls.append((where, top_degree))
+            return resolve(spec, where, top_degree)
+
+        monkeypatch.setattr(cli, "resolve_system", counted)
+        assert run_cli(["run", path, "--threads", threads, "--quiet"]) == 0
+        assert calls == [("systems[0]", 12), ("systems[1]", 12)]
+
+    @pytest.mark.parametrize("second", [(1, 3), (2, 1), (1, 2)])
+    def test_explicit_diagnostic_equals_the_generated_spec(self, tmp_path, capsys, second):
+        # the explicit files are the generated pair at the top degree, one class per row
+        degrees = [4, 6, 8, 10]
+        specs = [{"type": "pochhammer", "lambda": lam, "mu": mu, "d": 2}
+                 for lam, mu in ((1, 2), second)]
+
+        def explicit(top):
+            return [ser.moment_system_to_json(kg.kernel_moments(kg.pochhammer_kernel(
+                kg.PochhammerPair(spec["lambda"], spec["mu"]), 2, top))) for spec in specs]
+
+        reports = []
+        for name, systems in (("generated", specs), ("explicit", explicit(10)),
+                              ("past", explicit(12))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(canonical_dumps({"version": 1, "kind": "diagnostic",
+                                             "systems": systems,
+                                             "options": {"degrees": degrees}}),
+                            encoding="utf-8")
+            reports.append((run_cli(["run", path, "--quiet"]), tmp_path / f"{name}.report.json"))
+        assert [code for code, _ in reports] == [0, 0, 2]
+        assert capsys.readouterr().err == (
+            "input validation failed: systems[0]: explicit system has N=12, options require 10\n")
+        generated, written = (read_report(out) for _, out in reports[:2])
+        assert written["verdict"] == generated["verdict"]
+        for row, want in zip(written["growth"]["table"], generated["growth"]["table"]):
+            assert row["log_ratio"] == want["log_ratio"]
+            assert (row["classes"], want["classes"]) == (simplex_size(2, row["degree"]),
+                                                         row["degree"] + 1)
 
     def test_oracle_kind(self, tmp_path):
         ms = sampling.random_moment_system(2, 2, 2, 40)
@@ -780,6 +828,38 @@ class TestExitCodes:
         assert run_cli(["run", path, "--quiet"]) == 2
         assert "double-precision range" in capsys.readouterr().err
 
+
+    # a family spanning about +-1.7e308 nats paired with itself (the identity
+    # certifies it; its whitened logscales overflow, so the two starts built
+    # from them fail), and two families 2e308 nats apart
+    @pytest.mark.parametrize("kind,logscales,code", [
+        ("similarity", [(1.7e308, -1.7e308)] * 2, 0),
+        ("similarity", [(-1.7e308, 1.7e308)] * 2, 0),
+        ("unitary", [(-1.7e308, 1.7e308)] * 2, 0),
+        ("similarity", [(1e308, 1e308), (-1e308, -1e308)], 2),
+        ("unitary", [(1e308, 1e308), (-1e308, -1e308)], 2),
+    ])
+    def test_logscales_past_the_float_range(self, tmp_path, capsys, kind, logscales, code):
+        systems = [{"type": "moments", "d": 1, "N": 1, "fiber_dim": 1, "grams": [
+            {"alpha": [k], "logscale": x, "matrix": [[[1.0, 0.0]]]} for k, x in enumerate(pair)]}
+            for pair in logscales]
+        path = tmp_path / "far.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": kind, "systems": systems}),
+                        encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == ("input validation failed: systems: the logscales at alpha=(0,) "
+                           "differ by more than the double-precision range\n")
+            return
+        assert err == ""
+        report = read_report(tmp_path / "far.report.json")
+        if kind == "unitary":
+            assert report["verdict"] == "YES"
+            return
+        assert report["certificate"]["log_ratio"] == 0.0
+        starts = report["diagnostics"]["optimize"]["starts"]
+        assert [s.get("error") for s in starts[1:3]] == ["OverflowError"] * 2
 
     @pytest.mark.parametrize("field", ["gram-entry", "logscale", "lambda"])
     def test_non_finite_number_names_the_field(self, tmp_path, capsys, field):

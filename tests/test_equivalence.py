@@ -350,7 +350,7 @@ class TestCertificateSearch:
         stage = eq._bfgs(objective, np.eye(2, dtype=np.complex128), 0.0,
                          np.random.default_rng(0))
         assert 1.0 <= objective.best.value < 8.0
-        assert stage == ("rounding floor", 0, 1)
+        assert stage == ("no bracket", 0, 1)
 
     def test_recovery_start_is_finite_where_a_phase_reference_is_zero(self):
         # the target's Grams are diagonal, so the (0, 1) entry of its second
@@ -467,7 +467,7 @@ SEARCH_PATHS = {
     "random1": ("alignment", "stationary", False),
     "random2": ("recovery", "no bracket", False),
     "random3": ("recovery", "no bracket", False),
-    "random4": ("recovery", "rounding floor", False),
+    "random4": ("recovery", "no bracket", False),
     "swap": ("alignment", "bottomed out", True),
     "perturb": ("identity", "proven optimal", True),
 }
@@ -835,11 +835,23 @@ class TestLevelZeroRoots:
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert got.logscale == want.logscale
 
+    @pytest.mark.parametrize("case", LEVEL_ZERO_CASES)
+    def test_one_evaluation_builds_no_roots(self, case, monkeypatch):
+        # only the search's starts and bound read the roots and whitened stacks
+        ms, mt = level_zero_case(case)
+        calls, roots = [], eq.level_zero_roots
+        monkeypatch.setattr(eq, "level_zero_roots", lambda *pair: calls.append(1) or roots(*pair))
+        eq.sandwich_certificate(ms, mt, np.eye(ms.fiber_dim))
+        eq.sandwich_ratio(ms, mt, np.eye(ms.fiber_dim))
+        assert calls == []
+        eq.optimize_C(ms, mt, seed=0)
+        assert calls == [1]
+
 
 class TestGrowthDiagnostic:
     def test_swapped_pair_similar(self):
         diag = eq.growth_diagnostic(
-            pochhammer_pair_generator(1, 2, 2, 1), [8, 16, 24, 32], seed=0
+            *pochhammer_pair_generator(1, 2, 2, 1)(32), [8, 16, 24, 32], seed=0
         )
         assert diag.verdict == eq.VERDICT_SIMILAR
         assert abs(diag.slope) <= 0.05
@@ -847,7 +859,7 @@ class TestGrowthDiagnostic:
 
     def test_distinct_pair_not_similar(self):
         diag = eq.growth_diagnostic(
-            pochhammer_pair_generator(1, 2, 1, 3), [8, 16, 24, 32], seed=0
+            *pochhammer_pair_generator(1, 2, 1, 3)(32), [8, 16, 24, 32], seed=0
         )
         assert diag.verdict == eq.VERDICT_NOT_SIMILAR
         assert 0.8 <= diag.slope <= 1.2
@@ -855,7 +867,7 @@ class TestGrowthDiagnostic:
 
     def test_identical_pair(self):
         diag = eq.growth_diagnostic(
-            pochhammer_pair_generator(1, 2, 1, 2), [4, 6, 8, 10], seed=0
+            *pochhammer_pair_generator(1, 2, 1, 2)(10), [4, 6, 8, 10], seed=0
         )
         assert diag.verdict == eq.VERDICT_SIMILAR
         assert abs(diag.slope) <= 1e-6
@@ -864,28 +876,25 @@ class TestGrowthDiagnostic:
     def test_requires_four_ascending_degrees(self):
         gen = pochhammer_pair_generator(1, 2, 2, 1)
         with pytest.raises(ValueError):
-            eq.growth_diagnostic(gen, [8, 16, 24], seed=0)
+            eq.growth_diagnostic(*gen(24), [8, 16, 24], seed=0)
         with pytest.raises(ValueError):
-            eq.growth_diagnostic(gen, [8, 16, 16, 24], seed=0)
+            eq.growth_diagnostic(*gen(24), [8, 16, 16, 24], seed=0)
+
+    def test_requires_the_pair_to_reach_the_top_degree(self):
+        # a lower-N pair is not cut short: its degrees past N would search the whole pair
+        ms, mt = pochhammer_pair_generator(1, 2, 1, 3)(10)
+        with pytest.raises(ValueError, match="top degree 12 exceeds the pair's N=10"):
+            eq.growth_diagnostic(ms, mt, [4, 6, 8, 12], seed=0)
+        # a pair past the top degree is searched on its prefixes
+        low = eq.growth_diagnostic(*pochhammer_pair_generator(1, 2, 1, 3)(8), [4, 5, 6, 8])
+        assert eq.growth_diagnostic(ms, mt, [4, 5, 6, 8]) == low
 
     def test_threaded_matches_serial(self):
-        gen = pochhammer_pair_generator(1, 2, 1, 3)
-        serial = eq.growth_diagnostic(gen, [6, 8, 10, 12], seed=0, threads=1)
-        threaded = eq.growth_diagnostic(gen, [6, 8, 10, 12], seed=0, threads=4)
+        pair = pochhammer_pair_generator(1, 2, 1, 3)(12)
+        serial = eq.growth_diagnostic(*pair, [6, 8, 10, 12], seed=0, threads=1)
+        threaded = eq.growth_diagnostic(*pair, [6, 8, 10, 12], seed=0, threads=4)
         assert serial.log_ratios == threaded.log_ratios
         assert serial.slope == threaded.slope
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_generates_the_pair_once_at_the_top_degree(self, threads):
-        calls = []
-        gen = pochhammer_pair_generator(1, 2, 1, 3)
-
-        def counted(top):
-            calls.append(top)
-            return gen(top)
-
-        eq.growth_diagnostic(counted, [6, 8, 10, 12], seed=0, threads=threads)
-        assert calls == [12]
 
 
 def degree_class_pair(kind, d, top, rng_top=None):
@@ -982,7 +991,7 @@ class TestDegreeClasses:
 
     def test_growth_table_counts_classes_and_residuals(self):
         degrees = [6, 8, 10, 12]
-        diag = eq.growth_diagnostic(pochhammer_pair_generator(1, 2, 1, 3), degrees, seed=0)
+        diag = eq.growth_diagnostic(*pochhammer_pair_generator(1, 2, 1, 3)(12), degrees, seed=0)
         assert diag.classes == tuple(x + 1 for x in degrees)
         fit = diag.intercept + diag.slope * np.log(np.array(degrees, dtype=np.float64))
         assert np.allclose(diag.residuals, np.array(diag.log_ratios) - fit, rtol=0, atol=1e-15)
@@ -996,7 +1005,7 @@ class TestDegreeClasses:
         def gen(top):
             return degree_class_pair(kind, d, top, rng_top=degrees[-1])
 
-        got = eq.growth_diagnostic(gen, degrees, seed=3)
+        got = eq.growth_diagnostic(*gen(degrees[-1]), degrees, seed=3)
         assert got == helpers.per_degree_growth_diagnostic(gen, degrees, seed=3)
 
 
@@ -1063,15 +1072,16 @@ class TestSharedSearchSetup:
             assert part.hi_off[-1] < top.hi_off[len(part.rows) - 1]
 
     def test_threads_share_one_setup(self):
-        # eight threads search sixteen degrees on one _Setup, whose gaps the
-        # first thread that needs them makes; every degree's result is the serial one
-        gen = pochhammer_pair_generator(1, 2, 1, 3)
+        # eight threads search sixteen degrees on one _Setup, whose roots, whitened
+        # stacks and gaps the first threads that need them make; every degree's
+        # result is the serial one
+        pair = pochhammer_pair_generator(1, 2, 1, 3)(19)
         degrees = list(range(4, 20))
-        serial = eq.growth_diagnostic(gen, degrees, seed=0)
+        serial = eq.growth_diagnostic(*pair, degrees, seed=0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = eq.growth_diagnostic(gen, degrees, seed=0, threads=8)
+            threaded = eq.growth_diagnostic(*pair, degrees, seed=0, threads=8)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
@@ -1087,7 +1097,7 @@ class TestSharedSearchSetup:
             families.extend([whole, other, *pair])
             return pair
 
-        eq.growth_diagnostic(gen, [4, 6, 8, 10], seed=0)
+        eq.growth_diagnostic(*gen(10), [4, 6, 8, 10], seed=0)
         assert len(families) == 4
         for family in families:
             assert "mats" not in vars(family)
