@@ -33,7 +33,7 @@ from . import kernelgen as kg
 from . import sampling
 from . import serialization as ser
 from .lattice import simplex_size
-from .numerics import HermPD, LinAlgError, hermpd, hermpd_batch
+from .numerics import LinAlgError, hermpd, hermpd_batch
 from .serialization import SchemaError
 from .shiftcore import (
     MomentSystem,
@@ -138,10 +138,8 @@ def _kernel_from_spec(spec: dict, path: str, top_degree: int | None):
         mats, alphas, _, logs = ser.entries_from_json(
             reps_field, f"{path}.replacements", base.fiber_dim, base.d, ("alpha", "logscale"))
         mats, logs = hermpd_batch(mats, logs)
-        # a repeated alpha keeps its first place and takes its last matrix
-        replacements = dict(zip(map(tuple, alphas.tolist()), map(HermPD, mats, logs.tolist())))
         try:
-            perturbed, _ = kg.perturb_kernel(base, replacements)
+            perturbed, _ = kg.perturb_kernel(base, alphas, mats, logs)
         except (IndexError, ValueError) as ex:
             raise InputValidationError(f"{path}: {ex}") from ex
         return perturbed
@@ -169,16 +167,15 @@ def _kernel_from_spec(spec: dict, path: str, top_degree: int | None):
     mats, _, _, logs = ser.entries_from_json(
         coeffs_field, f"{path}.coeffs_by_degree", None, d, ("logscale",))
     mats, logs = hermpd_batch(mats, logs)
-    coeffs = list(map(HermPD, mats, logs.tolist()))
     if top_degree is not None:
-        if top_degree > len(coeffs) - 1:
+        if top_degree > len(mats) - 1:
             raise InputValidationError(
                 f"{path}: homogeneous system provides degrees up to "
-                f"{len(coeffs) - 1}, requested {top_degree}"
+                f"{len(mats) - 1}, requested {top_degree}"
             )
-        coeffs = coeffs[:top_degree + 1]
+        mats, logs = mats[:top_degree + 1], logs[:top_degree + 1]
     try:
-        return kg.homogeneous_kernel(coeffs, d)
+        return kg.homogeneous_kernel(mats, logs, d)
     except ValueError as ex:
         raise InputValidationError(f"{path}: {ex}") from ex
 
@@ -287,7 +284,7 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
                                        "(N=0 leaves no intertwining equation)")
         # the oracle works on represented values, not log-scaled ones
         with _systems_failure("the dense oracle cannot represent this pair",
-                              (LinAlgError, OverflowError, eq.SingularCError)):
+                              (LinAlgError, OverflowError)):
             report.update(_run_oracle(ms, mt, seed, tol))
     else:  # diagnostic; parse_problem guards the kind
         with _systems_failure(NO_CERTIFICATE):
@@ -427,17 +424,14 @@ def gen_perturb(args) -> dict:
     base_spec = {"type": "pochhammer", "lambda": lam, "mu": mu,
                  "d": args.d, "N": args.N}
     kernel = _kernel_from_spec(base_spec, "base", None)
-    replacements = {}
+    n = kernel.fiber_dim
     if args.replace0 is not None:
-        zero = (0,) * args.d
-        replacements[zero] = hermpd(
-            args.replace0 * np.eye(kernel.fiber_dim, dtype=np.complex128)
-        )
+        alphas = np.zeros((1, args.d), dtype=np.int64)
+        mats, logs = hermpd_batch(args.replace0 * np.eye(n, dtype=np.complex128)[None], [0.0])
     else:
-        rng = np.random.default_rng(args.seed)
-        for alpha in kernel.truncation().array[:simplex_size(args.d, args.max_degree)].tolist():
-            replacements[tuple(alpha)] = sampling.random_pd(kernel.fiber_dim, rng)
-    _, cert = kg.perturb_kernel(kernel, replacements)
+        alphas = kernel.truncation().array[:simplex_size(args.d, args.max_degree)]
+        mats, logs = sampling.random_pd_stack(len(alphas), n, args.seed)
+    _, cert = kg.perturb_kernel(kernel, alphas, mats, logs)
     return {
         "version": 1,
         "kind": "similarity",
@@ -446,9 +440,10 @@ def gen_perturb(args) -> dict:
             {
                 "type": "perturbed",
                 "base": base_spec,
-                "replacements": [
-                    {"alpha": ser.multiindex_to_json(a), **ser.hermpd_to_json(h)}
-                    for a, h in sorted(replacements.items())
+                "replacements": [  # lexicographic order
+                    {"alpha": a, "logscale": lg, "matrix": m}
+                    for a, lg, m in sorted(zip(alphas.tolist(), logs.tolist(),
+                                               ser.matrix_to_json(mats)))
                 ],
             },
         ],
@@ -536,18 +531,6 @@ def _sidecar_path(problem_path: str, tag: str) -> str:
     return f"{base}.{tag}.json"
 
 
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("MULTISHIFT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def _write_json(path: str, payload: dict) -> None:
     """Write strict JSON; a NaN or infinity is refused before the file is touched."""
     try:
@@ -599,7 +582,7 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             tol=args.tol,
             degrees=degrees,
-            threads=_resolve_threads(args.threads),
+            threads=max(1, args.threads),
         )
         report["timing_seconds"] = time.perf_counter() - started
         _write_json(out_path, report)
@@ -687,9 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=_finite_positive_arg, default=None)
     run.add_argument("--degrees", default=None,
                      help="comma-separated truncation degrees (diagnostic kind)")
-    run.add_argument("--threads", type=int, default=None,
-                     help="worker threads for per-degree runs "
-                          "(default: MULTISHIFT_THREADS or 1)")
+    run.add_argument("--threads", type=int, default=1,
+                     help="worker threads for per-degree runs (default: 1)")
     run.add_argument("--quiet", action="store_true")
     run.set_defaults(func=_cmd_run)
 

@@ -25,6 +25,7 @@ from .numerics import (
     ConvergenceError,
     HermPD,
     LinAlgError,
+    RankDeficientError,
     _eig_transform_batch,
     _svd,
     as_complex_matrix,
@@ -55,10 +56,6 @@ SPECTRUM_ROUNDING = 4.0  # c in the eigenvalue-list allowance c n eps lambda_max
 VERDICT_SIMILAR = "SIMILAR_EVIDENCE"
 VERDICT_NOT_SIMILAR = "NOT_SIMILAR_EVIDENCE"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
-
-
-class SingularCError(Exception):
-    """The congruence matrix C is numerically singular."""
 
 
 class DimensionCapError(Exception):
@@ -128,7 +125,7 @@ def _check_invertible_c(c: np.ndarray) -> None:
     """The invertibility test pencil_logrange_batch applies to C."""
     lo, hi = singular_range(c)
     if not lo > 1e-12 * hi:
-        raise SingularCError("C is numerically singular")
+        raise RankDeficientError("C is numerically singular")
 
 
 def _congruence_stack(mats: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -151,9 +148,9 @@ def sandwich_ratio(ms: MomentSystem, mt: MomentSystem, c) -> tuple:
 
 def sandwich_certificate(ms: MomentSystem, mt: MomentSystem, c) -> SimilarityCertificate:
     """The certificate with the tightest constants for a given C, from one
-    evaluation of the search's objective (_Setup.objective)."""
+    evaluation of the search's objective (_Setup.objective), whose pencil
+    kernel refuses a numerically singular C (RankDeficientError)."""
     c = as_complex_matrix(c, "C")
-    _check_invertible_c(c)
     lo, hi, _ = _Setup(ms, mt).objective(len(ms.truncation())).log_ranges(c)
     return SimilarityCertificate(c, float(lo.min()), float(hi.max()))
 

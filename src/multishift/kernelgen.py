@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import SimilarityCertificate
-from .lattice import _truncation, simplex_size
+from .lattice import _last_entries, _truncation, simplex_size
 from .numerics import (
-    HermPD,
     hermpd_from_log_diag_batch,
     inv_pd_batch,
     pencil_factors,
@@ -103,65 +102,51 @@ def pochhammer_ground_truth(pair: PochhammerPair, other: PochhammerPair) -> bool
     return sorted((pair.lam, pair.mu)) == sorted((other.lam, other.mu))
 
 
-def homogeneous_kernel(coeffs_by_degree, d: int) -> KernelSpec:
+def homogeneous_kernel(mats, logs, d: int) -> KernelSpec:
     """Unitary-group homogeneous kernel: C_alpha = (|alpha|!/alpha!) A_{|alpha|}.
 
-    coeffs_by_degree lists A_0..A_N as HermPDs of one shared dimension, one
-    class per degree; the multinomial factor rides in the logscale: degree m's
-    class is m! A_m, and each row subtracts log(alpha!) from it.
+    mats (N + 1, n, n) and logs (N + 1,) hold A_0..A_N as balanced stacks
+    (hermpd_batch output), one class per degree; the multinomial factor rides
+    in the logscale: degree m's class is m! A_m, and each row subtracts
+    log(alpha!) from it.
     """
-    coeffs_by_degree = list(coeffs_by_degree)
-    if not coeffs_by_degree:
-        raise ValueError("need at least A_0")
-    n = coeffs_by_degree[0].dim
-    for m, a in enumerate(coeffs_by_degree):
-        if not isinstance(a, HermPD):
-            raise ValueError(f"A_{m} is not a HermPD")
-        if a.dim != n:
-            raise ValueError(f"A_{m} has dimension {a.dim}, expected {n}")
-    top = len(coeffs_by_degree) - 1
+    top = len(mats) - 1
     deg, lfact, lf = _graded_log_factorials(d, top)
-    mats = np.stack([a.matrix for a in coeffs_by_degree])
-    logs = np.array([a.logscale for a in coeffs_by_degree]) + lf
-    return KernelSpec(d, top, n, mats, logs[deg] - lfact, classes=deg)
+    return KernelSpec(d, top, mats.shape[-1], mats, (logs + lf)[deg] - lfact, classes=deg)
 
 
-def perturb_kernel(spec: KernelSpec, replacements: dict):
+def perturb_kernel(spec: KernelSpec, alphas, mats, logs):
     """Replace finitely many low-degree coefficients; return the closed-form certificate.
 
-    replacements maps alpha -> HermPD for indices with |alpha| <= n0 (n0 the
-    largest replaced degree). The certificate is (C = I, m1 = min{1, c1},
-    m2 = max{1, c2}) with c1 = min 1/||C_a^{-1/2} D_a C_a^{-1/2}|| and
-    c2 = max ||C_a^{1/2} D_a^{-1} C_a^{1/2}|| over |alpha| <= n0, evaluated as
-    extreme generalized eigenvalues of the pencils (D_a, C_a). Each replaced
-    index becomes a class of its own.
+    alphas (k, d) lists the replaced indices and mats (k, n, n), logs (k,)
+    their coefficients as balanced stacks (hermpd_batch output); an index
+    listed more than once takes its last entry. The certificate is (C = I,
+    m1 = min{1, c1}, m2 = max{1, c2}) with c1 = min 1/||C_a^{-1/2} D_a C_a^{-1/2}||
+    and c2 = max ||C_a^{1/2} D_a^{-1} C_a^{1/2}|| over |alpha| <= n0 (n0 the
+    largest replaced degree), evaluated as extreme generalized eigenvalues of
+    the pencils (D_a, C_a). Each replaced index becomes a class of its own,
+    numbered in graded order after the base classes.
     """
-    logs, classes = spec.logs.copy(), spec.classes.copy()
-    alphas = [tuple(alpha) for alpha in replacements]
-    # an index of another length is outside: it is ranked as a row of -1s
-    ranks = spec.truncation().ranks([a if len(a) == spec.d else (-1,) * spec.d
-                                     for a in alphas]).tolist()
-    extra = []
-    n0 = -1  # the largest replaced degree
-    for alpha, k, dmat in zip(alphas, ranks, replacements.values()):
-        if k < 0:
-            raise IndexError(f"replacement index {alpha} outside the truncation")
-        if not isinstance(dmat, HermPD) or dmat.dim != spec.fiber_dim:
-            raise ValueError(f"replacement at {alpha} is not an n x n HermPD")
-        classes[k], logs[k] = len(spec.class_mats) + len(extra), dmat.logscale
-        extra.append(dmat.matrix)
-        n0 = max(n0, sum(alpha))
-    class_mats = np.concatenate([spec.class_mats, np.reshape(
-        extra, (len(extra), spec.fiber_dim, spec.fiber_dim))])
-    perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, class_mats, logs,
+    trunc = spec.truncation()
+    ranks = trunc.ranks(alphas)
+    if (outside := np.flatnonzero(ranks < 0)).size:
+        alpha = tuple(np.asarray(alphas)[outside[0]].tolist())
+        raise IndexError(f"replacement index {alpha} outside the truncation")
+    take = _last_entries(ranks, len(trunc))
+    rows = np.flatnonzero(take >= 0)  # the replaced rows, in graded order
+    new_logs, classes = spec.logs.copy(), spec.classes.copy()
+    new_logs[rows] = logs[take[rows]]
+    classes[rows] = len(spec.class_mats) + np.arange(len(rows))
+    class_mats = np.concatenate([spec.class_mats, mats[take[rows]]])
+    perturbed = KernelSpec(spec.d, spec.N, spec.fiber_dim, class_mats, new_logs,
                            classes=classes)
     lo, hi = [0.0], [0.0]
-    if n0 >= 0:
-        k0 = simplex_size(spec.d, n0)
-        rows = (x.class_mats[x.classes[:k0]] for x in (perturbed, spec))
-        lo, hi, _ = pencil_logrange_batch(*pencil_factors(*rows),
+    if rows.size:
+        k0 = simplex_size(spec.d, int(trunc.array[rows[-1]].sum()))  # through degree n0
+        pair = (x.class_mats[x.classes[:k0]] for x in (perturbed, spec))
+        lo, hi, _ = pencil_logrange_batch(*pencil_factors(*pair),
                                           np.eye(spec.fiber_dim, dtype=np.complex128))
-        off = logs[:k0] - spec.logs[:k0]
+        off = new_logs[:k0] - spec.logs[:k0]
         lo, hi = off + lo, off + hi
     cert = SimilarityCertificate(
         C=np.eye(spec.fiber_dim, dtype=np.complex128),

@@ -93,10 +93,6 @@ class Truncation:
             raise KeyError(tuple(alpha))
         return k
 
-    def interior(self):
-        """Indices with |alpha| <= N - 1 (those whose e_j-shifts stay inside)."""
-        return map(tuple, self.array[:simplex_size(self.d, self.N - 1)].tolist())
-
     @functools.cached_property
     def _pascal(self) -> np.ndarray:
         """(N + 1, d + 1) int64: [x, k] = C(x + k, k), the number of beta in N^k with
@@ -146,6 +142,17 @@ class Truncation:
             coords[up], below[up] = j, np.arange(len(up))
         coords.flags.writeable = below.flags.writeable = False
         return coords, below
+
+
+def _last_entries(slots: np.ndarray, size: int) -> np.ndarray:
+    """(size,) intp: per slot 0..size-1 the last entry i with slots[i] equal to
+    it, or -1 when there is none; entries with other slots are ignored. With
+    slots from Truncation.ranks, this is the rule for an index listed more
+    than once: its last entry wins."""
+    out = np.full(size, -1, dtype=np.intp)
+    keep = np.flatnonzero((slots >= 0) & (slots < size))
+    np.maximum.at(out, slots[keep], keep)  # unlike fancy assignment, in any order
+    return out
 
 
 @functools.lru_cache(maxsize=32)

@@ -29,6 +29,14 @@ def random_pd(n: int, seed, *, logscale_span: float = 0.0) -> HermPD:
     return hermpd(*_random_pd_raw(n, rng_from(seed), logscale_span))
 
 
+def random_pd_stack(k: int, n: int, seed, *, logscale_span: float = 0.0) -> tuple:
+    """k random_pd draws in turn as balanced stacks (mats (k, n, n), logs (k,)),
+    each row bit-identical to its random_pd; k >= 1."""
+    rng = rng_from(seed)
+    raw = [_random_pd_raw(n, rng, logscale_span) for _ in range(k)]
+    return hermpd_batch(np.stack([m for m, _ in raw]), [lg for _, lg in raw])
+
+
 def random_unitary(n: int, seed) -> np.ndarray:
     rng = rng_from(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -38,9 +46,8 @@ def random_unitary(n: int, seed) -> np.ndarray:
 def random_moment_system(d: int, top_degree: int, n: int, seed, *,
                          logscale_span: float = 1.0) -> MomentSystem:
     """A valid random MomentSystem: independent PD Grams with spread logscales."""
-    rng = rng_from(seed)
-    raw = [_random_pd_raw(n, rng, logscale_span) for _ in range(simplex_size(d, top_degree))]
-    mats, logs = hermpd_batch(np.stack([m for m, _ in raw]), [lg for _, lg in raw])
+    mats, logs = random_pd_stack(simplex_size(d, top_degree), n, seed,
+                                 logscale_span=logscale_span)
     return MomentSystem.from_arrays(d, top_degree, n, mats, logs)
 
 

@@ -29,7 +29,7 @@ from .equivalence import (
     UnitaryEquivalenceResult,
     VerificationReport,
 )
-from .lattice import _truncation, simplex_size
+from .lattice import _last_entries, _truncation, simplex_size
 from .numerics import HermPD, hermpd, hermpd_batch
 from .shiftcore import MomentSystem, ValidationReport, WeightSystem
 
@@ -221,15 +221,6 @@ def entries_from_json(entries: list, path: str, n: int | None, d: int, keys: tup
     return mats.reshape(m, n, n, 2).view(np.complex128)[..., 0], alphas, js, logs
 
 
-def _last_entries(slots: np.ndarray, size: int) -> np.ndarray:
-    """(size,) intp: per slot 0..size-1 the last entry i with slots[i] equal to
-    it, or -1 when there is none; entries with other slots are ignored."""
-    out = np.full(size, -1, dtype=np.intp)
-    keep = np.flatnonzero((slots >= 0) & (slots < size))
-    np.maximum.at(out, slots[keep], keep)  # unlike fancy assignment, in any order
-    return out
-
-
 def moment_system_from_json(data: dict, path: str) -> MomentSystem:
     d = _require_int(data, "d", path, 1)
     top = _require_int(data, "N", path, 0)
@@ -274,7 +265,7 @@ def weight_system_from_json(data: dict, path: str):
         r, j = divmod(int(missing[0]), d)  # the first, alpha-major
         raise SchemaError(f"{path}.weights", f"missing weight at alpha={trunc.alpha(r)}, j={j}")
     take = take.reshape(-1, d).T
-    return WeightSystem.from_arrays(d, top, n, mats[take]), g0
+    return WeightSystem(d, top, n, mats[take]), g0
 
 
 def certificate_to_json(cert: SimilarityCertificate) -> dict:

@@ -43,24 +43,7 @@ class WeightSystem:
     at the interior index of graded rank r; weight(alpha, j) is a view of it."""
 
     def __init__(self, d: int, N: int, fiber_dim: int, weights):
-        """From a mapping (alpha, j) -> n x n matrix that covers the interior."""
-        keys = [(alpha, j) for alpha in _truncation(d, N).interior() for j in range(d)]
-        for key in keys:
-            if key not in weights:
-                raise ValueError("missing weight at alpha={}, j={}".format(*key))
-            if weights[key].shape != (fiber_dim, fiber_dim):
-                raise ValueError(f"weight at {key} has shape {weights[key].shape}")
-        stack = np.array([weights[key] for key in keys], dtype=np.complex128)
-        self._store(d, N, fiber_dim, stack.reshape(-1, d, fiber_dim, fiber_dim).swapaxes(0, 1))
-
-    @classmethod
-    def from_arrays(cls, d: int, N: int, fiber_dim: int, weights) -> "WeightSystem":
         """From a (d, k, n, n) stack in graded order, kept uncopied."""
-        out = cls.__new__(cls)
-        out._store(d, N, fiber_dim, weights)
-        return out
-
-    def _store(self, d: int, N: int, fiber_dim: int, weights) -> None:
         self.d, self.N, self.fiber_dim = d, N, fiber_dim
         self.weights = np.ascontiguousarray(weights, dtype=np.complex128)
         shape = (d, lattice.simplex_size(d, N - 1), fiber_dim, fiber_dim)
@@ -337,8 +320,8 @@ def canonical_weights(ms: MomentSystem) -> WeightSystem:
     moments_from_weights up to the G_0 normalization.
     """
     roots = _roots(ms)
-    return WeightSystem.from_arrays(ms.d, ms.N, ms.fiber_dim,
-                                    np.stack([_shift(ms, roots, j).blocks for j in range(ms.d)]))
+    return WeightSystem(ms.d, ms.N, ms.fiber_dim,
+                        np.stack([_shift(ms, roots, j).blocks for j in range(ms.d)]))
 
 
 def build_mz(ms: MomentSystem, j: int) -> TruncatedMz:

@@ -1,6 +1,7 @@
 """Test-only constructions derived from the package's seeded systems, the
 functions nothing in the package calls (kept with their tests: a family's
-prefix truncation and the search objective of a whole pair), and nine
+prefix truncation, the search objective of a whole pair and a truncation's
+interior indices), and nine
 independent references: a Cholesky/whitening pencil path for the package's
 eigenpair-factored pencil kernel, the per-index shift construction for the
 graded shift stacks, the per-index weight validation and per-row staircase
@@ -58,6 +59,11 @@ def shifted(alpha: tuple, j: int, step: int = 1) -> tuple:
     out = list(alpha)
     out[j] += step
     return tuple(out)
+
+
+def interior(trunc) -> list:
+    """The indices with |alpha| <= N - 1 (those whose e_j-shifts stay inside)."""
+    return list(trunc)[:simplex_size(trunc.d, trunc.N - 1)]
 
 
 def reverse_monotone_path(alpha: tuple) -> list:
@@ -182,7 +188,7 @@ def per_index_raise_blocks(ms: MomentSystem, j: int) -> dict:
     """alpha -> G_{alpha+e_j}^{1/2} G_alpha^{-1/2} for |alpha| <= N - 1, from
     one sqrt_pd and one inv_sqrt_pd call per lattice index."""
     out = {}
-    for alpha in ms.truncation().interior():
+    for alpha in interior(ms.truncation()):
         up, down = sqrt_pd(ms.gram(shifted(alpha, j))), inv_sqrt_pd(ms.gram(alpha))
         out[alpha] = math.exp(up.logscale + down.logscale) * (up.matrix @ down.matrix)
     return out
@@ -233,7 +239,7 @@ def per_index_validate_weights(ws: WeightSystem) -> ValidationReport:
     failures = []
     min_ratio = math.inf
     max_norm = 0.0
-    for alpha in trunc.interior():
+    for alpha in interior(trunc):
         for j in range(ws.d):
             lo, hi = singular_range(ws.weight(alpha, j))
             max_norm = max(max_norm, hi)

@@ -99,9 +99,8 @@ def test_criterion_3_perturbation_certificates():
     low_degree = [alpha for alpha in spec.truncation() if sum(alpha) <= 2]
     failures = []
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        reps = {alpha: sampling.random_pd(2, rng) for alpha in low_degree}
-        perturbed, cert = kg.perturb_kernel(spec, reps)
+        mats, logs = sampling.random_pd_stack(len(low_degree), 2, seed)
+        perturbed, cert = kg.perturb_kernel(spec, low_degree, mats, logs)
         report = eq.verify_certificate(base, kg.kernel_moments(perturbed), cert, 1e-9)
         if not report.passes:
             failures.append(seed)

@@ -493,13 +493,13 @@ class TestRun:
         from multishift import shiftcore as sc
         from multishift.numerics import hermpd
         eye = np.eye(2, dtype=np.complex128)
-        keys = [(alpha, j) for alpha in ((0, 0), (0, 1), (1, 0)) for j in range(2)]
-        weights = dict.fromkeys(keys, eye)
-        weights[((0, 0), 0)] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
-        weights[((1, 0), 1)] = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        weights[((0, 1), 1)] = np.diag([1.0, 0.0]).astype(np.complex128)
-        partner = sc.moments_from_weights(sc.WeightSystem(2, 2, 2, dict.fromkeys(keys, eye)),
-                                          hermpd(eye))
+        # the interior (0, 0), (0, 1), (1, 0) has ranks 0, 1, 2
+        weights = np.tile(eye, (2, 3, 1, 1))
+        partner = sc.moments_from_weights(sc.WeightSystem(2, 2, 2, weights), hermpd(eye))
+        weights = weights.copy()
+        weights[0, 0] = [[1.0, 1.0], [0.0, 1.0]]
+        weights[1, 2] = [[0.0, 1.0], [1.0, 0.0]]
+        weights[1, 1] = np.diag([1.0, 0.0])
         path = tmp_path / "bad.json"
         path.write_text(canonical_dumps({"version": 1, "kind": "similarity", "systems": [
             ser.weight_system_to_json(sc.WeightSystem(2, 2, 2, weights), hermpd(eye)),
@@ -595,6 +595,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"input validation failed: systems[1]: replacement index {tuple(alpha)} "
             "outside the truncation\n")
+
+    def test_repeated_replacement_takes_its_last_entry(self, tmp_path):
+        base = {"type": "pochhammer", "lambda": 1.0, "mu": 2.0, "d": 2, "N": 6}
+        rng = np.random.default_rng(83)
+        first, later, other = ({"alpha": alpha, **ser.hermpd_to_json(sampling.random_pd(2, rng))}
+                               for alpha in ([1, 1], [1, 1], [0, 1]))
+        reports = []
+        for name, entries in (("twice", [first, other, later]), ("later", [other, later]),
+                              ("first", [other, first])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(canonical_dumps({"version": 1, "kind": "similarity", "systems": [
+                base, {"type": "perturbed", "base": base, "replacements": entries}]}),
+                encoding="utf-8")
+            assert run_cli(["run", path, "--quiet"]) == 0
+            reports.append(report_bytes_without_timing(tmp_path / f"{name}.report.json"))
+        assert reports[0] == reports[1] != reports[2]
 
     @staticmethod
     def _kernel_problem(tmp_path, array, entries):
@@ -1045,14 +1061,6 @@ class TestDeterminism:
         run_cli(["run", out, "--threads", 8, "--out", r8, "--quiet"])
         assert report_bytes_without_timing(r1) == report_bytes_without_timing(r8)
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MULTISHIFT_THREADS", "4")
-        assert cli._resolve_threads(None) == 4
-        monkeypatch.setenv("MULTISHIFT_THREADS", "junk")
-        assert cli._resolve_threads(None) == 1
-        monkeypatch.delenv("MULTISHIFT_THREADS")
-        assert cli._resolve_threads(None) == 1
-        assert cli._resolve_threads(8) == 8
 
 
 class TestParserReuse:

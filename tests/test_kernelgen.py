@@ -11,8 +11,10 @@ from multishift import sampling
 from multishift import shiftcore as sc
 from multishift.lattice import Truncation
 from multishift.numerics import (
+    HermPD,
     PositiveDefiniteError,
     hermpd,
+    hermpd_batch,
     inv_pd,
 )
 
@@ -191,9 +193,9 @@ class TestArrayBuiltFamilies:
 
     @pytest.mark.parametrize("d,top,n", [(2, 5, 2), (3, 3, 3), (1, 6, 4)])
     def test_homogeneous(self, d, top, n):
-        rng = np.random.default_rng(40 + n)
-        by_degree = [sampling.random_pd(n, rng, logscale_span=3.0) for _ in range(top + 1)]
-        spec = kg.homogeneous_kernel(by_degree, d)
+        mats, logs = sampling.random_pd_stack(top + 1, n, 40 + n, logscale_span=3.0)
+        by_degree = list(map(HermPD, mats, logs.tolist()))
+        spec = kg.homogeneous_kernel(mats, logs, d)
         coeffs = per_index_homogeneous(by_degree, d)
         assert_degree_classes(spec)
         assert_rows_equal(spec, spec.coeff, coeffs)
@@ -206,10 +208,10 @@ class TestArrayBuiltFamilies:
     def test_perturbed(self, seed):
         pair = kg.PochhammerPair(1.0, 2.0)
         spec = kg.pochhammer_kernel(pair, 2, 6)
-        rng = np.random.default_rng(seed)
-        reps = {alpha: sampling.random_pd(2, rng)
-                for alpha in spec.truncation() if sum(alpha) <= 2}
-        perturbed, cert = kg.perturb_kernel(spec, reps)
+        alphas = [alpha for alpha in spec.truncation() if sum(alpha) <= 2]
+        mats, logs = sampling.random_pd_stack(len(alphas), 2, seed)
+        reps = dict(zip(alphas, map(HermPD, mats, logs.tolist())))
+        perturbed, cert = kg.perturb_kernel(spec, alphas, mats, logs)
         coeffs = per_index_pochhammer(pair, 2, 6)
         coeffs.update(reps)
         assert_rows_equal(perturbed, perturbed.coeff, coeffs)
@@ -250,15 +252,16 @@ def truncation_cases(kind, d, top, low):
         pair = kg.PochhammerPair(1.0, 2.5)
         return kg.pochhammer_kernel(pair, d, top), kg.pochhammer_kernel(pair, d, low)
     if kind == "homogeneous":
-        by_degree = [sampling.random_pd(2, rng, logscale_span=3.0) for _ in range(top + 1)]
-        return kg.homogeneous_kernel(by_degree, d), kg.homogeneous_kernel(by_degree[:low + 1], d)
+        mats, logs = sampling.random_pd_stack(top + 1, 2, rng, logscale_span=3.0)
+        return (kg.homogeneous_kernel(mats, logs, d),
+                kg.homogeneous_kernel(mats[:low + 1], logs[:low + 1], d))
     pair = kg.PochhammerPair(2.0, 1.0)
-    reps = {alpha: sampling.random_pd(2, rng)
-            for alpha in kg.pochhammer_kernel(pair, d, top).truncation()
-            if sum(alpha) in (1, low + 1)}
-    whole, _ = kg.perturb_kernel(kg.pochhammer_kernel(pair, d, top), reps)
+    alphas = np.array([alpha for alpha in Truncation(d, top) if sum(alpha) in (1, low + 1)])
+    mats, logs = sampling.random_pd_stack(len(alphas), 2, rng)
+    inside = alphas.sum(axis=1) <= low
+    whole, _ = kg.perturb_kernel(kg.pochhammer_kernel(pair, d, top), alphas, mats, logs)
     fresh, _ = kg.perturb_kernel(kg.pochhammer_kernel(pair, d, low),
-                                 {a: r for a, r in reps.items() if sum(a) <= low})
+                                 alphas[inside], mats[inside], logs[inside])
     return whole, fresh
 
 
@@ -321,21 +324,20 @@ class TestGroundTruth:
 
 class TestHomogeneousKernel:
     def test_scalar_one_dim_is_hardy(self):
-        coeffs = [hermpd(np.eye(1)) for _ in range(5)]
-        spec = kg.homogeneous_kernel(coeffs, 1)
+        spec = kg.homogeneous_kernel(*hermpd_batch(np.ones((5, 1, 1)), np.zeros(5)), 1)
         for k in range(5):
             assert spec.coeff((k,)).value()[0, 0].real == pytest.approx(1.0)
 
     def test_reproduces_pochhammer(self):
         lam, mu, top = 1.5, 3.0, 6
-        by_degree = [
-            hermpd(np.diag([
+        by_degree = hermpd_batch(np.array([
+            np.diag([
                 math.exp(kg.log_pochhammer(lam, m) - kg.log_factorial(m)),
                 math.exp(kg.log_pochhammer(mu, m) - kg.log_factorial(m)),
-            ]).astype(np.complex128))
+            ]).astype(np.complex128)
             for m in range(top + 1)
-        ]
-        spec = kg.homogeneous_kernel(by_degree, 2)
+        ]), np.zeros(top + 1))
+        spec = kg.homogeneous_kernel(*by_degree, 2)
         want = kg.pochhammer_kernel(kg.PochhammerPair(lam, mu), 2, top)
         for alpha in spec.truncation():
             a, b = spec.coeff(alpha), want.coeff(alpha)
@@ -343,29 +345,27 @@ class TestHomogeneousKernel:
             assert np.abs(diff).max() <= 1e-12, alpha
 
     def test_multinomial_factor(self):
-        coeffs = [hermpd(np.eye(1)) for _ in range(3)]
-        spec = kg.homogeneous_kernel(coeffs, 2)
+        spec = kg.homogeneous_kernel(*hermpd_batch(np.ones((3, 1, 1)), np.zeros(3)), 2)
         # 2!/(1! 1!) = 2
         assert spec.coeff((1, 1)).value()[0, 0].real == pytest.approx(2.0, rel=1e-13)
 
     def test_matrix_part_depends_on_degree_only(self):
-        rng = np.random.default_rng(21)
-        coeffs = [sampling.random_pd(2, rng) for _ in range(5)]
-        spec = kg.homogeneous_kernel(coeffs, 2)
+        spec = kg.homogeneous_kernel(*sampling.random_pd_stack(5, 2, 21), 2)
         ms = kg.kernel_moments(spec)
         for alpha in spec.truncation():
             ref = (sum(alpha), 0)
             assert np.array_equal(ms.gram(alpha).matrix, ms.gram(ref).matrix)
 
     def test_dim_mismatch(self):
+        # one stack holds one dimension: a stack of 2 x 3 matrices is refused
         with pytest.raises(ValueError):
-            kg.homogeneous_kernel([hermpd(np.eye(2)), hermpd(np.eye(3))], 2)
+            kg.homogeneous_kernel(np.ones((2, 2, 3), dtype=np.complex128), np.zeros(2), 2)
 
 
 class TestPerturbKernel:
     def test_no_replacement(self):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
-        perturbed, cert = kg.perturb_kernel(spec, {})
+        perturbed, cert = kg.perturb_kernel(spec, [], np.empty((0, 2, 2)), np.empty(0))
         assert cert.log_m1 == 0.0 and cert.log_m2 == 0.0
         for alpha in spec.truncation():
             got, want = perturbed.coeff(alpha), spec.coeff(alpha)
@@ -376,7 +376,7 @@ class TestPerturbKernel:
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
         zero = (0, 0)
         _, cert = kg.perturb_kernel(
-            spec, {zero: hermpd(4.0 * np.eye(2, dtype=np.complex128))}
+            spec, [zero], *hermpd_batch(4.0 * np.eye(2, dtype=np.complex128)[None], [0.0])
         )
         assert cert.log_m1 == pytest.approx(math.log(0.25), rel=1e-14)
         assert cert.log_m2 == 0.0
@@ -385,12 +385,9 @@ class TestPerturbKernel:
     def test_random_replacement_certificate_verifies(self, seed):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 8)
         base_moments = kg.kernel_moments(spec)
-        rng = np.random.default_rng(seed)
-        reps = {
-            alpha: sampling.random_pd(2, rng)
-            for alpha in spec.truncation() if sum(alpha) <= 2
-        }
-        perturbed, cert = kg.perturb_kernel(spec, reps)
+        alphas = [alpha for alpha in spec.truncation() if sum(alpha) <= 2]
+        perturbed, cert = kg.perturb_kernel(
+            spec, alphas, *sampling.random_pd_stack(len(alphas), 2, seed))
         report = eq.verify_certificate(
             base_moments, kg.kernel_moments(perturbed), cert, 1e-9
         )
@@ -399,15 +396,31 @@ class TestPerturbKernel:
     def test_out_of_range_index(self):
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 3)
         with pytest.raises(IndexError):
-            kg.perturb_kernel(spec, {(4, 0): hermpd(np.eye(2))})
+            kg.perturb_kernel(spec, [(4, 0)], *hermpd_batch(np.eye(2)[None], [0.0]))
 
     @pytest.mark.parametrize("alpha", [(10**30, 0), (-1, 0), (0, 0, 0), (0,)])
     def test_index_outside_is_named_in_key_order(self, alpha):
-        # keys of several lengths in one dict; the first outside one is named
+        # the first outside index in entry order is named; an index of another
+        # length puts every row outside, so the first row, alpha, is named
+        alphas = ([(1, 0), alpha, (4, 0)] if len(alpha) == 2
+                  else [alpha, (1,) + alpha[1:], alpha[:-1] + (1,)])
         spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 3)
-        reps = {(1, 0): hermpd(np.eye(2)), alpha: hermpd(np.eye(2)), (0, 0, 1): None}
+        mats, logs = hermpd_batch(np.tile(np.eye(2), (3, 1, 1)), np.zeros(3))
         with pytest.raises(IndexError, match=rf"^replacement index {re.escape(str(alpha))} "):
-            kg.perturb_kernel(spec, reps)
+            kg.perturb_kernel(spec, alphas, mats, logs)
+
+    def test_repeated_index_takes_its_last_entry(self):
+        # (1, 1) is listed before (0, 1), and the graded order has it after
+        spec = kg.pochhammer_kernel(kg.PochhammerPair(1, 2), 2, 4)
+        mats, logs = sampling.random_pd_stack(3, 2, 84, logscale_span=2.0)
+        twice, cert = kg.perturb_kernel(spec, [(1, 1), (1, 1), (0, 1)], mats, logs)
+        once, want = kg.perturb_kernel(spec, [(1, 1), (0, 1)], mats[1:], logs[1:])
+        for got, ref in ((twice.class_mats, once.class_mats), (twice.classes, once.classes),
+                         (twice.logs, once.logs), (cert.log_m1, want.log_m1),
+                         (cert.log_m2, want.log_m2)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        earlier, _ = kg.perturb_kernel(spec, [(1, 1), (0, 1)], mats[[0, 2]], logs[[0, 2]])
+        assert earlier.class_mats.tobytes() != once.class_mats.tobytes()
 
 
 class TestBoundednessEstimate:
@@ -439,9 +452,7 @@ class TestBoundednessEstimate:
             assert abs(be - mz.norm_estimate) <= 1e-10
 
     def test_matches_build_mz_on_random_homogeneous(self):
-        rng = np.random.default_rng(33)
-        coeffs = [sampling.random_pd(2, rng) for _ in range(5)]
-        spec = kg.homogeneous_kernel(coeffs, 2)
+        spec = kg.homogeneous_kernel(*sampling.random_pd_stack(5, 2, 33), 2)
         ms = kg.kernel_moments(spec)
         for j in range(2):
             assert abs(helpers.boundedness_estimate(spec, j)

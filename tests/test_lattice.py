@@ -79,7 +79,7 @@ def test_truncation_membership_and_position():
     assert len(trunc) == 10
     assert (1, 2) in trunc and (2, 2) not in trunc
     assert trunc.position((0, 0)) == 0
-    assert list(trunc.interior()) == list(lattice.Truncation(2, 2))
+    assert helpers.interior(trunc) == list(lattice.Truncation(2, 2))
     assert np.array_equal(trunc.array[:len(lattice.Truncation(2, 2))],
                           lattice.enumerate_indices(2, 2))
 
@@ -97,7 +97,7 @@ def test_truncations_are_built_once_per_shape():
 @pytest.mark.parametrize("top", [0, 1, 2, 5])
 def test_neighbour_maps_match_positions(d, top):
     trunc = lattice.Truncation(d, top)
-    interior = list(trunc.interior())
+    interior = helpers.interior(trunc)
     assert trunc.raise_map.shape == (d, len(interior))
     for j in range(d):
         assert trunc.raise_map[j].tolist() == [

@@ -3,7 +3,8 @@
 Every function and method defined in src/multishift must be named by code
 somewhere in the package (an ast.Name, an ast.Attribute or an import alias;
 a docstring or comment does not count), or appear in UNNAMED with its reason.
-Dunder methods are called by Python itself and are skipped.
+The re-exports of __init__.py are not uses: a name that only they read is
+unnamed. Dunder methods are called by Python itself and are skipped.
 """
 
 import ast
@@ -21,6 +22,20 @@ UNNAMED = {
         "test-facing API: the certificate of the role-swapped pair",
     "serialization.weight_system_to_json":
         "test-facing API: the tests write weight-system problem files with it",
+    "shiftcore.build_mz":
+        "criterion 6 builds each coordinate shift with it",
+    "shiftcore.check_adjoint_formula":
+        "criterion 6 compares the two constructions of the adjoint shift with it",
+    "shiftcore.canonical_weights":
+        "criterion 7 takes the orthonormal-frame weights of a moment system with it",
+    "equivalence.sandwich_ratio":
+        "public API: the tightest constants (m1, m2, log ratio) for a given C",
+    "numerics.sqrt_pd":
+        "public API: the square root of a HermPD, which the tests call",
+    "numerics.inv_sqrt_pd":
+        "public API: the inverse square root of a HermPD, which the tests call",
+    "numerics.inv_pd":
+        "public API: the inverse of a HermPD, which the tests call",
 }
 
 
@@ -60,7 +75,8 @@ def test_every_function_is_named_somewhere():
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defined.update(definitions(tree, path.stem))
-        used |= named(tree)
+        if path.name != "__init__.py":
+            used |= named(tree)
     unnamed = {qual for qual, name in defined.items()
                if name not in used and not (name.startswith("__") and name.endswith("__"))}
     assert unnamed - set(UNNAMED) == set(), "functions nothing in the package names"

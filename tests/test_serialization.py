@@ -34,15 +34,13 @@ def _exact(tree):
 
 def _perturbed():
     spec = kg.pochhammer_kernel(kg.PochhammerPair(1.0, 2.0), 2, 6)
-    rng = np.random.default_rng(7)
-    replacements = {(0, 0): sampling.random_pd(2, rng), (1, 0): sampling.random_pd(2, rng)}
-    return kg.kernel_moments(kg.perturb_kernel(spec, replacements)[0])
+    mats, logs = sampling.random_pd_stack(2, 2, 7)
+    return kg.kernel_moments(kg.perturb_kernel(spec, [(0, 0), (1, 0)], mats, logs)[0])
 
 
 def _homogeneous():
-    rng = np.random.default_rng(8)
-    coeffs = [sampling.random_pd(3, rng, logscale_span=4.0) for _ in range(5)]
-    return kg.kernel_moments(kg.homogeneous_kernel(coeffs, 2))
+    mats, logs = sampling.random_pd_stack(5, 3, 8, logscale_span=4.0)
+    return kg.kernel_moments(kg.homogeneous_kernel(mats, logs, 2))
 
 
 FAMILIES = {
@@ -96,7 +94,7 @@ class TestExactValues:
         expected = [
             {"alpha": list(alpha), "j": j,
              "matrix": helpers.per_entry_matrix_to_json(ws.weight(alpha, j))}
-            for alpha in ws.truncation().interior() for j in range(ws.d)]
+            for alpha in helpers.interior(ws.truncation()) for j in range(ws.d)]
         assert _exact(data["weights"]) == _exact(expected)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -109,7 +107,7 @@ class TestExactValues:
                    "matrix": helpers.per_entry_matrix_to_json(g0.matrix)},
             "weights": [{"alpha": list(alpha), "j": j,
                          "matrix": helpers.per_entry_matrix_to_json(ws.weight(alpha, j))}
-                        for alpha in ws.truncation().interior() for j in range(ws.d)],
+                        for alpha in helpers.interior(ws.truncation()) for j in range(ws.d)],
         }
         assert canonical_dumps(ser.weight_system_to_json(ws, g0)) == canonical_dumps(per_key)
 

@@ -14,41 +14,34 @@ from multishift import shiftcore as sc
 from multishift.numerics import frob_norm, hermpd
 
 
+def identity_stack(d, top, n):
+    """(d, k, n, n) identity weights over the k interior indices, writable."""
+    return np.tile(np.eye(n, dtype=np.complex128), (d, lattice.simplex_size(d, top - 1), 1, 1))
+
+
 def identity_weights(d, top, n):
-    eye = np.eye(n, dtype=np.complex128)
-    return sc.WeightSystem(d, top, n, {
-        (alpha, j): eye.copy()
-        for alpha in lattice.Truncation(d, top).interior()
-        for j in range(d)
-    })
+    return sc.WeightSystem(d, top, n, identity_stack(d, top, n))
 
 
 def scalar_weights(d, top, values):
     """d scalar weights, constant per coordinate."""
-    return sc.WeightSystem(d, top, 1, {
-        (alpha, j): np.array([[values[j]]], dtype=np.complex128)
-        for alpha in lattice.Truncation(d, top).interior()
-        for j in range(d)
-    })
+    return sc.WeightSystem(d, top, 1, np.reshape(values, (d, 1, 1, 1))
+                           * identity_stack(d, top, 1))
 
 
 def singular_weights():
     """identity_weights(1, 2, 2) with the singular weight diag(1, 0) at alpha = 0."""
-    weights = {((k,), 0): np.eye(2, dtype=np.complex128) for k in range(2)}
-    weights[((0,), 0)] = np.diag([1.0, 0.0]).astype(np.complex128)
+    weights = identity_stack(1, 2, 2)
+    weights[0, 0] = np.diag([1.0, 0.0])
     return sc.WeightSystem(1, 2, 2, weights)
 
 
 def noncommuting_weights():
-    eye = np.eye(2, dtype=np.complex128)
-    return sc.WeightSystem(2, 2, 2, {
-        ((0, 0), 0): np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128),
-        ((0, 0), 1): eye.copy(),
-        ((0, 1), 0): eye.copy(),
-        ((1, 0), 1): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-        ((0, 1), 1): eye.copy(),
-        ((1, 0), 0): eye.copy(),
-    })
+    """Identities but at ((0, 0), 0) and ((1, 0), 1); (1, 0) has interior rank 2."""
+    weights = identity_stack(2, 2, 2)
+    weights[0, 0] = [[1.0, 1.0], [0.0, 1.0]]
+    weights[1, 2] = [[0.0, 1.0], [1.0, 0.0]]
+    return sc.WeightSystem(2, 2, 2, weights)
 
 
 class TestValidateWeights:
@@ -76,7 +69,7 @@ class TestValidateWeights:
         want = sc.validate_weights(ws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sc.validate_weights(sc.WeightSystem.from_arrays(2, 2, 2, ws.weights * scale))
+            got = sc.validate_weights(sc.WeightSystem(2, 2, 2, ws.weights * scale))
         assert not got.passes
         assert abs(got.max_commutation_residual - want.max_commutation_residual) <= 1e-15
         assert got.failures[-1].split(" at ")[1] == want.failures[-1].split(" at ")[1]
@@ -231,11 +224,11 @@ def _reference_family(name):
     if name == "pochhammer":
         return kg.kernel_moments(poch)
     if name == "perturbed":
-        reps = {(0, 1): sampling.random_pd(2, rng), (1, 1): sampling.random_pd(2, rng)}
-        return kg.kernel_moments(kg.perturb_kernel(poch, reps)[0])
+        mats, logs = sampling.random_pd_stack(2, 2, rng)
+        return kg.kernel_moments(kg.perturb_kernel(poch, [(0, 1), (1, 1)], mats, logs)[0])
     if name == "homogeneous":
         return kg.kernel_moments(
-            kg.homogeneous_kernel([sampling.random_pd(3, rng) for _ in range(5)], 2))
+            kg.homogeneous_kernel(*sampling.random_pd_stack(5, 3, rng), 2))
     return sampling.random_moment_system(2, 0, 2, rng)
 
 
@@ -322,11 +315,10 @@ class TestPerIndexWeightReference:
         assert got.tobytes() == helpers.per_row_staircase_products(ws).tobytes()
 
     def test_failures_keep_their_order(self):
-        weights = {(alpha, j): np.eye(2, dtype=np.complex128)
-                   for alpha in lattice.Truncation(2, 3).interior() for j in range(2)}
-        for key in (((0, 2), 1), ((1, 0), 0), ((0, 2), 0), ((0, 0), 1)):
-            weights[key] = np.diag([1.0, 0.0]).astype(np.complex128)
-        weights[((1, 1), 0)] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+        trunc, weights = lattice.Truncation(2, 3), identity_stack(2, 3, 2)
+        for alpha, j in (((0, 2), 1), ((1, 0), 0), ((0, 2), 0), ((0, 0), 1)):
+            weights[j, trunc.position(alpha)] = np.diag([1.0, 0.0])
+        weights[0, trunc.position((1, 1))] = [[1.0, 1.0], [0.0, 1.0]]
         ws = sc.WeightSystem(2, 3, 2, weights)
         got, want = sc.validate_weights(ws), helpers.per_index_validate_weights(ws)
         assert got.failures == want.failures
@@ -386,30 +378,27 @@ class TestAdjointFormula:
 
 class TestConstruction:
     def test_missing_weight_rejected(self):
-        with pytest.raises(ValueError, match=r"^missing weight at alpha=\(1,\), j=0$"):
-            sc.WeightSystem(1, 2, 1, {((0,), 0): np.eye(1, dtype=np.complex128)})
+        # d = 1, N = 2 has two interior rows; a stack of one is refused
+        with pytest.raises(ValueError, match=r"^expected a \(1, 2, 1, 1\) weight stack, "
+                                             r"got \(1, 1, 1, 1\)$"):
+            sc.WeightSystem(1, 2, 1, np.ones((1, 1, 1, 1), dtype=np.complex128))
 
     def test_mis_shaped_weight_rejected(self):
-        weights = {((k,), 0): np.eye(1, dtype=np.complex128) for k in range(2)}
-        weights[((1,), 0)] = np.eye(2)
-        with pytest.raises(ValueError, match=r"^weight at \(\(1,\), 0\) has shape \(2, 2\)$"):
-            sc.WeightSystem(1, 2, 1, weights)
+        with pytest.raises(ValueError, match=r"^expected a \(1, 2, 1, 1\) weight stack, "
+                                             r"got \(1, 2, 2, 2\)$"):
+            sc.WeightSystem(1, 2, 1, np.tile(np.eye(2, dtype=np.complex128), (1, 2, 1, 1)))
 
     def test_weight_stack_order_and_from_arrays(self):
         ws = helpers.random_weight_system(2, 3, 2, 19)
-        trunc = ws.truncation()
-        weights = {(alpha, j): ws.weights[j, r]
-                   for r, alpha in enumerate(trunc.interior()) for j in range(2)}
-        again = sc.WeightSystem(2, 3, 2, weights)
-        assert again.weights.tobytes() == ws.weights.tobytes()
-        for (alpha, j), w in weights.items():
-            assert ws.weight(alpha, j).base is not None
-            assert np.array_equal(again.weight(alpha, j), w)
-        assert sc.WeightSystem.from_arrays(2, 3, 2, ws.weights).weights is ws.weights
+        for r, alpha in enumerate(helpers.interior(ws.truncation())):
+            for j in range(2):
+                assert ws.weight(alpha, j).base is not None
+                assert np.array_equal(ws.weight(alpha, j), ws.weights[j, r])
+        assert sc.WeightSystem(2, 3, 2, ws.weights).weights is ws.weights
         with pytest.raises(ValueError):
-            sc.WeightSystem.from_arrays(2, 3, 2, ws.weights[:, 1:])
+            sc.WeightSystem(2, 3, 2, ws.weights[:, 1:])
         with pytest.raises(ValueError):
-            sc.WeightSystem.from_arrays(2, 2, 2, ws.weights)
+            sc.WeightSystem(2, 2, 2, ws.weights)
 
     def test_weight_stack_is_read_only(self):
         ws = identity_weights(2, 2, 2)
@@ -418,7 +407,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ws.weight((0, 0), 1)[0, 0] = 2.0
         mats = np.stack([np.stack([np.eye(2)] * 3)] * 2).astype(np.complex128)
-        assert not sc.WeightSystem.from_arrays(2, 2, 2, mats).weights.flags.writeable
+        assert not sc.WeightSystem(2, 2, 2, mats).weights.flags.writeable
 
     def test_missing_gram_rejected(self):
         with pytest.raises(ValueError):
