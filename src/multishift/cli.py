@@ -5,10 +5,11 @@ oracle | diagnostic | validate), one or two system specs (explicit moments or
 weights, or generated pochhammer / homogeneous / perturbed), and options.
 A pair is resolved once, before its kind runs: a diagnostic's at its top
 degree (its last degree), any other's at options.N when given; an explicit
-system must have that N. Reports record the resolved options and seed, not
-the input systems (those stay in the problem file), so a run is reproducible
-from its problem file and report; identical problem + seed gives a
-byte-identical report except for the timing_seconds field.
+system must have that N (a diagnostic's report records no N). Reports
+record the resolved options and seed, not the input systems (those stay in
+the problem file), so a run is reproducible from its problem file and
+report; identical problem + seed gives a byte-identical report except for
+the timing_seconds field.
 
 Exit codes: 0 verdict produced, 2 input validation failure or an output path
 that cannot be written, 3 schema error (an unreadable problem file included).
@@ -33,7 +34,7 @@ from . import kernelgen as kg
 from . import sampling
 from . import serialization as ser
 from .lattice import simplex_size
-from .numerics import LinAlgError, hermpd, hermpd_batch
+from .numerics import LinAlgError, hermpd_batch
 from .serialization import SchemaError
 from .shiftcore import (
     MomentSystem,
@@ -245,16 +246,16 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
         "kind": kind,
         "options": {"seed": seed, "tol": tol},
     }
-    if top_degree is not None:
+    if kind == "diagnostic":  # options.N is ignored: the pair's N is the top degree
+        degrees = degrees or options.get("degrees", list(DEFAULT_DEGREES))
+        report["options"]["degrees"] = [int(x) for x in degrees]
+        top_degree = degrees[-1]  # the lower degrees are prefixes of this pair
+    elif top_degree is not None:
         report["options"]["N"] = top_degree
 
     if kind == "validate":
         report.update(_run_validate(problem["systems"][0], top_degree))
         return report
-    if kind == "diagnostic":
-        degrees = degrees or options.get("degrees", list(DEFAULT_DEGREES))
-        report["options"]["degrees"] = [int(x) for x in degrees]
-        top_degree = degrees[-1]  # the lower degrees are prefixes of this pair
     ms, mt = _resolve_pair(problem, top_degree)
 
     if kind == "similarity":
@@ -300,8 +301,8 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
     invertible, certs_pass = 0, True
     worst_level0 = worst_recursion = worst_intertwining = 0.0
     count = basis.solution_count
-    for _ in range(ORACLE_SAMPLES if count else 0):
-        x = basis.combine(rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    for _ in range(ORACLE_SAMPLES):
+        x = basis.transport(rng.standard_normal(count) + 1j * rng.standard_normal(count))
         lo, hi = x.singular_range  # the one SVD of X per sample
         if hi == 0.0 or lo <= 1e-8 * hi:
             continue
@@ -326,8 +327,6 @@ def _run_oracle(ms: MomentSystem, mt: MomentSystem, seed, tol: float) -> dict:
         "oracle": {
             "dimension": basis.dim,
             "solution_count": basis.solution_count,
-            "rank_threshold": basis.rank_threshold,
-            "max_null_singular_value": basis.null_singular_value,
             "samples": ORACLE_SAMPLES,
             "invertible_samples": invertible,
             "max_level0_residual": worst_level0,
@@ -457,33 +456,29 @@ def gen_perturb(args) -> dict:
 
 def gen_homogeneous(args) -> dict:
     rng = np.random.default_rng(args.seed)
-    coeffs = [sampling.random_pd(args.n, rng) for _ in range(args.N + 1)]
-    first = {
-        "type": "homogeneous",
-        "d": args.d,
-        "coeffs_by_degree": [ser.hermpd_to_json(h) for h in coeffs],
-    }
+    mats, logs = sampling.random_pd_stack(args.N + 1, args.n, rng)
     if args.independent:
-        other = [sampling.random_pd(args.n, rng) for _ in range(args.N + 1)]
+        other, other_logs = sampling.random_pd_stack(args.N + 1, args.n, rng)
         ground = {}
     else:
         t = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal(
             (args.n, args.n)
         )
         t += args.n * np.eye(args.n)
-        other = [
-            hermpd(t.conj().T @ h.matrix @ t, h.logscale) for h in coeffs
-        ]
+        other, other_logs = hermpd_batch(t.conj().T @ mats @ t, logs)
         ground = {"similar": True}
-    second = {
-        "type": "homogeneous",
-        "d": args.d,
-        "coeffs_by_degree": [ser.hermpd_to_json(h) for h in other],
-    }
     problem = {
         "version": 1,
         "kind": args.kind,
-        "systems": [first, second],
+        "systems": [
+            {
+                "type": "homogeneous",
+                "d": args.d,
+                "coeffs_by_degree": [{"logscale": lg, "matrix": m} for lg, m
+                                     in zip(lgs.tolist(), ser.matrix_to_json(stack))],
+            }
+            for stack, lgs in ((mats, logs), (other, other_logs))
+        ],
         "options": {"seed": args.seed, "tol": eq.DEFAULT_TOL},
     }
     if ground:

@@ -150,30 +150,6 @@ def spectral_norm(mat) -> float:
     return singular_range(mat)[1]
 
 
-def nullspace(blocks, atol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Null spaces of a stack of matrices, from one economy SVD of the stack.
-
-    blocks: a (m, r, c) stack, or one (r, c) matrix read as a stack of one.
-    Returns (vectors, null, largest_zero): vectors (m, c, c) holds each
-    matrix's right singular vectors as orthonormal columns; null (m, c) marks
-    the columns whose singular value is at or below the absolute threshold
-    atol, which span that matrix's null space; largest_zero is the largest
-    such singular value (0.0 when there is none).
-    """
-    a = np.asarray(blocks, dtype=np.complex128)
-    if a.ndim == 2:
-        a = a[None]
-    m, r, c = a.shape
-    if r == 0:  # no equation: every vector is null
-        eye = np.broadcast_to(np.eye(c, dtype=np.complex128), (m, c, c))
-        return eye, np.ones((m, c), dtype=bool), 0.0
-    if r < c:  # an economy SVD returns only r right singular vectors
-        a = np.concatenate([a, np.zeros((m, c - r, c), dtype=np.complex128)], axis=1)
-    _, s, vh = _svd(a, compute_uv=True)
-    null = s <= atol
-    return vh.conj().swapaxes(1, 2), null, float(s[null].max()) if null.any() else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Polar decomposition.
 # ---------------------------------------------------------------------------

@@ -523,18 +523,16 @@ def diag_block(x: IntertwinerMatrix, alpha) -> np.ndarray:
 
 
 def basis_element(basis: IntertwinerBasis, k: int) -> IntertwinerMatrix:
-    """The k-th solution of an IntertwinerBasis, levels first, then columns."""
+    """The transport of the k-th unit X[:, 0], row-major over (level, row, column)."""
     unit = np.zeros(basis.solution_count, dtype=np.complex128)
     unit[k] = 1.0
-    return basis.combine(unit)
+    return basis.transport(unit)
 
 
 def membership_residual(basis: IntertwinerBasis, x: IntertwinerMatrix) -> float:
-    """||X - T(P X[:, 0])||_F / ||X||_F, with P the projection onto the span
-    and T the transport: zero exactly when X lies in the solution span."""
-    v = x.matrix[:, :basis.fiber_dim].reshape(basis.null.shape)
-    coeffs = np.einsum("gji,gj->gi", basis.vectors.conj(), v) * basis.null
-    proj = basis.transport(np.einsum("gij,gj->gi", basis.vectors, coeffs)).matrix
+    """||X - T(X[:, 0])||_F / ||X||_F, with T the transport: zero exactly when
+    X lies in the solution span."""
+    proj = basis.transport(x.matrix[:, :basis.fiber_dim]).matrix
     return frob_norm(x.matrix - proj) / max(frob_norm(x.matrix), 1e-300)
 
 

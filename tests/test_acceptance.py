@@ -162,7 +162,7 @@ def test_criterion_5_intertwiner_oracle():
             draws += 1
             coeffs = rng.standard_normal(basis.solution_count) \
                 + 1j * rng.standard_normal(basis.solution_count)
-            x = basis.combine(coeffs)
+            x = basis.transport(coeffs)
             lo, hi = singular_range(x.matrix)
             if lo <= 1e-8 * hi:
                 continue

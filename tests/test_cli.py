@@ -254,6 +254,22 @@ class TestRun:
         assert len(report["growth"]["table"]) == 4
         assert report["options"]["degrees"] == [6, 8, 10, 12]
 
+    def test_diagnostic_report_ignores_options_n(self, tmp_path):
+        # the pair is resolved at the top degree, so a given N is not recorded
+        path = tmp_path / "diag.json"
+        assert run_cli(["gen", "pochhammer", "--lambda", 1, "--mu", 2, "--lambda2", 1,
+                        "--mu2", 3, "--kind", "diagnostic", "--degrees", "4,6,8,10",
+                        "--out", path, "--quiet"]) == 0
+        problem = read_report(path)
+        with_n = tmp_path / "with_n.json"
+        problem["options"]["N"] = 3
+        with_n.write_text(canonical_dumps(problem), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        assert run_cli(["run", with_n, "--quiet"]) == 0
+        assert "N" not in read_report(tmp_path / "with_n.report.json")["options"]
+        assert (report_bytes_without_timing(tmp_path / "with_n.report.json")
+                == report_bytes_without_timing(tmp_path / "diag.report.json"))
+
     def test_diagnostic_homogeneous_too_short_names_the_top_degree(self, tmp_path, capsys):
         # the pair is generated once, at the top degree, so the message names
         # that degree even though 11 is the first listed one past the data
@@ -400,7 +416,7 @@ class TestRun:
         dim = n * simplex_size(d, top)
         assert shapes.count((dim, dim)) == oracle["samples"]
 
-    def test_oracle_report_carries_rank_threshold(self, tmp_path):
+    def test_oracle_report_counts_every_level_zero_column(self, tmp_path):
         ms = sampling.random_moment_system(2, 3, 2, 41)
         mt = sampling.random_moment_system(2, 3, 2, 42)
         path = tmp_path / "oracle.json"
@@ -411,7 +427,8 @@ class TestRun:
         assert run_cli(["run", path, "--quiet"]) == 0
         oracle = read_report(tmp_path / "oracle.report.json")["oracle"]
         assert oracle["solution_count"] == oracle["dimension"] * 2 == 40
-        assert 0.0 <= oracle["max_null_singular_value"] <= oracle["rank_threshold"] < 1e-6
+        assert "rank_threshold" not in oracle
+        assert "max_null_singular_value" not in oracle
 
     def test_explicit_weights_system_in_pairwise_run(self, tmp_path):
         from multishift.numerics import hermpd

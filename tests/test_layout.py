@@ -36,6 +36,8 @@ UNNAMED = {
         "public API: the inverse square root of a HermPD, which the tests call",
     "numerics.inv_pd":
         "public API: the inverse of a HermPD, which the tests call",
+    "sampling.random_pd":
+        "test-facing API: the tests draw single PD matrices with it",
 }
 
 
