@@ -209,6 +209,16 @@ def resolve_system(spec: dict, path: str, top_degree: int | None = None) -> Mome
         raise InputValidationError(f"{path}: {ex}") from ex
 
 
+def _top_degree(problem: dict, degrees=None) -> tuple:
+    """(top_degree, degrees) run and validate resolve a problem at: a diagnostic's
+    last degree, its lower degrees being prefixes of that pair; else options.N."""
+    options = problem.get("options", {})
+    if problem["kind"] == "diagnostic":
+        degrees = degrees or options.get("degrees", list(DEFAULT_DEGREES))
+        return degrees[-1], degrees
+    return options.get("N"), None
+
+
 def _resolve_pair(problem: dict, top_degree: int | None):
     systems = problem["systems"]
     ms = resolve_system(systems[0], "systems[0]", top_degree)
@@ -239,17 +249,15 @@ def run_problem(problem: dict, *, seed=None, tol=None, degrees=None,
     seed = seed if seed is not None else options.get("seed", 0)
     tol_default = ORACLE_TOL if kind == "oracle" else eq.DEFAULT_TOL
     tol = float(tol if tol is not None else options.get("tol", tol_default))
-    top_degree = options.get("N")
+    top_degree, degrees = _top_degree(problem, degrees)
 
     report = {
         "version": 1,
         "kind": kind,
         "options": {"seed": seed, "tol": tol},
     }
-    if kind == "diagnostic":  # options.N is ignored: the pair's N is the top degree
-        degrees = degrees or options.get("degrees", list(DEFAULT_DEGREES))
+    if kind == "diagnostic":
         report["options"]["degrees"] = [int(x) for x in degrees]
-        top_degree = degrees[-1]  # the lower degrees are prefixes of this pair
     elif top_degree is not None:
         report["options"]["N"] = top_degree
 
@@ -604,8 +612,11 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         problem = parse_problem(_load_problem(args.problem))
-        for i, spec in enumerate(problem["systems"]):
-            resolve_system(spec, f"systems[{i}]", None)
+        top_degree, _ = _top_degree(problem)
+        if problem["kind"] == "validate":
+            resolve_system(problem["systems"][0], "systems[0]", top_degree)
+        else:
+            _resolve_pair(problem, top_degree)
     except SchemaError as ex:
         print(f"schema error at {ex.path}: {ex.message}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -12,7 +12,6 @@ criteria stay meaningful at high truncation degrees.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -206,22 +205,16 @@ RANDOM_STARTS = 2
 START_PERTURBATION = 1e-4  # Frobenius norm of the seeded move off the unit start
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 LINE_SEARCH_TRIALS = 30
-STATIONARY_WINDOW = 5  # the last gradients whose convex hull is tested
-STATIONARY_TOL = 1e-8
-_SUBSETS = tuple((np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1 == 1  # nonempty subsets
-                 for k in range(STATIONARY_WINDOW + 1))  # of a window of k, one row each
 
 
 class SearchStage(NamedTuple):
     """How the descent of optimize_C ended.
 
     exit is one of: bottomed out (the log ratio reached BOTTOM_VALUE), proven
-    optimal (it is within PROVEN_RTOL of the level-zero lower bound),
-    stationary (the convex hull of the last STATIONARY_WINDOW gradients comes
-    within STATIONARY_TOL of zero), no bracket (the line search found no weak
-    Wolfe step, its first trial's sufficient-decrease bound included: where
-    that bound rounds to f, no step can show a decrease that f's rounding
-    does not hide), iteration cap, non-finite (the perturbed start).
+    optimal (it is within PROVEN_RTOL of the level-zero lower bound), no
+    bracket (_line_search found no step, also where its first trial's
+    sufficient-decrease bound rounds to f), iteration cap, non-finite (the
+    perturbed start).
     """
 
     exit: str
@@ -351,46 +344,6 @@ def _gradient(objective: _Objective, ev: _Eval) -> np.ndarray:
     return (term(top, -1) - term(bottom, 0)).ravel().view(np.float64)
 
 
-def _hull_min_norm(grads: np.ndarray) -> tuple:
-    """(squared norm, point) of the hull's min-norm point, by an exact QP: it is
-    the affine min-norm point, with nonnegative weights, of an affinely
-    independent set of rows (Caratheodory), so the KKT systems of all nonempty
-    sets are solved in one batch (rows outside a set get weight 0), or, if a
-    dependent set makes the batch singular, one at a time, skipping those."""
-    k = len(grads)
-    sets, rhs = _SUBSETS[k], np.eye(k + 1)[:, k:]
-    kkt = np.zeros((len(sets), k + 1, k + 1))
-    kkt[:, :k, :k] = np.where(sets[:, :, None] & sets[:, None, :], grads @ grads.T, np.eye(k))
-    kkt[:, :k, k] = kkt[:, k, :k] = sets
-    try:
-        weights = np.linalg.solve(kkt, rhs)[:, :k, 0]
-    except np.linalg.LinAlgError:
-        solved = []
-        for system in kkt:
-            with contextlib.suppress(np.linalg.LinAlgError):
-                solved.append(np.linalg.solve(system, rhs)[:k, 0])
-        weights = np.array(solved)
-    x = weights[(weights >= 0.0).all(axis=1)] @ grads
-    norms = (x * x).sum(axis=1)
-    return float(norms.min()), x[np.argmin(norms)]
-
-
-def _stationary(grads: np.ndarray, witness: np.ndarray | None = None) -> tuple:
-    """(stationary, witness): whether the convex hull of the rows of grads
-    comes within STATIONARY_TOL of zero, and the direction to try first next
-    time. A d with g.d > (STATIONARY_TOL + 2 m u |grads|_F) |d| for every row
-    g proves NO: 2 m u, u = 2^-53, bounds the rounding of a length-m dot
-    product (gamma_m, Higham 2002, ch. 3), and |grads|_F >= max |g|. The
-    witness, then the row sum, are tried; else the QP (_hull_min_norm)
-    decides, and its point, separating on any NO, is the next witness."""
-    slack = STATIONARY_TOL + grads.shape[1] * 2.0 ** -52 * math.sqrt(float(np.vdot(grads, grads)))
-    for d in (witness, grads.sum(axis=0)):
-        if d is not None and float((grads @ d).min()) > slack * math.sqrt(float(d @ d)):
-            return False, d
-    norm2, x = _hull_min_norm(grads)
-    return norm2 <= STATIONARY_TOL ** 2, x
-
-
 def _line_search(objective: _Objective, ev: _Eval, grad: np.ndarray,
                  direction: np.ndarray):
     """Weak Wolfe step along direction from ev, by bracketing: doubling
@@ -428,7 +381,7 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
     a weak Wolfe line search still converges on it (Lewis and Overton 2013).
     The inverse Hessian starts as s'y / y'y times the identity at the first
     update (s'y <= 0 skips it). SearchStage's exits are checked in order
-    after every step, _stationary from the last call's witness; deterministic.
+    after every step; deterministic.
     """
     first = objective.evaluations
     z = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
@@ -436,7 +389,6 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
     if not math.isfinite(ev.value):
         return SearchStage("non-finite", 0, objective.evaluations - first)
     grad = _gradient(objective, ev)
-    grads, witness = [grad], None
     hess = None
     reason, steps = "iteration cap", 0
     for steps in range(DESCENT_STEPS + 1):
@@ -445,10 +397,6 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
             break
         if objective.best.value - bound <= PROVEN_RTOL * max(1.0, objective.best.value):
             reason = "proven optimal"
-            break
-        stationary, witness = _stationary(np.array(grads[-STATIONARY_WINDOW:]), witness)
-        if stationary:
-            reason = "stationary"
             break
         if steps == DESCENT_STEPS:
             break
@@ -469,7 +417,6 @@ def _bfgs(objective: _Objective, c: np.ndarray, bound: float, rng) -> SearchStag
             hess = (hess + ((sy + float(y @ hy)) / sy ** 2) * (s[:, None] * s)
                     - (hys + hys.T) / sy)
         ev, grad = moved, moved_grad
-        grads.append(grad)
     return SearchStage(reason, steps, objective.evaluations - first)
 
 
@@ -1122,16 +1069,15 @@ def recursion_residual(x: IntertwinerMatrix, shifts: ShiftPair) -> float:
 def certificate_from_intertwiner(x: IntertwinerMatrix, shifts: ShiftPair) -> SimilarityCertificate:
     """The proof's certificate: C from the level-0 block of X^{-1}, m from norms.
 
-    C (in coefficient coordinates) is G_0^{-1/2} [X^{-1}]_{00} G~_0^{1/2};
-    the constants are m1 = 1/||X^{-1}||^2 = sigma_min(X)^2 and
-    m2 = ||X||^2 = sigma_max(X)^2, using operator norms of the full truncated
-    matrices.
+    C (in coefficient coordinates) is G_0^{-1/2} [X^{-1}]_{00} G~_0^{1/2}, where
+    [X^{-1}]_{00} = X_{00}^{-1} as X is block lower triangular in graded order;
+    m1 = 1/||X^{-1}||^2 = sigma_min(X)^2 and m2 = ||X||^2 = sigma_max(X)^2,
+    using operator norms of the full truncated matrices.
     """
     n = x.fiber_dim
-    x_inv = inv(x.matrix)
     left, right = shifts.left, shifts.right
     c = math.exp(left.logscale + right.logscale) * (
-        left.matrix @ x_inv[:n, :n] @ right.matrix
+        left.matrix @ inv(x.matrix[:n, :n]) @ right.matrix
     )
     lo, hi = x.singular_range
     return SimilarityCertificate(C=c, log_m1=2.0 * math.log(lo), log_m2=2.0 * math.log(hi))

@@ -1,16 +1,15 @@
 """Test-only constructions derived from the package's seeded systems, the
 functions nothing in the package calls (kept with their tests: a family's
 prefix truncation, the search objective of a whole pair and a truncation's
-interior indices), and nine
-independent references: a Cholesky/whitening pencil path for the package's
-eigenpair-factored pencil kernel, the per-index shift construction for the
-graded shift stacks, the per-index weight validation and per-row staircase
-walk for the batched weight passes, the per-entry matrix writer for the
-one-pass JSON writers, the per-entry reader for the one-pass entry reader,
-the per-subset hull QP for the witness-first stationarity test, the polish
-through polar_unitary for the recovery start's polish on the bare SVD, the
-eigenpairs of every class for the descent gradient's two columns, and the
-growth diagnostic that generates its pair afresh at every degree."""
+interior indices), and eight independent references: a Cholesky/whitening
+pencil path for the package's eigenpair-factored pencil kernel, the
+per-index shift construction for the graded shift stacks, the per-index
+weight validation and per-row staircase walk for the batched weight passes,
+the per-entry matrix writer for the one-pass JSON writers, the per-entry
+reader for the one-pass entry reader, the polish through polar_unitary for
+the recovery start's polish on the bare SVD, the eigenpairs of every class
+for the descent gradient's two columns, and the growth diagnostic that
+generates its pair afresh at every degree."""
 
 import math
 
@@ -19,7 +18,7 @@ import numpy as np
 from multishift import equivalence as eq
 from multishift import sampling
 from multishift import serialization as ser
-from multishift.equivalence import STATIONARY_TOL, IntertwinerBasis, IntertwinerMatrix
+from multishift.equivalence import IntertwinerBasis, IntertwinerMatrix
 from multishift.kernelgen import KernelSpec, log_factorial
 from multishift.lattice import _truncation, enumerate_indices, simplex_size
 from multishift.numerics import (
@@ -382,35 +381,6 @@ def near_singular_pair(side: int, alpha: tuple, seed: int) -> list:
     mats[row], logs[row] = gram.matrix, gram.logscale
     systems[side] = MomentSystem.from_arrays(2, 2, 2, mats, logs)
     return systems
-
-
-def per_subset_stationary(grads) -> bool:
-    """Whether the convex hull of the rows of grads comes within
-    STATIONARY_TOL of zero, by the all-subsets QP solved one set at a time.
-
-    The hull's min-norm point is the affine min-norm point, with nonnegative
-    weights, of some affinely independent set of rows; each set's KKT system
-    [[G G*, 1], [1*, 0]] gives its affine min-norm point, a singular system
-    (affinely dependent rows) is skipped, and the smallest point with
-    nonnegative weights is the hull's.
-    """
-    grads = np.asarray(grads, dtype=np.float64)
-    k = len(grads)
-    best = math.inf
-    for mask in range(1, 2 ** k):
-        rows = grads[[i for i in range(k) if mask >> i & 1]]
-        r = len(rows)
-        kkt = np.ones((r + 1, r + 1))
-        kkt[:r, :r] = rows @ rows.T
-        kkt[r, r] = 0.0
-        try:
-            weights = np.linalg.solve(kkt, np.eye(r + 1)[r])[:r]
-        except np.linalg.LinAlgError:
-            continue
-        if (weights >= 0.0).all():
-            x = weights @ rows
-            best = min(best, float((x * x).sum()))
-    return best <= STATIONARY_TOL ** 2
 
 
 def pencil_eigenpairs(objective, ev) -> tuple:

@@ -804,6 +804,37 @@ class TestExitCodes:
         path.write_text('{"version": 1}', encoding="utf-8")
         assert run_cli(["validate", path, "--quiet"]) == 3
 
+    @pytest.mark.parametrize("kind,second,options,code", [
+        ("similarity", {"lambda": 2, "mu": 1}, {"N": 5}, 0),
+        ("diagnostic", {"lambda": 2, "mu": 1}, {"degrees": [2, 3, 4, 5]}, 0),
+        ("similarity", None, {"N": 5}, 2),
+        ("similarity", {"lambda": 2, "mu": 1, "d": 3, "N": 3}, {"N": 3}, 2),
+        ("unitary", {"lambda": 2, "mu": 1}, {"N": 4}, 0),
+        ("diagnostic", {"lambda": 2, "mu": 1}, {"N": 3, "degrees": [2, 4, 6, 8]}, 0),
+        ("similarity", {"lambda": 2, "mu": 1}, {}, 3),
+        ("validate", {}, {"N": 4}, 0),
+        ("validate", {}, {}, 3),
+    ], ids=["options-N", "diagnostic-top-degree", "homogeneous-too-short", "shape-mismatch",
+            "unitary-options-N", "diagnostic-ignores-options-N", "no-top-degree",
+            "validate-kind-options-N", "validate-kind-no-top-degree"])
+    def test_validate_exits_as_run_does(self, tmp_path, kind, second, options, code):
+        # validate resolves the pair at the degree run uses: options.N, or a
+        # diagnostic's last degree; second None is a homogeneous pair with
+        # degrees 0 and 1 only; kind validate keeps the first system alone
+        first = {"type": "pochhammer", "lambda": 1, "mu": 2, "d": 2}
+        if second is None:
+            rng = np.random.default_rng(92)
+            first = {"type": "homogeneous", "d": 2, "coeffs_by_degree": [
+                ser.hermpd_to_json(sampling.random_pd(2, rng)) for _ in range(2)]}
+            systems = [first, first]
+        else:
+            systems = [first, {**first, **second}][:1 if kind == "validate" else 2]
+        path = tmp_path / "p.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": kind, "systems": systems,
+                                         "options": options}), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == code
+        assert run_cli(["validate", path, "--quiet"]) == code
+
 
     def test_oracle_at_degree_zero_names_the_field(self, tmp_path, capsys):
         ms = sampling.random_moment_system(2, 0, 2, 41)
@@ -993,14 +1024,14 @@ class TestStrictJSON:
             (eq.SearchStart("identity", math.inf),
              eq.SearchStart("alignment", None, "ConvergenceError"),
              eq.SearchStart("random0", 1.5)),
-            eq.SearchStage("stationary", 4, 9), 0.25, 3,
+            eq.SearchStage("no bracket", 4, 9), 0.25, 3,
         )
         data = json.loads(canonical_dumps(ser.search_to_json(summary)),
                           parse_constant=reject_constant)
         assert data["starts"] == [{"name": "identity", "value": None},
                                   {"name": "alignment", "error": "ConvergenceError"},
                                   {"name": "random0", "value": 1.5}]
-        assert data["descent"] == {"exit": "stationary", "steps": 4, "evaluations": 9}
+        assert data["descent"] == {"exit": "no bracket", "steps": 4, "evaluations": 9}
         assert data["bound"] == 0.25
         for bound in (None, math.inf, math.nan):
             data = json.loads(canonical_dumps(ser.search_to_json(summary._replace(bound=bound))),

@@ -335,10 +335,28 @@ class TestCertificateSearch:
         eq.optimize_C(ms, mt, seed=seed)
         assert lowered and lowered.count(False) == 0
 
+    @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
+    def test_descent_ends_only_at_its_exits(self, name, monkeypatch):
+        # every step is a line search that found one; a "no bracket" descent
+        # ends on the one search that found none, and no other exit follows one
+        search, found = eq._line_search, []
+
+        def recorded(*args):
+            result = search(*args)
+            found.append(result is not None)
+            return result
+
+        monkeypatch.setattr(eq, "_line_search", recorded)
+        ms, mt, seed = certify_random_pair(name)
+        descent = eq.optimize_C(ms, mt, seed=seed).search.descent
+        assert descent.exit in {"bottomed out", "proven optimal", "no bracket",
+                                "iteration cap", "non-finite"}
+        assert found == [True] * descent.steps + [False] * (descent.exit == "no bracket")
+
     def test_descent_stops_at_the_rounding_floor(self, monkeypatch):
-        # a gradient of norm 1e-7 is not stationary (STATIONARY_TOL 1e-8), but
-        # the unit step's sufficient decrease, WOLFE_C1 1e-14, is below half
-        # an ulp of f ~ 3, so no trial could show a decrease
+        # at a gradient of norm 1e-7 the unit step's sufficient decrease,
+        # WOLFE_C1 1e-14, is below half an ulp of f ~ 3, so no trial could
+        # show a decrease
         gradient = eq._gradient
 
         def small(objective, ev):
@@ -372,17 +390,6 @@ class TestCertificateSearch:
         recovery = next(s for s in cert.search.starts if s.name == "recovery")
         assert recovery.error is None and math.isfinite(recovery.value)
         assert eq.verify_certificate(ms, mt, cert).passes
-
-    @pytest.mark.parametrize("grads,stationary", [
-        ([[1.0, 1.0], [-1.0, 1.0]], False),        # min-norm point (0, 1) on an edge
-        ([[1.0, 1e-9], [-1.0, 1e-9]], True),       # (0, 1e-9) on the same edge
-        ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], True),  # zero inside a triangle
-        ([[2.0, 1.0], [1.0, 2.0], [3.0, 0.5], [1.5, 1.5], [0.2, 3.0]], False),
-        ([[1e-9, 0.0]], True),
-    ])
-    def test_stationary_is_exact_on_small_hulls(self, grads, stationary):
-        answer, _ = eq._stationary(np.array(grads))
-        assert answer is stationary
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_search_leaves_the_stage_a_cluster(self, n):
@@ -446,9 +453,9 @@ class TestCertificateSearch:
 
     @pytest.mark.parametrize("name", ["random0", "random2", "random3"])
     def test_certificate_is_stable_under_rounding_of_the_start(self, name, monkeypatch):
-        # the descent ends at a nonsmooth minimum or a stationary point, not
-        # at a step cap, so rounding-level changes of its start move the
-        # path but not the value
+        # the descent ends at a nonsmooth minimum or where no step shows a
+        # decrease, not at a step cap, so rounding-level changes of its start
+        # move the path but not the value
         ms, mt, seed = certify_random_pair(name)
         descend, ratios = eq._bfgs, []
         for k in range(5):
@@ -465,7 +472,7 @@ class TestCertificateSearch:
 # they are 0, as rounding-level changes move them but not the values.
 SEARCH_PATHS = {
     "random0": ("alignment", "no bracket", False),
-    "random1": ("alignment", "stationary", False),
+    "random1": ("alignment", "no bracket", False),
     "random2": ("recovery", "no bracket", False),
     "random3": ("recovery", "no bracket", False),
     "random4": ("recovery", "no bracket", False),
@@ -475,118 +482,21 @@ SEARCH_PATHS = {
 
 
 @functools.lru_cache(maxsize=None)
-def descent_record(name):
-    """What optimize_C hands two of its parts on a certify-random pair:
-    every (window, witness) _stationary gets, how many of those calls reach
-    the QP (_hull_min_norm), and the arguments of the recovery start's
-    _recover_congruence_unitary, with a copy of the generator it gets."""
+def recovery_record(name):
+    """The arguments optimize_C hands the recovery start's
+    _recover_congruence_unitary on a certify-random pair, with a copy of the
+    generator it gets."""
     ms, mt, seed = certify_random_pair(name)
-    windows, solves, recoveries = [], [], []
-    stationary, solve, recover = eq._stationary, eq._hull_min_norm, eq._recover_congruence_unitary
-
-    def recorded_stationary(grads, witness=None):
-        windows.append((grads.copy(), None if witness is None else witness.copy()))
-        return stationary(grads, witness)
-
-    def counted_solve(grads):
-        solves.append(None)
-        return solve(grads)
+    recoveries, recover = [], eq._recover_congruence_unitary
 
     def recorded_recovery(*args):
         recoveries.append((args[:4], copy.deepcopy(args[4])))
         return recover(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eq, "_stationary", recorded_stationary)
-        mp.setattr(eq, "_hull_min_norm", counted_solve)
         mp.setattr(eq, "_recover_congruence_unitary", recorded_recovery)
         eq.optimize_C(ms, mt, seed=seed)
-    return windows, len(solves), recoveries[0]
-
-
-# hulls that contain zero with affinely dependent rows, so that some KKT
-# system of the all-subsets QP is exactly singular
-DEGENERATE_HULLS = [
-    [[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],  # a repeated gradient
-    [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]],
-    [[0.0, 0.0], [0.0, 0.0]],
-]
-
-
-def drawn_hull(k, m, offset, duplicate, rng):
-    """k standard normal rows of length m; with an offset, the last row is
-    moved so that a seeded convex combination of them is a vector of that
-    norm (the hull then comes at least that close to zero); with duplicate
-    and k >= 3, the first row repeats the second."""
-    rows = rng.standard_normal((k, m))
-    if duplicate and k >= 3:
-        rows[0] = rows[1]
-    if offset is not None:
-        w = rng.uniform(0.1, 1.0, size=k)
-        w /= w.sum()
-        target = rng.standard_normal(m)
-        target *= offset / np.linalg.norm(target)
-        rows[-1] = (target - w[:-1] @ rows[:-1]) / w[-1]
-    return rows
-
-
-# The witness-first test against the per-subset QP: a witness may only
-# shortcut a NO, so every witness passed must leave the QP's answer.
-class TestStationarity:
-    @pytest.mark.parametrize("grads", DEGENERATE_HULLS)
-    def test_hulls_through_zero_with_dependent_rows(self, grads):
-        # a singular system in the batch used to turn these into NO
-        grads = np.array(grads)
-        assert helpers.per_subset_stationary(grads)
-        rng = np.random.default_rng(0)
-        for witness in (None, grads.mean(axis=0), rng.standard_normal(2), np.array([1.0, 0.0])):
-            answer, _ = eq._stationary(grads, witness)
-            assert answer is True
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(k=st.integers(1, 5), m=st.sampled_from([8, 18]),
-           offset=st.sampled_from([None, 0.0, 1e-10, 1e-6, 1e-2, 1.0]),
-           duplicate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_the_per_subset_qp_on_drawn_hulls(self, k, m, offset, duplicate, seed):
-        # two windows of a descent: the second drops the first row of the
-        # first, and gets the first's witness as the previous one
-        rng = np.random.default_rng(seed)
-        rows = np.vstack([rng.standard_normal((1, m)), drawn_hull(k, m, offset, duplicate, rng)])
-        first, second = rows[:k], rows[1:]
-        _, previous = eq._stationary(first)
-        expected = helpers.per_subset_stationary(second)
-        if offset is not None and offset <= 1e-10:
-            assert expected
-        for witness in (None, second.mean(axis=0), rng.standard_normal(m), previous):
-            answer, _ = eq._stationary(second, witness)
-            assert answer is expected
-
-    @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
-    def test_matches_the_per_subset_qp_on_descent_windows(self, name):
-        windows, _, _ = descent_record(name)
-        rng = np.random.default_rng(0)
-        for grads, witness in windows:
-            expected = helpers.per_subset_stationary(grads)
-            for w in (witness, None, grads.mean(axis=0), rng.standard_normal(grads.shape[1])):
-                answer, _ = eq._stationary(grads, w)
-                assert answer is expected
-
-    def test_most_descent_windows_skip_the_qp(self):
-        # on the benchmark's pairs the kept witness or the row sum proves
-        # most NOs, so the batched KKT solve runs on few windows
-        records = [descent_record(name) for name in sorted(CENTRAL_DIFFERENCE_LOG_RATIOS)]
-        windows = sum(len(r[0]) for r in records)
-        solves = sum(r[1] for r in records)
-        assert windows > 0 and solves <= 0.25 * windows
-
-    def test_the_qp_point_is_the_next_witness(self):
-        # the row sum (-2, 2) is orthogonal to the first row, so the QP
-        # decides; its NO hands back the min-norm point, which separates
-        grads = np.array([[1.0, 1.0], [-3.0, 1.0]])
-        answer, witness = eq._stationary(grads)
-        assert answer is False and np.array_equal(witness, [0.0, 1.0])
-        again, kept = eq._stationary(grads, witness)
-        assert again is False and kept is witness
+    return recoveries[0]
 
 
 def level_zero_bound(ms, mt):
@@ -1504,7 +1414,7 @@ def polished_with_reference(args, rng, build=eq._polish_operator):
 class TestRecoveryPolish:
     @pytest.mark.parametrize("name", sorted(CENTRAL_DIFFERENCE_LOG_RATIOS))
     def test_matches_polar_unitary_on_the_certify_random_pairs(self, name):
-        args, rng = descent_record(name)[2]
+        args, rng = recovery_record(name)
         v, start, reference = polished_with_reference(args, rng)
         assert v.tobytes() == reference.tobytes()
 
@@ -1647,12 +1557,38 @@ class TestBruteForceIntertwiner:
             assert eq.intertwining_residual(x, basis.shifts) <= 1e-9
             cert = eq.certificate_from_intertwiner(x, basis.shifts)
             assert eq.verify_certificate(ms, mt, cert, 1e-9).passes
+            # X is block lower triangular in graded order, so [X^{-1}]_00 = X_00^{-1}
+            points = len(ms.truncation())
+            blocks = x.matrix.reshape(points, 2, points, 2)
+            upper = np.triu_indices(points, 1)
+            assert np.all(blocks[upper[0], :, upper[1], :] == 0.0)
             # the shift pair's roots are the one-matrix roots of level zero
             left, right = inv_sqrt_pd(ms.gram((0, 0))), sqrt_pd(mt.gram((0, 0)))
             want = math.exp(left.logscale + right.logscale) * (
-                left.matrix @ inv(x.matrix)[:2, :2] @ right.matrix)
+                left.matrix @ inv(x.matrix[:2, :2]) @ right.matrix)
             assert cert.C.tobytes() == want.tobytes()
         assert checked > 0
+
+    @pytest.mark.parametrize("d, top, n", [(1, 4, 2), (1, 6, 3), (2, 2, 3), (2, 4, 2),
+                                           (3, 2, 2), (4, 2, 1)])
+    def test_transported_intertwiner_is_block_lower_triangular(self, d, top, n):
+        # certificate_from_intertwiner inverts X's level-zero block alone: that
+        # is [X^{-1}]_00 only because no block above the diagonal is nonzero
+        rng = np.random.default_rng([6200, d, top, n])
+        ms = sampling.random_moment_system(d, top, n, rng)
+        c0 = np.eye(n) + 0.3 * (rng.standard_normal((n, n))
+                                + 1j * rng.standard_normal((n, n)))
+        basis = eq.brute_force_intertwiner(ms, sampling.congruent_pair(ms, c0))
+        x = basis.transport(rng.standard_normal(basis.solution_count)
+                            + 1j * rng.standard_normal(basis.solution_count)).matrix
+        points = len(ms.truncation())
+        blocks = x.reshape(points, n, points, n)
+        upper = np.triu_indices(points, 1)
+        assert np.all(blocks[upper[0], :, upper[1], :] == 0.0)
+        lo, hi = singular_range(x)
+        assert lo > 1e-8 * hi
+        level0 = inv(x[:n, :n])
+        assert frob_norm(inv(x)[:n, :n] - level0) <= 1e-9 * frob_norm(level0)
 
     @pytest.mark.parametrize("top, n, d", [
         *((top, n, d) for top in range(4) for n in (1, 2, 3) for d in (1, 2)),

@@ -1,20 +1,26 @@
-"""Layout checks on the package source: no function or method that nothing names.
+"""Layout checks on the package source: no function, method or module
+constant that nothing reads.
 
-Every function and method defined in src/multishift must be named by code
-somewhere in the package (an ast.Name, an ast.Attribute or an import alias;
-a docstring or comment does not count), or appear in UNNAMED with its reason.
-The re-exports of __init__.py are not uses: a name that only they read is
-unnamed. Dunder methods are called by Python itself and are skipped.
+Every function and method defined in src/multishift, and every module-level
+UPPER_CASE or _UPPER_CASE assignment, must be read by code somewhere in the
+package (an ast.Name or ast.Attribute that is loaded, or an import alias; an
+assignment, a docstring or a comment does not count), or appear in UNNAMED
+with its reason. The re-exports of __init__.py are not uses: a name that
+only they read is unnamed. Dunder methods are called by Python itself and
+are skipped.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import multishift
 
 SOURCE = Path(multishift.__file__).resolve().parent
 
-# qualified name (module.function or module.Class.method) -> why it stays
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+# qualified name (module.function, module.Class.method or module.CONSTANT) -> why it stays
 UNNAMED = {
     "shiftcore.path_product":
         "criterion 7 compares the canonical staircase product with a reversed one",
@@ -42,7 +48,8 @@ UNNAMED = {
 
 
 def definitions(tree: ast.Module, module: str) -> dict:
-    """qualified name -> bare name of every function and method in a module."""
+    """qualified name -> bare name of every function, method and module-level
+    UPPER_CASE or _UPPER_CASE assignment in a module."""
     found = {}
 
     def walk(node, prefix):
@@ -56,16 +63,23 @@ def definitions(tree: ast.Module, module: str) -> dict:
                 walk(child, prefix)
 
     walk(tree, module)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                        found[f"{module}.{name.id}"] = name.id
     return found
 
 
 def named(tree: ast.Module) -> set:
-    """Every name the code of a module reads, writes or imports."""
+    """Every name the code of a module reads or imports."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
@@ -81,7 +95,7 @@ def test_every_function_is_named_somewhere():
             used |= named(tree)
     unnamed = {qual for qual, name in defined.items()
                if name not in used and not (name.startswith("__") and name.endswith("__"))}
-    assert unnamed - set(UNNAMED) == set(), "functions nothing in the package names"
+    assert unnamed - set(UNNAMED) == set(), "definitions nothing in the package reads"
     assert set(UNNAMED) - unnamed == set(), "allowlisted names that are now named or gone"
 
 
@@ -90,6 +104,13 @@ def test_guard_sees_a_function_nothing_names():
     defined = definitions(tree, "m")
     assert defined == {"m.used": "used", "m.unused": "unused"}
     assert {q for q, name in defined.items() if name not in named(tree)} == {"m.unused"}
+
+
+def test_guard_sees_a_constant_nothing_reads():
+    tree = ast.parse("A, _B = 1, 2\nC: int = A\n_d = 3\nMixed = 4\n\n\ndef f():\n    return C\n")
+    defined = definitions(tree, "m")
+    assert defined == {"m.f": "f", "m.A": "A", "m._B": "_B", "m.C": "C"}
+    assert {q for q, name in defined.items() if name not in named(tree)} == {"m._B", "m.f"}
 
 
 def test_docstrings_do_not_count_as_names():
