@@ -233,10 +233,11 @@ class SearchStart(NamedTuple):
 
 class SearchSummary(NamedTuple):
     """Which start optimize_C descended from, how the descent ended, the
-    level-zero lower bound on the log ratio (None when the start bottomed
-    out and it was not computed), and how many joint classes (rows of the
-    reduced pair) it searched over; starts holds a SearchStart per
-    candidate, in the order tried."""
+    level-zero lower bound on the log ratio (None when the start stage
+    bottomed out), and how many joint classes (rows of the reduced pair) it
+    searched over; starts holds a SearchStart per start tried, in order:
+    the stage stops at the first start that bottoms out or is proven
+    optimal, so start_evaluations may be fewer than the five starts."""
 
     start: str
     start_evaluations: int
@@ -528,17 +529,17 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
     """Search for a certificate with a small log ratio.
 
     Stage (a) solves C* G_0 C = G~_0 exactly via C = G_0^{-1/2} W G~_0^{1/2}
-    with unitary W, starting from the identity, an eigenframe-alignment
-    candidate, a unitary recovery and seeded random unitaries. Unless the
-    best start has bottomed out, the level-zero lower bound of the pair
-    (_Setup.gaps, _Objective.bound) is computed once, and a start within
-    PROVEN_RTOL of it is returned as proven optimal. Otherwise one BFGS
-    descent (_bfgs) runs over all invertible C from the best start, on
-    exact gradients: the gradient of log lambda at a B-normalised extreme
-    eigenvector x of index alpha is -2 G_alpha C x x*. The best certificate
-    seen anywhere is returned, with a SearchSummary of the search; the result
-    is never worse than the stage (a) initialization; deterministic for a
-    fixed seed.
+    with unitary W, trying in order the identity, an eigenframe-alignment
+    candidate, a unitary recovery and seeded random unitaries, each built
+    only when reached. It stops at the first start after which the best
+    start has bottomed out or is within PROVEN_RTOL of the level-zero lower
+    bound of the pair (_Setup.gaps, _Objective.bound), computed once, after
+    the first start with a finite value. Otherwise one BFGS descent (_bfgs)
+    runs over all invertible C from the best start, on exact gradients: the
+    gradient of log lambda at a B-normalised extreme eigenvector x of index
+    alpha is -2 G_alpha C x x*. The best certificate seen anywhere is
+    returned, with a SearchSummary of the search; the result is never worse
+    than the stage (a) initialization; deterministic for a fixed seed.
 
     The search runs on one row per joint class of the pair (see
     _Objective), whose evaluations give the full lattice's constants, so the
@@ -550,10 +551,12 @@ def optimize_C(ms: MomentSystem, mt: MomentSystem, *, seed: int = 0) -> Similari
 class _Setup:
     """A pair's search setup at its top degree: the joint classes (rows, joint),
     every row's logscale offset and the pencil factors F and H of the class
-    rows; the level-zero roots, the class rows transported by them and the
-    level-zero gaps are built when a search first reads them. Its rows
-    ascend, and every stack here is computed row by row, so a truncation's
-    setup is the prefix of each (objective)."""
+    rows; the level-zero roots, the class rows transported by them (read only
+    by the alignment and recovery starts, so a search that stops at the
+    identity never builds them) and the level-zero gaps are built when a
+    search first reads them. Its rows ascend, and every stack here is
+    computed row by row, so a truncation's setup is the prefix of each
+    (objective)."""
 
     def __init__(self, ms: MomentSystem, mt: MomentSystem):
         _require_same_shape(ms, mt)
@@ -613,24 +616,24 @@ def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
     c, n, _ = objective.f.shape  # c joint classes
     left, right, _ = setup.roots
 
-    # (name, unitary W or None, class of the error that stopped it)
-    candidates = [("identity", np.eye(n, dtype=np.complex128), None)]
-    align_weights = rng.uniform(0.5, 1.5, size=c)
-    for name, start in (("alignment", lambda w: _alignment_unitary(*w, align_weights)),
-                        ("recovery", lambda w: _recover_congruence_unitary(*w, rng))):
-        try:  # the whitened stacks are read, and may fail, inside each start
-            candidates.append((name, start([a[:c] for a in setup.whitened]), None))
-        except (LinAlgError, OverflowError) as ex:
-            candidates.append((name, None, type(ex).__name__))
-    for i in range(RANDOM_STARTS):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        candidates.append((f"random{i}", polar_unitary(z), None))
+    def starts():  # (name, unitary W or None, class of its error), each built when reached
+        yield "identity", np.eye(n, dtype=np.complex128), None
+        align_weights = rng.uniform(0.5, 1.5, size=c)
+        for name, build, last in (("alignment", _alignment_unitary, align_weights),
+                                  ("recovery", _recover_congruence_unitary, rng)):
+            try:  # the whitened stacks are read, and may fail, inside each start
+                yield name, build(*[a[:c] for a in setup.whitened], last), None
+            except (LinAlgError, OverflowError) as ex:
+                yield name, None, type(ex).__name__
+        for i in range(RANDOM_STARTS):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            yield f"random{i}", polar_unitary(z), None
 
     # the exp(left+right logscale) gauge scalar is dropped from C: the log
     # ratio is invariant under scalar rescaling of C and the certificate
     # constants absorb it, while exp() here could overflow
-    label, start_ev, tried = None, None, []
-    for name, w, error in candidates:
+    label, start_ev, tried, bound, descent = None, None, [], None, None
+    for name, w, error in starts():
         if w is None:
             tried.append(SearchStart(name, None, error))
             continue
@@ -638,19 +641,19 @@ def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
         tried.append(SearchStart(name, ev.value))
         if start_ev is None or ev.value < start_ev.value:
             label, start_ev = name, ev
+        if start_ev.value <= BOTTOM_VALUE:
+            descent, bound = SearchStage("bottomed out", 0, 0), None
+            break
+        if math.isfinite(start_ev.value):
+            bound = objective.bound(setup.gaps) if bound is None else bound
+            if start_ev.value - bound <= PROVEN_RTOL * max(1.0, start_ev.value):
+                descent = SearchStage("proven optimal", 0, 0)
+                break
     start_evaluations = objective.evaluations
     if not math.isfinite(start_ev.value):
         raise ConvergenceError("no start gives a finite log ratio")
-
-    bound = None
-    if start_ev.value <= BOTTOM_VALUE:
-        descent = SearchStage("bottomed out", 0, 0)
-    else:
-        bound = objective.bound(setup.gaps)
-        if start_ev.value - bound <= PROVEN_RTOL * max(1.0, start_ev.value):
-            descent = SearchStage("proven optimal", 0, 0)
-        else:
-            descent = _bfgs(objective, start_ev.c, bound, rng)
+    if descent is None:
+        descent = _bfgs(objective, start_ev.c, bound, rng)
     best = objective.best
     return SimilarityCertificate(
         best.c, float(best.lo.min()), float(best.hi.max()),
@@ -666,8 +669,10 @@ def _search(setup: _Setup, m: int, seed: int) -> SimilarityCertificate:
 class GrowthDiagnostic:
     """Optimal sandwich ratios per degree and their log-log growth slope.
 
-    classes holds, per degree, the joint class count the search ran on, and
-    residuals each log ratio minus the fitted line at its degree.
+    classes holds, per degree, the joint class count the search ran on,
+    residuals each log ratio minus the fitted line at its degree, and starts
+    and exits the start the search chose and the exit of its descent
+    (SearchSummary.start, SearchStage.exit).
     """
 
     degrees: tuple
@@ -678,6 +683,8 @@ class GrowthDiagnostic:
     verdict: str
     classes: tuple
     residuals: tuple
+    starts: tuple
+    exits: tuple
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -742,6 +749,8 @@ def growth_diagnostic(ms: MomentSystem, mt: MomentSystem, degrees, *, seed: int 
         verdict=verdict,
         classes=tuple(c.search.classes for c in certs),
         residuals=tuple(float(v) for v in y - (intercept + slope * x)),
+        starts=tuple(c.search.start for c in certs),
+        exits=tuple(c.search.descent.exit for c in certs),
     )
 
 

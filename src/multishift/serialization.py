@@ -313,9 +313,9 @@ def growth_to_json(diag: GrowthDiagnostic) -> dict:
         "r_squared": diag.r_squared,
         "table": [
             {"degree": int(n), "log_ratio": float(r), "classes": int(k),
-             "residual": float(e)}
-            for n, r, k, e in zip(diag.degrees, diag.log_ratios, diag.classes,
-                                  diag.residuals)
+             "residual": float(e), "start": start, "exit": exit_}
+            for n, r, k, e, start, exit_ in zip(diag.degrees, diag.log_ratios, diag.classes,
+                                                diag.residuals, diag.starts, diag.exits)
         ],
     }
 

@@ -522,7 +522,9 @@ def per_degree_growth_diagnostic(pair_generator, degrees, seed: int = 0) -> eq.G
         degrees=tuple(degrees), log_ratios=tuple(float(v) for v in y), slope=slope,
         intercept=intercept, r_squared=r2, verdict=verdict,
         classes=tuple(c.search.classes for c in certs),
-        residuals=tuple(float(v) for v in y - (intercept + slope * x)))
+        residuals=tuple(float(v) for v in y - (intercept + slope * x)),
+        starts=tuple(c.search.start for c in certs),
+        exits=tuple(c.search.descent.exit for c in certs))
 
 
 def cumsum_graded_log_factorials(d: int, top_degree: int) -> tuple:

@@ -2,8 +2,8 @@
 
 A DYNAMIC_ARCH OpenBLAS picks its kernels from the host CPU at load time, and
 OPENBLAS_CORETYPE overrides that choice for one process. The same problems
-are answered in one subprocess per kernel: verdicts and descent exits must be
-equal, and log ratios and unitary residual bounds within 1e-9.
+are answered in one subprocess per kernel: verdicts, chosen starts and descent
+exits must be equal, and log ratios and unitary residual bounds within 1e-9.
 """
 
 import json
@@ -43,13 +43,22 @@ def _write(path: Path, kind: str, ms, mt, seed: int) -> Path:
 
 def _problems(tmp_path: Path) -> list:
     """Three random similarity pairs drawn as the certify-random workload draws
-    its core (d = 2, N = 3, n = 2 and d = 1, N = 2, n = 3), a hidden-unitary
-    unitary problem and a small oracle problem."""
+    its core (d = 2, N = 3, n = 2 and d = 1, N = 2, n = 3), its swapped and
+    perturbed Pochhammer pairs at seed 1 (whose start stages stop early), a
+    hidden-unitary unitary problem and a small oracle problem."""
     paths = []
     for i, (d, top, n) in ((0, (2, 3, 2)), (3, (2, 3, 2)), (4, (1, 2, 3))):
         rng = np.random.default_rng([2401, i])
         pair = [sampling.random_moment_system(d, top, n, rng) for _ in range(2)]
         paths.append(_write(tmp_path / f"random{i}.json", "similarity", *pair, i))
+    factor = float(np.random.default_rng([2401, 1]).uniform(0.25, 4.0))
+    for name, args in (("swap", ["pochhammer", "--lambda", "1", "--mu", "2", "--lambda2", "2",
+                                 "--mu2", "1"]),
+                       ("perturb", ["perturb", "--base", "pochhammer:1,2",
+                                    "--replace0", repr(factor)])):
+        paths.append(tmp_path / f"{name}.json")
+        assert cli.main(["gen", *args, "--N", "30", "--seed", "1", "--out", str(paths[-1]),
+                         "--quiet"]) == 0
     unitary = tmp_path / "unitary.json"
     assert cli.main(["gen", "unitary-congruence", "--d", "2", "--N", "3", "--n", "2",
                      "--seed", "1", "--out", str(unitary), "--quiet"]) == 0
@@ -70,8 +79,8 @@ def _answers(paths: list, kernel: str) -> list:
     assert proc.returncode == 0, proc.stderr
     out = []
     for report in (json.loads(r.read_text(encoding="utf-8")) for r in reports):
-        out.append((report["verdict"],
-                    report.get("diagnostics", {}).get("optimize", {}).get("descent", {}).get("exit"),
+        search = report.get("diagnostics", {}).get("optimize", {})
+        out.append((report["verdict"], search.get("start"), search.get("descent", {}).get("exit"),
                     report.get("certificate", {}).get("log_ratio"),
                     report.get("unitary", {}).get("residual_bound")))
     return out
@@ -84,8 +93,8 @@ def test_answers_agree_across_openblas_kernels(tmp_path):
     paths = _problems(tmp_path)
     first, second = (_answers(paths, kernel) for kernel in KERNELS)
     for path, a, b in zip(paths, first, second):
-        assert a[:2] == b[:2], path.name
-        for x, y in zip(a[2:], b[2:]):
+        assert a[:3] == b[:3], path.name
+        for x, y in zip(a[3:], b[3:]):
             assert (x is None) == (y is None), path.name
             if x is not None:
                 assert abs(x - y) <= AGREEMENT, path.name

@@ -132,15 +132,15 @@ class TestRun:
         out = tmp_path / "report.json"
         assert run_cli(["run", swap_problem, "--out", out, "--quiet"]) == 0
         search = read_report(out)["diagnostics"]["optimize"]
-        assert search["start"] in ("identity", "alignment", "recovery", "random0", "random1")
-        assert search["start_evaluations"] == 5
         assert set(search) == {"start", "start_evaluations", "starts", "descent", "bound"}
-        # the swap is solved exactly by a start, so no bound is computed
+        # the swap is solved exactly by the alignment start, which ends the
+        # start stage: no later start is built and no bound is reported
+        assert search["start"] == "alignment"
         assert search["descent"] == {"exit": "bottomed out", "steps": 0, "evaluations": 0}
         assert search["bound"] is None
         starts = search["starts"]
-        assert [s["name"] for s in starts] == [
-            "identity", "alignment", "recovery", "random0", "random1"]
+        assert search["start_evaluations"] == len(starts) == 2
+        assert [s["name"] for s in starts] == ["identity", "alignment"]
         assert min(s["value"] for s in starts) == next(
             s["value"] for s in starts if s["name"] == search["start"])
 
@@ -253,6 +253,9 @@ class TestRun:
         assert report["verdict"] == "NOT_SIMILAR_EVIDENCE"
         assert len(report["growth"]["table"]) == 4
         assert report["options"]["degrees"] == [6, 8, 10, 12]
+        # each row names the start its search chose and why the search stopped
+        assert [(row["start"], row["exit"]) for row in report["growth"]["table"]] == [
+            ("identity", "proven optimal")] * 4
 
     def test_diagnostic_report_ignores_options_n(self, tmp_path):
         # the pair is resolved at the top degree, so a given N is not recorded
@@ -894,8 +897,7 @@ class TestExitCodes:
 
 
     # a family spanning about +-1.7e308 nats paired with itself (the identity
-    # certifies it; its whitened logscales overflow, so the two starts built
-    # from them fail), and two families 2e308 nats apart
+    # certifies it and ends the start stage), and two families 2e308 nats apart
     @pytest.mark.parametrize("kind,logscales,code", [
         ("similarity", [(1.7e308, -1.7e308)] * 2, 0),
         ("similarity", [(-1.7e308, 1.7e308)] * 2, 0),
@@ -922,8 +924,29 @@ class TestExitCodes:
             assert report["verdict"] == "YES"
             return
         assert report["certificate"]["log_ratio"] == 0.0
-        starts = report["diagnostics"]["optimize"]["starts"]
-        assert [s.get("error") for s in starts[1:3]] == ["OverflowError"] * 2
+        assert report["diagnostics"]["optimize"]["starts"] == [{"name": "identity", "value": 0.0}]
+
+    @pytest.mark.parametrize("logscales", [(1.7e308, -1.7e308), (-1.7e308, 1.7e308)])
+    def test_whitened_starts_past_the_float_range_are_recorded(self, tmp_path, logscales):
+        # G_1 = diag(1, 2) against diag(2, 1) at the same +-1.7e308 logscales:
+        # the identity start neither bottoms out nor meets the bound, so the
+        # stage reaches the two starts built from the whitened stacks, whose
+        # logscales overflow
+        systems = [{"type": "moments", "d": 1, "N": 1, "fiber_dim": 2, "grams": [
+            {"alpha": [0], "logscale": logscales[0], "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                                                [[0.0, 0.0], [1.0, 0.0]]]},
+            {"alpha": [1], "logscale": logscales[1], "matrix": [[[a, 0.0], [0.0, 0.0]],
+                                                                [[0.0, 0.0], [b, 0.0]]]}]}
+            for a, b in ((1.0, 2.0), (2.0, 1.0))]
+        path = tmp_path / "far.json"
+        path.write_text(canonical_dumps({"version": 1, "kind": "similarity",
+                                         "systems": systems}), encoding="utf-8")
+        assert run_cli(["run", path, "--quiet"]) == 0
+        search = read_report(tmp_path / "far.report.json")["diagnostics"]["optimize"]
+        assert [s["name"] for s in search["starts"]] == [
+            "identity", "alignment", "recovery", "random0", "random1"]
+        assert search["starts"][0]["value"] > 0
+        assert [s.get("error") for s in search["starts"][1:3]] == ["OverflowError"] * 2
 
     @pytest.mark.parametrize("field", ["gram-entry", "logscale", "lambda"])
     def test_non_finite_number_names_the_field(self, tmp_path, capsys, field):

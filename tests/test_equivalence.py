@@ -439,15 +439,14 @@ class TestCertificateSearch:
         assert cert.log_ratio <= CENTRAL_DIFFERENCE_LOG_RATIOS[name] + 1e-9
         assert cert.log_ratio <= BEFORE_FLOOR_LOG_RATIOS.get(name, math.inf) + 1e-9
         assert eq.verify_certificate(ms, mt, cert).passes
-        assert search.start_evaluations == 5
-        assert [s.name for s in search.starts] == [
-            "identity", "alignment", "recovery", "random0", "random1"]
         assert min(s.value for s in search.starts) == next(
             s.value for s in search.starts if s.name == search.start)
         assert search.descent.evaluations >= search.descent.steps >= 0
         # hardware-independent: a change here is a new search path
-        start, exit_, zero_counts = SEARCH_PATHS[name]
+        start, exit_, zero_counts, tried = SEARCH_PATHS[name]
         assert (search.start, search.descent.exit) == (start, exit_)
+        assert search.start_evaluations == len(search.starts) == tried
+        assert [s.name for s in search.starts] == list(START_NAMES[:tried])
         if zero_counts:
             assert search.descent.steps == search.descent.evaluations == 0
 
@@ -467,36 +466,139 @@ class TestCertificateSearch:
         assert max(ratios) - min(ratios) <= 1e-10
 
 
-# (start, descent exit, whether the descent took no step and no evaluation)
-# per certify-random pair; step and evaluation counts are pinned only where
-# they are 0, as rounding-level changes move them but not the values.
+START_NAMES = ("identity", "alignment", "recovery", "random0", "random1")
+
+# (start, descent exit, whether the descent took no step and no evaluation,
+# how many starts the stage tried) per certify-random pair; step and
+# evaluation counts are pinned only where they are 0, as rounding-level
+# changes move them but not the values. The stage stops at the first start
+# that bottoms out or is proven optimal.
 SEARCH_PATHS = {
-    "random0": ("alignment", "no bracket", False),
-    "random1": ("alignment", "no bracket", False),
-    "random2": ("recovery", "no bracket", False),
-    "random3": ("recovery", "no bracket", False),
-    "random4": ("recovery", "no bracket", False),
-    "swap": ("alignment", "bottomed out", True),
-    "perturb": ("identity", "proven optimal", True),
+    "random0": ("alignment", "no bracket", False, 5),
+    "random1": ("alignment", "no bracket", False, 5),
+    "random2": ("recovery", "no bracket", False, 5),
+    "random3": ("recovery", "no bracket", False, 5),
+    "random4": ("recovery", "no bracket", False, 5),
+    "swap": ("alignment", "bottomed out", True, 2),
+    "perturb": ("identity", "proven optimal", True, 1),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def recovery_record(name):
-    """The arguments optimize_C hands the recovery start's
-    _recover_congruence_unitary on a certify-random pair, with a copy of the
-    generator it gets."""
+    """The arguments the recovery start's _recover_congruence_unitary gets on
+    a certify-random pair, with a copy of its generator: the whitened stacks
+    of the pair's setup and the search's generator past the alignment
+    weights. Built directly, as the stage stops before that start on some
+    pairs; TestStartStage checks it against the call where the stage makes it."""
     ms, mt, seed = certify_random_pair(name)
-    recoveries, recover = [], eq._recover_congruence_unitary
+    setup = eq._Setup(ms, mt)
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.5, 1.5, size=len(setup.rows))
+    return setup.whitened, rng
 
-    def recorded_recovery(*args):
-        recoveries.append((args[:4], copy.deepcopy(args[4])))
-        return recover(*args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eq, "_recover_congruence_unitary", recorded_recovery)
-        eq.optimize_C(ms, mt, seed=seed)
-    return recoveries[0]
+def every_start_value(ms, mt, seed):
+    """The log ratios of all five starts of optimize_C's stage in order, each
+    built and evaluated whatever the ones before it gave, from the draws the
+    search makes."""
+    setup = eq._Setup(ms, mt)
+    objective = setup.objective(len(ms.truncation()))
+    (left, right, _), n = setup.roots, ms.fiber_dim
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, size=len(setup.rows))
+    units = [np.eye(n, dtype=np.complex128), eq._alignment_unitary(*setup.whitened, weights),
+             eq._recover_congruence_unitary(*setup.whitened, rng)]
+    for _ in range(eq.RANDOM_STARTS):
+        units.append(eq.polar_unitary(rng.standard_normal((n, n))
+                                      + 1j * rng.standard_normal((n, n))))
+    return [objective(left.matrix @ w @ right.matrix).value for w in units]
+
+
+def diagnose_pochhammer_pair(name, top=128):
+    """The diagnose-pochhammer workload's gap pair (1,2)/(1,3) or swap pair
+    (1,2)/(2,1) at d = 2."""
+    return pochhammer_moments(1, 2, top=top), pochhammer_moments(
+        *{"gap": (1, 3), "swap": (2, 1)}[name], top=top)
+
+
+class TestStartStage:
+    @pytest.mark.parametrize("name", sorted(SEARCH_PATHS))
+    def test_each_start_is_built_when_the_stage_reaches_it(self, name, monkeypatch):
+        # on the random pairs all five starts are tried, in order; the stage
+        # of the swap and perturb pairs stops at its exit and builds nothing past it
+        events, recoveries = [], []
+
+        def spy(label, target):
+            func = getattr(eq, target)
+
+            def wrapped(*args):
+                events.append(label)
+                if label == "recovery":
+                    recoveries.append((args[:4], copy.deepcopy(args[4])))
+                return func(*args)
+            monkeypatch.setattr(eq, target, wrapped)
+
+        for label, target in (("evaluate", "pencil_logrange_batch"),
+                              ("alignment", "_alignment_unitary"),
+                              ("recovery", "_recover_congruence_unitary"),
+                              ("random", "polar_unitary")):
+            spy(label, target)
+        ms, mt, seed = certify_random_pair(name)
+        search = eq.optimize_C(ms, mt, seed=seed).search
+        tried = SEARCH_PATHS[name][3]
+        stage = ["evaluate", "alignment", "evaluate", "recovery", "evaluate",
+                 "random", "evaluate", "random", "evaluate"][:2 * tried - 1]
+        assert events[:len(stage)] == stage
+        assert events[len(stage):] == ["evaluate"] * search.descent.evaluations
+        assert [s.name for s in search.starts] == list(START_NAMES[:tried])
+        if recoveries:
+            (args, rng), (want_args, want_rng) = recoveries[0], recovery_record(name)
+            assert [a.tobytes() for a in args] == [a.tobytes() for a in want_args]
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("workload,name", [("certify-random", "swap"),
+                                               ("certify-random", "perturb"),
+                                               ("diagnose-pochhammer", "gap"),
+                                               ("diagnose-pochhammer", "swap")])
+    def test_stage_that_stops_early_builds_no_recovery(self, workload, name, monkeypatch):
+        # the recovery start is never reached; neither are the whitened stacks
+        # where the identity start ends the stage
+        recoveries, whitened = [], []
+        recover, build = eq._recover_congruence_unitary, eq._Setup.__dict__["whitened"].func
+        monkeypatch.setattr(eq, "_recover_congruence_unitary",
+                            lambda *args: recoveries.append(args) or recover(*args))
+        monkeypatch.setattr(eq._Setup, "whitened",
+                            property(lambda setup: whitened.append(setup) or build(setup)))
+        if workload == "diagnose-pochhammer":
+            diag = eq.growth_diagnostic(*diagnose_pochhammer_pair(name), [16, 32, 64, 128],
+                                        seed=1)
+            assert set(diag.exits) == {"bottomed out" if name == "swap" else "proven optimal"}
+        else:
+            ms, mt, seed = certify_random_pair(name)
+            eq.optimize_C(ms, mt, seed=seed)
+        assert recoveries == []
+        if name != "swap":
+            assert whitened == []
+
+    @pytest.mark.parametrize("name,top", [("swap", None), ("perturb", None), ("gap", 16),
+                                          ("gap", 128), ("swap", 16), ("swap", 128)])
+    def test_early_exit_is_within_its_tolerance_of_every_start(self, name, top):
+        # the certify-random pairs, then the diagnose-pochhammer pairs at two degrees
+        if top is None:
+            ms, mt, seed = certify_random_pair(name)
+        else:
+            (ms, mt), seed = diagnose_pochhammer_pair(name, top), 1
+        cert = eq.optimize_C(ms, mt, seed=seed)
+        search, values = cert.search, every_start_value(ms, mt, seed)
+        assert len(search.starts) < len(values)
+        assert [s.value for s in search.starts] == values[:len(search.starts)]
+        if search.descent.exit == "bottomed out":
+            tolerance = eq.BOTTOM_VALUE
+        else:
+            assert search.descent.exit == "proven optimal"
+            tolerance = eq.PROVEN_RTOL * max(1.0, cert.log_ratio)
+        assert cert.log_ratio <= min(values) + tolerance
 
 
 def level_zero_bound(ms, mt):
@@ -767,6 +869,7 @@ class TestGrowthDiagnostic:
         assert diag.verdict == eq.VERDICT_SIMILAR
         assert abs(diag.slope) <= 0.05
         assert max(diag.log_ratios) <= 1e-6
+        assert diag.starts == ("alignment",) * 4 and diag.exits == ("bottomed out",) * 4
 
     def test_distinct_pair_not_similar(self):
         diag = eq.growth_diagnostic(
@@ -907,6 +1010,7 @@ class TestDegreeClasses:
         fit = diag.intercept + diag.slope * np.log(np.array(degrees, dtype=np.float64))
         assert np.allclose(diag.residuals, np.array(diag.log_ratios) - fit, rtol=0, atol=1e-15)
         assert abs(sum(diag.residuals)) <= 1e-12
+        assert diag.starts == ("identity",) * 4 and diag.exits == ("proven optimal",) * 4
 
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     @pytest.mark.parametrize("d,degrees", [(1, [4, 9, 16, 30]), (2, [3, 6, 8, 12]),
